@@ -121,8 +121,7 @@ def multiplexer_cost(mux: Multiplexer) -> CostReport:
     else:
         counts = control_count_vector(mux.polarity)
 
-    dev = np.abs(mux.targets - np.eye(2)).reshape(1 << m, 4).max(axis=1)
-    is_identity = dev <= EPS
+    is_identity = kernels.identity_mask(mux.targets, EPS)
     per_gate = tuple(
         GateCostEntry(int(i), int(counts[i]), gate_cost(int(counts[i])))
         for i in np.nonzero(~is_identity)[0]

@@ -1,11 +1,5 @@
 """Hot numeric kernels: butterfly columns and per-polarity cost sums.
 
-Each kernel has two implementations: a numba @njit loop and a vectorized
-pure-numpy fallback.  The jitted path is used when numba imports cleanly
-and the environment variable QMUXOPT_NO_NUMBA is unset/false; setting
-QMUXOPT_NO_NUMBA=1 forces the numpy path.  benchmarks/bench_kernels.py
-compares the two.
-
 Kernel codes (one butterfly column pairs indices differing at `bit`; the
 pair is (a, b) with a at the clear-bit index):
 
@@ -27,24 +21,11 @@ transposes.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env-flag path
-    HAVE_NUMBA = False
-
-NUMBA_DISABLED = os.environ.get("QMUXOPT_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
+# No compiled backend; constants because the benchmark's machine facts record them.
+HAVE_NUMBA = False
+USE_NUMBA = False
 
 FORWARD_POS = 0
 FORWARD_NEG = 1
@@ -57,201 +38,72 @@ GF2_NEG = 1
 GF2_MIXED = 2
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
+def _halves(arr: np.ndarray, bit: int):
+    """Clear-bit and set-bit halves of every pair differing at `bit`.
+
+    Reshaping (2^n, ...) to (2^n / 2^(bit+1), 2, 2^bit, ...) puts the pair
+    partner on axis 1, so both halves are views.
+    """
+    v = arr.reshape(-1, 2, 1 << bit, *arr.shape[1:])
+    return v[:, 0], v[:, 1]
 
 
-def _pair_indices(n, bit):
-    idx = np.arange(n)
-    lo = idx[(idx & (1 << bit)) == 0]
-    return lo, lo | (1 << bit)
-
-
-def gate_stage_numpy(gates: np.ndarray, kernel: int, bit: int) -> np.ndarray:
+def gate_stage(gates: np.ndarray, kernel: int, bit: int) -> np.ndarray:
     """Apply one butterfly column to a (2^n, 2, 2) gate vector."""
     if kernel == IDENTITY:
         return gates.copy()
-    lo, hi = _pair_indices(gates.shape[0], bit)
-    a = gates[lo]
-    b = gates[hi]
-    out = np.empty_like(gates)
+    a, b = _halves(gates, bit)
+    # C order, so the reshape in _halves is a view of `out`; empty_like
+    # would keep a Fortran-ordered input's layout and write into a copy.
+    out = np.empty(gates.shape, gates.dtype)
+    lo, hi = _halves(out, bit)
     if kernel == FORWARD_POS:
-        out[lo] = a
-        out[hi] = b @ a.conj().transpose(0, 2, 1)
+        lo[...] = a
+        np.matmul(b, a.conj().swapaxes(-1, -2), out=hi)
     elif kernel == FORWARD_NEG:
-        out[lo] = b
-        out[hi] = a @ b.conj().transpose(0, 2, 1)
+        lo[...] = b
+        np.matmul(a, b.conj().swapaxes(-1, -2), out=hi)
     elif kernel == INVERSE_POS:
-        out[lo] = a
-        out[hi] = b @ a
+        lo[...] = a
+        np.matmul(b, a, out=hi)
     elif kernel == INVERSE_NEG:
-        out[lo] = b @ a
-        out[hi] = a
+        np.matmul(b, a, out=lo)
+        hi[...] = a
     else:
         raise ValueError(f"unknown kernel code {kernel}")
     return out
 
 
-def mux_cost_numpy(gates, counts, cost_table, eps):
+def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
+    """True for each gate equal to the 2x2 identity within eps in every entry."""
+    return np.abs(gates - np.eye(2)).reshape(gates.shape[0], 4).max(axis=1) <= eps
+
+
+def mux_cost(gates, counts, cost_table, eps):
     """Total gate cost of a polarized gate vector.
 
     counts[i] is the number of controls on gate i; cost_table maps a control
     count to its cost.  Gates equal to the identity within eps are free.
     Returns (total_cost, skipped_identities).
     """
-    dev = np.abs(gates - np.eye(2)).reshape(gates.shape[0], 4).max(axis=1)
-    is_id = dev <= eps
+    is_id = identity_mask(gates, eps)
     total = int(cost_table[counts[~is_id]].sum())
     return total, int(is_id.sum())
 
 
-def gf2_stage_numpy(vec: np.ndarray, kernel: int, bit: int) -> np.ndarray:
+def gf2_stage(vec: np.ndarray, kernel: int, bit: int) -> np.ndarray:
     """Apply one GF(2) butterfly column to a (2^n,) uint8 vector."""
     if kernel == GF2_MIXED:
         return vec.copy()
-    lo, hi = _pair_indices(vec.shape[0], bit)
-    x = vec[lo]
-    y = vec[hi]
-    out = np.empty_like(vec)
+    x, y = _halves(vec, bit)
+    out = np.empty(vec.shape, vec.dtype)
+    lo, hi = _halves(out, bit)
     if kernel == GF2_POS:
-        out[lo] = x
-        out[hi] = x ^ y
+        lo[...] = x
+        np.bitwise_xor(x, y, out=hi)
     elif kernel == GF2_NEG:
-        out[lo] = x ^ y
-        out[hi] = y
+        np.bitwise_xor(x, y, out=lo)
+        hi[...] = y
     else:
         raise ValueError(f"unknown GF(2) kernel code {kernel}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def gate_stage_numba(gates, kernel, bit):  # pragma: no cover - jitted
-        n = gates.shape[0]
-        out = np.empty_like(gates)
-        if kernel == IDENTITY:
-            out[:] = gates
-            return out
-        step = 1 << bit
-        for base in range(n):
-            if base & step:
-                continue
-            top = base + step
-            a00 = gates[base, 0, 0]
-            a01 = gates[base, 0, 1]
-            a10 = gates[base, 1, 0]
-            a11 = gates[base, 1, 1]
-            b00 = gates[top, 0, 0]
-            b01 = gates[top, 0, 1]
-            b10 = gates[top, 1, 0]
-            b11 = gates[top, 1, 1]
-            if kernel == FORWARD_POS:
-                # (a, b @ a†)
-                out[base, 0, 0] = a00
-                out[base, 0, 1] = a01
-                out[base, 1, 0] = a10
-                out[base, 1, 1] = a11
-                out[top, 0, 0] = b00 * np.conj(a00) + b01 * np.conj(a01)
-                out[top, 0, 1] = b00 * np.conj(a10) + b01 * np.conj(a11)
-                out[top, 1, 0] = b10 * np.conj(a00) + b11 * np.conj(a01)
-                out[top, 1, 1] = b10 * np.conj(a10) + b11 * np.conj(a11)
-            elif kernel == FORWARD_NEG:
-                # (b, a @ b†)
-                out[base, 0, 0] = b00
-                out[base, 0, 1] = b01
-                out[base, 1, 0] = b10
-                out[base, 1, 1] = b11
-                out[top, 0, 0] = a00 * np.conj(b00) + a01 * np.conj(b01)
-                out[top, 0, 1] = a00 * np.conj(b10) + a01 * np.conj(b11)
-                out[top, 1, 0] = a10 * np.conj(b00) + a11 * np.conj(b01)
-                out[top, 1, 1] = a10 * np.conj(b10) + a11 * np.conj(b11)
-            elif kernel == INVERSE_POS:
-                # (a, b @ a)
-                out[base, 0, 0] = a00
-                out[base, 0, 1] = a01
-                out[base, 1, 0] = a10
-                out[base, 1, 1] = a11
-                out[top, 0, 0] = b00 * a00 + b01 * a10
-                out[top, 0, 1] = b00 * a01 + b01 * a11
-                out[top, 1, 0] = b10 * a00 + b11 * a10
-                out[top, 1, 1] = b10 * a01 + b11 * a11
-            else:
-                # INVERSE_NEG: (b @ a, a)
-                out[base, 0, 0] = b00 * a00 + b01 * a10
-                out[base, 0, 1] = b00 * a01 + b01 * a11
-                out[base, 1, 0] = b10 * a00 + b11 * a10
-                out[base, 1, 1] = b10 * a01 + b11 * a11
-                out[top, 0, 0] = a00
-                out[top, 0, 1] = a01
-                out[top, 1, 0] = a10
-                out[top, 1, 1] = a11
-        return out
-
-    @njit(cache=True)
-    def mux_cost_numba(gates, counts, cost_table, eps):  # pragma: no cover
-        total = 0
-        skipped = 0
-        for i in range(gates.shape[0]):
-            d00 = abs(gates[i, 0, 0] - 1.0)
-            d01 = abs(gates[i, 0, 1])
-            d10 = abs(gates[i, 1, 0])
-            d11 = abs(gates[i, 1, 1] - 1.0)
-            if d00 <= eps and d01 <= eps and d10 <= eps and d11 <= eps:
-                skipped += 1
-            else:
-                total += cost_table[counts[i]]
-        return total, skipped
-
-    @njit(cache=True)
-    def gf2_stage_numba(vec, kernel, bit):  # pragma: no cover - jitted
-        n = vec.shape[0]
-        out = np.empty_like(vec)
-        if kernel == GF2_MIXED:
-            out[:] = vec
-            return out
-        step = 1 << bit
-        for base in range(n):
-            if base & step:
-                continue
-            top = base + step
-            x = vec[base]
-            y = vec[top]
-            if kernel == GF2_POS:
-                out[base] = x
-                out[top] = x ^ y
-            else:
-                out[base] = x ^ y
-                out[top] = y
-        return out
-
-else:  # pragma: no cover
-    gate_stage_numba = None
-    mux_cost_numba = None
-    gf2_stage_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if USE_NUMBA:
-
-    def gate_stage(gates, kernel, bit):
-        return gate_stage_numba(np.ascontiguousarray(gates), kernel, bit)
-
-    def mux_cost(gates, counts, cost_table, eps):
-        total, skipped = mux_cost_numba(
-            np.ascontiguousarray(gates), counts, cost_table, eps
-        )
-        return int(total), int(skipped)
-
-    def gf2_stage(vec, kernel, bit):
-        return gf2_stage_numba(np.ascontiguousarray(vec), kernel, bit)
-
-else:
-    gate_stage = gate_stage_numpy
-    mux_cost = mux_cost_numpy
-    gf2_stage = gf2_stage_numpy

@@ -1,13 +1,8 @@
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import qmuxopt
-from qmuxopt import gates, kernels
+from qmuxopt import gates, kernels, mux
+from qmuxopt.randmux import POOL_FULL, generate
 
 GATE_KERNELS = [
     kernels.FORWARD_POS,
@@ -22,41 +17,64 @@ def _random_gate_vector(rng, n):
     return np.stack([gates.random_unitary(rng) for _ in range(n)])
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
+# Per-pair references: the same products on one 2x2 pair at a time.
+PAIR_KERNELS = {
+    kernels.FORWARD_POS: lambda a, b: (a, b @ a.conj().T),
+    kernels.FORWARD_NEG: lambda a, b: (b, a @ b.conj().T),
+    kernels.INVERSE_POS: lambda a, b: (a, b @ a),
+    kernels.INVERSE_NEG: lambda a, b: (b @ a, a),
+    kernels.IDENTITY: lambda a, b: (a, b),
+}
+
+GF2_PAIR_KERNELS = {
+    kernels.GF2_POS: lambda x, y: (x, x ^ y),
+    kernels.GF2_NEG: lambda x, y: (x ^ y, y),
+    kernels.GF2_MIXED: lambda x, y: (x, y),
+}
+
+
+def _gate_vectors(m):
+    rng = np.random.default_rng(20 + m)
+    clifford = generate(m, POOL_FULL, seed=m).targets
+    for vec in (_random_gate_vector(rng, 1 << m), clifford):
+        yield vec
+        yield np.asfortranarray(vec)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
 @pytest.mark.parametrize("kernel", GATE_KERNELS)
-def test_gate_stage_backends_agree(kernel):
-    rng = np.random.default_rng(20 + kernel)
-    for m in (1, 2, 4):
-        vec = _random_gate_vector(rng, 1 << m)
+def test_gate_stage_matches_per_pair_reference(kernel, m):
+    # Bit-exact, not within a tolerance: reports print the full float.
+    for vec in _gate_vectors(m):
         for bit in range(m):
-            a = kernels.gate_stage_numba(vec, kernel, bit)
-            b = kernels.gate_stage_numpy(vec, kernel, bit)
-            assert np.abs(a - b).max() <= 1e-12
+            want = mux.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
+            got = kernels.gate_stage(vec, kernel, bit)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_mux_cost_backends_agree():
-    rng = np.random.default_rng(30)
-    for m in (2, 4, 6):
-        vec = _random_gate_vector(rng, 1 << m)
-        vec[:: 1 << (m - 1)] = np.eye(2)  # plant identities
-        counts = rng.integers(0, m + 1, size=1 << m).astype(np.int64)
-        table = np.arange(m + 1, dtype=np.int64) * 3 + 1
-        a = kernels.mux_cost_numba(vec, counts, table, 1e-9)
-        b = kernels.mux_cost_numpy(vec, counts, table, 1e-9)
-        assert tuple(int(x) for x in a) == tuple(int(x) for x in b)
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("kernel", list(GF2_PAIR_KERNELS))
+def test_gf2_stage_matches_per_pair_reference(kernel, n):
+    vec = np.random.default_rng(40 + n).integers(0, 2, size=1 << n).astype(np.uint8)
+    for bit in range(n):
+        want = vec.copy()
+        step = 1 << bit
+        for base in range(1 << n):
+            if not base & step:
+                want[base], want[base + step] = GF2_PAIR_KERNELS[kernel](
+                    vec[base], vec[base + step]
+                )
+        got = kernels.gf2_stage(vec, kernel, bit)
+        assert got.dtype == vec.dtype
+        assert np.array_equal(got, want)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("kernel", [kernels.GF2_POS, kernels.GF2_NEG, kernels.GF2_MIXED])
-def test_gf2_stage_backends_agree(kernel):
-    rng = np.random.default_rng(40 + kernel)
-    for n in (1, 3, 6):
-        vec = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-        for bit in range(n):
-            a = kernels.gf2_stage_numba(vec, kernel, bit)
-            b = kernels.gf2_stage_numpy(vec, kernel, bit)
-            assert np.array_equal(a, b)
+def test_unknown_kernel_codes_rejected():
+    with pytest.raises(ValueError):
+        kernels.gate_stage(_random_gate_vector(np.random.default_rng(0), 4), 9, 0)
+    with pytest.raises(ValueError):
+        kernels.gf2_stage(np.zeros(4, dtype=np.uint8), 9, 0)
 
 
 def test_gf2_kernels_are_self_inverse():
@@ -76,16 +94,3 @@ def test_forward_and_inverse_kernels_cancel():
     ]:
         back = kernels.gate_stage(kernels.gate_stage(vec, fwd, 1), inv, 1)
         assert np.abs(back - vec).max() <= 1e-12
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "from qmuxopt import kernels; "
-        "assert not kernels.USE_NUMBA; "
-        "assert kernels.gate_stage is kernels.gate_stage_numpy"
-    )
-    env = dict(os.environ)
-    env["QMUXOPT_NO_NUMBA"] = "1"
-    src = str(pathlib.Path(qmuxopt.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
