@@ -132,6 +132,12 @@ def parse_gate(token: str) -> np.ndarray:
     raise UnknownGate(f"unrecognized gate token {token!r}")
 
 
+def _matrix_literal(real: list, imag: list) -> str:
+    """M(...) token from the row-major real and imaginary parts, at full
+    float precision (repr keeps -0.0)."""
+    return "M(" + ",".join(f"{re!r},{im!r}" for re, im in zip(real, imag)) + ")"
+
+
 def render_gate(u: np.ndarray) -> str:
     """Render a matrix as a token that parse_gate accepts.
 
@@ -141,13 +147,27 @@ def render_gate(u: np.ndarray) -> str:
     for name, mat in CATALOG.items():
         if approx_eq(u, mat):
             return name
-    flat = []
-    for row in range(2):
-        for col in range(2):
-            entry = complex(u[row, col])
-            flat.append(repr(entry.real))
-            flat.append(repr(entry.imag))
-    return "M(" + ",".join(flat) + ")"
+    return _matrix_literal(u.real.ravel().tolist(), u.imag.ravel().tolist())
+
+
+def render_gates(us: np.ndarray) -> list:
+    """render_gate of every matrix in a (n, 2, 2) stack, vectorized:
+    one comparison of the whole stack per catalog gate, in catalog order,
+    so the first match wins as in render_gate."""
+    n = len(us)
+    tokens = [None] * n
+    unmatched = np.ones(n, dtype=bool)
+    for name, mat in CATALOG.items():
+        hit = unmatched & (np.abs(us - mat).reshape(n, 4).max(axis=1) <= EPS)
+        for i in np.flatnonzero(hit).tolist():
+            tokens[i] = name
+        unmatched &= ~hit
+    rest = np.flatnonzero(unmatched)
+    real = us[rest].real.reshape(-1, 4).tolist()
+    imag = us[rest].imag.reshape(-1, 4).tolist()
+    for i, re, im in zip(rest.tolist(), real, imag):
+        tokens[i] = _matrix_literal(re, im)
+    return tokens
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,17 @@ pair is (a, b) with a at the clear-bit index):
   INVERSE_NEG   (a, b) -> (b @ a, a)
   IDENTITY      (a, b) -> (a, b)
 
+With a `group.GateGroup` the vector holds uint8 element IDs instead of
+matrices, and each product is a lookup in the group's tables (mul[i, j] is
+the ID of element i times element j, inv[i] that of its inverse):
+
+  FORWARD_POS   (a, b) -> (a, mul[b, inv[a]])
+  FORWARD_NEG   (a, b) -> (b, mul[a, inv[b]])
+  INVERSE_POS   (a, b) -> (a, mul[b, a])
+  INVERSE_NEG   (a, b) -> (mul[b, a], a)
+
+ID 0 is the identity, so an ID vector's identity test is `ids == 0`.
+
 GF(2) codes for the classical transform (x, y are bits):
 
   GF2_POS    (x, y) -> (x, x ^ y)
@@ -48,8 +59,25 @@ def _halves(arr: np.ndarray, bit: int):
     return v[:, 0], v[:, 1]
 
 
-def gate_stage(gates: np.ndarray, kernel: int, bit: int) -> np.ndarray:
-    """Apply one butterfly column to a (2^n, 2, 2) gate vector."""
+def _times(x, y, out, group) -> None:
+    """out = x @ y, on matrices or, given their group, on IDs."""
+    if group is None:
+        np.matmul(x, y, out=out)
+    else:
+        out[...] = group.mul[x, y]
+
+
+def _times_inverse(x, y, out, group) -> None:
+    """out = x @ y^-1, on matrices or, given their group, on IDs."""
+    if group is None:
+        np.matmul(x, y.conj().swapaxes(-1, -2), out=out)
+    else:
+        out[...] = group.mul[x, group.inv[y]]
+
+
+def gate_stage(gates: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarray:
+    """Apply one butterfly column to a (2^n, 2, 2) gate vector, or, given
+    the `group` its IDs index, to a (2^n,) uint8 ID vector."""
     if kernel == IDENTITY:
         return gates.copy()
     a, b = _halves(gates, bit)
@@ -59,15 +87,15 @@ def gate_stage(gates: np.ndarray, kernel: int, bit: int) -> np.ndarray:
     lo, hi = _halves(out, bit)
     if kernel == FORWARD_POS:
         lo[...] = a
-        np.matmul(b, a.conj().swapaxes(-1, -2), out=hi)
+        _times_inverse(b, a, hi, group)
     elif kernel == FORWARD_NEG:
         lo[...] = b
-        np.matmul(a, b.conj().swapaxes(-1, -2), out=hi)
+        _times_inverse(a, b, hi, group)
     elif kernel == INVERSE_POS:
         lo[...] = a
-        np.matmul(b, a, out=hi)
+        _times(b, a, hi, group)
     elif kernel == INVERSE_NEG:
-        np.matmul(b, a, out=lo)
+        _times(b, a, lo, group)
         hi[...] = a
     else:
         raise ValueError(f"unknown kernel code {kernel}")
@@ -75,7 +103,12 @@ def gate_stage(gates: np.ndarray, kernel: int, bit: int) -> np.ndarray:
 
 
 def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
-    """True for each gate equal to the 2x2 identity within eps in every entry."""
+    """True for each gate equal to the 2x2 identity within eps in every entry.
+
+    A 1-D vector holds group IDs, whose identity is exactly ID 0.
+    """
+    if gates.ndim == 1:
+        return gates == 0
     return np.abs(gates - np.eye(2)).reshape(gates.shape[0], 4).max(axis=1) <= eps
 
 
@@ -83,7 +116,8 @@ def mux_cost(gates, counts, cost_table, eps):
     """Total gate cost of a polarized gate vector.
 
     counts[i] is the number of controls on gate i; cost_table maps a control
-    count to its cost.  Gates equal to the identity within eps are free.
+    count to its cost.  Gates equal to the identity within eps (or, in an
+    ID vector, equal to ID 0) are free.
     Returns (total_cost, skipped_identities).
     """
     is_id = identity_mask(gates, eps)

@@ -208,21 +208,24 @@ def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
     return kernels.gate_stage(arr, code, bit)
 
 
-def transform_stages(targets: np.ndarray, polarity: str, direction: str) -> np.ndarray:
+def transform_stages(
+    targets: np.ndarray, polarity: str, direction: str, group=None
+) -> np.ndarray:
     """Run the full butterfly cascade over a raw gate vector.
 
     Forward runs the column for c_1 (most significant bit) first and c_m
     (bit 0) last; inverse runs the same columns with inverse kernels in
-    reverse order.
+    reverse order.  Given the `group.GateGroup` they index, `targets` are
+    uint8 element IDs (see `kernels.gate_stage`).
     """
     m = len(polarity)
     out = targets.copy()
     if direction == "forward":
         for k, digit in enumerate(polarity):
-            out = kernels.gate_stage(out, _FORWARD_KERNELS[digit], m - 1 - k)
+            out = kernels.gate_stage(out, _FORWARD_KERNELS[digit], m - 1 - k, group)
     elif direction == "inverse":
         for k in reversed(range(m)):
-            out = kernels.gate_stage(out, _INVERSE_KERNELS[polarity[k]], m - 1 - k)
+            out = kernels.gate_stage(out, _INVERSE_KERNELS[polarity[k]], m - 1 - k, group)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return out

@@ -132,7 +132,7 @@ def load_qmux(path) -> Multiplexer:
 
 
 def target_tokens(m: Multiplexer) -> list:
-    return [gates.render_gate(t) for t in m.targets]
+    return gates.render_gates(m.targets)
 
 
 def dump_qmux(m: Multiplexer, tokens_per_line: int = 8) -> str:

@@ -4,7 +4,15 @@ The exhaustive walk is a depth-first recursion over polarity digits: a
 node at depth k holds the gate vector after the butterfly columns of the
 first k control variables, so sibling polarities share their common prefix
 work.  Per-gate control counts accumulate along the same path.  Memory
-along one root-to-leaf path is O(m * 2^m) matrices.
+along one root-to-leaf path is O(m * 2^m) gates.
+
+When the targets close under multiplication into a small finite group
+whose float residuals stay inside EPS over m columns (`group.intern`;
+every built-in pool up to m = 18), both searches walk uint8 element IDs
+through the group's product table instead of complex 2x2 products, and
+the leaf identity test is exact.  Costs, polarities and tie-breaks are
+the same as on the complex path, which runs for all other targets, such
+as RX(theta) or arbitrary matrix literals.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cost, kernels, mux
+from . import cost, group, kernels, mux
 from .errors import FormMismatch, SizeLimitExceeded
 
 # 2^14 FPQF leaves / 3^9 KQF leaves keep exhaustive runs in the minutes.
@@ -128,6 +136,12 @@ def _require_standard(std: mux.Multiplexer):
         raise FormMismatch(f"search needs a standard-form multiplexer, got {std.form}")
 
 
+def _interned(std: mux.Multiplexer) -> tuple:
+    """(gate_group, ids) from group.intern, or (None, targets) when the
+    targets do not close: the search then runs on complex matrices."""
+    return group.intern(std.targets) or (None, std.targets)
+
+
 def iter_polarity_costs(std: mux.Multiplexer, family: str):
     """Yield (polarity, cost) for every polarity of the family, in
     lexicographic order, via the prefix-sharing DFS."""
@@ -137,11 +151,7 @@ def iter_polarity_costs(std: mux.Multiplexer, family: str):
     idx = np.arange(1 << m)
     bit_vectors = [((idx >> (m - 1 - k)) & 1).astype(np.int64) for k in range(m)]
     cost_table = cost.cost_table_vector(m)
-    forward = {
-        "1": kernels.FORWARD_POS,
-        "0": kernels.FORWARD_NEG,
-        "2": kernels.IDENTITY,
-    }
+    gate_group, root = _interned(std)
 
     def walk(targets, counts, depth, prefix):
         if depth == m:
@@ -150,7 +160,7 @@ def iter_polarity_costs(std: mux.Multiplexer, family: str):
             return
         bit = m - 1 - depth
         for digit in digits:
-            child = kernels.gate_stage(targets, forward[digit], bit)
+            child = kernels.gate_stage(targets, mux._FORWARD_KERNELS[digit], bit, gate_group)
             if digit == "2":
                 child_counts = counts + 1
             else:
@@ -159,9 +169,7 @@ def iter_polarity_costs(std: mux.Multiplexer, family: str):
             yield from walk(child, child_counts, depth + 1, prefix)
             prefix.pop()
 
-    yield from walk(
-        std.targets.copy(), np.zeros(1 << m, dtype=np.int64), 0, []
-    )
+    yield from walk(root, np.zeros(1 << m, dtype=np.int64), 0, [])
 
 
 def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
@@ -211,10 +219,11 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
     original = cost.multiplexer_cost(std).total
+    gate_group, root = _interned(std)
     tally = _Tally()
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
-        targets = mux.transform_stages(std.targets, polarity, "forward")
+        targets = mux.transform_stages(root, polarity, "forward", gate_group)
         counts = cost.control_count_vector(polarity)
         value, _ = cost.fast_total_cost(targets, counts, cost_table)
         tally.add(polarity, value)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, kernels, mux
-from qmuxopt.randmux import POOL_FULL, generate
+from qmuxopt import gates, group, kernels, mux
+from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
 
 GATE_KERNELS = [
     kernels.FORWARD_POS,
@@ -53,6 +53,33 @@ def test_gate_stage_matches_per_pair_reference(kernel, m):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("kernel", GATE_KERNELS)
+def test_group_id_stage_matches_complex_stage(kernel, m):
+    for pool in (POOL_FULL, POOL_NVV):
+        vec = generate(m, pool, seed=30 + m).targets
+        gate_group, ids = group.intern(vec)
+        for bit in range(m):
+            got = kernels.gate_stage(ids, kernel, bit, gate_group)
+            assert got.dtype == np.uint8 and got.shape == ids.shape
+            want = kernels.gate_stage(vec, kernel, bit)
+            assert np.abs(gate_group.elements[got] - want).max() <= 1e-12
+
+
+def test_identity_mask_on_id_vectors():
+    vec = generate(6, POOL_FULL, seed=31).targets
+    gate_group, ids = group.intern(vec)
+    assert np.array_equal(kernels.identity_mask(ids, gates.EPS), ids == 0)
+    assert np.array_equal(
+        kernels.identity_mask(ids, gates.EPS), kernels.identity_mask(vec, gates.EPS)
+    )
+    table = np.arange(7, dtype=np.int64)
+    counts = np.arange(64, dtype=np.int64) % 7
+    assert kernels.mux_cost(ids, counts, table, gates.EPS) == kernels.mux_cost(
+        vec, counts, table, gates.EPS
+    )
+
+
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("kernel", list(GF2_PAIR_KERNELS))
 def test_gf2_stage_matches_per_pair_reference(kernel, n):
@@ -75,6 +102,9 @@ def test_unknown_kernel_codes_rejected():
         kernels.gate_stage(_random_gate_vector(np.random.default_rng(0), 4), 9, 0)
     with pytest.raises(ValueError):
         kernels.gf2_stage(np.zeros(4, dtype=np.uint8), 9, 0)
+    gate_group, ids = group.intern(np.stack([gates.I, gates.X] * 2))
+    with pytest.raises(ValueError):
+        kernels.gate_stage(ids, 9, 0, gate_group)
 
 
 def test_gf2_kernels_are_self_inverse():

@@ -120,3 +120,23 @@ def test_parse_rejects_non_unitary_literal():
     with pytest.raises(ParseError) as info:
         parse_qmux(text)
     assert "not unitary" in str(info.value)
+
+
+def test_target_tokens_match_per_gate_render():
+    rng = np.random.default_rng(17)
+    targets = [
+        *gates.CATALOG.values(),
+        np.exp(5e-10j) * gates.X,  # within EPS of X: renders as X
+        np.exp(-5e-10j) * gates.VD,
+        np.exp(2e-9j) * gates.H,  # just past EPS: a literal
+        -gates.rz(0.3),  # -0.0 off-diagonal entries
+        np.array([[-0.0, 1], [1, -0.0]], dtype=complex),  # X with -0.0
+        gates.rx(1.1),
+        gates.ry(-0.7),
+        *(gates.random_unitary(rng) for _ in range(18)),
+    ]
+    m = Multiplexer(5, np.stack(targets))
+    tokens = target_tokens(m)
+    assert tokens == [gates.render_gate(u) for u in m.targets]
+    assert tokens[:9] == list(gates.CATALOG) + ["X", "VD"]
+    assert tokens[9].startswith("M(") and "-0.0" in tokens[10]

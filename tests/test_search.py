@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates
+from qmuxopt import gates, group, search
+from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
 from qmuxopt.mux import Multiplexer, forward_transform, triangular_solve
-from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
+from qmuxopt.pla import to_multiplexer
+from qmuxopt.randmux import POOL_FULL, POOL_NVV, GatePool, generate, resolve_pool
 from qmuxopt.search import (
     SearchConfig,
     exhaustive_search,
@@ -164,3 +166,97 @@ def test_config_validation():
         SearchConfig(mode="sideways")
     with pytest.raises(ValueError):
         SearchConfig(samples=0)
+
+
+def _random_multiplexer(m, seed):
+    rng = np.random.default_rng(seed)
+    return Multiplexer(m, np.stack([gates.random_unitary(rng) for _ in range(1 << m)]))
+
+
+# Inputs whose targets close into a small group, so the search walks IDs.
+GROUP_CASES = {
+    "full": lambda m: generate(m, POOL_FULL, seed=200 + m),
+    "nvv": lambda m: generate(m, POOL_NVV, seed=210 + m),
+    "custom-h-z": lambda m: generate(m, resolve_pool("custom:H,Z"), seed=220 + m),
+    # S = diag(1, i) as a matrix literal: a Clifford outside the catalog.
+    "clifford-literal": lambda m: generate(
+        m, GatePool("custom", ("M(1,0,0,0,0,0,0,1)", "H", "I")), seed=230 + m
+    ),
+    "pla-x-i": lambda m: to_multiplexer(
+        BoolFunc(m, np.random.default_rng(240 + m).integers(0, 2, size=1 << m))
+    ),
+}
+
+# Inputs that do not close into at most 256 elements: the complex path runs.
+FALLBACK_CASES = {
+    "rx-pool": lambda m: generate(m, resolve_pool("custom:X,RX(0.3)"), seed=250 + m),
+    "random-unitaries": lambda m: _random_multiplexer(m, seed=260 + m),
+    "over-256-distinct": lambda m: Multiplexer(
+        m, np.stack([gates.rz(0.01 * k) for k in range(1 << m)])
+    ),
+}
+
+
+def _complex_reference(monkeypatch, fn, *args):
+    """fn(*args) with interning switched off: the complex gate_stage/EPS path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search.group, "intern", lambda targets: None)
+        return fn(*args)
+
+
+ALL_CASES = {**GROUP_CASES, **FALLBACK_CASES}
+
+
+@pytest.mark.parametrize("case", list(ALL_CASES))
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_group_path_streams_match_complex_path(monkeypatch, case, family):
+    for m in range(1, 7):
+        std = ALL_CASES[case](m)
+        assert (group.intern(std.targets) is None) == (case in FALLBACK_CASES)
+        ids_stream = list(iter_polarity_costs(std, family))
+        complex_stream = _complex_reference(
+            monkeypatch, lambda: list(iter_polarity_costs(std, family))
+        )
+        assert ids_stream == complex_stream
+
+
+@pytest.mark.parametrize("case", list(ALL_CASES))
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_random_search_group_path_matches_complex_path(monkeypatch, case, family):
+    # m = 9 puts 512 distinct targets in the over-256 case.
+    std = ALL_CASES[case](9 if case == "over-256-distinct" else 6)
+    assert (group.intern(std.targets) is None) == (case in FALLBACK_CASES)
+    cfg = SearchConfig(family=family, mode="random", samples=24, seed=7)
+    report = random_polarity_search(std, cfg)
+    assert report == _complex_reference(monkeypatch, random_polarity_search, std, cfg)
+
+
+
+# H written with 13 and 14 digits: each FPQF column squares the residual
+# of H'^2 = c I, so at m = 14 the complex path counts a gate the ID path
+# would call the identity, unless intern declines the input.
+H13 = "M(0.7071067811865,0,0.7071067811865,0,0.7071067811865,0,-0.7071067811865,0)"
+H14 = "M(0.70710678118655,0,0.70710678118655,0,0.70710678118655,0,-0.70710678118655,0)"
+
+
+@pytest.mark.parametrize(
+    "tokens,m",
+    [((H13,), 14), ((H14,), 14), ((H14, "I"), 14), ((H13, "I"), 17), ((H14, "X", "I"), 17)],
+    ids=["h13-m14", "h14-m14", "h14-i-m14", "h13-i-m17", "h14-x-i-m17"],
+)
+def test_random_search_on_rounded_h_literals_matches_complex_path(monkeypatch, tokens, m):
+    std = generate(m, GatePool("custom", tokens), seed=3)
+    cfg = SearchConfig(family="fpqf", mode="random", samples=2, seed=1)
+    report = random_polarity_search(std, cfg)
+    assert report == _complex_reference(monkeypatch, random_polarity_search, std, cfg)
+
+
+@pytest.mark.parametrize("family,m", [("fpqf", 11), ("kqf", 7)])
+def test_exhaustive_search_on_rounded_h_literal_matches_complex_path(monkeypatch, family, m):
+    # The deepest m at which intern accepts the 13-digit H for FPQF.
+    std = generate(m, GatePool("custom", (H13, "I")), seed=4)
+    assert group.intern(std.targets) is not None
+    stream = list(iter_polarity_costs(std, family))
+    assert stream == _complex_reference(
+        monkeypatch, lambda: list(iter_polarity_costs(std, family))
+    )
