@@ -30,6 +30,13 @@ _CLASSICAL_FAMILIES = {
 }
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for counts: a negative one would slice from the end."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmuxopt",
@@ -76,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cls.add_argument("--output-index", type=int, default=0)
     p_cls.add_argument("--semantics", choices=("f", "fr"), default="f")
-    p_cls.add_argument("--top", type=int, help="only print the cheapest N polarities")
+    p_cls.add_argument(
+        "--top", type=_non_negative, help="only print the cheapest N polarities"
+    )
     add_format(p_cls)
 
     p_gen = sub.add_parser("generate", help="write a seeded random .qmux multiplexer")

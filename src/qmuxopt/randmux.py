@@ -7,6 +7,7 @@ produces the same multiplexer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ def resolve_pool(label: str) -> GatePool:
     if name in BUILTIN_POOLS:
         return BUILTIN_POOLS[name]
     if name.startswith("custom:"):
-        tokens = tuple(t.strip() for t in label.split(":", 1)[1].split(",") if t.strip())
+        # Split only on commas outside parentheses: an M(...) literal has seven.
+        parts = re.split(r",(?![^()]*\))", label.split(":", 1)[1])
+        tokens = tuple(t.strip() for t in parts if t.strip())
         return GatePool("custom", tokens)
     raise UnknownGate(f"unknown pool {label!r} (want full, nvv or custom:<tokens>)")
 

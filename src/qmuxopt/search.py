@@ -136,6 +136,15 @@ def _require_standard(std: mux.Multiplexer):
         raise FormMismatch(f"search needs a standard-form multiplexer, got {std.form}")
 
 
+def _standard_cost(std: mux.Multiplexer) -> int:
+    """Total cost of the standard form, where every gate has all m controls,
+    without building the per-gate entries of cost.multiplexer_cost."""
+    m = std.controls
+    counts = np.full(1 << m, m, dtype=np.int64)
+    total, _ = cost.fast_total_cost(std.targets, counts, cost.cost_table_vector(m))
+    return total
+
+
 def _interned(std: mux.Multiplexer) -> tuple:
     """(gate_group, ids) from group.intern, or (None, targets) when the
     targets do not close: the search then runs on complex matrices."""
@@ -182,7 +191,7 @@ def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
             f"got {std.controls}"
         )
     start = time.perf_counter()
-    original = cost.multiplexer_cost(std).total
+    original = _standard_cost(std)
     tally = _Tally()
     for polarity, value in iter_polarity_costs(std, cfg.family):
         tally.add(polarity, value)
@@ -218,7 +227,7 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     cost_table = cost.cost_table_vector(m)
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
-    original = cost.multiplexer_cost(std).total
+    original = _standard_cost(std)
     gate_group, root = _interned(std)
     tally = _Tally()
     for _ in range(cfg.samples):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmuxopt import boolrm
 from qmuxopt.boolrm import (
@@ -238,6 +240,56 @@ def test_search_matches_per_polarity_costs():
     ranked = dict(rm_search(OR_XOR, boolrm.KRM))
     for polarity in all_polarities(3, boolrm.KRM):
         assert ranked[polarity] == literal_cost(rm_transform(OR_XOR, polarity))
+
+
+def reference_ranking(func, family):
+    """One transform per polarity, sorted stably by cost: rm_search's contract."""
+    costs = [
+        (p, literal_cost(rm_transform(func, p)))
+        for p in all_polarities(func.num_vars, family)
+    ]
+    return sorted(costs, key=lambda item: item[1])
+
+
+def reference_functions(n):
+    idx = np.arange(1 << n)
+    return {
+        "random": np.random.default_rng(500 + n).integers(0, 2, size=1 << n),
+        "constant-0": np.zeros(1 << n),
+        "constant-1": np.ones(1 << n),
+        # Every FPRM polarity of the parity function costs n: an n-way tie.
+        "parity": np.array([bin(i).count("1") & 1 for i in idx]),
+    }
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(boolrm.FPRM, n) for n in range(1, 10)] + [(boolrm.KRM, n) for n in range(1, 7)],
+)
+def test_search_matches_per_polarity_reference(monkeypatch, family, n):
+    for bits in reference_functions(n).values():
+        func = BoolFunc(n, bits.astype(np.uint8))
+        expected = reference_ranking(func, family)
+        # Block sizes 0 (DFS to the leaves, t = n), 1 and 2 (0 < t < n once
+        # n > 2) and the module's own (t = 0, b = n: one block, no DFS).
+        for block in (0, 1, 2, boolrm.BLOCK_VARS):
+            monkeypatch.setattr(boolrm, "BLOCK_VARS", block)
+            assert rm_search(func, family) == expected, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    family=st.sampled_from([boolrm.FPRM, boolrm.KRM]),
+    block=st.integers(0, 7),
+    data=st.data(),
+)
+def test_search_matches_reference_on_random_functions(n, family, block, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    func = BoolFunc(n, np.array(bits, dtype=np.uint8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolrm, "BLOCK_VARS", block)
+        assert rm_search(func, family) == reference_ranking(func, family)
 
 
 def test_search_size_limits():

@@ -179,6 +179,13 @@ def test_classical_top_limits_rows(capsys):
     assert len(rows) == 1 + 3
 
 
+def test_classical_negative_top_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "0x6F", "--top", "-2"])
+    assert exc.value.code == 2
+    assert "--top" in capsys.readouterr().err
+
+
 def test_classical_mixed_family(capsys):
     code, out, _ = run(capsys, ["classical", "01101111", "--family", "krm",
                                 "--format", "json"])

@@ -62,6 +62,13 @@ def test_resolve_pool():
     assert custom.gate_tokens == ("I", "V", "RX(0.5)")
     with pytest.raises(UnknownGate):
         resolve_pool("bogus")
+    # Commas inside a matrix literal do not split the pool.
+    literal = resolve_pool("custom: M(1,0,0,0,0,0,0,1) ,RX(0.3)")
+    assert literal.gate_tokens == ("M(1,0,0,0,0,0,0,1)", "RX(0.3)")
+    assert np.array_equal(literal.matrices()[0], np.diag([1, 1j]))
+    assert resolve_pool("custom:X,M(1,0,0,0,0,0,0,1)").gate_tokens[1] == "M(1,0,0,0,0,0,0,1)"
+    with pytest.raises(UnknownGate):
+        resolve_pool("custom:X,M(1,0")  # unclosed: split at every comma, rejected
 
 
 def test_draws_are_uniform_within_three_sigma():

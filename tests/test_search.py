@@ -168,6 +168,25 @@ def test_config_validation():
         SearchConfig(samples=0)
 
 
+ORIGINAL_COST_POOLS = {
+    "full": POOL_FULL,
+    "nvv": POOL_NVV,
+    "all-identity": GatePool("ident", ("I",)),
+    "rx": resolve_pool("custom:X,RX(0.3)"),
+}
+
+
+@pytest.mark.parametrize("pool", list(ORIGINAL_COST_POOLS))
+@pytest.mark.parametrize("m", [1, 4, 11])  # 11 is past the cost table (32 m - 96)
+def test_original_cost_equals_the_standard_form_cost_report(pool, m):
+    std = generate(m, ORIGINAL_COST_POOLS[pool], seed=270 + m)
+    expected = multiplexer_cost(std).total
+    random_cfg = SearchConfig(family="kqf", mode="random", samples=1, seed=2)
+    assert random_polarity_search(std, random_cfg).original_cost == expected
+    if m <= 4:
+        assert exhaustive_search(std, SearchConfig(family="fpqf")).original_cost == expected
+
+
 def _random_multiplexer(m, seed):
     rng = np.random.default_rng(seed)
     return Multiplexer(m, np.stack([gates.random_unitary(rng) for _ in range(1 << m)]))
