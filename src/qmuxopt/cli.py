@@ -134,14 +134,16 @@ def _emit(text: str, out_path):
         print(text)
 
 
-def _report(args, manifest: dict, body_text, body_json: dict, csv_lines=None) -> None:
+def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
+    """Emit the report in args.format.  The bodies are callables that build
+    the text lines, the JSON dict and the CSV lines; only the one the
+    format asks for runs."""
     if args.format == "json":
-        _emit(json.dumps({"manifest": manifest, **body_json}, indent=2), args.out)
+        _emit(json.dumps({"manifest": manifest, **json_body()}, indent=2), args.out)
     elif args.format == "csv":
-        lines = _manifest_lines(manifest) + list(csv_lines or [])
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(_manifest_lines(manifest) + csv_lines()), args.out)
     else:
-        _emit("\n".join(_manifest_lines(manifest) + [""] + body_text), args.out)
+        _emit("\n".join(_manifest_lines(manifest) + [""] + text_lines()), args.out)
 
 
 def _cmd_optimize(args) -> int:
@@ -151,9 +153,10 @@ def _cmd_optimize(args) -> int:
         family=args.family, mode=args.mode, samples=args.samples, seed=args.seed
     )
     report = search_mod.run_search(std, cfg)
-    best = mux.forward_transform(std, report.best_polarity)
-    best_cost_report = cost.multiplexer_cost(best)
-    tokens = muxio.target_tokens(best)
+    if args.format != "csv":  # the CSV row holds only the search summary
+        best = mux.forward_transform(std, report.best_polarity)
+        best_cost_report = cost.multiplexer_cost(best)
+        tokens = muxio.target_tokens(best)
 
     manifest = _manifest(
         "optimize",
@@ -163,32 +166,35 @@ def _cmd_optimize(args) -> int:
     )
     manifest["wall_time_s"] = time.perf_counter() - started
 
-    text = [
-        f"controls: {report.controls}",
-        f"original cost: {report.original_cost}",
-        f"best polarity: {report.best_polarity}   cost: {report.best_cost}"
-        f"   ({100.0 * report.best_reduction:.1f}% reduction)",
-        f"worst polarity: {report.worst_polarity}   cost: {report.worst_cost}",
-        f"average cost: {report.average_cost:.2f}"
-        f"   ({100.0 * report.average_reduction:.1f}% average reduction)",
-        f"polarities evaluated: {report.polarities_evaluated}",
-        f"search time: {report.elapsed:.3f} s",
-        "",
-        "transformed targets (best polarity):",
-        "  " + " ".join(tokens),
-        "",
-        "cost breakdown (best polarity):",
-        best_cost_report.format_table(),
-    ]
-    body_json = {
-        "search": report.to_json_dict(),
-        "best_targets": tokens,
-        "best_cost_report": best_cost_report.to_json_dict(),
-    }
-    csv_lines = [
-        "controls,original,best,worst,average,reduction_pct",
-        report.csv_row(),
-    ]
+    def text():
+        return [
+            f"controls: {report.controls}",
+            f"original cost: {report.original_cost}",
+            f"best polarity: {report.best_polarity}   cost: {report.best_cost}"
+            f"   ({100.0 * report.best_reduction:.1f}% reduction)",
+            f"worst polarity: {report.worst_polarity}   cost: {report.worst_cost}",
+            f"average cost: {report.average_cost:.2f}"
+            f"   ({100.0 * report.average_reduction:.1f}% average reduction)",
+            f"polarities evaluated: {report.polarities_evaluated}",
+            f"search time: {report.elapsed:.3f} s",
+            "",
+            "transformed targets (best polarity):",
+            "  " + " ".join(tokens),
+            "",
+            "cost breakdown (best polarity):",
+            best_cost_report.format_table(),
+        ]
+
+    def body_json():
+        return {
+            "search": report.to_json_dict(),
+            "best_targets": tokens,
+            "best_cost_report": best_cost_report.to_json_dict(),
+        }
+
+    def csv_lines():
+        return ["controls,original,best,worst,average,reduction_pct", report.csv_row()]
+
     _report(args, manifest, text, body_json, csv_lines)
     return 0
 
@@ -218,14 +224,13 @@ def _cmd_verify(args) -> int:
     manifest = _manifest("verify", inputs, {"polarity": args.polarity})
     manifest["wall_time_s"] = time.perf_counter() - started
     verdict = "PASS" if ok else "FAIL"
-    text = [f"max deviation: {deviation:.3e}", verdict]
-    body_json = {
-        "polarity": args.polarity,
-        "max_deviation": deviation,
-        "pass": ok,
-    }
-    csv_lines = ["polarity,max_deviation,pass", f"{args.polarity},{deviation:.3e},{ok}"]
-    _report(args, manifest, text, body_json, csv_lines)
+    _report(
+        args,
+        manifest,
+        lambda: [f"max deviation: {deviation:.3e}", verdict],
+        lambda: {"polarity": args.polarity, "max_deviation": deviation, "pass": ok},
+        lambda: ["polarity,max_deviation,pass", f"{args.polarity},{deviation:.3e},{ok}"],
+    )
     return 0 if ok else 1
 
 
@@ -257,15 +262,24 @@ def _cmd_classical(args) -> int:
     )
     manifest["wall_time_s"] = time.perf_counter() - started
 
-    text = ["polarity,cost"] + [f"{p},{c}" for p, c in ranked]
-    body_json = {
-        "family": family,
-        "num_vars": func.num_vars,
-        "ranked": [{"polarity": p, "cost": c} for p, c in ranked],
-    }
-    csv_lines = ["polarity,cost"] + [f"{p},{c}" for p, c in ranked]
-    _report(args, manifest, text, body_json, csv_lines)
+    _report(
+        args,
+        manifest,
+        lambda: _ranked_lines(ranked),
+        lambda: {"family": family, "num_vars": func.num_vars, "ranked": _ranked_json(ranked)},
+        lambda: _ranked_lines(ranked),
+    )
     return 0
+
+
+def _ranked_lines(ranked) -> list:
+    """Text and CSV body of a classical ranking."""
+    return ["polarity,cost"] + [f"{p},{c}" for p, c in ranked]
+
+
+def _ranked_json(ranked) -> list:
+    """JSON body of a classical ranking."""
+    return [{"polarity": p, "cost": c} for p, c in ranked]
 
 
 def _cmd_generate(args) -> int:
@@ -285,12 +299,19 @@ def _cmd_cost(args) -> int:
     report = cost.multiplexer_cost(loaded)
     manifest = _manifest("cost", [args.input], {"form": loaded.describe()})
     manifest["wall_time_s"] = time.perf_counter() - started
-    text = [report.format_table()]
-    body_json = {"form": loaded.describe(), "cost_report": report.to_json_dict()}
-    csv_lines = ["gate,controls,cost"] + [
-        f"{e.gate_index},{e.controls},{e.cost}" for e in report.per_gate
-    ] + [f"# total: {report.total}", f"# skipped_identities: {report.skipped_identities}"]
-    _report(args, manifest, text, body_json, csv_lines)
+
+    def csv_lines():
+        return ["gate,controls,cost"] + [
+            f"{e.gate_index},{e.controls},{e.cost}" for e in report.per_gate
+        ] + [f"# total: {report.total}", f"# skipped_identities: {report.skipped_identities}"]
+
+    _report(
+        args,
+        manifest,
+        lambda: [report.format_table()],
+        lambda: {"form": loaded.describe(), "cost_report": report.to_json_dict()},
+        csv_lines,
+    )
     return 0
 
 

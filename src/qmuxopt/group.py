@@ -61,11 +61,15 @@ class GateGroup:
 
     elements[0] is the identity; mul[i, j] is the ID of
     elements[i] @ elements[j] and inv[i] the ID of elements[i]^-1.
+    mulinv[(i << 8) | j] is the ID of elements[i] @ elements[j]^-1, so one
+    flat lookup on a uint16 index serves a butterfly's product with an
+    inverse; entries past G are 0.
     """
 
     elements: np.ndarray  # (G, 2, 2) complex
     mul: np.ndarray  # (G, G) uint8
     inv: np.ndarray  # (G,) uint8
+    mulinv: np.ndarray  # (MAX_ELEMENTS^2,) uint8
 
 
 def _keys(mats: np.ndarray) -> np.ndarray:
@@ -170,4 +174,6 @@ def intern(targets: np.ndarray):
     depth = (len(targets) - 1).bit_length()
     if max(residuals) > TOL or sum(residuals) * (1 << depth) > gates.EPS / 2:
         return None
-    return GateGroup(elements, mul, inv), ids
+    mulinv = np.zeros((MAX_ELEMENTS, MAX_ELEMENTS), dtype=np.uint8)
+    mulinv[:g, :g] = mul[:, inv]
+    return GateGroup(elements, mul, inv, mulinv.reshape(-1)), ids

@@ -11,14 +11,25 @@ pair is (a, b) with a at the clear-bit index):
 
 With a `group.GateGroup` the vector holds uint8 element IDs instead of
 matrices, and each product is a lookup in the group's tables (mul[i, j] is
-the ID of element i times element j, inv[i] that of its inverse):
+the ID of element i times element j; the flat mulinv[(i << 8) | j] that of
+element i times the inverse of element j, one lookup on a uint16 index):
 
-  FORWARD_POS   (a, b) -> (a, mul[b, inv[a]])
-  FORWARD_NEG   (a, b) -> (b, mul[a, inv[b]])
+  FORWARD_POS   (a, b) -> (a, mulinv[b << 8 | a])
+  FORWARD_NEG   (a, b) -> (b, mulinv[a << 8 | b])
   INVERSE_POS   (a, b) -> (a, mul[b, a])
   INVERSE_NEG   (a, b) -> (mul[b, a], a)
 
 ID 0 is the identity, so an ID vector's identity test is `ids == 0`.
+
+The quantum extended-vector (QETV) column keeps all four values a forward
+column can produce from a pair, so one expansion serves every digit:
+
+  qetv_stage    (a, b) -> (a, b, b @ a^-1, a @ b^-1)
+
+Digit '1' keeps slots (0, 2), '0' keeps (1, 3) and '2' keeps (0, 1); each
+product is the same operation on the same operands as in gate_stage, so
+the kept slots equal the forward column bit for bit.  On IDs the last slot
+is inv of the third, exactly.
 
 GF(2) codes for the classical transform (x, y are bits):
 
@@ -72,7 +83,10 @@ def _times_inverse(x, y, out, group) -> None:
     if group is None:
         np.matmul(x, y.conj().swapaxes(-1, -2), out=out)
     else:
-        out[...] = group.mul[x, group.inv[y]]
+        index = x.astype(np.uint16)
+        index <<= 8
+        index |= y
+        np.take(group.mulinv, index, out=out)
 
 
 def gate_stage(gates: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarray:
@@ -100,6 +114,22 @@ def gate_stage(gates: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarr
     else:
         raise ValueError(f"unknown kernel code {kernel}")
     return out
+
+
+def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
+    """One QETV column: write the slots (a, b, b a^-1, a b^-1) of the pairs
+    a = pairs[:, 0], b = pairs[:, 1] to out[:, 0] .. out[:, 3].
+
+    pairs is (r, 2, ...) and out a preallocated (r, 4, ...) array or view,
+    of matrices or, given their group, of IDs.
+    """
+    a, b = pairs[:, 0], pairs[:, 1]
+    out[:, :2] = pairs
+    _times_inverse(b, a, out[:, 2], group)
+    if group is None:
+        _times_inverse(a, b, out[:, 3], group)
+    else:
+        np.take(group.inv, out[:, 2], out=out[:, 3])
 
 
 def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:

@@ -39,6 +39,24 @@ def _parse_form(text: str, source, line):
     )
 
 
+def _gate_matrices(tokens: list, fail) -> np.ndarray:
+    """(n, 2, 2) matrices of the gate tokens, parsing each distinct token once.
+
+    For the first token that does not parse, calls fail(index, exc), which
+    raises; a token's first occurrence is where it fails.
+    """
+    rows = dict.fromkeys(tokens)  # distinct tokens in first-occurrence order
+    parsed = []
+    for token in rows:
+        try:
+            parsed.append(gates.parse_gate(token))
+        except (UnknownGate, NonUnitary) as exc:
+            fail(tokens.index(token), exc)
+        rows[token] = len(parsed) - 1
+    index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    return np.array(parsed, dtype=complex).reshape(-1, 2, 2)[index]
+
+
 def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     """Parse .qmux text (or its JSON mirror, detected by a leading '{')."""
     if text.lstrip().startswith("{"):
@@ -94,12 +112,10 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             f"expected {expected} gate tokens, got {len(tokens)}", source, where
         )
 
-    matrices = np.empty((expected, 2, 2), dtype=complex)
-    for i, (token, lineno, col) in enumerate(tokens):
-        try:
-            matrices[i] = gates.parse_gate(token)
-        except (UnknownGate, NonUnitary) as exc:
-            raise ParseError(str(exc), source, lineno, col)
+    def fail(i, exc):
+        raise ParseError(str(exc), source, *tokens[i][1:])
+
+    matrices = _gate_matrices([token for token, _, _ in tokens], fail)
     try:
         return Multiplexer(controls, matrices, form, polarity)
     except (ValueError, QmuxError) as exc:
@@ -114,12 +130,11 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad JSON multiplexer: {exc}", source)
     form, polarity = _parse_form(form_text, source, None)
-    matrices = np.empty((len(raw_targets), 2, 2), dtype=complex)
-    for i, token in enumerate(raw_targets):
-        try:
-            matrices[i] = gates.parse_gate(str(token))
-        except (UnknownGate, NonUnitary) as exc:
-            raise ParseError(f"target {i}: {exc}", source)
+
+    def fail(i, exc):
+        raise ParseError(f"target {i}: {exc}", source)
+
+    matrices = _gate_matrices([str(token) for token in raw_targets], fail)
     try:
         return Multiplexer(controls, matrices, form, polarity)
     except (ValueError, QmuxError) as exc:

@@ -248,3 +248,56 @@ def test_cost_of_polarized_file(capsys, case_file, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["cost", "/nonexistent/zzz.qmux"])
     assert code == 2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a report body the format does not use")
+
+
+# Per format, the body builders of the other formats; each must not run.
+OPTIMIZE_UNUSED = {
+    "text": ["search_mod.SearchReport.to_json_dict", "cost.CostReport.to_json_dict",
+             "search_mod.SearchReport.csv_row"],
+    "json": ["cost.CostReport.format_table", "search_mod.SearchReport.csv_row"],
+    "csv": ["cost.CostReport.format_table", "cost.CostReport.to_json_dict",
+            "search_mod.SearchReport.to_json_dict", "muxio.target_tokens"],
+}
+CLASSICAL_UNUSED = {"text": ["_ranked_json"], "json": ["_ranked_lines"], "csv": ["_ranked_json"]}
+COST_UNUSED = {
+    "text": ["cost.CostReport.to_json_dict"],
+    "json": ["cost.CostReport.format_table"],
+    "csv": ["cost.CostReport.format_table", "cost.CostReport.to_json_dict"],
+}
+
+
+def _patch_out(monkeypatch, names):
+    import qmuxopt.cli as cli_mod
+
+    for name in names:
+        *path, attr = name.split(".")
+        owner = cli_mod
+        for part in path:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, attr, _refuse)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_only_the_requested_report_body_is_built(monkeypatch, capsys, case_file, fmt):
+    commands = [
+        (["optimize", case_file, "--family", "kqf"], OPTIMIZE_UNUSED),
+        (["classical", "01101111", "--family", "krm"], CLASSICAL_UNUSED),
+        (["cost", case_file], COST_UNUSED),
+    ]
+    for argv, unused in commands:
+        expected = run(capsys, [*argv, "--format", fmt])
+        with monkeypatch.context() as patch:
+            _patch_out(patch, unused[fmt])
+            got = run(capsys, [*argv, "--format", fmt])
+        assert got[0] == 0
+        assert _steady_lines(got[1]) == _steady_lines(expected[1])
+
+
+def _steady_lines(out):
+    """Report lines apart from the timings, which change from run to run."""
+    volatile = ("wall", "elapsed", "search time")
+    return [ln for ln in out.splitlines() if not any(v in ln for v in volatile)]

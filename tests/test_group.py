@@ -46,6 +46,16 @@ def test_full_pool_tables():
     assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
 
 
+@pytest.mark.parametrize("pool", [POOL_FULL, POOL_NVV])
+def test_flat_mulinv_table(pool):
+    gate_group, _ = _interned(generate(6, pool, seed=2).targets)
+    mul, inv, g = gate_group.mul, gate_group.inv, len(gate_group.elements)
+    table = gate_group.mulinv.reshape(group.MAX_ELEMENTS, group.MAX_ELEMENTS)
+    assert gate_group.mulinv.dtype == np.uint8
+    assert np.array_equal(table[:g, :g], mul[:, inv])
+    assert not table[g:].any() and not table[:, g:].any()
+
+
 def test_phase_times_identity_is_not_id_zero():
     # A controlled global phase is physical: e^{i pi/4} I is its own element.
     phased = np.exp(1j * np.pi / 4) * gates.I

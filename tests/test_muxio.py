@@ -12,6 +12,7 @@ from qmuxopt.muxio import (
     save_qmux,
     target_tokens,
 )
+from qmuxopt.randmux import POOL_FULL, generate
 
 
 def ivvx_case():
@@ -92,6 +93,41 @@ def test_parse_error_carries_line_and_column():
     assert info.value.line == 3
     assert info.value.column == 14
     assert "case.qmux:3:14" in str(info.value)
+
+
+def test_repeated_bad_token_fails_at_its_first_occurrence():
+    text = "controls: 2\nform: standard\ntargets: I   # ok so far\n  X BAD\nBAD\n"
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="case.qmux")
+    assert (info.value.line, info.value.column) == (4, 5)
+    # Two bad tokens, the second one repeated earlier: the first in file order wins.
+    text = "controls: 2\nform: standard\ntargets: I OOPS\n\tBAD OOPS\n"
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text)
+    assert (info.value.line, info.value.column) == (3, 12)
+    assert "'OOPS'" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_qmux('{"controls": 2, "form": "standard", "targets": ["I", "BAD", "X", "BAD"]}')
+    assert "target 1:" in str(info.value)
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch):
+    m = generate(6, POOL_FULL, seed=3)
+    calls = []
+    real = gates.parse_gate
+    monkeypatch.setattr(gates, "parse_gate", lambda token: calls.append(token) or real(token))
+    for text in (dump_qmux(m), dump_qmux_json(m)):
+        calls.clear()
+        parsed = parse_qmux(text)
+        assert np.array_equal(parsed.targets, m.targets)
+        assert sorted(calls) == sorted(set(target_tokens(m)))
+
+
+def test_token_count_error_names_the_last_token_line():
+    text = "controls: 1\nform: standard\ntargets: I\n  I\n  I  # one too many\n\n"
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text)
+    assert info.value.line == 5
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmuxopt import gates, group, search
+from qmuxopt import cost, gates, group, kernels, mux, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
@@ -279,3 +281,116 @@ def test_exhaustive_search_on_rounded_h_literal_matches_complex_path(monkeypatch
     assert stream == _complex_reference(
         monkeypatch, lambda: list(iter_polarity_costs(std, family))
     )
+
+
+def per_polarity_reference(std, family):
+    """(polarity, cost) for every polarity by its own complex cascade: no
+    shared prefixes, no QETV slots, no group IDs."""
+    cost_table = cost.cost_table_vector(std.controls)
+    out = []
+    for polarity in all_polarities(std.controls, search.FAMILY_DIGITS[family]):
+        targets = mux.transform_stages(std.targets, polarity, "forward")
+        counts = cost.control_count_vector(polarity)
+        out.append((polarity, cost.fast_total_cost(targets, counts, cost_table)[0]))
+    return out
+
+
+# Block sizes 0 (a leaf per polarity), 1 and 3 (a DFS above small blocks)
+# and 9 (>= m: one block, no DFS).
+BLOCKS = (0, 1, 3, 9)
+
+
+@pytest.mark.parametrize("case", list(ALL_CASES))
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_block_search_matches_per_polarity_reference(monkeypatch, case, family):
+    for m in range(1, 7):
+        std = ALL_CASES[case](m)
+        expected = per_polarity_reference(std, family)
+        for block in BLOCKS:
+            monkeypatch.setitem(search.BLOCK_VARS, family, block)
+            assert list(iter_polarity_costs(std, family)) == expected, (m, block)
+
+
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkeypatch, family):
+    std = generate(7, GatePool("custom", (H13, "I")), seed=4)
+    assert group.intern(std.targets) is not None
+    expected = per_polarity_reference(std, family)
+    for block in BLOCKS:
+        monkeypatch.setitem(search.BLOCK_VARS, family, block)
+        assert list(iter_polarity_costs(std, family)) == expected, block
+
+
+def _slot_index(polarity, gate):
+    """Position of a polarity's gate among the 4^m QETV slots: per variable
+    the slot the digit keeps at the gate's bit, the first variable least
+    significant."""
+    m = len(polarity)
+    index = 0
+    for k, digit in enumerate(polarity):
+        bit = (gate >> (m - 1 - k)) & 1
+        index += search._QETV_SLOTS[digit][bit] * 4**k
+    return index
+
+
+@pytest.mark.parametrize("case", ["random-unitaries", "rx-pool", "full"])
+def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
+    m = 6
+    std = ALL_CASES[case](m)
+    paths = [(None, std.targets)]
+    if case == "full":
+        paths.append(group.intern(std.targets))
+    for group_arg, vector in paths:
+        slots = search._qetv_rows(vector.reshape(1, 1 << m, *vector.shape[1:]), group_arg)[0]
+        assert slots.shape == (4**m, *vector.shape[1:])
+        rng = np.random.default_rng(300)
+        for _ in range(20):
+            polarity = "".join(rng.choice(list("012"), size=m))
+            expected = mux.transform_stages(vector, polarity, "forward", group_arg)
+            picked = slots[[_slot_index(polarity, i) for i in range(1 << m)]]
+            assert picked.tobytes() == expected.tobytes(), polarity
+
+
+def test_qetv_stage_on_ids_matches_matrices():
+    std = generate(4, POOL_FULL, seed=7)
+    gate_group, ids = group.intern(std.targets)
+    pairs = ids.reshape(2, 2, 4)
+    out = np.empty((2, 4, 4), dtype=np.uint8)
+    kernels.qetv_stage(pairs, out, gate_group)
+    mats = np.empty((2, 4, 4, 2, 2), dtype=complex)
+    kernels.qetv_stage(std.targets.reshape(2, 2, 4, 2, 2), mats)
+    assert np.abs(gate_group.elements[out] - mats).max() < 1e-12
+    assert np.array_equal(out[:, 3], gate_group.inv[out[:, 2]])
+
+
+# Targets for the property test: Clifford gates, a rotation and Haar-random
+# unitaries, so identities, shared products and the complex path all occur.
+_PROPERTY_GATES = [gates.I, gates.X, gates.H, gates.V, gates.rx(0.3)] + [
+    gates.random_unitary(np.random.default_rng(310 + k)) for k in range(3)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    family=st.sampled_from(["fpqf", "kqf"]),
+    block=st.integers(1, 6),
+    data=st.data(),
+)
+def test_block_search_matches_leaf_search_on_random_targets(m, family, block, data):
+    picks = data.draw(st.lists(st.integers(0, len(_PROPERTY_GATES) - 1),
+                               min_size=1 << m, max_size=1 << m))
+    std = Multiplexer(m, np.stack([_PROPERTY_GATES[k] for k in picks]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(search.BLOCK_VARS, family, 0)
+        leaves = search.polarity_costs(std, family)
+        patch.setitem(search.BLOCK_VARS, family, block)
+        assert np.array_equal(search.polarity_costs(std, family), leaves)
+
+
+def test_exhaustive_ties_take_the_lexicographically_smallest_polarity():
+    # All-identity targets: every polarity costs 0, so both ends are all zeros.
+    std = Multiplexer(3, np.stack([gates.I] * 8))
+    report = exhaustive_search(std, SearchConfig(family="kqf"))
+    assert (report.best_polarity, report.worst_polarity) == ("000", "000")
+    assert report.polarities_evaluated == 27
