@@ -11,29 +11,14 @@ The columns commute, so the order is fixed (first variable first) purely
 for determinism.  Output position i of the transform pairs with the base
 function map_coefficient(i, p); positions are never reordered.
 
-rm_search costs every polarity without running one cascade per polarity.
-Every coefficient of every polarity is one entry of the function's
-extended truth vector (ETV), which has 3^n entries: per variable, slot 0
-is the x = 0 cofactor, slot 1 the x = 1 cofactor and slot 2 their XOR.
-Digit '1' keeps slots (0, 2), '0' keeps (2, 1) and '2' keeps (0, 1), and
-each digit's literal rides on slot 2 for '1' and '0' and on both slots for
-'2'.  So one variable at a time reduces two arrays over the slots, N (how
-many coefficients are 1) and W (their literal total so far), with one
-output per digit:
-
-  '1'  N0 + N2,  W0 + W2 + N2
-  '0'  N1 + N2,  W1 + W2 + N2
-  '2'  N0 + N1,  W0 + W1 + N0 + N1
-
-After the last variable W holds the literal cost of every polarity, in
-lexicographic order: O(n 3^n) work in place of O(n 4^n).  A full ETV
-takes 3^n bytes (43 MB at n = 16), so the search splits the variables.
-The top t = n - BLOCK_VARS digits stay a prefix-sharing DFS of GF(2)
-columns.  Each depth-t node views its vector as 2^t rows of 2^b bits
-(b = n - t) and expands only the rows' bottom b variables, which is a
-(2^t, 3^b) byte block.  N sums the block over the rows, and W also
-weights each row by the literal count its prefix gives it.  The block is
-at most 2^6 x 3^10 bytes (3.8 MB) within SEARCH_LIMITS.
+rm_search costs every polarity with `blocksearch.polarity_costs` on the
+GF(2) butterfly: a DFS of `kernels.gf2_stage` columns over the top
+digits, then blocks of `kernels.etv_stage` slots, the function's extended
+truth vector (ETV; per variable the x = 0 cofactor, the x = 1 cofactor
+and their XOR).  A coefficient's count is the literal count of its base
+function: a fixed digit adds a literal where the index bit equals the
+digit, a '2' digit always.  A polarity's literal cost is the sum of the
+counts of its nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -43,31 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import blocksearch, kernels
+from .blocksearch import FAMILY_DIGITS, FPRM, KRM
 from .errors import PolarityLengthMismatch, SizeLimitExceeded
-
-FPRM = "fprm"
-KRM = "krm"
-
-FAMILY_DIGITS = {FPRM: "01", KRM: "012"}
 
 # Exhaustive-search limits: 2^16 FPRM polarities / 3^10 KRM polarities.
 SEARCH_LIMITS = {FPRM: 16, KRM: 10}
 
-# Bottom variables rm_search expands to ETV slots per DFS node (b).  10 is
-# SEARCH_LIMITS[KRM], so every KRM search is one block with no DFS.  FPRM
-# blocks are 2^(n-10) x 3^10 bytes: 0.9 MB at n = 14, 3.8 MB at n = 16.
-# In process on a 2-core Xeon: b = 8 ran 1.9x slower at n = 14; b = 11 and 12 ran
-# 1.8x and 2.3x faster at n = 16 but peaked 7 MB and 15 MB higher.
-BLOCK_VARS = 10
-
-# ETV slots each digit keeps as its two transform outputs (clear-bit output
-# first), and the kept slots whose coefficient carries the digit's literal.
-_ETV_RULES = {
-    "1": ((0, 2), (2,)),
-    "0": ((2, 1), (2,)),
-    "2": ((0, 1), (0, 1)),
-}
+# Each digit's (clear-bit, set-bit) outputs as (ETV slot, added literals)
+# among the slots x, y, x ^ y of kernels.etv_stage.
+SLOT_RULES = {"1": ((0, 0), (2, 1)), "0": ((2, 1), (1, 0)), "2": ((0, 1), (1, 1))}
 
 _GF2_KERNELS = {
     "1": kernels.GF2_POS,
@@ -311,53 +281,13 @@ def evaluate_spectrum(spectrum: RMSpectrum, point: int) -> int:
     return acc
 
 
-def _etv_rows(rows: np.ndarray) -> np.ndarray:
-    """Extended truth vector of each row: (r, 2^b) bits -> (r, 3^b) bits.
-
-    The last variable is expanded first, so every step copies contiguous
-    runs of 3^j bytes rather than single strided bytes.
-    """
-    r = rows.shape[0]
-    etv = rows
-    for j in range(rows.shape[1].bit_length() - 1):
-        pairs = etv.reshape(r, -1, 2, 3**j)
-        etv = np.empty((r, pairs.shape[1], 3, 3**j), dtype=np.uint8)
-        etv[:, :, :2] = pairs
-        np.bitwise_xor(pairs[:, :, 0], pairs[:, :, 1], out=etv[:, :, 2])
-    return etv.reshape(r, -1)
-
-
-def _suffix_costs(rows: np.ndarray, prefix_counts: np.ndarray, digits: str) -> np.ndarray:
-    """Literal cost of every suffix polarity of one depth-t DFS node.
-
-    rows is the node's vector as (2^t, 2^b); prefix_counts[r] is the literal
-    count the top t digits give row r.  Returns len(digits)^b int32 costs in
-    lexicographic suffix order.
-    """
-    etv = _etv_rows(rows)
-    count = etv.sum(axis=0, dtype=np.int32)
-    weight = np.einsum("r,rk->k", prefix_counts.astype(np.int32), etv)
-    del etv
-    for j in range(rows.shape[1].bit_length() - 1):
-        n3 = count.reshape(len(digits)**j, 3, -1)
-        w3 = weight.reshape(len(digits)**j, 3, -1)
-        count_out, weight_out = [], []
-        for digit in digits:
-            (s, u), literal_slots = _ETV_RULES[digit]
-            count_out.append(n3[:, s] + n3[:, u])
-            weight_out.append(w3[:, s] + w3[:, u] + sum(n3[:, k] for k in literal_slots))
-        count = np.stack(count_out, axis=1).reshape(-1)
-        weight = np.stack(weight_out, axis=1).reshape(-1)
-    return weight
-
-
 def rm_search(func: BoolFunc, family: str = FPRM) -> list:
     """Every polarity of the family with its literal cost.
 
     Returns (polarity, cost) pairs sorted by ascending cost, ties broken by
     lexicographic polarity order.
     """
-    if family not in FAMILY_DIGITS:
+    if family not in SEARCH_LIMITS:
         raise ValueError(f"unknown family {family!r}")
     if func.num_vars > SEARCH_LIMITS[family]:
         raise SizeLimitExceeded(
@@ -365,25 +295,17 @@ def rm_search(func: BoolFunc, family: str = FPRM) -> list:
             f"got {func.num_vars}"
         )
     n = func.num_vars
-    digits = FAMILY_DIGITS[family]
-    base = len(digits)
-    top = max(n - BLOCK_VARS, 0)
-    span = base ** (n - top)
-    costs = np.empty(base**n, dtype=np.int64)
-
-    def walk(vec, prefix, node):
-        if len(prefix) == top:
-            costs[node * span : (node + 1) * span] = _suffix_costs(
-                vec.reshape(1 << top, -1), literal_count_vector(prefix), digits
-            )
-            return
-        bit = n - 1 - len(prefix)
-        for k, digit in enumerate(digits):
-            child = kernels.gf2_stage(vec, _GF2_KERNELS[digit], bit)
-            walk(child, prefix + digit, node * base + k)
-
-    walk(func.minterms, "", 0)
+    costs = blocksearch.polarity_costs(
+        func.minterms,
+        family,
+        stage=lambda vec, digit, bit: kernels.gf2_stage(vec, _GF2_KERNELS[digit], bit),
+        column=kernels.etv_stage,
+        width=3,
+        live=lambda bits: bits,
+        rules=SLOT_RULES,
+        cost_table=np.arange(n + 1),
+    )
     order = np.argsort(costs, kind="stable")  # stable: ties stay lexicographic
     # Python objects only now, after every block array is freed.
-    names = ["".join(p) for p in itertools.product(digits, repeat=n)]
+    names = ["".join(p) for p in itertools.product(FAMILY_DIGITS[family], repeat=n)]
     return [(names[i], c) for i, c in zip(order.tolist(), costs[order].tolist())]

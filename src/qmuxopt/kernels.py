@@ -37,6 +37,10 @@ GF(2) codes for the classical transform (x, y are bits):
   GF2_NEG    (x, y) -> (x ^ y, y)
   GF2_MIXED  (x, y) -> (x, y)
 
+Its extended-vector column keeps all three values those columns produce:
+
+  etv_stage  (x, y) -> (x, y, x ^ y)
+
 Operands stay unitary throughout, so matrix inverses are conjugate
 transposes.
 """
@@ -130,6 +134,13 @@ def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
         _times_inverse(a, b, out[:, 3], group)
     else:
         np.take(group.inv, out[:, 2], out=out[:, 3])
+
+
+def etv_stage(pairs: np.ndarray, out: np.ndarray) -> None:
+    """One GF(2) extended-vector column: write the slots (x, y, x ^ y) of the
+    bit pairs x = pairs[:, 0], y = pairs[:, 1] to out[:, 0] .. out[:, 2]."""
+    out[:, :2] = pairs
+    np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=out[:, 2])
 
 
 def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:

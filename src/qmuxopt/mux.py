@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, kernels
+from .blocksearch import FAMILY_DIGITS, FPQF, KQF
 from .errors import (
     FormMismatch,
     LengthNotPowerOfTwo,
@@ -28,8 +29,6 @@ from .errors import (
 )
 
 STANDARD = "standard"
-FPQF = "fpqf"
-KQF = "kqf"
 
 EPS = gates.EPS
 
@@ -59,7 +58,7 @@ def polarity_digits(polarity: str, controls: int, form: str) -> str:
         raise PolarityLengthMismatch(
             f"polarity {polarity!r} has {len(polarity)} digits, expected {controls}"
         )
-    allowed = "012" if form == KQF else "01"
+    allowed = FAMILY_DIGITS[form]
     bad = set(polarity) - set(allowed)
     if bad:
         raise ValueError(f"{form} polarity {polarity!r} uses digits outside {allowed!r}")

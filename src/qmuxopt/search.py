@@ -1,35 +1,12 @@
 """Exhaustive and random polarity search over a standard-form multiplexer.
 
-The exhaustive search is a depth-first recursion over the top t polarity
-digits: a node at depth k holds the gate vector after the butterfly
-columns of the first k control variables, so sibling polarities share
-their common prefix work, and each row of 2^b gates (b = m - t) carries
-the control count its prefix gives it.
-
-A depth-t node costs all of its suffix polarities at once from the rows'
-quantum extended vectors (QETV; `kernels.qetv_stage`).  Expanding one
-variable maps each pair (a, b) to four slots, a, b, b a^-1 and a b^-1,
-and a forward column keeps two of them: '1' slots (0, 2), '0' slots
-(1, 3) and '2' slots (0, 1).  So after b expansions every suffix
-polarity's gate is one of a row's 4^b slots, the same product of the
-same operands as the per-polarity cascade.  A gate's control count is
-its prefix count plus one per kept slot 2 or 3 plus one per '2' digit.
-GATE_COST_TABLE is not linear in that count, so the search reduces a
-histogram H[count, slot] of the non-identity slots, seeded by the rows'
-prefix counts in one bincount, one variable at a time (4 slots -> the
-family's digits, one more count bin; shift moves every count up by one):
-
-  '0'  H[b] + shift(H[a b^-1])
-  '1'  H[a] + shift(H[b a^-1])
-  '2'  shift(H[a] + H[b])
-
-and the node's costs are cost_table @ H, in lexicographic suffix order.
-That takes about 4^b products per row where per-leaf cascades take about
-3^b 2^b.  A row's block is 4^b gates, so BLOCK_VARS bounds it instead of
-expanding all m variables: a KQF node at m = 9 holds 8 rows of 4^6 slots,
-32 KB of IDs or 2 MB of complex matrices, where all 4^9 slots at once
-would take 16.8 MB of complex matrices.  With b = 0 the block is the
-plain leaf, one histogram over the node's 2^m gates.
+The exhaustive search is `blocksearch.polarity_costs` on the quantum
+butterfly: a DFS of `kernels.gate_stage` forward columns over the top
+digits, then blocks of `kernels.qetv_stage` slots.  A gate's count is its
+number of controls: a fixed digit controls the gates at its set-bit
+indices, a '2' digit every gate, and `cost.gate_cost` prices the count
+of every gate that is not the identity.  Random search runs one forward
+cascade per sampled polarity.
 
 When the targets close under multiplication into a small finite group
 whose float residuals stay inside EPS over m columns (`group.intern`;
@@ -48,31 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cost, group, kernels, mux
+from . import blocksearch, cost, group, kernels, mux
+from .blocksearch import FAMILY_DIGITS
 from .errors import FormMismatch, SizeLimitExceeded
 
 # Exhaustive searches cost 2^14 FPQF / 3^9 KQF polarities at most.
 EXHAUSTIVE_LIMITS = {mux.FPQF: 14, mux.KQF: 9}
 RANDOM_LIMIT = 20
 
-FAMILY_DIGITS = {mux.FPQF: "01", mux.KQF: "012"}
-
-# Bottom variables each DFS node expands to QETV slots (b); 0 costs each
-# polarity at its own leaf.  In process on a 2-core Xeon (seed 3, search
-# without intern, median of 9), KQF at m = 9 on the full pool (IDs) took
-# 54, 33, 26, 18 and 12 ms at b = 4, 5, 6, 7 and 9, with traced peaks of
-# 0.4, 0.5, 0.9, 1.7 and 6.7 MB, against 0.6 s with b = 0; on
-# custom:X,I,RX(0.3),H (complex) b = 6 took 0.62 s at a 5.5 MB peak and
-# b = 9 0.18 s at 42 MB, against 3.5 s.  b = 6 keeps both peaks small.
-# FPQF digits keep disjoint slots, so its polarities share no products:
-# at m = 12 on custom:X,I,RX(0.3), b = 0, 2 and 4 took 7.7, 8.6 and 8.0 s
-# (peaks 4.5, 5.5 and 12.7 MB), so FPQF stays at its leaves.
-BLOCK_VARS = {mux.FPQF: 0, mux.KQF: 6}
-
-# QETV slots each digit keeps as its (clear-bit, set-bit) outputs.  Slots 2
-# and 3 (b a^-1, a b^-1) sit at set-bit indices, so they add a control; a
-# '2' digit adds one to both of its slots.
-_QETV_SLOTS = {"0": (1, 3), "1": (0, 2), "2": (0, 1)}
+# Each digit's (clear-bit, set-bit) outputs as (QETV slot, added controls)
+# among the slots a, b, b a^-1, a b^-1 of kernels.qetv_stage.
+SLOT_RULES = {"1": ((0, 0), (2, 1)), "0": ((1, 0), (3, 1)), "2": ((0, 1), (1, 1))}
 
 
 @dataclass
@@ -83,7 +46,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILY_DIGITS:
+        if self.family not in EXHAUSTIVE_LIMITS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -144,36 +107,6 @@ class SearchReport:
         )
 
 
-class _Tally:
-    """Order-independent reduction: min/max with lexicographic tie-breaks."""
-
-    def __init__(self):
-        self.best_polarity = None
-        self.best_cost = None
-        self.worst_polarity = None
-        self.worst_cost = None
-        self.total = 0
-        self.count = 0
-
-    def add(self, polarity, value):
-        if (
-            self.best_cost is None
-            or value < self.best_cost
-            or (value == self.best_cost and polarity < self.best_polarity)
-        ):
-            self.best_cost = value
-            self.best_polarity = polarity
-        if (
-            self.worst_cost is None
-            or value > self.worst_cost
-            or (value == self.worst_cost and polarity < self.worst_polarity)
-        ):
-            self.worst_cost = value
-            self.worst_polarity = polarity
-        self.total += value
-        self.count += 1
-
-
 def _require_standard(std: mux.Multiplexer):
     if std.form != mux.STANDARD:
         raise FormMismatch(f"search needs a standard-form multiplexer, got {std.form}")
@@ -194,91 +127,29 @@ def _interned(std: mux.Multiplexer) -> tuple:
     return group.intern(std.targets) or (None, std.targets)
 
 
-def _qetv_rows(rows: np.ndarray, group) -> np.ndarray:
-    """QETV of each row: (r, 2^b, ...) gates or IDs -> (r, 4^b, ...) slots.
-
-    Columns run in cascade order, top row bit first, as in the forward
-    transform.  Each new slot axis lands outside the earlier ones, so the
-    first variable's slot is the least significant; keeping the unexpanded
-    bits outermost keeps every column's operands in long contiguous runs.
-    """
-    r, tail = rows.shape[0], rows.shape[2:]
-    etv = rows.reshape(r, rows.shape[1], 1, *tail)
-    while etv.shape[1] > 1:
-        pairs = etv.reshape(r, 2, etv.shape[1] // 2, etv.shape[2], *tail)
-        out = np.empty((r, pairs.shape[2], 4, pairs.shape[3], *tail), rows.dtype)
-        kernels.qetv_stage(pairs, out.swapaxes(1, 2), group)
-        etv = out.reshape(r, pairs.shape[2], -1, *tail)
-    return etv.reshape(r, -1, *tail)
-
-
-def _block_costs(rows, prefix_counts, digits, group, cost_table) -> np.ndarray:
-    """Cost of every suffix polarity of one depth-t DFS node.
-
-    rows is the node's vector as (2^t, 2^b, ...) gates or IDs, and
-    prefix_counts[r] the control count the top t digits give row r.
-    Returns len(digits)^b int64 costs in lexicographic suffix order.
-    """
-    r, width = rows.shape[:2]
-    etv = _qetv_rows(rows, group)
-    live = ~kernels.identity_mask(etv.reshape(-1, *rows.shape[2:]), mux.EPS)
-    del etv
-    # hist[c, s]: non-identity slot s in rows whose prefix count is c (0..t).
-    # Every entry counts at most 2^m gates, so int32 holds it.
-    slots, bins = live.size // r, r.bit_length()
-    index = np.add.outer(prefix_counts * slots, np.arange(slots))
-    hist = np.bincount(index.reshape(-1), weights=live, minlength=bins * slots)
-    hist = hist.astype(np.int32).reshape(bins, 1, slots)
-    base = len(digits)
-    while hist.shape[2] > 1:
-        # Reduce the last variable left, whose slot axis is the outermost:
-        # (count, digits reduced so far, its 4 slots, the earlier variables'
-        # slots) -> (count + 1, its digit, digits so far, earlier slots).
-        done, rest = hist.shape[1], hist.shape[2] // 4
-        h4 = hist.reshape(bins, done, 4, rest)
-        out = np.zeros((bins + 1, base, done, rest), dtype=np.int32)
-        for k, digit in enumerate(digits):
-            for slot in _QETV_SLOTS[digit]:
-                shift = int(digit == "2" or slot >= 2)
-                out[shift : shift + bins, k] += h4[:, :, slot]
-        bins += 1
-        hist = out.reshape(bins, base * done, rest)
-    return cost_table @ hist.reshape(bins, -1)
-
-
 def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
     """Cost of every polarity of the family, as int64 in lexicographic
-    polarity order: a prefix-sharing DFS over the top m - BLOCK_VARS
-    digits, then one QETV block per node."""
+    polarity order (see blocksearch)."""
     _require_standard(std)
-    m = std.controls
-    digits = FAMILY_DIGITS[family]
-    base = len(digits)
-    block = min(BLOCK_VARS[family], m)
-    top = m - block
-    span = base**block
-    rows = np.arange(1 << top)
-    bit_vectors = [(rows >> (top - 1 - k)) & 1 for k in range(top)]
-    cost_table = cost.cost_table_vector(m)
+    limit = EXHAUSTIVE_LIMITS[family]
+    if std.controls > limit:
+        raise SizeLimitExceeded(
+            f"exhaustive {family} search is limited to {limit} controls, "
+            f"got {std.controls}"
+        )
     gate_group, root = _interned(std)
-    costs = np.empty(base**m, dtype=np.int64)
-
-    def walk(targets, counts, depth, node):
-        if depth == top:
-            costs[node * span : (node + 1) * span] = _block_costs(
-                targets.reshape(len(rows), -1, *targets.shape[1:]),
-                counts, digits, gate_group, cost_table,
-            )
-            return
-        for k, digit in enumerate(digits):
-            child = kernels.gate_stage(
-                targets, mux._FORWARD_KERNELS[digit], m - 1 - depth, gate_group
-            )
-            step = 1 if digit == "2" else bit_vectors[depth]
-            walk(child, counts + step, depth + 1, node * base + k)
-
-    walk(root, np.zeros(len(rows), dtype=np.int64), 0, 0)
-    return costs
+    return blocksearch.polarity_costs(
+        root,
+        family,
+        stage=lambda vec, digit, bit: kernels.gate_stage(
+            vec, mux._FORWARD_KERNELS[digit], bit, gate_group
+        ),
+        column=lambda pairs, out: kernels.qetv_stage(pairs, out, gate_group),
+        width=4,
+        live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),
+        rules=SLOT_RULES,
+        cost_table=cost.cost_table_vector(std.controls),
+    )
 
 
 def _polarity(index: int, digits: str, m: int) -> str:
@@ -301,16 +172,9 @@ def iter_polarity_costs(std: mux.Multiplexer, family: str):
 
 def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate every polarity of cfg.family and aggregate the results."""
-    _require_standard(std)
-    limit = EXHAUSTIVE_LIMITS[cfg.family]
-    if std.controls > limit:
-        raise SizeLimitExceeded(
-            f"exhaustive {cfg.family} search is limited to {limit} controls, "
-            f"got {std.controls}"
-        )
     start = time.perf_counter()
-    original = _standard_cost(std)
     costs = polarity_costs(std, cfg.family)
+    original = _standard_cost(std)
     # argmin/argmax take the first index: the lexicographically smallest tie.
     best, worst = int(costs.argmin()), int(costs.argmax())
     digits = FAMILY_DIGITS[cfg.family]
@@ -348,25 +212,28 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     start = time.perf_counter()
     original = _standard_cost(std)
     gate_group, root = _interned(std)
-    tally = _Tally()
+    polarities, values = [], []
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
         targets = mux.transform_stages(root, polarity, "forward", gate_group)
         counts = cost.control_count_vector(polarity)
-        value, _ = cost.fast_total_cost(targets, counts, cost_table)
-        tally.add(polarity, value)
+        polarities.append(polarity)
+        values.append(cost.fast_total_cost(targets, counts, cost_table)[0])
+    # Lowest and highest cost, each tie to the lexicographically smallest.
+    best_cost, best = min(zip(values, polarities))
+    negated_worst, worst = min(zip([-v for v in values], polarities))
     elapsed = time.perf_counter() - start
     return SearchReport(
         family=cfg.family,
         mode="random",
         controls=m,
         original_cost=original,
-        best_polarity=tally.best_polarity,
-        best_cost=tally.best_cost,
-        worst_polarity=tally.worst_polarity,
-        worst_cost=tally.worst_cost,
-        average_cost=tally.total / tally.count,
-        polarities_evaluated=tally.count,
+        best_polarity=best,
+        best_cost=best_cost,
+        worst_polarity=worst,
+        worst_cost=-negated_worst,
+        average_cost=sum(values) / len(values),
+        polarities_evaluated=len(values),
         elapsed=elapsed,
     )
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import boolrm
+from qmuxopt import blocksearch, boolrm, kernels
 from qmuxopt.boolrm import (
     BoolFunc,
     base_order_index,
@@ -272,8 +272,8 @@ def test_search_matches_per_polarity_reference(monkeypatch, family, n):
         expected = reference_ranking(func, family)
         # Block sizes 0 (DFS to the leaves, t = n), 1 and 2 (0 < t < n once
         # n > 2) and the module's own (t = 0, b = n: one block, no DFS).
-        for block in (0, 1, 2, boolrm.BLOCK_VARS):
-            monkeypatch.setattr(boolrm, "BLOCK_VARS", block)
+        for block in (0, 1, 2, blocksearch.BLOCK_VARS[family]):
+            monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
             assert rm_search(func, family) == expected, block
 
 
@@ -288,8 +288,40 @@ def test_search_matches_reference_on_random_functions(n, family, block, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
     func = BoolFunc(n, np.array(bits, dtype=np.uint8))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boolrm, "BLOCK_VARS", block)
+        patch.setitem(blocksearch.BLOCK_VARS, family, block)
         assert rm_search(func, family) == reference_ranking(func, family)
+
+
+def _etv_slot_index(polarity, position):
+    """Position of a polarity's coefficient among the 3^n ETV slots: per
+    variable the slot the digit keeps at the position's bit, the first
+    variable least significant."""
+    n = len(polarity)
+    index = 0
+    for k, digit in enumerate(polarity):
+        bit = (position >> (n - 1 - k)) & 1
+        index += boolrm.SLOT_RULES[digit][bit][0] * 3**k
+    return index
+
+
+def test_etv_slots_equal_the_transform_bit_for_bit():
+    n = 6
+    func = BoolFunc(n, np.random.default_rng(520).integers(0, 2, size=1 << n).astype(np.uint8))
+    slots = blocksearch.expand(func.minterms.reshape(1, 1 << n), kernels.etv_stage, 3)[0]
+    assert slots.shape == (3**n,)
+    rng = np.random.default_rng(521)
+    for _ in range(20):
+        polarity = "".join(rng.choice(list("012"), size=n))
+        picked = slots[[_etv_slot_index(polarity, i) for i in range(1 << n)]]
+        assert picked.tobytes() == rm_transform(func, polarity).coefficients.tobytes(), polarity
+
+
+def test_search_counts_a_bin_past_one_byte():
+    # Constant 1 at n = 8: the all-mixed spectrum is the minterm vector, so
+    # one histogram bin holds all 256 coefficients, 8 literals each.
+    func = BoolFunc(8, np.ones(256, dtype=np.uint8))
+    ranked = dict(rm_search(func, boolrm.KRM))
+    assert ranked["2" * 8] == literal_cost(rm_transform(func, "2" * 8)) == 256 * 8
 
 
 def test_search_size_limits():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import cost, gates, group, kernels, mux, search
+from qmuxopt import blocksearch, cost, gates, group, kernels, mux, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
@@ -110,6 +110,12 @@ def test_exhaustive_size_limits():
     big = generate(15, POOL_NVV, seed=0)
     with pytest.raises(SizeLimitExceeded):
         exhaustive_search(big, SearchConfig(family="fpqf"))
+
+
+def test_polarity_cost_stream_enforces_the_size_limit():
+    std = generate(10, POOL_NVV, seed=0)
+    with pytest.raises(SizeLimitExceeded, match="exhaustive kqf search is limited to 9"):
+        next(iter_polarity_costs(std, "kqf"))
 
 
 def test_search_requires_standard_form():
@@ -307,7 +313,7 @@ def test_block_search_matches_per_polarity_reference(monkeypatch, case, family):
         std = ALL_CASES[case](m)
         expected = per_polarity_reference(std, family)
         for block in BLOCKS:
-            monkeypatch.setitem(search.BLOCK_VARS, family, block)
+            monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
             assert list(iter_polarity_costs(std, family)) == expected, (m, block)
 
 
@@ -317,7 +323,7 @@ def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkey
     assert group.intern(std.targets) is not None
     expected = per_polarity_reference(std, family)
     for block in BLOCKS:
-        monkeypatch.setitem(search.BLOCK_VARS, family, block)
+        monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
         assert list(iter_polarity_costs(std, family)) == expected, block
 
 
@@ -329,7 +335,7 @@ def _slot_index(polarity, gate):
     index = 0
     for k, digit in enumerate(polarity):
         bit = (gate >> (m - 1 - k)) & 1
-        index += search._QETV_SLOTS[digit][bit] * 4**k
+        index += search.SLOT_RULES[digit][bit][0] * 4**k
     return index
 
 
@@ -341,7 +347,9 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
     if case == "full":
         paths.append(group.intern(std.targets))
     for group_arg, vector in paths:
-        slots = search._qetv_rows(vector.reshape(1, 1 << m, *vector.shape[1:]), group_arg)[0]
+        rows = vector.reshape(1, 1 << m, *vector.shape[1:])
+        column = lambda pairs, out: kernels.qetv_stage(pairs, out, group_arg)  # noqa: E731
+        slots = blocksearch.expand(rows, column, 4)[0]
         assert slots.shape == (4**m, *vector.shape[1:])
         rng = np.random.default_rng(300)
         for _ in range(20):
@@ -382,9 +390,9 @@ def test_block_search_matches_leaf_search_on_random_targets(m, family, block, da
                                min_size=1 << m, max_size=1 << m))
     std = Multiplexer(m, np.stack([_PROPERTY_GATES[k] for k in picks]))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(search.BLOCK_VARS, family, 0)
+        patch.setitem(blocksearch.BLOCK_VARS, family, 0)
         leaves = search.polarity_costs(std, family)
-        patch.setitem(search.BLOCK_VARS, family, block)
+        patch.setitem(blocksearch.BLOCK_VARS, family, block)
         assert np.array_equal(search.polarity_costs(std, family), leaves)
 
 
@@ -394,3 +402,16 @@ def test_exhaustive_ties_take_the_lexicographically_smallest_polarity():
     report = exhaustive_search(std, SearchConfig(family="kqf"))
     assert (report.best_polarity, report.worst_polarity) == ("000", "000")
     assert report.polarities_evaluated == 27
+
+
+def test_random_ties_take_the_lexicographically_smallest_sampled_polarity():
+    # All-identity targets: every polarity costs 0, so best and worst are
+    # both the smallest polarity drawn.
+    std = Multiplexer(3, np.stack([gates.I] * 8))
+    cfg = SearchConfig(family="kqf", mode="random", samples=12, seed=5)
+    report = random_polarity_search(std, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    drawn = ["".join(str(d) for d in rng.integers(0, 3, size=3)) for _ in range(12)]
+    assert len(set(drawn)) > 1
+    assert report.best_polarity == report.worst_polarity == min(drawn)
+    assert report.best_cost == report.worst_cost == 0
