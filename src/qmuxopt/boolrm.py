@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksearch, kernels
-from .blocksearch import FAMILY_DIGITS, FPRM, KRM
-from .errors import PolarityLengthMismatch, SizeLimitExceeded
-
-# Exhaustive-search limits: 2^16 FPRM polarities / 3^10 KRM polarities.
-SEARCH_LIMITS = {FPRM: 16, KRM: 10}
-
-# Each digit's (clear-bit, set-bit) outputs as (ETV slot, added literals)
-# among the slots x, y, x ^ y of kernels.etv_stage.
-SLOT_RULES = {"1": ((0, 0), (2, 1)), "0": ((2, 1), (1, 0)), "2": ((0, 1), (1, 1))}
+from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector
+from .errors import SizeLimitExceeded
 
 _GF2_KERNELS = {
     "1": kernels.GF2_POS,
@@ -50,17 +43,6 @@ _STAGE_MATRICES = {
     "0": np.array([[1, 1], [0, 1]], dtype=np.uint8),
     "2": np.eye(2, dtype=np.uint8),
 }
-
-
-def validate_polarity(polarity: str, num_vars: int, family: str = KRM) -> None:
-    if len(polarity) != num_vars:
-        raise PolarityLengthMismatch(
-            f"polarity {polarity!r} has {len(polarity)} digits, expected {num_vars}"
-        )
-    allowed = FAMILY_DIGITS[family]
-    bad = set(polarity) - set(allowed)
-    if bad:
-        raise ValueError(f"polarity {polarity!r} uses digits outside {allowed!r}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +159,7 @@ def rm_transform(func: BoolFunc, polarity: str) -> RMSpectrum:
     matrix applied to the minterm vector.
     """
     n = func.num_vars
-    validate_polarity(polarity, n)
+    check_polarity(polarity, n, KRM)
     vec = func.minterms.copy()
     for k, digit in enumerate(polarity):
         vec = kernels.gf2_stage(vec, _GF2_KERNELS[digit], n - 1 - k)
@@ -205,7 +187,7 @@ def rm_transform_matrix(polarity: str) -> np.ndarray:
     """
     if len(polarity) > 12:
         raise SizeLimitExceeded("transform matrices are limited to 12 variables")
-    validate_polarity(polarity, len(polarity))
+    check_polarity(polarity, len(polarity), KRM)
     mat = np.array([[1]], dtype=np.uint8)
     for digit in polarity:
         mat = np.kron(mat, _STAGE_MATRICES[digit])
@@ -253,23 +235,9 @@ def base_order_index(index: int, polarity: str) -> int:
     return index ^ negative_digit_mask(polarity)
 
 
-def literal_count_vector(polarity: str) -> np.ndarray:
-    """literal counts of map_coefficient(i, polarity) for every position i."""
-    n = len(polarity)
-    idx = np.arange(1 << n)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for k, digit in enumerate(polarity):
-        bit = (idx >> (n - 1 - k)) & 1
-        if digit == "2":
-            counts += 1
-        else:
-            counts += bit == int(digit)
-    return counts
-
-
 def literal_cost(spectrum: RMSpectrum) -> int:
     """Total literals over the nonzero coefficients; constants cost 0."""
-    counts = literal_count_vector(spectrum.polarity)
+    counts = count_vector(spectrum.polarity, KRM)
     return int((spectrum.coefficients.astype(np.int64) * counts).sum())
 
 
@@ -287,22 +255,14 @@ def rm_search(func: BoolFunc, family: str = FPRM) -> list:
     Returns (polarity, cost) pairs sorted by ascending cost, ties broken by
     lexicographic polarity order.
     """
-    if family not in SEARCH_LIMITS:
-        raise ValueError(f"unknown family {family!r}")
-    if func.num_vars > SEARCH_LIMITS[family]:
-        raise SizeLimitExceeded(
-            f"{family} search is limited to {SEARCH_LIMITS[family]} variables, "
-            f"got {func.num_vars}"
-        )
+    blocksearch.check_size(family, func.num_vars)
     n = func.num_vars
     costs = blocksearch.polarity_costs(
         func.minterms,
         family,
         stage=lambda vec, digit, bit: kernels.gf2_stage(vec, _GF2_KERNELS[digit], bit),
         column=kernels.etv_stage,
-        width=3,
         live=lambda bits: bits,
-        rules=SLOT_RULES,
         cost_table=np.arange(n + 1),
     )
     order = np.argsort(costs, kind="stable")  # stable: ties stay lexicographic

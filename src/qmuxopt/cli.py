@@ -16,9 +16,9 @@ import os
 import sys
 import time
 
-from . import __version__, boolrm, cost, mux, muxio, pla, randmux
+from . import __version__, blocksearch, boolrm, cost, mux, muxio, pla, randmux
 from . import search as search_mod
-from .errors import ParseError, QmuxError, SizeLimitExceeded, UnsupportedType
+from .errors import ParseError, QmuxError, SizeLimitExceeded
 
 VERIFY_TOLERANCE = 1e-9
 
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fprm/fpqf: fixed polarities; krm/kqf: mixed allowed",
     )
     p_cls.add_argument("--output-index", type=int, default=0)
-    p_cls.add_argument("--semantics", choices=("f", "fr"), default="f")
     p_cls.add_argument(
         "--top", type=_non_negative, help="only print the cheapest N polarities"
     )
@@ -234,19 +233,23 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _load_classical_input(text: str, output_index: int, semantics: str):
+def _load_classical_input(text: str, output_index: int, family: str):
+    """(function, path or None); a PLA's size limit is checked before its
+    2^n minterm vector is built."""
     if os.path.exists(text) or text.lower().endswith(".pla"):
-        return pla.to_bool_func(pla.load_pla(text), output_index, semantics), text
+        cover = pla.load_pla(text)
+        blocksearch.check_size(family, cover.num_inputs)
+        return pla.to_bool_func(cover, output_index), text
     return boolrm.BoolFunc.from_string(text), None
 
 
 def _cmd_classical(args) -> int:
     started = time.perf_counter()
+    family = _CLASSICAL_FAMILIES[args.family]
     try:
-        func, path = _load_classical_input(args.input, args.output_index, args.semantics)
+        func, path = _load_classical_input(args.input, args.output_index, family)
     except ValueError as exc:
         raise ParseError(str(exc), args.input)
-    family = _CLASSICAL_FAMILIES[args.family]
     ranked = boolrm.rm_search(func, family)
     if args.top is not None:
         ranked = ranked[: args.top]
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnsupportedType, QmuxError, OSError, ValueError) as exc:
+    except (QmuxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

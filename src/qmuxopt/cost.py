@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .mux import EPS, STANDARD, Multiplexer
+from . import blocksearch, kernels
+from .mux import EPS, KQF, STANDARD, Multiplexer
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
 
@@ -49,15 +49,7 @@ def control_count(gate_index: int, polarity: str) -> int:
 
 def control_count_vector(polarity: str) -> np.ndarray:
     """control_count for every gate index, as an int64 vector."""
-    m = len(polarity)
-    idx = np.arange(1 << m)
-    counts = np.zeros(1 << m, dtype=np.int64)
-    for k, digit in enumerate(polarity):
-        if digit == "2":
-            counts += 1
-        else:
-            counts += (idx >> (m - 1 - k)) & 1
-    return counts
+    return blocksearch.count_vector(polarity, KQF)
 
 
 def cost_table_vector(max_controls: int) -> np.ndarray:
@@ -119,7 +111,7 @@ def multiplexer_cost(mux: Multiplexer) -> CostReport:
     if mux.form == STANDARD:
         counts = np.full(1 << m, m, dtype=np.int64)
     else:
-        counts = control_count_vector(mux.polarity)
+        counts = blocksearch.count_vector(mux.polarity, mux.form)
 
     is_identity = kernels.identity_mask(mux.targets, EPS)
     per_gate = tuple(
@@ -128,8 +120,3 @@ def multiplexer_cost(mux: Multiplexer) -> CostReport:
     )
     total = sum(e.cost for e in per_gate)
     return CostReport(per_gate, total, int(is_identity.sum()))
-
-
-def fast_total_cost(targets: np.ndarray, counts: np.ndarray, cost_table: np.ndarray) -> tuple:
-    """(total, skipped) without building a report; search's inner loop."""
-    return kernels.mux_cost(targets, counts, cost_table, EPS)

@@ -52,9 +52,9 @@ class MissingHeader(ParseError):
     """PLA file lacks required .i/.o declarations."""
 
 
+class MalformedHeader(ParseError):
+    """PLA .i/.o/.p directive lacks a valid count."""
+
+
 class InconsistentWidth(ParseError):
     """PLA cube or output width disagrees with the declared counts."""
-
-
-class UnsupportedType(QmuxError):
-    """Requested PLA output semantics are not supported."""

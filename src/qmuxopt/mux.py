@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, kernels
-from .blocksearch import FAMILY_DIGITS, FPQF, KQF
-from .errors import (
-    FormMismatch,
-    LengthNotPowerOfTwo,
-    PolarityLengthMismatch,
-    SizeLimitExceeded,
-)
+from .blocksearch import FPQF, KQF, check_polarity
+from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
 
 STANDARD = "standard"
 
@@ -50,19 +45,6 @@ _KERNEL_NAMES = {
     "inverse_neg": kernels.INVERSE_NEG,
     "identity": kernels.IDENTITY,
 }
-
-
-def polarity_digits(polarity: str, controls: int, form: str) -> str:
-    """Validate a polarity string for the given form and control count."""
-    if len(polarity) != controls:
-        raise PolarityLengthMismatch(
-            f"polarity {polarity!r} has {len(polarity)} digits, expected {controls}"
-        )
-    allowed = FAMILY_DIGITS[form]
-    bad = set(polarity) - set(allowed)
-    if bad:
-        raise ValueError(f"{form} polarity {polarity!r} uses digits outside {allowed!r}")
-    return polarity
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +84,7 @@ class Multiplexer:
         elif self.form in (FPQF, KQF):
             if self.polarity is None:
                 raise ValueError(f"{self.form} form requires a polarity")
-            polarity_digits(self.polarity, self.controls, self.form)
+            check_polarity(self.polarity, self.controls, self.form)
         else:
             raise ValueError(f"unknown form {self.form!r}")
 
@@ -243,7 +225,7 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
     if std.form != STANDARD:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
     form = form_for_polarity(polarity)
-    polarity_digits(polarity, std.controls, form)
+    check_polarity(polarity, std.controls, form)
     out = transform_stages(std.targets, polarity, "forward")
     return Multiplexer(std.controls, out, form, polarity)
 
@@ -302,7 +284,7 @@ def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
     if std.form != STANDARD:
         raise FormMismatch(f"triangular solve needs standard form, got {std.form}")
     form = form_for_polarity(polarity)
-    polarity_digits(polarity, std.controls, form)
+    check_polarity(polarity, std.controls, form)
     m = std.controls
     if m > 8:
         raise SizeLimitExceeded("triangular solve is limited to 8 controls")

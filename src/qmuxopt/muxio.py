@@ -88,6 +88,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             try:
                 controls = int(value.strip())
             except ValueError:
+                controls = 0
+            if controls < 1:
                 raise ParseError(f"bad control count {value.strip()!r}", source, lineno)
         elif key == "form":
             form, polarity = _parse_form(value, source, lineno)

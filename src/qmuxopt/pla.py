@@ -15,13 +15,11 @@ import numpy as np
 
 from . import gates
 from .boolrm import BoolFunc
-from .errors import InconsistentWidth, MalformedCube, MissingHeader, UnsupportedType
+from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader
 from .mux import Multiplexer
 
 _CUBE_CHARS = set("01-")
 _OUTPUT_CHARS = set("01~-")
-
-SEMANTICS = ("f", "fr")
 
 
 @dataclass
@@ -44,6 +42,22 @@ class PlaFile:
     ignored_directives: list = field(default_factory=list)
 
 
+def _header_count(fields: list, least: int, source: str, line: int) -> int:
+    """The count of a .i/.o/.p directive, an integer of at least `least`."""
+    text = fields[1] if len(fields) > 1 else ""
+    try:
+        count = int(text)
+    except ValueError:
+        count = least - 1
+    if count < least:
+        raise MalformedHeader(
+            f"{fields[0]} needs an integer count of at least {least}, got {text!r}",
+            source,
+            line,
+        )
+    return count
+
+
 def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
     num_inputs = None
     num_outputs = None
@@ -63,11 +77,11 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
             fields = line.split()
             directive = fields[0]
             if directive == ".i":
-                num_inputs = int(fields[1])
+                num_inputs = _header_count(fields, 1, source, lineno)
             elif directive == ".o":
-                num_outputs = int(fields[1])
+                num_outputs = _header_count(fields, 1, source, lineno)
             elif directive == ".p":
-                num_terms = int(fields[1])
+                num_terms = _header_count(fields, 0, source, lineno)
             elif directive == ".type":
                 type_tag = fields[1].lower() if len(fields) > 1 else None
             elif directive == ".ilb":
@@ -150,14 +164,12 @@ def cube_minterms(cube: str):
         yield idx
 
 
-def to_bool_func(pla: PlaFile, output_index: int = 0, semantics: str = "f") -> BoolFunc:
+def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
     """ON-set of one output column as a minterm vector.
 
     Overlapping terms OR together; '~' and '-' output entries are treated
     as 0 (don't-care outputs are outside the optimization's scope).
     """
-    if semantics.lower() not in SEMANTICS:
-        raise UnsupportedType(f"unsupported output semantics {semantics!r}")
     if not 0 <= output_index < pla.num_outputs:
         raise ValueError(
             f"output index {output_index} out of range 0..{pla.num_outputs - 1}"

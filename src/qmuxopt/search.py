@@ -29,13 +29,7 @@ from . import blocksearch, cost, group, kernels, mux
 from .blocksearch import FAMILY_DIGITS
 from .errors import FormMismatch, SizeLimitExceeded
 
-# Exhaustive searches cost 2^14 FPQF / 3^9 KQF polarities at most.
-EXHAUSTIVE_LIMITS = {mux.FPQF: 14, mux.KQF: 9}
 RANDOM_LIMIT = 20
-
-# Each digit's (clear-bit, set-bit) outputs as (QETV slot, added controls)
-# among the slots a, b, b a^-1, a b^-1 of kernels.qetv_stage.
-SLOT_RULES = {"1": ((0, 0), (2, 1)), "0": ((1, 0), (3, 1)), "2": ((0, 1), (1, 1))}
 
 
 @dataclass
@@ -46,7 +40,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in EXHAUSTIVE_LIMITS:
+        if self.family not in (mux.FPQF, mux.KQF):
             raise ValueError(f"unknown family {self.family!r}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -117,7 +111,7 @@ def _standard_cost(std: mux.Multiplexer) -> int:
     without building the per-gate entries of cost.multiplexer_cost."""
     m = std.controls
     counts = np.full(1 << m, m, dtype=np.int64)
-    total, _ = cost.fast_total_cost(std.targets, counts, cost.cost_table_vector(m))
+    total, _ = kernels.mux_cost(std.targets, counts, cost.cost_table_vector(m), mux.EPS)
     return total
 
 
@@ -131,12 +125,7 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
     """Cost of every polarity of the family, as int64 in lexicographic
     polarity order (see blocksearch)."""
     _require_standard(std)
-    limit = EXHAUSTIVE_LIMITS[family]
-    if std.controls > limit:
-        raise SizeLimitExceeded(
-            f"exhaustive {family} search is limited to {limit} controls, "
-            f"got {std.controls}"
-        )
+    blocksearch.check_size(family, std.controls)
     gate_group, root = _interned(std)
     return blocksearch.polarity_costs(
         root,
@@ -145,20 +134,9 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
             vec, mux._FORWARD_KERNELS[digit], bit, gate_group
         ),
         column=lambda pairs, out: kernels.qetv_stage(pairs, out, gate_group),
-        width=4,
         live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),
-        rules=SLOT_RULES,
         cost_table=cost.cost_table_vector(std.controls),
     )
-
-
-def _polarity(index: int, digits: str, m: int) -> str:
-    """The index-th polarity of m digits in lexicographic order."""
-    out = []
-    for _ in range(m):
-        index, k = divmod(index, len(digits))
-        out.append(digits[k])
-    return "".join(reversed(out))
 
 
 def iter_polarity_costs(std: mux.Multiplexer, family: str):
@@ -177,16 +155,17 @@ def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     original = _standard_cost(std)
     # argmin/argmax take the first index: the lexicographically smallest tie.
     best, worst = int(costs.argmin()), int(costs.argmax())
-    digits = FAMILY_DIGITS[cfg.family]
+    # The family's digits are the numerals of its base, in order.
+    base, m = len(FAMILY_DIGITS[cfg.family]), std.controls
     elapsed = time.perf_counter() - start
     return SearchReport(
         family=cfg.family,
         mode="exhaustive",
-        controls=std.controls,
+        controls=m,
         original_cost=original,
-        best_polarity=_polarity(best, digits, std.controls),
+        best_polarity=np.base_repr(best, base).zfill(m),
         best_cost=int(costs[best]),
-        worst_polarity=_polarity(worst, digits, std.controls),
+        worst_polarity=np.base_repr(worst, base).zfill(m),
         worst_cost=int(costs[worst]),
         average_cost=int(costs.sum()) / len(costs),
         polarities_evaluated=len(costs),
@@ -216,9 +195,9 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
         targets = mux.transform_stages(root, polarity, "forward", gate_group)
-        counts = cost.control_count_vector(polarity)
+        counts = blocksearch.count_vector(polarity, cfg.family)
         polarities.append(polarity)
-        values.append(cost.fast_total_cost(targets, counts, cost_table)[0])
+        values.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
     # Lowest and highest cost, each tie to the lexicographically smallest.
     best_cost, best = min(zip(values, polarities))
     negated_worst, worst = min(zip([-v for v in values], polarities))

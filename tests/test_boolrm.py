@@ -300,7 +300,7 @@ def _etv_slot_index(polarity, position):
     index = 0
     for k, digit in enumerate(polarity):
         bit = (position >> (n - 1 - k)) & 1
-        index += boolrm.SLOT_RULES[digit][bit][0] * 3**k
+        index += blocksearch.SLOT_RULES[boolrm.KRM][digit][bit][0] * 3**k
     return index
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmuxopt import gates
+from qmuxopt import gates, pla
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import dump_qmux, load_qmux, save_qmux
@@ -195,6 +195,36 @@ def test_classical_mixed_family(capsys):
     ranked = {r["polarity"]: r["cost"] for r in data["ranked"]}
     assert len(ranked) == 27
     assert ranked["021"] == 10
+
+
+@pytest.mark.parametrize("header", [".i", ".i x", ".i 0"])
+def test_classical_bad_pla_header_exits_2(capsys, tmp_path, header):
+    path = tmp_path / "f.pla"
+    path.write_text(f"{header}\n.o 1\n01 1\n.e\n")
+    code, out, err = run(capsys, ["classical", path])
+    assert code == 2
+    assert "f.pla:1: .i needs an integer count" in err
+    assert out == ""
+
+
+def test_classical_pla_size_limit_comes_before_the_minterm_vector(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the 2^n minterm vector of an oversized cover")
+
+    monkeypatch.setattr(pla, "to_bool_func", refuse)
+    path = tmp_path / "wide.pla"
+    path.write_text(".i 17\n.o 1\n.e\n")
+    code, _, err = run(capsys, ["classical", path, "--family", "fprm"])
+    assert code == 3
+    assert "exhaustive fprm search is limited to 16 variables, got 17" in err
+
+
+def test_optimize_control_count_below_one_exits_2(capsys, tmp_path):
+    path = tmp_path / "neg.qmux"
+    path.write_text("controls: -1\nform: standard\ntargets: I I\n")
+    code, _, err = run(capsys, ["optimize", path])
+    assert code == 2
+    assert "neg.qmux:1: bad control count '-1'" in err
 
 
 def test_classical_bad_minterms_exit_2(capsys):

@@ -137,6 +137,8 @@ def test_token_count_error_names_the_last_token_line():
         ("controls: 1\ntargets: I I\n", "missing 'form:'"),
         ("controls: 1\nform: standard\n", "missing 'targets:'"),
         ("controls: x\nform: standard\ntargets: I I\n", "bad control count"),
+        ("controls: 0\nform: standard\ntargets: I\n", "<qmux>:1: bad control count '0'"),
+        ("controls: -2\nform: standard\ntargets: I\n", "<qmux>:1: bad control count '-2'"),
         ("controls: 1\nform: diagonal\ntargets: I I\n", "bad form"),
         ("controls: 1\nform: standard\ntargets: I I I\n", "expected 2 gate tokens"),
         ("controls: 1\nshape: round\ntargets: I I\n", "unknown field"),

@@ -8,8 +8,9 @@ from qmuxopt.boolrm import rm_transform, negative_digit_mask
 from qmuxopt.errors import (
     InconsistentWidth,
     MalformedCube,
+    MalformedHeader,
     MissingHeader,
-    UnsupportedType,
+    ParseError,
 )
 from qmuxopt.mux import forward_transform, semantics
 from qmuxopt.pla import (
@@ -67,6 +68,30 @@ def test_missing_header():
         parse_pla("# nothing here\n")
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (".i\n.o 1\n.e\n", 1),
+        (".i x\n.o 1\n.e\n", 1),
+        (".i 0\n.o 1\n.e\n", 1),
+        ("# header\n.i 2\n.o\n.e\n", 3),
+        (".i 2\n.o 0\n.e\n", 2),
+        (".i 2\n.o 1\n.p -1\n.e\n", 3),
+        (".i 2\n.o 1\n.p many\n.e\n", 3),
+    ],
+)
+def test_bad_header_count_is_a_parse_error_with_its_line(text, line):
+    with pytest.raises(MalformedHeader) as info:
+        parse_pla(text, source="f.pla")
+    assert isinstance(info.value, ParseError)
+    assert info.value.line == line
+    assert f"f.pla:{line}:" in str(info.value)
+
+
+def test_empty_cover_count_is_allowed():
+    assert parse_pla(".i 2\n.o 1\n.p 0\n.e\n").num_terms == 0
+
+
 def test_malformed_cube_characters():
     with pytest.raises(MalformedCube):
         parse_pla(".i 2\n.o 1\n0x 1\n.e\n")
@@ -107,11 +132,6 @@ def test_to_bool_func_output_selection():
     assert list(to_bool_func(pla, 1).minterms) == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         to_bool_func(pla, 2)
-
-
-def test_to_bool_func_rejects_unknown_semantics():
-    with pytest.raises(UnsupportedType):
-        to_bool_func(parse_pla(XOR_PLA), 0, semantics="fd-esoteric")
 
 
 def test_unspecified_outputs_read_as_off():

@@ -118,6 +118,17 @@ def test_polarity_cost_stream_enforces_the_size_limit():
         next(iter_polarity_costs(std, "kqf"))
 
 
+def test_kqf_size_limit_comes_before_interning(monkeypatch):
+    std = generate(10, POOL_NVV, seed=0)
+
+    def refuse(targets):
+        raise AssertionError("interned an oversized multiplexer")
+
+    monkeypatch.setattr(group, "intern", refuse)
+    with pytest.raises(SizeLimitExceeded, match="exhaustive kqf search is limited to 9"):
+        search.polarity_costs(std, "kqf")
+
+
 def test_search_requires_standard_form():
     polarized = forward_transform(ivvx_case(), "11")
     with pytest.raises(FormMismatch):
@@ -297,7 +308,7 @@ def per_polarity_reference(std, family):
     for polarity in all_polarities(std.controls, search.FAMILY_DIGITS[family]):
         targets = mux.transform_stages(std.targets, polarity, "forward")
         counts = cost.control_count_vector(polarity)
-        out.append((polarity, cost.fast_total_cost(targets, counts, cost_table)[0]))
+        out.append((polarity, kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0]))
     return out
 
 
@@ -335,7 +346,7 @@ def _slot_index(polarity, gate):
     index = 0
     for k, digit in enumerate(polarity):
         bit = (gate >> (m - 1 - k)) & 1
-        index += search.SLOT_RULES[digit][bit][0] * 4**k
+        index += blocksearch.SLOT_RULES[mux.KQF][digit][bit][0] * 4**k
     return index
 
 
