@@ -90,13 +90,6 @@ class BoolFunc:
             )
         return cls(n, np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"))
 
-    @classmethod
-    def from_on_set(cls, num_vars: int, on_indices) -> "BoolFunc":
-        vec = np.zeros(1 << num_vars, dtype=np.uint8)
-        for idx in on_indices:
-            vec[idx] = 1
-        return cls(num_vars, vec)
-
     def value(self, point: int) -> int:
         return int(self.minterms[point])
 

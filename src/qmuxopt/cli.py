@@ -304,9 +304,9 @@ def _cmd_cost(args) -> int:
     manifest["wall_time_s"] = time.perf_counter() - started
 
     def csv_lines():
-        return ["gate,controls,cost"] + [
-            f"{e.gate_index},{e.controls},{e.cost}" for e in report.per_gate
-        ] + [f"# total: {report.total}", f"# skipped_identities: {report.skipped_identities}"]
+        return ["gate,controls,cost"] + [f"{i},{c},{k}" for i, c, k in report.rows()] + [
+            f"# total: {report.total}", f"# skipped_identities: {report.skipped_identities}"
+        ]
 
     _report(
         args,

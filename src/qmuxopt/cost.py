@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksearch, kernels
-from .mux import EPS, KQF, STANDARD, Multiplexer
+from .mux import EPS, KQF, Multiplexer
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
 
@@ -57,24 +57,30 @@ def cost_table_vector(max_controls: int) -> np.ndarray:
     return np.array([gate_cost(c) for c in range(max_controls + 1)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class GateCostEntry:
-    gate_index: int
-    controls: int
-    cost: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostReport:
-    per_gate: tuple
-    total: int
+    """Cost of every gate that is not the identity, in gate order, as
+    int64 arrays: its index, its control count and its cost."""
+
+    gate_index: np.ndarray
+    controls: np.ndarray
+    costs: np.ndarray
     skipped_identities: int
+
+    @property
+    def total(self) -> int:
+        return int(self.costs.sum())
+
+    def rows(self, which=slice(None)):
+        """(gate index, controls, cost) rows as Python ints; `which`
+        selects among the costed gates."""
+        columns = (self.gate_index[which], self.controls[which], self.costs[which])
+        return zip(*(column.tolist() for column in columns))
 
     def to_json_dict(self) -> dict:
         return {
             "per_gate": [
-                {"gate_index": e.gate_index, "controls": e.controls, "cost": e.cost}
-                for e in self.per_gate
+                {"gate_index": i, "controls": c, "cost": k} for i, c, k in self.rows()
             ],
             "total": self.total,
             "skipped_identities": self.skipped_identities,
@@ -85,38 +91,25 @@ class CostReport:
 
     def format_table(self, max_rows: int = 64) -> str:
         """Aligned-column text table; long reports elide the middle."""
-        lines = [f"{'gate':>6}  {'controls':>8}  {'cost':>6}"]
-        entries = self.per_gate
-        if len(entries) > max_rows:
-            shown = list(entries[: max_rows - 8]) + list(entries[-8:])
-            cut = len(entries) - len(shown)
+        row = "{:>6}  {:>8}  {:>6}".format
+        lines = [row("gate", "controls", "cost")]
+        n = len(self.costs)
+        if n <= max_rows:
+            lines += [row(*r) for r in self.rows()]
         else:
-            shown, cut = list(entries), 0
-        half = max_rows - 8 if cut else len(shown)
-        for pos, e in enumerate(shown):
-            if cut and pos == half:
-                lines.append(f"{'...':>6}  ({cut} rows elided)")
-            lines.append(f"{e.gate_index:>6}  {e.controls:>8}  {e.cost:>6}")
+            lines += [row(*r) for r in self.rows(slice(0, max_rows - 8))]
+            lines.append(f"{'...':>6}  ({n - max_rows} rows elided)")
+            lines += [row(*r) for r in self.rows(slice(n - 8, n))]
         lines.append(f"total: {self.total}    skipped identities: {self.skipped_identities}")
         return "\n".join(lines)
 
 
 def multiplexer_cost(mux: Multiplexer) -> CostReport:
-    """Cost report for a multiplexer in its current form.
-
-    Standard form counts every variable as a control on every gate (it is
-    the all-mixed polarity).  Identity targets are skipped.
-    """
-    m = mux.controls
-    if mux.form == STANDARD:
-        counts = np.full(1 << m, m, dtype=np.int64)
-    else:
-        counts = blocksearch.count_vector(mux.polarity, mux.form)
-
+    """Cost report for a multiplexer in its current form (standard form is
+    the all-mixed polarity).  Identity targets are skipped."""
+    counts = blocksearch.count_vector(mux.digits, KQF)
     is_identity = kernels.identity_mask(mux.targets, EPS)
-    per_gate = tuple(
-        GateCostEntry(int(i), int(counts[i]), gate_cost(int(counts[i])))
-        for i in np.nonzero(~is_identity)[0]
-    )
-    total = sum(e.cost for e in per_gate)
-    return CostReport(per_gate, total, int(is_identity.sum()))
+    gate_index = np.flatnonzero(~is_identity).astype(np.int64, copy=False)
+    controls = counts[gate_index]
+    costs = cost_table_vector(mux.controls)[controls]
+    return CostReport(gate_index, controls, costs, int(is_identity.sum()))

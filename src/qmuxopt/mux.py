@@ -38,6 +38,10 @@ _INVERSE_KERNELS = {
     "2": kernels.IDENTITY,
 }
 
+# Digit strings as bit masks, variable c_1 the most significant bit.
+_NEGATIVE_BITS = str.maketrans("012", "100")
+_MIXED_BITS = str.maketrans("012", "001")
+
 _KERNEL_NAMES = {
     "forward_pos": kernels.FORWARD_POS,
     "forward_neg": kernels.FORWARD_NEG,
@@ -100,6 +104,11 @@ class Multiplexer:
     def num_targets(self) -> int:
         return 1 << self.controls
 
+    @property
+    def digits(self) -> str:
+        """Polarity digits; standard form is the all-mixed polarity."""
+        return self.polarity or "2" * self.controls
+
     def describe(self) -> str:
         if self.form == STANDARD:
             return STANDARD
@@ -107,29 +116,22 @@ class Multiplexer:
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
-    """Boolean mask over gate indices: which targets fire for this input."""
+    """Boolean mask over gate indices: which targets fire for this input.
+
+    Gate i fires when its set bits lie within `allowed` and include
+    `required`.  A variable's line value (after any inverter) allows the
+    gate bit when it matches the digit ('1' or '2': line 1; '0': line 0),
+    and a '2' digit also requires the gate bit to equal the line.
+    Standard form, the all-'2' polarity, thus fires only gate i == state.
+    """
     m = mux.controls
     if not 0 <= input_state < (1 << m):
         raise ValueError(f"input state {input_state} out of range for {m} controls")
-    if mux.form == STANDARD:
-        mask = np.zeros(1 << m, dtype=bool)
-        mask[input_state] = True
-        return mask
+    state = input_state ^ sum(1 << (m - k) for k in mux.inverted_lines)
+    allowed = state ^ int(mux.digits.translate(_NEGATIVE_BITS), 2)
+    required = state & int(mux.digits.translate(_MIXED_BITS), 2)
     idx = np.arange(1 << m)
-    mask = np.ones(1 << m, dtype=bool)
-    inverted = set(mux.inverted_lines)
-    for k, digit in enumerate(mux.polarity):
-        bit = m - 1 - k
-        gate_bit = (idx >> bit) & 1
-        line = (input_state >> bit) & 1
-        if (k + 1) in inverted:
-            line ^= 1
-        if digit == "2":
-            mask &= gate_bit == line
-        else:
-            required = 1 if digit == "1" else 0
-            mask &= (gate_bit == 0) | (line == required)
-    return mask
+    return ((idx & ~allowed) == 0) & ((idx & required) == required)
 
 
 def active_gate_indices(mux: Multiplexer, input_state: int) -> np.ndarray:

@@ -26,7 +26,6 @@ _OUTPUT_CHARS = set("01~-")
 class PlaTerm:
     cube: str
     outputs: str
-    line: int
 
 
 @dataclass
@@ -35,10 +34,6 @@ class PlaFile:
     num_outputs: int
     num_terms: int | None
     terms: list
-    type_tag: str | None = None
-    input_labels: tuple = ()
-    output_labels: tuple = ()
-    source: str = "<pla>"
     ignored_directives: list = field(default_factory=list)
 
 
@@ -62,9 +57,6 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
     num_inputs = None
     num_outputs = None
     num_terms = None
-    type_tag = None
-    input_labels = ()
-    output_labels = ()
     terms = []
     ignored = []
 
@@ -82,12 +74,8 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
                 num_outputs = _header_count(fields, 1, source, lineno)
             elif directive == ".p":
                 num_terms = _header_count(fields, 0, source, lineno)
-            elif directive == ".type":
-                type_tag = fields[1].lower() if len(fields) > 1 else None
-            elif directive == ".ilb":
-                input_labels = tuple(fields[1:])
-            elif directive == ".ob":
-                output_labels = tuple(fields[1:])
+            elif directive in (".type", ".ilb", ".ob"):
+                pass  # accepted silently: they do not change the ON-set read here
             elif directive in (".e", ".end"):
                 break
             else:
@@ -122,7 +110,7 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
                 source,
                 lineno,
             )
-        terms.append(PlaTerm(cube, outputs, lineno))
+        terms.append(PlaTerm(cube, outputs))
 
     if num_inputs is None or num_outputs is None:
         raise MissingHeader("missing .i/.o declarations", source)
@@ -130,17 +118,7 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
         warnings.warn(
             f"{source}: .p says {num_terms} terms but {len(terms)} were read"
         )
-    return PlaFile(
-        num_inputs,
-        num_outputs,
-        num_terms,
-        terms,
-        type_tag,
-        input_labels,
-        output_labels,
-        source,
-        ignored,
-    )
+    return PlaFile(num_inputs, num_outputs, num_terms, terms, ignored)
 
 
 def load_pla(path) -> PlaFile:
@@ -148,20 +126,15 @@ def load_pla(path) -> PlaFile:
         return parse_pla(fh.read(), source=str(path))
 
 
-def cube_minterms(cube: str):
-    """All minterm indices a cube covers; '-' expands both ways."""
+def cube_minterms(cube: str) -> np.ndarray:
+    """All minterm indices a cube covers; '-' expands both ways.  Each
+    '-' doubles the list: the indices so far, then the same with its bit set."""
     n = len(cube)
-    free = [n - 1 - k for k, c in enumerate(cube) if c == "-"]
-    base = 0
+    idx = np.array([int(cube.replace("-", "0"), 2)], dtype=np.int64)
     for k, c in enumerate(cube):
-        if c == "1":
-            base |= 1 << (n - 1 - k)
-    for choice in range(1 << len(free)):
-        idx = base
-        for j, bit in enumerate(free):
-            if (choice >> j) & 1:
-                idx |= 1 << bit
-        yield idx
+        if c == "-":
+            idx = np.concatenate((idx, idx | (1 << (n - 1 - k))))
+    return idx
 
 
 def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
@@ -177,8 +150,7 @@ def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
     vec = np.zeros(1 << pla.num_inputs, dtype=np.uint8)
     for term in pla.terms:
         if term.outputs[output_index] == "1":
-            for idx in cube_minterms(term.cube):
-                vec[idx] = 1
+            vec[cube_minterms(term.cube)] = 1
     return BoolFunc(pla.num_inputs, vec)
 
 

@@ -106,15 +106,6 @@ def _require_standard(std: mux.Multiplexer):
         raise FormMismatch(f"search needs a standard-form multiplexer, got {std.form}")
 
 
-def _standard_cost(std: mux.Multiplexer) -> int:
-    """Total cost of the standard form, where every gate has all m controls,
-    without building the per-gate entries of cost.multiplexer_cost."""
-    m = std.controls
-    counts = np.full(1 << m, m, dtype=np.int64)
-    total, _ = kernels.mux_cost(std.targets, counts, cost.cost_table_vector(m), mux.EPS)
-    return total
-
-
 def _interned(std: mux.Multiplexer) -> tuple:
     """(gate_group, ids) from group.intern, or (None, targets) when the
     targets do not close: the search then runs on complex matrices."""
@@ -148,29 +139,44 @@ def iter_polarity_costs(std: mux.Multiplexer, family: str):
         yield "".join(name), value
 
 
+def _summary(
+    std: mux.Multiplexer, cfg: SearchConfig, mode: str, indices, costs, start: float
+) -> SearchReport:
+    """SearchReport of the evaluated polarities, given by their indices
+    (the polarity read as a base-b numeral, so index order is
+    lexicographic order) and costs, for a search begun at `start`."""
+    m, base = std.controls, len(FAMILY_DIGITS[cfg.family])
+    indices = np.asarray(indices, dtype=np.int64)
+    costs = np.asarray(costs, dtype=np.int64)
+    # Lowest and highest cost, each tie to the lexicographically smallest.
+    best = indices[np.lexsort((indices, costs))[0]]
+    worst = indices[np.lexsort((indices, -costs))[0]]
+    original, _ = kernels.mux_cost(
+        std.targets,
+        blocksearch.count_vector(std.digits, mux.KQF),
+        cost.cost_table_vector(m),
+        mux.EPS,
+    )
+    return SearchReport(
+        family=cfg.family,
+        mode=mode,
+        controls=m,
+        original_cost=original,
+        best_polarity=np.base_repr(best, base).zfill(m),
+        best_cost=int(costs.min()),
+        worst_polarity=np.base_repr(worst, base).zfill(m),
+        worst_cost=int(costs.max()),
+        average_cost=int(costs.sum()) / len(costs),
+        polarities_evaluated=len(costs),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate every polarity of cfg.family and aggregate the results."""
     start = time.perf_counter()
     costs = polarity_costs(std, cfg.family)
-    original = _standard_cost(std)
-    # argmin/argmax take the first index: the lexicographically smallest tie.
-    best, worst = int(costs.argmin()), int(costs.argmax())
-    # The family's digits are the numerals of its base, in order.
-    base, m = len(FAMILY_DIGITS[cfg.family]), std.controls
-    elapsed = time.perf_counter() - start
-    return SearchReport(
-        family=cfg.family,
-        mode="exhaustive",
-        controls=m,
-        original_cost=original,
-        best_polarity=np.base_repr(best, base).zfill(m),
-        best_cost=int(costs[best]),
-        worst_polarity=np.base_repr(worst, base).zfill(m),
-        worst_cost=int(costs[worst]),
-        average_cost=int(costs.sum()) / len(costs),
-        polarities_evaluated=len(costs),
-        elapsed=elapsed,
-    )
+    return _summary(std, cfg, "exhaustive", np.arange(len(costs)), costs, start)
 
 
 def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
@@ -189,32 +195,15 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     cost_table = cost.cost_table_vector(m)
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
-    original = _standard_cost(std)
     gate_group, root = _interned(std)
-    polarities, values = [], []
+    indices, values = [], []
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
         targets = mux.transform_stages(root, polarity, "forward", gate_group)
         counts = blocksearch.count_vector(polarity, cfg.family)
-        polarities.append(polarity)
+        indices.append(int(polarity, base))
         values.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
-    # Lowest and highest cost, each tie to the lexicographically smallest.
-    best_cost, best = min(zip(values, polarities))
-    negated_worst, worst = min(zip([-v for v in values], polarities))
-    elapsed = time.perf_counter() - start
-    return SearchReport(
-        family=cfg.family,
-        mode="random",
-        controls=m,
-        original_cost=original,
-        best_polarity=best,
-        best_cost=best_cost,
-        worst_polarity=worst,
-        worst_cost=-negated_worst,
-        average_cost=sum(values) / len(values),
-        polarities_evaluated=len(values),
-        elapsed=elapsed,
-    )
+    return _summary(std, cfg, "random", indices, values, start)
 
 
 def run_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:

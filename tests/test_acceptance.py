@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (run with -s to see them all) and
 asserts at its stated tolerance.  Criteria with runtime budgets measure
-wall time after a tiny warm-up call has compiled the jitted kernels.
+wall time after a tiny warm-up has run the quantum and classical searches.
 """
 
 import pathlib
@@ -46,8 +46,8 @@ def all_polarities(m, digits):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the jitted kernels once so runtime budgets measure the
-    # algorithms, not the JIT
+    # run both searches once so runtime budgets measure the algorithms,
+    # not first-call costs
     tiny = generate(2, POOL_NVV, seed=0)
     exhaustive_search(tiny, SearchConfig(family="kqf"))
     boolrm.rm_search(BoolFunc.from_string("0110"), boolrm.KRM)

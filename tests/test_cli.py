@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qmuxopt import gates, pla
+from qmuxopt import search as search_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import dump_qmux, load_qmux, save_qmux
+from qmuxopt.randmux import POOL_FULL, generate
 
 
 @pytest.fixture
@@ -331,3 +333,30 @@ def _steady_lines(out):
     """Report lines apart from the timings, which change from run to run."""
     volatile = ("wall", "elapsed", "search time")
     return [ln for ln in out.splitlines() if not any(v in ln for v in volatile)]
+
+
+def test_optimize_random_size_limit_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "RANDOM_LIMIT", 3)
+    path = tmp_path / "m4.qmux"
+    save_qmux(generate(4, POOL_FULL, seed=0), path)
+    code, _, err = run(capsys, ["optimize", path, "--mode", "random"])
+    assert code == 3
+    assert "random search is limited to 3 controls" in err
+
+
+def test_verify_transformed_in_standard_form_exits_2(capsys, case_file):
+    code, _, err = run(capsys, ["verify", case_file, "11", "--transformed", case_file])
+    assert code == 2
+    assert "standard form" in err
+
+
+@pytest.mark.parametrize("name", ["bad.qmux", "bad.json"])
+def test_fpqf_form_with_a_mixed_digit_exits_2(capsys, tmp_path, name):
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"controls": 3, "form": "fpqf:012", "targets": ["I"] * 8}))
+    else:
+        path.write_text("controls: 3\nform: fpqf:012\ntargets: I I I I I I I I\n")
+    code, _, err = run(capsys, ["cost", path])
+    assert code == 2
+    assert name in err

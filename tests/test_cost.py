@@ -69,7 +69,7 @@ def test_standard_multiplexer_cost():
     report = multiplexer_cost(std)
     assert report.total == 15  # three 2-control gates at 5 each
     assert report.skipped_identities == 1
-    assert len(report.per_gate) == 3
+    assert len(report.costs) == 3
 
 
 def test_polarized_multiplexer_cost():
@@ -77,7 +77,7 @@ def test_polarized_multiplexer_cost():
     report = multiplexer_cost(g)
     assert report.total == 2
     assert report.skipped_identities == 2
-    assert [(e.gate_index, e.controls, e.cost) for e in report.per_gate] == [
+    assert list(report.rows()) == [
         (1, 1, 1),
         (2, 1, 1),
     ]
@@ -147,3 +147,12 @@ def test_long_report_table_elides_middle():
     table = report.format_table(max_rows=32)
     assert "rows elided" in table
     assert f"total: {256 * gate_cost(8)}" in table
+
+
+def test_elided_table_keeps_the_first_and_last_rows():
+    report = multiplexer_cost(Multiplexer(8, np.stack([gates.X] * 256)))
+    lines = report.format_table(max_rows=32).splitlines()
+    assert lines[25] == "   ...  (224 rows elided)"
+    shown = [int(line.split()[0]) for line in lines[1:25] + lines[26:34]]
+    assert shown == list(range(24)) + list(range(248, 256))
+    assert lines[34].startswith("total:") and len(lines) == 35

@@ -12,6 +12,7 @@ from qmuxopt.mux import (
     KQF,
     STANDARD,
     Multiplexer,
+    activation_mask,
     active_gate_indices,
     butterfly_stage,
     forward_transform,
@@ -328,3 +329,37 @@ def test_realized_mux_round_trips_through_inverse():
     g = forward_transform(std, "010")
     back = inverse_transform(negative_control_realization(g))
     assert np.abs(back.targets - std.targets).max() <= 1e-9
+
+
+def _fires(gate, state, digits, inverted):
+    """Scalar firing rule: every variable that controls the gate reads the
+    value it asks for ('2' controls every gate, on its gate bit's value)."""
+    m = len(digits)
+    for k, digit in enumerate(digits):
+        bit = m - 1 - k
+        gate_bit = (gate >> bit) & 1
+        line = ((state >> bit) & 1) ^ ((k + 1) in inverted)
+        if digit == "2" and gate_bit != line:
+            return False
+        if digit != "2" and gate_bit and line != int(digit):
+            return False
+    return True
+
+
+def test_activation_mask_matches_the_scalar_firing_rule():
+    rng = np.random.default_rng(91)
+    for m in range(1, 6):
+        eye = np.tile(gates.I, (1 << m, 1, 1))
+        cases = [Multiplexer(m, eye)]
+        for _ in range(12):
+            polarity = "".join(rng.choice(list("012"), size=m))
+            fixed = [k + 1 for k, d in enumerate(polarity) if d != "2"]
+            lines = tuple(k for k in fixed if rng.random() < 0.5)
+            form = KQF if "2" in polarity else FPQF
+            cases.append(Multiplexer(m, eye, form, polarity, lines))
+        for case in cases:
+            for state in range(1 << m):
+                expected = [
+                    _fires(g, state, case.digits, case.inverted_lines) for g in range(1 << m)
+                ]
+                assert activation_mask(case, state).tolist() == expected

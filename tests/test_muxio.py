@@ -3,7 +3,14 @@ import pytest
 
 from qmuxopt import gates
 from qmuxopt.errors import ParseError
-from qmuxopt.mux import FPQF, KQF, Multiplexer, forward_transform
+from qmuxopt.mux import (
+    FPQF,
+    KQF,
+    Multiplexer,
+    forward_transform,
+    max_semantic_deviation,
+    negative_control_realization,
+)
 from qmuxopt.muxio import (
     dump_qmux,
     dump_qmux_json,
@@ -178,3 +185,27 @@ def test_target_tokens_match_per_gate_render():
     assert tokens == [gates.render_gate(u) for u in m.targets]
     assert tokens[:9] == list(gates.CATALOG) + ["X", "VD"]
     assert tokens[9].startswith("M(") and "-0.0" in tokens[10]
+
+
+def test_realized_multiplexer_round_trips_with_its_inverters():
+    # The file format has no inverters: writing must fold them back into
+    # negative digits, or the reloaded form realizes another operator.
+    std = generate(3, POOL_FULL, seed=1)
+    realized = negative_control_realization(forward_transform(std, "010"))
+    assert realized.polarity == "111" and realized.inverted_lines == (1, 3)
+    for text in (dump_qmux(realized), dump_qmux_json(realized)):
+        again = parse_qmux(text)
+        assert again.polarity == "010"
+        assert max_semantic_deviation(std, again) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "controls: 3\nform: fpqf:012\ntargets: I I I I I I I I\n",
+        '{"controls": 3, "form": "fpqf:012", "targets": ["I", "I", "I", "I", "I", "I", "I", "I"]}',
+    ],
+)
+def test_fpqf_form_with_a_mixed_digit_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_qmux(text)

@@ -1,0 +1,54 @@
+"""Guard for the benchmark's traced run: perfbench/tracer.py wraps module
+attributes from the outside, so a caller that binds a layer function
+directly (``from .kernels import mux_cost``) hides its calls.  Each tiny
+workload here must show at least one call on every layer the benchmark
+expects it to reach."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+# (controls or variables, family, random-mode samples); n = 11 is the
+# smallest FPRM size whose block search runs a gf2_stage column.
+CASES = [(3, "fpqf", 0), (3, "kqf", 0), (3, "fpqf", 3), (3, "kqf", 3), (11, "fprm", 0)]
+
+
+@pytest.mark.parametrize("size,family,samples", CASES)
+def test_every_benchmark_layer_sees_calls(tmp_path, size, family, samples):
+    w = workloads.Workload(f"{family}_{size}", size, family, samples)
+    expected = workloads.CLASSICAL_LAYERS if family == "fprm" else workloads.QUANTUM_LAYERS
+    assert w.layers == expected
+    inputs = workloads.make_inputs(w, seed=1, work=tmp_path)
+    trace = tmp_path / "trace.json"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(trace), *inputs.argv,
+         "--out", "report.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(trace.read_text())["layers"]
+    silent = [name for name in w.layers if layers[name]["calls"] == 0]
+    assert silent == []

@@ -193,3 +193,17 @@ def test_gate_pattern_matches_spectrum_pattern(n):
             non_identity = deviation > 1e-9
             for i in range(1 << n):
                 assert bool(spec.coefficients[i]) == bool(non_identity[i ^ mask])
+
+
+def test_cube_minterms_match_a_scalar_reference():
+    rng = np.random.default_rng(44)
+    cubes = ["-" * 8, "10110100", "-", "0", "1"]
+    cubes += ["".join(rng.choice(list("01-"), size=n)) for n in range(1, 9) for _ in range(6)]
+    for cube in cubes:
+        n = len(cube)
+        expected = [
+            idx
+            for idx in range(1 << n)
+            if all(c == "-" or int(c) == (idx >> (n - 1 - k)) & 1 for k, c in enumerate(cube))
+        ]
+        assert sorted(cube_minterms(cube).tolist()) == expected

@@ -426,3 +426,19 @@ def test_random_ties_take_the_lexicographically_smallest_sampled_polarity():
     assert len(set(drawn)) > 1
     assert report.best_polarity == report.worst_polarity == min(drawn)
     assert report.best_cost == report.worst_cost == 0
+
+
+def test_random_search_enforces_its_size_limit(monkeypatch):
+    monkeypatch.setattr(search, "RANDOM_LIMIT", 3)
+    std = generate(4, POOL_FULL, seed=0)
+    with pytest.raises(SizeLimitExceeded, match="limited to 3 controls, got 4"):
+        random_polarity_search(std, SearchConfig(mode="random"))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_all_identity_multiplexer_reports_no_reduction(mode):
+    std = Multiplexer(3, np.tile(gates.I, (8, 1, 1)))
+    report = run_search(std, SearchConfig(family="kqf", mode=mode, samples=5))
+    assert report.original_cost == report.best_cost == report.worst_cost == 0
+    assert report.best_reduction == 0.0
+    assert report.average_reduction == 0.0
