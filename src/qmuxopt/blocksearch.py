@@ -123,6 +123,12 @@ def check_size(family: str, n: int) -> None:
         )
 
 
+def digit_mask(polarity: str, digit: str) -> int:
+    """Index bits of the variables whose polarity digit is `digit`, variable
+    c_1 the most significant bit."""
+    return sum(1 << k for k, d in enumerate(reversed(polarity)) if d == digit)
+
+
 def count_vector(polarity: str, family: str) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
     as int64: cost.control_count or boolrm.map_coefficient's literal count.

@@ -29,14 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksearch, kernels
-from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector
+from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector, digit_mask
 from .errors import SizeLimitExceeded
-
-_GF2_KERNELS = {
-    "1": kernels.GF2_POS,
-    "0": kernels.GF2_NEG,
-    "2": kernels.GF2_MIXED,
-}
 
 _STAGE_MATRICES = {
     "1": np.array([[1, 0], [1, 1]], dtype=np.uint8),
@@ -151,25 +145,25 @@ def rm_transform(func: BoolFunc, polarity: str) -> RMSpectrum:
     indices differing at bit (n - k).  Equals the Kronecker transform
     matrix applied to the minterm vector.
     """
-    n = func.num_vars
-    check_polarity(polarity, n, KRM)
-    vec = func.minterms.copy()
-    for k, digit in enumerate(polarity):
-        vec = kernels.gf2_stage(vec, _GF2_KERNELS[digit], n - 1 - k)
-    return RMSpectrum(polarity, vec)
+    check_polarity(polarity, func.num_vars, KRM)
+    return RMSpectrum(polarity, _cascade(func.minterms, polarity))
 
 
 def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
     """Recover the minterm vector from a spectrum.
 
-    The three GF(2) kernels are self-inverse, so the inverse is the same
-    columns in reverse order.
+    Each GF(2) column is its own inverse, and columns on different bits
+    commute, so the cascade that made the spectrum also undoes it.
     """
-    n = spectrum.num_vars
-    vec = spectrum.coefficients.copy()
-    for k in reversed(range(n)):
-        vec = kernels.gf2_stage(vec, _GF2_KERNELS[spectrum.polarity[k]], n - 1 - k)
-    return BoolFunc(n, vec)
+    return BoolFunc(spectrum.num_vars, _cascade(spectrum.coefficients, spectrum.polarity))
+
+
+def _cascade(vec: np.ndarray, polarity: str) -> np.ndarray:
+    """The GF(2) butterfly columns of the polarity, c_1's first."""
+    n = len(polarity)
+    for k, digit in enumerate(polarity):
+        vec = kernels.gf2_stage(vec, kernels.GF2[digit], n - 1 - k)
+    return vec
 
 
 def rm_transform_matrix(polarity: str) -> np.ndarray:
@@ -210,12 +204,7 @@ def map_coefficient(index: int, polarity: str) -> BaseFunction:
 
 def negative_digit_mask(polarity: str) -> int:
     """Index mask with a 1 at each fixed-negative ('0') digit's bit."""
-    n = len(polarity)
-    mask = 0
-    for k, digit in enumerate(polarity):
-        if digit == "0":
-            mask |= 1 << (n - 1 - k)
-    return mask
+    return digit_mask(polarity, "0")
 
 
 def base_order_index(index: int, polarity: str) -> int:
@@ -253,7 +242,7 @@ def rm_search(func: BoolFunc, family: str = FPRM) -> list:
     costs = blocksearch.polarity_costs(
         func.minterms,
         family,
-        stage=lambda vec, digit, bit: kernels.gf2_stage(vec, _GF2_KERNELS[digit], bit),
+        stage=lambda vec, digit, bit: kernels.gf2_stage(vec, kernels.GF2[digit], bit),
         column=kernels.etv_stage,
         live=lambda bits: bits,
         cost_table=np.arange(n + 1),

@@ -26,10 +26,10 @@ column can produce from a pair, so one expansion serves every digit:
 
   qetv_stage    (a, b) -> (a, b, b @ a^-1, a @ b^-1)
 
-Digit '1' keeps slots (0, 2), '0' keeps (1, 3) and '2' keeps (0, 1); each
-product is the same operation on the same operands as in gate_stage, so
-the kept slots equal the forward column bit for bit.  On IDs the last slot
-is inv of the third, exactly.
+`blocksearch.SLOT_RULES` gives the slots each digit keeps; each product is
+the same operation on the same operands as in gate_stage, so the kept
+slots equal the forward column bit for bit.  On IDs the last slot is inv
+of the third, exactly.
 
 GF(2) codes for the classical transform (x, y are bits):
 
@@ -40,6 +40,9 @@ GF(2) codes for the classical transform (x, y are bits):
 Its extended-vector column keeps all three values those columns produce:
 
   etv_stage  (x, y) -> (x, y, x ^ y)
+
+FORWARD, INVERSE and GF2 map a polarity digit to the code of the column
+its variable runs in each cascade.
 
 Operands stay unitary throughout, so matrix inverses are conjugate
 transposes.
@@ -62,6 +65,10 @@ IDENTITY = 4
 GF2_POS = 0
 GF2_NEG = 1
 GF2_MIXED = 2
+
+FORWARD = {"1": FORWARD_POS, "0": FORWARD_NEG, "2": IDENTITY}
+INVERSE = {"1": INVERSE_POS, "0": INVERSE_NEG, "2": IDENTITY}
+GF2 = {"1": GF2_POS, "0": GF2_NEG, "2": GF2_MIXED}
 
 
 def _halves(arr: np.ndarray, bit: int):

@@ -20,35 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, kernels
-from .blocksearch import FPQF, KQF, check_polarity
+from .blocksearch import FPQF, KQF, check_polarity, digit_mask
 from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
 
 STANDARD = "standard"
 
 EPS = gates.EPS
-
-_FORWARD_KERNELS = {
-    "1": kernels.FORWARD_POS,
-    "0": kernels.FORWARD_NEG,
-    "2": kernels.IDENTITY,
-}
-_INVERSE_KERNELS = {
-    "1": kernels.INVERSE_POS,
-    "0": kernels.INVERSE_NEG,
-    "2": kernels.IDENTITY,
-}
-
-# Digit strings as bit masks, variable c_1 the most significant bit.
-_NEGATIVE_BITS = str.maketrans("012", "100")
-_MIXED_BITS = str.maketrans("012", "001")
-
-_KERNEL_NAMES = {
-    "forward_pos": kernels.FORWARD_POS,
-    "forward_neg": kernels.FORWARD_NEG,
-    "inverse_pos": kernels.INVERSE_POS,
-    "inverse_neg": kernels.INVERSE_NEG,
-    "identity": kernels.IDENTITY,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +34,8 @@ class Multiplexer:
 
     targets is a (2^controls, 2, 2) complex array, every entry unitary
     within EPS.  inverted_lines lists 1-based control lines that carry a
-    leading inverter (produced by negative_control_realization).
+    leading inverter (produced by negative_control_realization); only a
+    fixed-polarity digit's line can.
     """
 
     controls: int
@@ -98,6 +76,8 @@ class Multiplexer:
         for k in lines:
             if not 1 <= k <= self.controls:
                 raise ValueError(f"inverted line {k} out of range 1..{self.controls}")
+            if self.polarity[k - 1] == "2":
+                raise ValueError(f"line {k} is mixed polarity and cannot carry an inverter")
         object.__setattr__(self, "inverted_lines", lines)
 
     @property
@@ -128,8 +108,8 @@ def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
     if not 0 <= input_state < (1 << m):
         raise ValueError(f"input state {input_state} out of range for {m} controls")
     state = input_state ^ sum(1 << (m - k) for k in mux.inverted_lines)
-    allowed = state ^ int(mux.digits.translate(_NEGATIVE_BITS), 2)
-    required = state & int(mux.digits.translate(_MIXED_BITS), 2)
+    allowed = state ^ digit_mask(mux.digits, "0")
+    required = state & digit_mask(mux.digits, "2")
     idx = np.arange(1 << m)
     return ((idx & ~allowed) == 0) & ((idx & required) == required)
 
@@ -164,8 +144,8 @@ def max_semantic_deviation(a: Multiplexer, b: Multiplexer) -> float:
 def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
     """Apply a 2-gate kernel to every index pair differing at `bit`.
 
-    kernel is a name from forward_pos / forward_neg / inverse_pos /
-    inverse_neg / identity, or a callable (a, b) -> (a', b') applied per
+    kernel is a `kernels` code (FORWARD_POS, FORWARD_NEG, INVERSE_POS,
+    INVERSE_NEG or IDENTITY), or a callable (a, b) -> (a', b') applied per
     pair.
     """
     arr = np.ascontiguousarray(np.asarray(gate_vector, dtype=complex))
@@ -187,8 +167,7 @@ def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
             out[base] = lo
             out[base + step] = hi
         return out
-    code = _KERNEL_NAMES[kernel.lower()] if isinstance(kernel, str) else kernel
-    return kernels.gate_stage(arr, code, bit)
+    return kernels.gate_stage(arr, kernel, bit)
 
 
 def transform_stages(
@@ -202,15 +181,15 @@ def transform_stages(
     uint8 element IDs (see `kernels.gate_stage`).
     """
     m = len(polarity)
-    out = targets.copy()
     if direction == "forward":
-        for k, digit in enumerate(polarity):
-            out = kernels.gate_stage(out, _FORWARD_KERNELS[digit], m - 1 - k, group)
+        kernel_of, order = kernels.FORWARD, range(m)
     elif direction == "inverse":
-        for k in reversed(range(m)):
-            out = kernels.gate_stage(out, _INVERSE_KERNELS[polarity[k]], m - 1 - k, group)
+        kernel_of, order = kernels.INVERSE, reversed(range(m))
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    out = targets.copy()
+    for k in order:
+        out = kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group)
     return out
 
 
@@ -236,19 +215,17 @@ def inverse_transform(polarized: Multiplexer) -> Multiplexer:
     """Recover the standard-form multiplexer a polarized one came from."""
     if polarized.form == STANDARD:
         raise FormMismatch("inverse transform needs a polarized multiplexer")
-    plain = _without_inverters(polarized)
+    plain = without_inverters(polarized)
     out = transform_stages(plain.targets, plain.polarity, "inverse")
     return Multiplexer(plain.controls, out, STANDARD)
 
 
-def _without_inverters(mux: Multiplexer) -> Multiplexer:
+def without_inverters(mux: Multiplexer) -> Multiplexer:
     """Fold explicit line inverters back into negative polarity digits."""
     if not mux.inverted_lines:
         return mux
     digits = list(mux.polarity)
     for k in mux.inverted_lines:
-        if digits[k - 1] == "2":
-            raise ValueError(f"line {k} is mixed polarity and cannot carry an inverter")
         digits[k - 1] = "0" if digits[k - 1] == "1" else "1"
     return Multiplexer(mux.controls, mux.targets, mux.form, "".join(digits))
 
@@ -292,11 +269,7 @@ def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
         raise SizeLimitExceeded("triangular solve is limited to 8 controls")
 
     # Input state whose top active gate is t: flip t's bits on negative digits.
-    flip = 0
-    for k, digit in enumerate(polarity):
-        if digit == "0":
-            flip |= 1 << (m - 1 - k)
-
+    flip = digit_mask(polarity, "0")
     solved = np.empty((1 << m, 2, 2), dtype=complex)
     probe = Multiplexer(m, np.tile(np.eye(2, dtype=complex), (1 << m, 1, 1)), form, polarity)
     for t in range(1 << m):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gates
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
-from .mux import FPQF, KQF, STANDARD, Multiplexer, _without_inverters
+from .mux import FPQF, KQF, STANDARD, Multiplexer, without_inverters
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -157,7 +157,7 @@ def dump_qmux(m: Multiplexer, tokens_per_line: int = 8) -> str:
 
     The format has no inverters, so line inverters are folded back into
     negative digits first (the same realized semantics)."""
-    m = _without_inverters(m)
+    m = without_inverters(m)
     lines = [f"controls: {m.controls}", f"form: {m.describe()}", "targets:"]
     tokens = target_tokens(m)
     for start in range(0, len(tokens), tokens_per_line):
@@ -167,7 +167,7 @@ def dump_qmux(m: Multiplexer, tokens_per_line: int = 8) -> str:
 
 def to_json_dict(m: Multiplexer) -> dict:
     """JSON mirror of dump_qmux, inverters folded back in the same way."""
-    m = _without_inverters(m)
+    m = without_inverters(m)
     return {
         "controls": m.controls,
         "form": m.describe(),

@@ -122,7 +122,7 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
         root,
         family,
         stage=lambda vec, digit, bit: kernels.gate_stage(
-            vec, mux._FORWARD_KERNELS[digit], bit, gate_group
+            vec, kernels.FORWARD[digit], bit, gate_group
         ),
         column=lambda pairs, out: kernels.qetv_stage(pairs, out, gate_group),
         live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),

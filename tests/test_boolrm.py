@@ -346,6 +346,12 @@ def test_from_string_rejects_garbage():
             BoolFunc.from_string(bad)
 
 
+@pytest.mark.parametrize("n,minterms,needle", [(0, [0], "at least one"), (1, [0, 2], "0 or 1")])
+def test_bool_func_rejects_invalid_fields(n, minterms, needle):
+    with pytest.raises(ValueError, match=needle):
+        BoolFunc(n, np.array(minterms, dtype=np.uint8))
+
+
 def test_minterm_vector_length_checked():
     with pytest.raises(ValueError):
         BoolFunc(2, np.array([0, 1, 1], dtype=np.uint8))

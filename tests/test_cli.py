@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -327,6 +328,25 @@ def test_only_the_requested_report_body_is_built(monkeypatch, capsys, case_file,
             got = run(capsys, [*argv, "--format", fmt])
         assert got[0] == 0
         assert _steady_lines(got[1]) == _steady_lines(expected[1])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_out_file_holds_the_stdout_bytes(monkeypatch, capsys, case_file, tmp_path, fmt):
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)  # timings differ run to run
+    out_path = tmp_path / "report"
+    commands = [
+        ["optimize", case_file, "--family", "kqf"],
+        ["cost", case_file],
+        ["verify", case_file, "10"],
+        ["classical", "01101111", "--family", "krm"],
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, [*argv, "--format", fmt])
+        assert code == 0
+        assert run(capsys, [*argv, "--format", fmt, "--out", out_path]) == (0, "", "")
+        assert out_path.read_bytes() == out.encode()
+        if fmt == "json":
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def _steady_lines(out):

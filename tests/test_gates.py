@@ -11,6 +11,10 @@ def test_catalog_gates_are_unitary():
         assert np.abs(g @ g.conj().T - gates.I).max() <= 1e-9
 
 
+def test_non_finite_entries_are_not_unitary():
+    assert not gates.is_unitary(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
 def test_x_squared_is_identity():
     assert gates.approx_eq(gates.multiply(gates.X, gates.X), gates.I)
 
@@ -94,7 +98,7 @@ def test_parse_gate_matrix_literal_non_unitary():
         gates.parse_gate("M(1,0,0,0,0,0,2,0)")
 
 
-@pytest.mark.parametrize("token", ["QQ", "M(1,2)", "RX()", "RX(abc)", ""])
+@pytest.mark.parametrize("token", ["QQ", "M(1,2)", "M(1,0,0,0,0,0,1,x)", "RX()", "RX(abc)", ""])
 def test_parse_gate_unknown(token):
     with pytest.raises(UnknownGate):
         gates.parse_gate(token)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates
+from qmuxopt import gates, kernels
 from qmuxopt.errors import (
     FormMismatch,
     LengthNotPowerOfTwo,
     PolarityLengthMismatch,
+    SizeLimitExceeded,
 )
 from qmuxopt.mux import (
     FPQF,
@@ -75,6 +76,28 @@ def test_rejects_standard_with_polarity():
         Multiplexer(2, ivvx_case().targets, STANDARD, "11")
 
 
+@pytest.mark.parametrize(
+    "fields,needle",
+    [
+        ({"targets": np.full((4, 2, 2), np.nan)}, "non-finite"),
+        ({"form": FPQF}, "requires a polarity"),
+        ({"form": "fprm", "polarity": "11"}, "unknown form"),
+        ({"inverted_lines": (1,)}, "no polarized lines"),
+        ({"form": FPQF, "polarity": "11", "inverted_lines": (3,)}, "out of range"),
+    ],
+)
+def test_rejects_invalid_fields(fields, needle):
+    with pytest.raises(ValueError, match=needle):
+        Multiplexer(**{"controls": 2, "targets": ivvx_case().targets, **fields})
+
+
+def test_rejects_an_inverter_on_a_mixed_line():
+    # A '2' digit has no fixed polarity to fold an inverter into, so the
+    # value is refused where it is built.
+    with pytest.raises(ValueError, match="mixed polarity"):
+        Multiplexer(2, ivvx_case().targets, KQF, "21", (1,))
+
+
 def test_targets_are_read_only():
     m = ivvx_case()
     with pytest.raises(ValueError):
@@ -110,6 +133,16 @@ def test_mixed_digits_pin_their_bit():
     assert list(active_gate_indices(g, 3)) == [2, 3]
 
 
+def test_activation_mask_rejects_a_state_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        activation_mask(ivvx_case(), 4)
+
+
+def test_max_semantic_deviation_needs_equal_control_counts():
+    with pytest.raises(FormMismatch):
+        max_semantic_deviation(ivvx_case(), Multiplexer(1, np.stack([gates.I, gates.X])))
+
+
 # --- butterfly_stage ---
 
 
@@ -126,13 +159,13 @@ def test_butterfly_stage_with_callable_kernel():
 def test_butterfly_stage_identity_kernel():
     rng = np.random.default_rng(54)
     vec = np.stack([gates.random_unitary(rng) for _ in range(8)])
-    assert np.array_equal(butterfly_stage(vec, "identity", 1), vec)
+    assert np.array_equal(butterfly_stage(vec, kernels.IDENTITY, 1), vec)
 
 
 def test_butterfly_stage_inverse_pos_at_bit_one():
     rng = np.random.default_rng(55)
     a, b, c, d = (gates.random_unitary(rng) for _ in range(4))
-    out = butterfly_stage(np.stack([a, b, c, d]), "inverse_pos", 1)
+    out = butterfly_stage(np.stack([a, b, c, d]), kernels.INVERSE_POS, 1)
     assert np.abs(out[0] - a).max() <= 1e-12
     assert np.abs(out[1] - b).max() <= 1e-12
     assert np.abs(out[2] - c @ a).max() <= 1e-12
@@ -142,13 +175,23 @@ def test_butterfly_stage_inverse_pos_at_bit_one():
 def test_butterfly_stage_length_check():
     vec = np.stack([gates.I, gates.X, gates.Z])
     with pytest.raises(LengthNotPowerOfTwo):
-        butterfly_stage(vec, "identity", 0)
+        butterfly_stage(vec, kernels.IDENTITY, 0)
 
 
 def test_butterfly_stage_bit_range_check():
     vec = np.stack([gates.I, gates.X])
     with pytest.raises(ValueError):
-        butterfly_stage(vec, "identity", 1)
+        butterfly_stage(vec, kernels.IDENTITY, 1)
+
+
+def test_butterfly_stage_entry_shape_check():
+    with pytest.raises(ValueError, match="2x2"):
+        butterfly_stage(np.zeros((2, 3, 3)), kernels.IDENTITY, 0)
+
+
+def test_transform_stages_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction"):
+        transform_stages(ivvx_case().targets, "11", "sideways")
 
 
 # --- forward transform ---
@@ -248,6 +291,13 @@ def test_forward_agrees_with_triangular_solve(m):
             fast = forward_transform(std, polarity)
             slow = triangular_solve(std, polarity)
             assert np.abs(fast.targets - slow.targets).max() <= 1e-9
+
+
+def test_triangular_solve_checks_its_input():
+    with pytest.raises(FormMismatch):
+        triangular_solve(forward_transform(ivvx_case(), "11"), "11")
+    with pytest.raises(SizeLimitExceeded):
+        triangular_solve(Multiplexer(9, np.tile(gates.I, (512, 1, 1))), "1" * 9)
 
 
 def test_triangular_solve_iv_v_x_by_hand():

@@ -92,6 +92,11 @@ def test_empty_cover_count_is_allowed():
     assert parse_pla(".i 2\n.o 1\n.p 0\n.e\n").num_terms == 0
 
 
+def test_malformed_output_characters():
+    with pytest.raises(MalformedCube, match="output"):
+        parse_pla(".i 2\n.o 1\n01 x\n.e\n")
+
+
 def test_malformed_cube_characters():
     with pytest.raises(MalformedCube):
         parse_pla(".i 2\n.o 1\n0x 1\n.e\n")
