@@ -50,6 +50,15 @@ slots, 32 KB of IDs or 2 MB of complex matrices, where all 4^9 slots at
 once would take 16.8 MB of complex matrices; a classical block is at most
 2^6 x 3^10 bytes (3.8 MB) within LIMITS.  With b = 0 the block is the
 plain leaf, one histogram over the node's 2^n entries.
+
+CHUNK_BYTES bounds the block in bytes as well.  A node expands and
+histograms its rows a chunk at a time, each chunk at most CHUNK_BYTES of
+slots (a row takes width^b times the bytes of one entry, so IDs, bits and
+matrices each get their own row count) and at least one row, and adds up
+the chunks' histograms: the histogram is a sum over rows, so this is
+exact.  An FPQF node at m = 14 holds 256 rows of 4^6 slots, 1 MB of IDs
+or 64 MB of complex matrices, where a 256 KB chunk takes 64 rows of IDs,
+one row of matrices or 4 classical rows of 3^10 bits.
 """
 
 from __future__ import annotations
@@ -84,21 +93,37 @@ LIMITS = {FPQF: 14, KQF: 9, FPRM: 16, KRM: 10}
 #   b = 0; on custom:X,I,RX(0.3),H (complex) b = 6 took 0.62 s at a 5.5 MB
 #   peak and b = 9 0.18 s at 42 MB, against 3.5 s.  b = 6 keeps both
 #   peaks small.
-# - FPQF digits keep disjoint slots, so its polarities share no products:
-#   at m = 12 on custom:X,I,RX(0.3), b = 0, 2 and 4 took 7.7, 8.6 and
-#   8.0 s (peaks 4.5, 5.5 and 12.7 MB), so FPQF stays at its leaves.
+# - FPQF's two digits keep all four slots between them ('1' a and b a^-1,
+#   '0' b and a b^-1), and on IDs a b^-1 is one inv lookup of b a^-1, so
+#   a block computes one product per pair for both digits.  Full pool
+#   (seed 5, search with intern, best of 5): b = 6 took 0.066 s at m = 12
+#   and 0.49 s at m = 14, against 0.22 and 2.3 s with b = 0.  On
+#   custom:X,I,RX(0.3) (complex, both products computed) m = 12 took 10.4
+#   against 12.4 s at b = 0 while the host ran about 2x slow, and m = 10
+#   stayed within run-to-run noise (medians 0.75 against 0.70 s).
 # - FPRM/KRM: 10 is LIMITS[KRM], so every KRM search is one block
 #   with no DFS.  FPRM blocks are 2^(n-10) x 3^10 bytes: 0.9 MB at n = 14,
 #   3.8 MB at n = 16.  b = 8 ran 1.9x slower at n = 14; b = 11 and 12 ran
 #   1.8x and 2.3x faster at n = 16 but peaked 7 MB and 15 MB higher.
-BLOCK_VARS = {FPQF: 0, KQF: 6, FPRM: 10, KRM: 10}
+BLOCK_VARS = {FPQF: 6, KQF: 6, FPRM: 10, KRM: 10}
+
+# The most slot bytes a node expands at once (see the module docstring).
+# Measured in process on a 2-core Xeon, each setting in a fresh process:
+# FPQF at m = 14 on the full pool (1 MB of ID slots a node) took 0.74 s in
+# 8 MB chunks and 0.49 s in 256 KB ones, with 280k against 0.8k minor page
+# faults a search; FPRM at n = 16 made 148k against 4k faults, and its
+# repeated searches ran about 15 % faster.  Complex FPQF at m = 12 on
+# custom:X,I,RX(0.3) peaked at 2.3 MB traced, 43.6 MB unchunked, in about
+# the same time.  The cost: FPRM at n = 14 splits each node into 4 chunks
+# and its CLI run took about 2 % longer.
+CHUNK_BYTES = 256 << 10
 
 # Rows at least this many slots wide seed the histogram with one masked
 # row sum per count; narrower ones with one bincount over every slot.  On
 # a 2-core Xeon (median of 200, rows x slots): bincount against masked
-# sums took 11 against 139 us on 4096 x 1 (an FPQF leaf), 11 against 15 us
-# on 16 x 256, 56 against 22 us on 8 x 4^6 (a KQF block at m = 9) and
-# 1.9 ms against 0.30 ms on 16 x 3^10 (an FPRM block at n = 14).
+# sums took 11 against 139 us on 4096 x 1 (a b = 0 leaf at m = 12), 11
+# against 15 us on 16 x 256, 56 against 22 us on 8 x 4^6 (a KQF block at
+# m = 9) and 1.9 ms against 0.30 ms on 16 x 3^10 (an FPRM block at n = 14).
 _WIDE_ROWS = 1024
 
 
@@ -159,17 +184,18 @@ def expand(rows: np.ndarray, column, width: int) -> np.ndarray:
     return block.reshape(r, -1, *tail)
 
 
-def _histogram(alive: np.ndarray, counts: np.ndarray, bins: int, dtype) -> np.ndarray:
-    """hist[c, s]: live slot s in the rows whose prefix count is c."""
-    r, width = alive.shape
+def _add_histogram(hist: np.ndarray, alive: np.ndarray, counts: np.ndarray) -> None:
+    """hist[c, s] += live slot s in the rows whose prefix count is c."""
+    bins, width = hist.shape
     if width >= _WIDE_ROWS:
-        hist = np.zeros((bins, width), dtype=dtype)
-        for c in range(bins):
-            hist[c] = alive[counts == c].sum(axis=0, dtype=dtype)
-        return hist
+        # Only the counts these rows have: a chunk of a few rows adds to a
+        # few of the bins.
+        for c in set(counts.tolist()):
+            hist[c] += alive[counts == c].sum(axis=0, dtype=hist.dtype)
+        return
     index = np.add.outer(counts * width, np.arange(width))
-    hist = np.bincount(index.reshape(-1), weights=alive.reshape(-1), minlength=bins * width)
-    return hist.astype(dtype).reshape(bins, width)
+    part = np.bincount(index.reshape(-1), weights=alive.reshape(-1), minlength=bins * width)
+    hist += part.astype(hist.dtype).reshape(bins, width)
 
 
 def _reduce(hist: np.ndarray, digits: str, rules: dict, width: int) -> np.ndarray:
@@ -225,15 +251,24 @@ def polarity_costs(
     # 2-core Xeon, mostly page faults of the reduction's per-step arrays.
     dtype = np.min_scalar_type(1 << n)
     costs = np.empty(base**n, dtype=np.int64)
+    # Rows a node expands at once: CHUNK_BYTES of slots, and at least one.
+    chunk = max(1, CHUNK_BYTES // (width**block * (vector.nbytes // len(vector))))
+    # One histogram for every node, zeroed in place: a fresh one per node
+    # page-faults its bins in again (1.6 MB a node for FPRM at n = 16).
+    hist = np.empty((top + 1, width**block), dtype=dtype)
 
     def walk(vec, counts, depth, node):
         if depth == top:
             tail = vec.shape[1:]
-            slots = expand(vec.reshape(len(rows), -1, *tail), column, width)
-            alive = live(slots.reshape(-1, *tail)).reshape(len(rows), -1)
-            del slots
-            hist = _reduce(_histogram(alive, counts, top + 1, dtype), digits, rules, width)
-            costs[node * span : (node + 1) * span] = cost_table @ hist
+            node_rows = vec.reshape(len(rows), -1, *tail)
+            hist.fill(0)
+            for lo in range(0, len(rows), chunk):
+                slots = expand(node_rows[lo : lo + chunk], column, width)
+                alive = live(slots.reshape(-1, *tail)).reshape(len(slots), -1)
+                del slots
+                _add_histogram(hist, alive, counts[lo : lo + chunk])
+            node_costs = cost_table @ _reduce(hist, digits, rules, width)
+            costs[node * span : (node + 1) * span] = node_costs
             return
         for k, digit in enumerate(digits):
             child = stage(vec, digit, n - 1 - depth)

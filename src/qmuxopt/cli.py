@@ -250,6 +250,8 @@ def _load_classical_input(text: str, output_index: int, family: str):
         cover = pla.load_pla(text)
         blocksearch.check_size(family, cover.num_inputs)
         return pla.to_bool_func(cover, output_index), text
+    if output_index != 0:
+        raise ParseError(f"output index {output_index} out of range 0..0 (one output)", text)
     return boolrm.BoolFunc.from_string(text), None
 
 

@@ -1,8 +1,10 @@
 """Exhaustive and random polarity search over a standard-form multiplexer.
 
 The exhaustive search is `blocksearch.polarity_costs` on the quantum
-butterfly: a DFS of `kernels.gate_stage` forward columns over the top
-digits, then blocks of `kernels.qetv_stage` slots.  A gate's count is its
+butterfly, the same for FPQF and KQF: a DFS of `kernels.gate_stage`
+forward columns over all but the bottom `blocksearch.BLOCK_VARS` digits,
+then one block of `kernels.qetv_stage` slots per DFS node, which costs
+all of the node's suffix polarities at once.  A gate's count is its
 number of controls: a fixed digit controls the gates at its set-bit
 indices, a '2' digit every gate, and `cost.gate_cost` prices the count
 of every gate that is not the identity.  Random search runs one forward

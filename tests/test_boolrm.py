@@ -292,6 +292,18 @@ def test_search_matches_reference_on_random_functions(n, family, block, data):
         assert rm_search(func, family) == reference_ranking(func, family)
 
 
+@pytest.mark.parametrize("family,n", [(boolrm.FPRM, 12), (boolrm.KRM, 8)])
+def test_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, family, n):
+    bits = np.random.default_rng(530 + n).integers(0, 2, size=1 << n).astype(np.uint8)
+    func = BoolFunc(n, bits)
+    # Two DFS digits above the block, so each node has 4 rows to split; a
+    # KRM block otherwise holds all n <= 10 variables in one row.
+    monkeypatch.setitem(blocksearch.BLOCK_VARS, family, n - 2)
+    expected = rm_search(func, family)
+    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
+    assert rm_search(func, family) == expected
+
+
 def _etv_slot_index(polarity, position):
     """Position of a polarity's coefficient among the 3^n ETV slots: per
     variable the slot the digit keeps at the position's bit, the first

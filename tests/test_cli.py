@@ -175,6 +175,14 @@ def test_classical_accepts_hex_and_pla(capsys, tmp_path):
     assert rows[1].split(",")[1] == "2"  # parity of two variables costs 2
 
 
+@pytest.mark.parametrize("index", [5, -1])
+def test_classical_minterm_string_rejects_an_output_index_past_0(capsys, index):
+    code, out, err = run(capsys, ["classical", "0x6F", "--output-index", index])
+    assert code == 2
+    assert f"0x6F: output index {index} out of range 0..0" in err
+    assert out == ""
+
+
 def test_classical_top_limits_rows(capsys):
     code, out, _ = run(capsys, ["classical", "01101111", "--top", "3",
                                 "--format", "csv"])

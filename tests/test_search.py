@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,9 +314,10 @@ def per_polarity_reference(std, family):
     return out
 
 
-# Block sizes 0 (a leaf per polarity), 1 and 3 (a DFS above small blocks)
-# and 9 (>= m: one block, no DFS).
-BLOCKS = (0, 1, 3, 9)
+# Block sizes 0 (a leaf per polarity), 1 and 3 (a DFS above small blocks),
+# 6 (the production block; one DFS digit above it at m = 7) and 9 (>= m:
+# one block, no DFS).
+BLOCKS = (0, 1, 3, 6, 9)
 
 
 @pytest.mark.parametrize("case", list(ALL_CASES))
@@ -336,6 +339,48 @@ def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkey
     for block in BLOCKS:
         monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
         assert list(iter_polarity_costs(std, family)) == expected, block
+
+
+@pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_block_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, pool, family):
+    # m = 8: two DFS digits above the 6-variable block, so 4 rows a node.
+    std = generate(8, resolve_pool(pool), seed=320)
+    assert (group.intern(std.targets) is None) == (pool != "full")
+    expected = search.polarity_costs(std, family)
+    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
+    assert np.array_equal(search.polarity_costs(std, family), expected)
+
+
+def test_exhaustive_fpqf_runs_dfs_columns_only_above_the_block(monkeypatch):
+    std = generate(8, POOL_FULL, seed=321)
+    bits = []
+    stage = kernels.gate_stage
+
+    def counted(gates_, kernel, bit, gate_group=None):
+        bits.append(bit)
+        return stage(gates_, kernel, bit, gate_group)
+
+    monkeypatch.setattr(kernels, "gate_stage", counted)
+    search.polarity_costs(std, "fpqf")
+    # The top 2 of 8 digits: 2 columns at bit 7 and 4 at bit 6; the other
+    # 6 variables are block slots, not columns.
+    assert sorted(bits) == [6, 6, 6, 6, 7, 7]
+
+
+def test_block_memory_is_bounded_by_the_chunk_budget(monkeypatch):
+    # Complex path: a 4^6-slot row of 2x2 matrices is 256 KB, and a node
+    # holds 16 of them at m = 10, 4 MB unchunked.
+    std = generate(10, resolve_pool("custom:X,I,RX(0.3)"), seed=322)
+    assert group.intern(std.targets) is None
+    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        search.polarity_costs(std, "fpqf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _slot_index(polarity, gate):
