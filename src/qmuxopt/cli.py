@@ -12,22 +12,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
-import json
 import os
 import sys
 import time
 
-from . import __version__, blocksearch, boolrm, cost, mux, muxio, pla, randmux
+from . import __version__, blocksearch, boolrm, cost, jsonout, mux, muxio, pla, randmux
 from . import search as search_mod
 from .errors import ParseError, QmuxError, SizeLimitExceeded
 
 VERIFY_TOLERANCE = 1e-9
-
-# JSON encoder chunks joined into one write.  The encoder yields a few
-# characters at a time, and with PYTHONUNBUFFERED or `python -u` every
-# stdout write is a system call: about 2M of them for an m = 17 report.
-JSON_CHUNKS_PER_WRITE = 4096
 
 _CLASSICAL_FAMILIES = {
     "fpqf": boolrm.FPRM,
@@ -135,19 +128,18 @@ def _manifest_lines(manifest: dict) -> list:
 def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
     """Write the report in args.format to args.out, or to stdout.  The
     bodies are callables that build the text lines, the JSON dict and the
-    CSV lines; only the one the format asks for runs.  JSON is encoded
-    into the stream a batch of chunks at a time, never held whole as one
-    string; the bytes are those of json.dumps(body, indent=2)."""
+    CSV lines; only the one the format asks for runs.  JSON goes through
+    jsonout.write_json, which streams it into the file a batch of keys,
+    list items and table rows at a time, never as one string; the bytes
+    are those of json.dumps(body, indent=2), with each jsonout.Table as
+    its list of row dicts."""
     if args.out:
         stream = open(args.out, "w", encoding="utf-8")
     else:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
         if args.format == "json":
-            body = {"manifest": manifest, **json_body()}
-            chunks = json.JSONEncoder(indent=2).iterencode(body)
-            while batch := "".join(itertools.islice(chunks, JSON_CHUNKS_PER_WRITE)):
-                fh.write(batch)
+            jsonout.write_json(fh, {"manifest": manifest, **json_body()})
         elif args.format == "csv":
             fh.write("\n".join(_manifest_lines(manifest) + csv_lines()))
         else:
@@ -292,9 +284,9 @@ def _ranked_lines(ranked) -> list:
     return ["polarity,cost"] + [f"{p},{c}" for p, c in ranked]
 
 
-def _ranked_json(ranked) -> list:
+def _ranked_json(ranked) -> jsonout.Table:
     """JSON body of a classical ranking."""
-    return [{"polarity": p, "cost": c} for p, c in ranked]
+    return jsonout.Table(("polarity", "cost"), ([p for p, _ in ranked], [c for _, c in ranked]))
 
 
 def _cmd_generate(args) -> int:

@@ -11,12 +11,12 @@ controls are free.
 
 from __future__ import annotations
 
-import json
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocksearch, kernels
+from . import blocksearch, jsonout, kernels
 from .mux import EPS, KQF, Multiplexer
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
@@ -78,16 +78,19 @@ class CostReport:
         return zip(*(column.tolist() for column in columns))
 
     def to_json_dict(self) -> dict:
+        """JSON body for jsonout.write_json; per_gate is a Table of the
+        columns gate_index, controls and cost."""
+        columns = (self.gate_index.tolist(), self.controls.tolist(), self.costs.tolist())
         return {
-            "per_gate": [
-                {"gate_index": i, "controls": c, "cost": k} for i, c, k in self.rows()
-            ],
+            "per_gate": jsonout.Table(("gate_index", "controls", "cost"), columns),
             "total": self.total,
             "skipped_identities": self.skipped_identities,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        buffer = io.StringIO()
+        jsonout.write_json(buffer, self.to_json_dict())
+        return buffer.getvalue()
 
     def format_table(self, max_rows: int = 64) -> str:
         """Aligned-column text table; long reports elide the middle."""

@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 
+from . import kernels
 from .errors import NonUnitary, UnknownGate
 
 # Unitarity / equality tolerance.  Errors grow with depth: by group.py's
@@ -20,6 +21,10 @@ from .errors import NonUnitary, UnknownGate
 # output drifts 1.2e-9 from unitary at m = 16 and 3.5e-9 at m = 17, past EPS,
 # so mux.inverse_transform rejects its own round trip from m = 16 on.
 EPS = 1e-9
+
+# Matrix literals joined per batch in render_gates: the strings of one batch
+# are the only per-entry temporaries alive at a time.
+RENDER_CHUNK_ROWS = 4096
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -155,9 +160,15 @@ def render_gate(u: np.ndarray) -> str:
 
 
 def render_gates(us: np.ndarray) -> list:
-    """render_gate of every matrix in a (n, 2, 2) stack, vectorized:
-    one comparison of the whole stack per catalog gate, in catalog order,
-    so the first match wins as in render_gate."""
+    """render_gate of every matrix in a (n, 2, 2) stack, vectorized.
+
+    One comparison of the whole stack per catalog gate, in catalog order,
+    so the first match wins as in render_gate.  The other matrices become
+    literals: their entries, viewed as interleaved (re, im) float64 in
+    row-major order, are deduplicated by bit pattern (so -0.0 and 0.0 stay
+    apart), each distinct one is repr'd once, and the tokens are joined
+    RENDER_CHUNK_ROWS matrices at a time, which bounds the temporaries.
+    """
     n = len(us)
     tokens = [None] * n
     unmatched = np.ones(n, dtype=bool)
@@ -167,10 +178,14 @@ def render_gates(us: np.ndarray) -> list:
             tokens[i] = name
         unmatched &= ~hit
     rest = np.flatnonzero(unmatched)
-    real = us[rest].real.reshape(-1, 4).tolist()
-    imag = us[rest].imag.reshape(-1, 4).tolist()
-    for i, re, im in zip(rest.tolist(), real, imag):
-        tokens[i] = _matrix_literal(re, im)
+    bits = us[rest].view(np.float64).reshape(-1).view(np.uint64)
+    distinct, _, where = kernels.unique(bits)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    where = where.reshape(-1, 8)
+    for start in range(0, len(rest), RENDER_CHUNK_ROWS):
+        chunk = slice(start, start + RENDER_CHUNK_ROWS)
+        for i, entries in zip(rest[chunk].tolist(), texts[where[chunk]].tolist()):
+            tokens[i] = "M(" + ",".join(entries) + ")"
     return tokens
 
 

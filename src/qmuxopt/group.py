@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
+from . import gates, kernels
 
 MAX_ELEMENTS = 256  # IDs fit in one byte
 # Largest residual accepted at any depth: targets against their elements,
@@ -133,7 +133,7 @@ def intern(targets: np.ndarray):
     ids is a uint8 vector with targets[i] within TOL of elements[ids[i]].
     """
     target_keys = _keys(targets)
-    distinct, first, where = np.unique(target_keys, return_index=True, return_inverse=True)
+    distinct, first, where = kernels.unique(target_keys)
     if len(distinct) > MAX_ELEMENTS:
         return None
     elements = _closure(targets[first])

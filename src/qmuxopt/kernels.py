@@ -44,6 +44,10 @@ Its extended-vector column keeps all three values those columns produce:
 FORWARD, INVERSE and GF2 map a polarity digit to the code of the column
 its variable runs in each cascade.
 
+`unique` finds the distinct values of a key vector with one stable sort.
+The program uses it in place of np.unique, whose first bare call (no
+return_* flag) imports numpy.ma: about 10 ms in a fresh interpreter.
+
 Operands stay unitary throughout, so matrix inverses are conjugate
 transposes.
 """
@@ -171,6 +175,21 @@ def mux_cost(gates, counts, cost_table, eps):
     is_id = identity_mask(gates, eps)
     total = int(cost_table[counts[~is_id]].sum())
     return total, int(is_id.sum())
+
+
+def unique(values: np.ndarray):
+    """(distinct, first, inverse) of a 1-D array, as np.unique(values,
+    return_index=True, return_inverse=True) gives them: the sorted distinct
+    values, the index of each one's first occurrence, and for every entry
+    the position of its value in `distinct`."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], order[starts], inverse
 
 
 def gf2_stage(vec: np.ndarray, kernel: int, bit: int) -> np.ndarray:

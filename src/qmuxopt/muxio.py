@@ -13,6 +13,7 @@ JSON mirror uses the same field names:
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -57,6 +58,14 @@ def _gate_matrices(tokens: list, fail) -> np.ndarray:
     return np.array(parsed, dtype=complex).reshape(-1, 2, 2)[index]
 
 
+def _token_place(spans: list, i: int) -> tuple:
+    """(line, column) of token i, from the spans parse_qmux records: the
+    token is on the last line whose first token index is at most i."""
+    lineno, line, offset, first = next(s for s in reversed(spans) if s[3] <= i)
+    match = next(itertools.islice(_TOKEN_RE.finditer(line, offset), i - first, None))
+    return lineno, match.start() + 1
+
+
 def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     """Parse .qmux text (or its JSON mirror, detected by a leading '{')."""
     if text.lstrip().startswith("{"):
@@ -69,7 +78,10 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     controls = None
     form = None
     polarity = None
-    tokens = []  # (token, line, column)
+    tokens = []
+    # One (line number, line, offset, index of its first token) per line of
+    # targets; a token's line and column are worked out only for an error.
+    spans = []
     in_targets = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         comment = raw.find("#")
@@ -77,8 +89,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         if not line.strip():
             continue
         if in_targets:
-            for match in _TOKEN_RE.finditer(line):
-                tokens.append((match.group(), lineno, match.start() + 1))
+            spans.append((lineno, line, 0, len(tokens)))
+            tokens += line.split()
             continue
         key, sep, value = line.partition(":")
         if not sep:
@@ -96,8 +108,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         elif key == "targets":
             in_targets = True
             offset = line.index(":") + 1
-            for match in _TOKEN_RE.finditer(line[offset:]):
-                tokens.append((match.group(), lineno, offset + match.start() + 1))
+            spans.append((lineno, line, offset, len(tokens)))
+            tokens += value.split()
         else:
             raise ParseError(f"unknown field {key!r}", source, lineno)
 
@@ -109,15 +121,15 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         raise ParseError("missing 'targets:' line", source)
     expected = 1 << controls
     if len(tokens) != expected:
-        where = tokens[-1][1] if tokens else None
+        where = _token_place(spans, len(tokens) - 1)[0] if tokens else None
         raise ParseError(
             f"expected {expected} gate tokens, got {len(tokens)}", source, where
         )
 
     def fail(i, exc):
-        raise ParseError(str(exc), source, *tokens[i][1:])
+        raise ParseError(str(exc), source, *_token_place(spans, i))
 
-    matrices = _gate_matrices([token for token, _, _ in tokens], fail)
+    matrices = _gate_matrices(tokens, fail)
     try:
         return Multiplexer(controls, matrices, form, polarity)
     except (ValueError, QmuxError) as exc:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -388,3 +391,23 @@ def test_fpqf_form_with_a_mixed_digit_exits_2(capsys, tmp_path, name):
     code, _, err = run(capsys, ["cost", path])
     assert code == 2
     assert name in err
+
+
+def test_a_quantum_run_does_not_import_numpy_ma(tmp_path):
+    """A bare np.unique call imports numpy.ma, about 10 ms in a fresh
+    interpreter; the program dedups with kernels.unique instead."""
+    path = tmp_path / "m3.qmux"
+    save_qmux(generate(3, POOL_FULL, seed=1), path)
+    script = (
+        "import sys\n"
+        "from qmuxopt import cli\n"
+        f"assert cli.main(['optimize', {str(path)!r}, '--format', 'json', '--out', "
+        f"{str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -121,3 +121,40 @@ def test_render_parse_round_trip():
 def test_render_gate_prefers_catalog_names():
     assert gates.render_gate(gates.V @ gates.V) == "X"
     assert gates.render_gate(gates.I) == "I"
+
+
+def _render_reference(us):
+    return [gates.render_gate(u) for u in us]
+
+
+def test_render_gates_keeps_signed_zeros_apart():
+    phase = np.exp(0.3j)
+    plus = np.array([[complex(0.0, 0.0), phase], [phase, complex(0.0, 0.0)]])
+    minus = np.array([[complex(-0.0, -0.0), phase], [phase, complex(-0.0, 0.0)]])
+    tokens = gates.render_gates(np.stack([plus, minus, plus]))
+    assert tokens == _render_reference([plus, minus, plus])
+    assert tokens[0].startswith("M(0.0,0.0,") and tokens[1].startswith("M(-0.0,-0.0,")
+
+
+def test_render_gates_repeated_bit_patterns():
+    rng = np.random.default_rng(15)
+    pool = np.stack([gates.random_unitary(rng) for _ in range(5)])
+    stack = pool[rng.integers(0, 5, size=64)]
+    stack[::7] = gates.rx(0.3)  # entries shared across matrices and within one
+    assert gates.render_gates(stack) == _render_reference(stack)
+
+
+def test_render_gates_at_the_catalog_tolerance():
+    inside = gates.X + 0.9 * gates.EPS
+    outside = gates.X.copy()
+    outside[0, 1] += 1.1 * gates.EPS
+    stack = np.stack([inside, outside, gates.V - 0.9j * gates.EPS, gates.V + 1.1j * gates.EPS])
+    tokens = gates.render_gates(stack)
+    assert tokens == _render_reference(stack)
+    assert [t.startswith("M(") for t in tokens] == [False, True, False, True]
+
+
+def test_render_gates_all_catalog_and_empty():
+    catalog = np.stack(list(gates.CATALOG.values()) * 3)
+    assert gates.render_gates(catalog) == list(gates.CATALOG) * 3
+    assert gates.render_gates(np.empty((0, 2, 2), dtype=complex)) == []

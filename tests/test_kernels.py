@@ -124,3 +124,12 @@ def test_forward_and_inverse_kernels_cancel():
     ]:
         back = kernels.gate_stage(kernels.gate_stage(vec, fwd, 1), inv, 1)
         assert np.abs(back - vec).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,high", [(0, 1), (1, 1), (50, 7), (1000, 1 << 40)])
+def test_unique_matches_np_unique(n, high):
+    values = np.random.default_rng(n).integers(0, high, size=n).astype(np.uint64)
+    got = kernels.unique(values)
+    expected = np.unique(values, return_index=True, return_inverse=True)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)

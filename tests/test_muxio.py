@@ -118,6 +118,45 @@ def test_repeated_bad_token_fails_at_its_first_occurrence():
     assert "target 1:" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text,message,line,column",
+    [
+        # a wrapped line, indented with a tab and spaces
+        ("controls: 2\nform: standard\ntargets: I V\n\t  X RQ(1)\n",
+         "unrecognized gate token 'RQ(1)'", 4, 6),
+        # the targets line itself, with the key padded: columns count from the line start
+        ("controls: 2\nform: standard\n  targets :  I  M(1,2)  V X # c\n",
+         "matrix literal needs 8 numbers, got 2: 'M(1,2)'", 3, 17),
+        # a non-unitary literal after a blank and a comment-only line
+        ("controls: 1\nform: standard\ntargets:\n\n# c\n  I M(1,0,0,0,0,0,2,0)\n",
+         "matrix literal is not unitary (deviation 3.000e+00)", 6, 5),
+    ],
+)
+def test_bad_token_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="case.qmux")
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"case.qmux:{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,got,line",
+    [
+        ("controls: 2\nform: standard\ntargets: I V\n  X\n# a comment\n\n", 3, 4),
+        ("controls: 1\nform: standard\ntargets: I I I\n", 3, 3),
+        ("controls: 1\nform: standard\ntargets: I\n  I  I\n  # none here\n", 3, 4),
+        ("controls: 1\nform: standard\ntargets:\n", 0, None),
+    ],
+)
+def test_token_count_error_message_and_line(text, got, line):
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="case.qmux")
+    assert info.value.line == line and info.value.column is None
+    where = f":{line}" if line else ""
+    expected = 4 if "controls: 2" in text else 2
+    assert str(info.value) == f"case.qmux{where}: expected {expected} gate tokens, got {got}"
+
+
 def test_each_distinct_token_is_parsed_once(monkeypatch):
     m = generate(6, POOL_FULL, seed=3)
     calls = []

@@ -1,8 +1,14 @@
-"""Guard for the benchmark's traced run: perfbench/tracer.py wraps module
-attributes from the outside, so a caller that binds a layer function
-directly (``from .kernels import mux_cost``) hides its calls.  Each tiny
-workload here must show at least one call on every layer the benchmark
-expects it to reach."""
+"""Guards for the benchmark's runs.
+
+perfbench/tracer.py wraps module attributes from the outside, so a caller
+that binds a layer function directly (``from .kernels import mux_cost``)
+hides its calls.  Each tiny workload here must show at least one call on
+every layer the benchmark expects it to reach.
+
+Every benchmark invocation must also reproduce the report digest pinned
+in perfbench/pinned.json; seed 0 of each workload is checked here, in
+process, so a change to the report bytes shows in the unit tests.
+"""
 
 import importlib.util
 import json
@@ -12,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qmuxopt import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -52,3 +60,15 @@ def test_every_benchmark_layer_sees_calls(tmp_path, size, family, samples):
     layers = json.loads(trace.read_text())["layers"]
     silent = [name for name in w.layers if layers[name]["calls"] == 0]
     assert silent == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_seed_0_report_matches_the_pinned_digest(tmp_path, monkeypatch, name):
+    w = workloads.WORKLOADS[name]
+    inputs = workloads.make_inputs(w, seed=0, work=tmp_path)
+    monkeypatch.chdir(tmp_path)  # the argv names the input file relative to it
+    assert cli.main([*inputs.argv, "--out", "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    expected = workloads.pinned_digest(name, 0)
+    assert expected is not None
+    assert workloads.report_digest(report) == expected
