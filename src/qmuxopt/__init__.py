@@ -13,33 +13,37 @@ __version__ = "0.1.0"
 from .boolrm import (  # noqa: F401
     FPRM,
     KRM,
-    BaseFunction,
     BoolFunc,
     RMSpectrum,
     literal_cost,
-    map_coefficient,
     rm_inverse_transform,
     rm_search,
     rm_transform,
-    rm_transform_matrix,
 )
-from .cost import CostReport, control_count, gate_cost, multiplexer_cost  # noqa: F401
+from .cost import CostReport, gate_cost, multiplexer_cost  # noqa: F401
 from .mux import (  # noqa: F401
     FPQF,
     KQF,
     STANDARD,
     Multiplexer,
-    butterfly_stage,
     forward_transform,
     inverse_transform,
     max_semantic_deviation,
     negative_control_realization,
     semantics,
-    triangular_solve,
 )
 from .muxio import dump_qmux, load_qmux, parse_qmux, save_qmux  # noqa: F401
 from .pla import load_pla, parse_pla, to_bool_func, to_multiplexer  # noqa: F401
-from .randmux import POOL_FULL, POOL_NVV, GatePool, generate, known_cases  # noqa: F401
+from .randmux import POOL_FULL, POOL_NVV, GatePool, generate  # noqa: F401
+from .reference import (  # noqa: F401
+    BaseFunction,
+    butterfly_stage,
+    control_count,
+    known_cases,
+    map_coefficient,
+    rm_transform_matrix,
+    triangular_solve,
+)
 from .search import (  # noqa: F401
     SearchConfig,
     SearchReport,

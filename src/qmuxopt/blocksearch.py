@@ -118,14 +118,6 @@ BLOCK_VARS = {FPQF: 6, KQF: 6, FPRM: 10, KRM: 10}
 # and its CLI run took about 2 % longer.
 CHUNK_BYTES = 256 << 10
 
-# Rows at least this many slots wide seed the histogram with one masked
-# row sum per count; narrower ones with one bincount over every slot.  On
-# a 2-core Xeon (median of 200, rows x slots): bincount against masked
-# sums took 11 against 139 us on 4096 x 1 (a b = 0 leaf at m = 12), 11
-# against 15 us on 16 x 256, 56 against 22 us on 8 x 4^6 (a KQF block at
-# m = 9) and 1.9 ms against 0.30 ms on 16 x 3^10 (an FPRM block at n = 14).
-_WIDE_ROWS = 1024
-
 
 def check_polarity(polarity: str, n: int, family: str) -> None:
     """Raise unless polarity is n digits of the family."""
@@ -156,7 +148,8 @@ def digit_mask(polarity: str, digit: str) -> int:
 
 def count_vector(polarity: str, family: str) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
-    as int64: cost.control_count or boolrm.map_coefficient's literal count.
+    as int64: reference.control_count, or the literal count of
+    reference.map_coefficient.
     One digit's vector is its (clear-bit, set-bit) shifts."""
     rules = SLOT_RULES[family]
     counts = np.zeros(1, dtype=np.int64)
@@ -185,17 +178,11 @@ def expand(rows: np.ndarray, column, width: int) -> np.ndarray:
 
 
 def _add_histogram(hist: np.ndarray, alive: np.ndarray, counts: np.ndarray) -> None:
-    """hist[c, s] += live slot s in the rows whose prefix count is c."""
-    bins, width = hist.shape
-    if width >= _WIDE_ROWS:
-        # Only the counts these rows have: a chunk of a few rows adds to a
-        # few of the bins.
-        for c in set(counts.tolist()):
-            hist[c] += alive[counts == c].sum(axis=0, dtype=hist.dtype)
-        return
-    index = np.add.outer(counts * width, np.arange(width))
-    part = np.bincount(index.reshape(-1), weights=alive.reshape(-1), minlength=bins * width)
-    hist += part.astype(hist.dtype).reshape(bins, width)
+    """hist[c, s] += live slot s in the rows whose prefix count is c: one
+    masked row sum per count the rows have, so a chunk of a few rows adds
+    to a few of the bins."""
+    for c in set(counts.tolist()):
+        hist[c] += alive[counts == c].sum(axis=0, dtype=hist.dtype)
 
 
 def _reduce(hist: np.ndarray, digits: str, rules: dict, width: int) -> np.ndarray:

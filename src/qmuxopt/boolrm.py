@@ -9,7 +9,7 @@ KRM polarities use {0,1,2}.
 The transform is a cascade of GF(2) butterfly columns, one per variable.
 The columns commute, so the order is fixed (first variable first) purely
 for determinism.  Output position i of the transform pairs with the base
-function map_coefficient(i, p); positions are never reordered.
+function reference.map_coefficient(i, p); positions are never reordered.
 
 rm_search costs every polarity with `blocksearch.polarity_costs` on the
 GF(2) butterfly: a DFS of `kernels.gf2_stage` columns over the top
@@ -29,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksearch, kernels
-from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector, digit_mask
-from .errors import SizeLimitExceeded
-
-_STAGE_MATRICES = {
-    "1": np.array([[1, 0], [1, 1]], dtype=np.uint8),
-    "0": np.array([[1, 1], [0, 1]], dtype=np.uint8),
-    "2": np.eye(2, dtype=np.uint8),
-}
-
+from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector
 
 @dataclass(frozen=True)
 class BoolFunc:
@@ -105,39 +97,6 @@ class RMSpectrum:
         return len(self.polarity)
 
 
-@dataclass(frozen=True)
-class BaseFunction:
-    """Product of literals paired with a spectral coefficient.
-
-    literals[k] is None when variable k+1 is absent, True for a positive
-    literal, False for a negative one.  An all-absent base is the constant 1.
-    """
-
-    literals: tuple
-
-    @property
-    def literal_count(self) -> int:
-        return sum(1 for lit in self.literals if lit is not None)
-
-    def evaluate(self, point: int) -> int:
-        n = len(self.literals)
-        for k, lit in enumerate(self.literals):
-            if lit is None:
-                continue
-            bit = (point >> (n - 1 - k)) & 1
-            if bool(bit) != lit:
-                return 0
-        return 1
-
-    def label(self, names: str = "abcdefghijklmnop") -> str:
-        parts = []
-        for k, lit in enumerate(self.literals):
-            if lit is None:
-                continue
-            parts.append(names[k] if lit else names[k] + "'")
-        return "".join(parts) or "1"
-
-
 def rm_transform(func: BoolFunc, polarity: str) -> RMSpectrum:
     """Spectral coefficients of func at the given polarity.
 
@@ -166,69 +125,10 @@ def _cascade(vec: np.ndarray, polarity: str) -> np.ndarray:
     return vec
 
 
-def rm_transform_matrix(polarity: str) -> np.ndarray:
-    """GF(2) transform matrix: the Kronecker product over polarity digits.
-
-    Intended as a small-n cross-check of the butterfly path, so sizes are
-    capped at 12 variables.
-    """
-    if len(polarity) > 12:
-        raise SizeLimitExceeded("transform matrices are limited to 12 variables")
-    check_polarity(polarity, len(polarity), KRM)
-    mat = np.array([[1]], dtype=np.uint8)
-    for digit in polarity:
-        mat = np.kron(mat, _STAGE_MATRICES[digit])
-    return mat
-
-
-def map_coefficient(index: int, polarity: str) -> BaseFunction:
-    """Base function paired with transform output position `index`.
-
-    Digit-by-digit comparison of the index against the polarity: a fixed
-    digit includes its variable (at that digit's polarity) iff the index
-    bit equals the digit; a mixed digit always includes its variable, with
-    polarity taken from the index bit.
-    """
-    n = len(polarity)
-    literals = []
-    for k, digit in enumerate(polarity):
-        bit = (index >> (n - 1 - k)) & 1
-        if digit == "2":
-            literals.append(bool(bit))
-        elif bit == int(digit):
-            literals.append(digit == "1")
-        else:
-            literals.append(None)
-    return BaseFunction(tuple(literals))
-
-
-def negative_digit_mask(polarity: str) -> int:
-    """Index mask with a 1 at each fixed-negative ('0') digit's bit."""
-    return digit_mask(polarity, "0")
-
-
-def base_order_index(index: int, polarity: str) -> int:
-    """Map a transform output position to its base-function index.
-
-    Base-function index j has bit k set iff variable c_{k+1} appears in the
-    base function (for mixed digits the bit gives the literal's polarity).
-    The map is an XOR with the fixed-negative digit mask, an involution.
-    """
-    return index ^ negative_digit_mask(polarity)
-
-
 def literal_cost(spectrum: RMSpectrum) -> int:
     """Total literals over the nonzero coefficients; constants cost 0."""
     counts = count_vector(spectrum.polarity, KRM)
     return int((spectrum.coefficients.astype(np.int64) * counts).sum())
-
-
-def evaluate_spectrum(spectrum: RMSpectrum, point: int) -> int:
-    """XOR of the nonzero coefficients' base functions at one input point."""
-    acc = 0
-    for i in np.nonzero(spectrum.coefficients)[0]:
-        acc ^= map_coefficient(int(i), spectrum.polarity).evaluate(point)
-    return acc
 
 
 def rm_search(func: BoolFunc, family: str = FPRM) -> list:

@@ -31,7 +31,8 @@ _CLASSICAL_FAMILIES = {
 
 
 def _non_negative(text: str) -> int:
-    """argparse type for counts: a negative one would slice from the end."""
+    """argparse type for counts and seeds: a negative count would slice from
+    the end, and numpy's generator refuses a negative seed."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
     return int(text)
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--family", choices=("fpqf", "kqf"), default="fpqf")
     p_opt.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p_opt.add_argument("--samples", type=int, default=1, help="random-mode draw count")
-    p_opt.add_argument("--seed", type=int, default=0, help="random-mode seed")
+    p_opt.add_argument("--seed", type=_non_negative, default=0, help="random-mode seed")
     add_format(p_opt)
 
     p_ver = sub.add_parser("verify", help="check a polarity preserves the semantics")
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--pool", default="full", help="full, nvv, or custom:<comma-separated tokens>"
     )
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative, default=0)
     p_gen.add_argument("--out", required=True, help="output path (.qmux or .json)")
 
     p_cost = sub.add_parser("cost", help="cost report for a .qmux multiplexer as-is")

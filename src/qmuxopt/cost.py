@@ -21,6 +21,9 @@ from .mux import EPS, KQF, Multiplexer
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
 
+# Rows format_table prints whole; a longer table keeps its first 56 and last 8.
+TABLE_MAX_ROWS = 64
+
 
 def gate_cost(num_controls: int) -> int:
     """Cost of one gate with the given number of controls."""
@@ -31,24 +34,8 @@ def gate_cost(num_controls: int) -> int:
     return 32 * num_controls - 96
 
 
-def control_count(gate_index: int, polarity: str) -> int:
-    """Controls on gate `gate_index` under the polarity digits.
-
-    A fixed digit contributes one control iff the gate-index bit for that
-    variable is 1; a mixed digit always contributes one.
-    """
-    m = len(polarity)
-    count = 0
-    for k, digit in enumerate(polarity):
-        if digit == "2":
-            count += 1
-        elif (gate_index >> (m - 1 - k)) & 1:
-            count += 1
-    return count
-
-
 def control_count_vector(polarity: str) -> np.ndarray:
-    """control_count for every gate index, as an int64 vector."""
+    """Controls on every gate under the polarity, as an int64 vector."""
     return blocksearch.count_vector(polarity, KQF)
 
 
@@ -92,16 +79,16 @@ class CostReport:
         jsonout.write_json(buffer, self.to_json_dict())
         return buffer.getvalue()
 
-    def format_table(self, max_rows: int = 64) -> str:
+    def format_table(self) -> str:
         """Aligned-column text table; long reports elide the middle."""
         row = "{:>6}  {:>8}  {:>6}".format
         lines = [row("gate", "controls", "cost")]
         n = len(self.costs)
-        if n <= max_rows:
+        if n <= TABLE_MAX_ROWS:
             lines += [row(*r) for r in self.rows()]
         else:
-            lines += [row(*r) for r in self.rows(slice(0, max_rows - 8))]
-            lines.append(f"{'...':>6}  ({n - max_rows} rows elided)")
+            lines += [row(*r) for r in self.rows(slice(0, TABLE_MAX_ROWS - 8))]
+            lines.append(f"{'...':>6}  ({n - TABLE_MAX_ROWS} rows elided)")
             lines += [row(*r) for r in self.rows(slice(n - 8, n))]
         lines.append(f"total: {self.total}    skipped identities: {self.skipped_identities}")
         return "\n".join(lines)

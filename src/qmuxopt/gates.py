@@ -64,11 +64,6 @@ def rz(theta: float) -> np.ndarray:
     )
 
 
-def multiply(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Matrix product lhs @ rhs."""
-    return lhs @ rhs
-
-
 def inverse(u: np.ndarray) -> np.ndarray:
     """Inverse of a unitary: the conjugate transpose."""
     return np.ascontiguousarray(u.conj().T)

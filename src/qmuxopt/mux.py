@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gates, kernels
 from .blocksearch import FPQF, KQF, check_polarity, digit_mask
-from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
+from .errors import FormMismatch
 
 STANDARD = "standard"
 
@@ -114,10 +114,6 @@ def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
     return ((idx & ~allowed) == 0) & ((idx & required) == required)
 
 
-def active_gate_indices(mux: Multiplexer, input_state: int) -> np.ndarray:
-    return np.nonzero(activation_mask(mux, input_state))[0]
-
-
 def semantics(mux: Multiplexer, input_state: int) -> np.ndarray:
     """Operator realized on the target qubit for one input state.
 
@@ -125,7 +121,7 @@ def semantics(mux: Multiplexer, input_state: int) -> np.ndarray:
     identity when nothing fires.
     """
     out = np.eye(2, dtype=complex)
-    for i in active_gate_indices(mux, input_state):
+    for i in np.flatnonzero(activation_mask(mux, input_state)):
         out = mux.targets[i] @ out
     return out
 
@@ -139,35 +135,6 @@ def max_semantic_deviation(a: Multiplexer, b: Multiplexer) -> float:
         dev = float(np.abs(semantics(a, state) - semantics(b, state)).max())
         worst = max(worst, dev)
     return worst
-
-
-def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
-    """Apply a 2-gate kernel to every index pair differing at `bit`.
-
-    kernel is a `kernels` code (FORWARD_POS, FORWARD_NEG, INVERSE_POS,
-    INVERSE_NEG or IDENTITY), or a callable (a, b) -> (a', b') applied per
-    pair.
-    """
-    arr = np.ascontiguousarray(np.asarray(gate_vector, dtype=complex))
-    n = arr.shape[0]
-    if n < 2 or n & (n - 1):
-        raise LengthNotPowerOfTwo(f"gate vector length {n} is not a power of two")
-    if arr.shape[1:] != (2, 2):
-        raise ValueError("gate vector entries must be 2x2 matrices")
-    num_bits = n.bit_length() - 1
-    if not 0 <= bit < num_bits:
-        raise ValueError(f"bit {bit} out of range for {n} gates")
-    if callable(kernel):
-        out = arr.copy()
-        step = 1 << bit
-        for base in range(n):
-            if base & step:
-                continue
-            lo, hi = kernel(arr[base], arr[base + step])
-            out[base] = lo
-            out[base + step] = hi
-        return out
-    return kernels.gate_stage(arr, kernel, bit)
 
 
 def transform_stages(
@@ -252,32 +219,3 @@ def negative_control_realization(mux: Multiplexer) -> Multiplexer:
     lines = tuple(sorted(set(mux.inverted_lines) ^ set(flipped)))
     return Multiplexer(mux.controls, mux.targets, mux.form, "".join(digits), lines)
 
-
-def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
-    """Polarized targets derived one gate at a time from first principles.
-
-    For each gate index t (ascending), pick the input state that fires t as
-    its top gate and peel the already-solved lower gates off the standard
-    target.  Independent of the butterfly cascade; used as its reference.
-    """
-    if std.form != STANDARD:
-        raise FormMismatch(f"triangular solve needs standard form, got {std.form}")
-    form = form_for_polarity(polarity)
-    check_polarity(polarity, std.controls, form)
-    m = std.controls
-    if m > 8:
-        raise SizeLimitExceeded("triangular solve is limited to 8 controls")
-
-    # Input state whose top active gate is t: flip t's bits on negative digits.
-    flip = digit_mask(polarity, "0")
-    solved = np.empty((1 << m, 2, 2), dtype=complex)
-    probe = Multiplexer(m, np.tile(np.eye(2, dtype=complex), (1 << m, 1, 1)), form, polarity)
-    for t in range(1 << m):
-        state = t ^ flip
-        active = active_gate_indices(probe, state)
-        tail = np.eye(2, dtype=complex)
-        for j in sorted(active):
-            if j != t:
-                tail = solved[j] @ tail
-        solved[t] = std.targets[state] @ gates.inverse(tail)
-    return Multiplexer(m, solved, form, polarity)

@@ -25,6 +25,9 @@ from .mux import FPQF, KQF, STANDARD, Multiplexer, without_inverters
 
 _TOKEN_RE = re.compile(r"\S+")
 
+# Gate tokens per targets line in dump_qmux.
+TOKENS_PER_LINE = 8
+
 
 def _parse_form(text: str, source, line):
     value = text.strip().lower()
@@ -138,17 +141,22 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
 
 def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     try:
-        controls = int(data["controls"])
+        controls = data["controls"]
         form_text = str(data["form"])
-        raw_targets = list(data["targets"])
-    except (KeyError, TypeError, ValueError) as exc:
+        tokens = data["targets"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad JSON multiplexer: {exc}", source)
+    # Exact types: bool is an int subclass, and a string is not a token list.
+    if isinstance(controls, bool) or not isinstance(controls, int):
+        raise ParseError(f"bad JSON multiplexer: controls {controls!r} is not an int", source)
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
     form, polarity = _parse_form(form_text, source, None)
 
     def fail(i, exc):
         raise ParseError(f"target {i}: {exc}", source)
 
-    matrices = _gate_matrices([str(token) for token in raw_targets], fail)
+    matrices = _gate_matrices(tokens, fail)
     try:
         return Multiplexer(controls, matrices, form, polarity)
     except (ValueError, QmuxError) as exc:
@@ -164,7 +172,7 @@ def target_tokens(m: Multiplexer) -> list:
     return gates.render_gates(m.targets)
 
 
-def dump_qmux(m: Multiplexer, tokens_per_line: int = 8) -> str:
+def dump_qmux(m: Multiplexer) -> str:
     """Render as .qmux text; deterministic, so equal inputs give equal bytes.
 
     The format has no inverters, so line inverters are folded back into
@@ -172,8 +180,8 @@ def dump_qmux(m: Multiplexer, tokens_per_line: int = 8) -> str:
     m = without_inverters(m)
     lines = [f"controls: {m.controls}", f"form: {m.describe()}", "targets:"]
     tokens = target_tokens(m)
-    for start in range(0, len(tokens), tokens_per_line):
-        lines.append("  " + " ".join(tokens[start : start + tokens_per_line]))
+    for start in range(0, len(tokens), TOKENS_PER_LINE):
+        lines.append("  " + " ".join(tokens[start : start + TOKENS_PER_LINE]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Seeded random multiplexer generation and hand-built reference cases.
+"""Seeded random multiplexer generation.
 
 Targets are drawn i.i.d. uniformly from a named gate pool using numpy's
 default generator (PCG64), so a (controls, pool, seed) triple always
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .boolrm import BoolFunc
 from .errors import UnknownGate
 from .mux import Multiplexer
-from .pla import to_multiplexer
 
 MAX_CONTROLS = 20
 
@@ -64,20 +62,3 @@ def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
     targets = pool.matrices()[choices]
     return Multiplexer(controls, targets)
 
-
-@dataclass(frozen=True)
-class KnownCase:
-    name: str
-    multiplexer: Multiplexer
-    best_fpqf_polarity: str | None = None
-
-
-def known_cases() -> list:
-    """Hand-built multiplexers with known optima where pinned."""
-    ivvx_targets = np.stack([gates.I, gates.V, gates.V, gates.X])
-    parity3 = BoolFunc.from_string("01101001")
-    return [
-        KnownCase("iv-v-x", Multiplexer(2, ivvx_targets), "11"),
-        KnownCase("all-identity-2", Multiplexer(2, np.stack([gates.I] * 4))),
-        KnownCase("parity-3", to_multiplexer(parity3)),
-    ]

@@ -21,7 +21,6 @@ RX(theta) or arbitrary matrix literals.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -130,15 +129,6 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
         live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),
         cost_table=cost.cost_table_vector(std.controls),
     )
-
-
-def iter_polarity_costs(std: mux.Multiplexer, family: str):
-    """Yield (polarity, cost) for every polarity of the family, in
-    lexicographic order (see polarity_costs)."""
-    costs = polarity_costs(std, family).tolist()
-    names = itertools.product(FAMILY_DIGITS[family], repeat=std.controls)
-    for name, value in zip(names, costs):
-        yield "".join(name), value
 
 
 def _summary(

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qmuxopt import boolrm, cli, gates
-from qmuxopt.boolrm import BoolFunc, negative_digit_mask, rm_transform, rm_transform_matrix
+from qmuxopt.blocksearch import digit_mask
+from qmuxopt.boolrm import BoolFunc, rm_transform
 from qmuxopt.cost import gate_cost
 from qmuxopt.mux import (
     Multiplexer,
@@ -22,6 +23,7 @@ from qmuxopt.mux import (
 )
 from qmuxopt.pla import load_pla, to_bool_func, to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
+from qmuxopt.reference import rm_transform_matrix
 from qmuxopt.search import SearchConfig, exhaustive_search, random_polarity_search
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -212,7 +214,7 @@ def test_criterion_10_scale_and_runtime():
 def _patterns_match(func, polarity):
     spec = rm_transform(func, polarity)
     polarized = forward_transform(to_multiplexer(func), polarity)
-    mask = negative_digit_mask(polarity)
+    mask = digit_mask(polarity, "0")
     dev = np.abs(polarized.targets - np.eye(2)).reshape(-1, 4).max(axis=1)
     non_identity = dev > TOL
     return all(

@@ -4,9 +4,8 @@ import pytest
 
 from qmuxopt import blocksearch
 from qmuxopt.blocksearch import FPQF, FPRM, KQF, KRM, check_polarity, check_size, count_vector
-from qmuxopt.boolrm import map_coefficient
-from qmuxopt.cost import control_count
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
+from qmuxopt.reference import control_count, map_coefficient
 
 
 def polarities(family, n):

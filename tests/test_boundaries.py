@@ -1,5 +1,10 @@
-"""No module of the package imports or reads another module's private
-(`_name`) names: each rule lives behind the public names of its home."""
+"""Import boundaries inside the package.
+
+No module imports or reads another module's private (`_name`) names: each
+rule lives behind the public names of its home.  The reference oracles in
+`reference` stay out of the program: only the package's `__init__`
+imports them, and they never run through the `kernels` they check.
+"""
 
 import ast
 from pathlib import Path
@@ -8,7 +13,8 @@ import pytest
 
 import qmuxopt
 
-SOURCES = sorted(Path(qmuxopt.__file__).parent.glob("*.py"))
+PACKAGE = Path(qmuxopt.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -49,3 +55,56 @@ def test_the_check_sees_both_kinds_of_reach():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reaches_into_another_modules_private_names(path):
     assert private_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def package_imports(tree: ast.Module) -> set:
+    """Names of the package's modules that the tree imports, in any form."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = [part for part in (node.module or "").split(".") if part]
+            if not node.level:
+                if path[:1] != ["qmuxopt"]:
+                    continue
+                path = path[1:]
+            if path:
+                found.add(path[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "qmuxopt" and len(path) > 1:
+                    found.add(path[1])
+    return found
+
+
+def test_the_import_check_sees_every_form():
+    for source in (
+        "from . import gates, reference\n",
+        "from .reference import known_cases\n",
+        "from qmuxopt import reference\n",
+        "from qmuxopt.reference import known_cases\n",
+        "import qmuxopt.reference\n",
+    ):
+        assert "reference" in package_imports(ast.parse(source)), source
+    assert package_imports(ast.parse("import numpy\nfrom .mux import EPS\n")) == {"mux"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_module_but_the_package_init_imports_reference(path):
+    assert "reference" not in package_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_reference_does_not_import_kernels():
+    source = (PACKAGE / "reference.py").read_text(encoding="utf-8")
+    assert "kernels" not in package_imports(ast.parse(source))
+
+
+def test_each_check_fails_when_the_stray_import_is_put_back():
+    mux = (PACKAGE / "mux.py").read_text(encoding="utf-8")
+    assert "reference" in package_imports(ast.parse(mux + "from . import reference\n"))
+    ref = (PACKAGE / "reference.py").read_text(encoding="utf-8")
+    assert "kernels" in package_imports(ast.parse(ref + "from .kernels import IDENTITY\n"))

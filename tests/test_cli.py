@@ -200,6 +200,26 @@ def test_classical_negative_top_exits_2(capsys):
     assert "--top" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "generate"])
+def test_negative_seed_is_a_usage_error(capsys, case_file, tmp_path, command):
+    argv = {
+        "optimize": ["optimize", str(case_file), "--mode", "random"],
+        "generate": ["generate", "--controls", "2", "--out", str(tmp_path / "g.qmux")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: want a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_cost_rejects_a_json_mirror_whose_targets_are_a_string(capsys, tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text('{"controls": 2, "form": "standard", "targets": "IVVX"}')
+    code, _, err = run(capsys, ["cost", path])
+    assert code == 2
+    assert "targets is not a list of strings" in err
+
+
 def test_classical_mixed_family(capsys):
     code, out, _ = run(capsys, ["classical", "01101111", "--family", "krm",
                                 "--format", "json"])

@@ -16,17 +16,17 @@ def test_non_finite_entries_are_not_unitary():
 
 
 def test_x_squared_is_identity():
-    assert gates.approx_eq(gates.multiply(gates.X, gates.X), gates.I)
+    assert gates.approx_eq(gates.X @ gates.X, gates.I)
 
 
 def test_v_squared_is_x():
-    assert gates.approx_eq(gates.multiply(gates.V, gates.V), gates.X)
+    assert gates.approx_eq(gates.V @ gates.V, gates.X)
 
 
 def test_h_times_x_hand_product():
     # row-by-column product of H and X, worked by hand
     expected = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-    assert gates.approx_eq(gates.multiply(gates.H, gates.X), expected)
+    assert gates.approx_eq(gates.H @ gates.X, expected)
 
 
 def test_multiply_result_stays_unitary():
@@ -34,15 +34,15 @@ def test_multiply_result_stays_unitary():
     for _ in range(50):
         u = gates.random_unitary(rng)
         v = gates.random_unitary(rng)
-        assert gates.is_unitary(gates.multiply(u, v), tol=1e-8)
+        assert gates.is_unitary(u @ v, tol=1e-8)
 
 
 def test_multiply_is_associative():
     rng = np.random.default_rng(11)
     for _ in range(100):
         a, b, c = (gates.random_unitary(rng) for _ in range(3))
-        left = gates.multiply(gates.multiply(a, b), c)
-        right = gates.multiply(a, gates.multiply(b, c))
+        left = (a @ b) @ c
+        right = a @ (b @ c)
         assert np.abs(left - right).max() <= 1e-8
 
 
@@ -69,7 +69,7 @@ def test_inverse_multiplies_to_identity():
     rng = np.random.default_rng(13)
     for _ in range(100):
         u = gates.random_unitary(rng)
-        assert gates.approx_eq(gates.multiply(u, gates.inverse(u)), gates.I, tol=1e-8)
+        assert gates.approx_eq(u @ gates.inverse(u), gates.I, tol=1e-8)
 
 
 def test_approx_eq_is_phase_sensitive():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, kernels, mux
+from qmuxopt import gates, group, kernels, mux, reference
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
 
 GATE_KERNELS = [
@@ -47,7 +47,7 @@ def test_gate_stage_matches_per_pair_reference(kernel, m):
     # Bit-exact, not within a tolerance: reports print the full float.
     for vec in _gate_vectors(m):
         for bit in range(m):
-            want = mux.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
+            want = reference.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
             got = kernels.gate_stage(vec, kernel, bit)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()

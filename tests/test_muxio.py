@@ -190,6 +190,18 @@ def test_token_count_error_names_the_last_token_line():
         ("controls: 1\nshape: round\ntargets: I I\n", "unknown field"),
         ("controls 1\nform: standard\ntargets: I I\n", "expected 'key: value'"),
         ('{"controls": 1, "form": "standard"}', "bad JSON multiplexer"),
+        (
+            '{"controls": 2, "form": "standard", "targets": "IVVX"}',
+            "bad JSON multiplexer: targets is not a list of strings",
+        ),
+        (
+            '{"controls": 2.9, "form": "standard", "targets": ["I", "V", "V", "X"]}',
+            "bad JSON multiplexer: controls 2.9 is not an int",
+        ),
+        (
+            '{"controls": true, "form": "standard", "targets": ["I", "X"]}',
+            "bad JSON multiplexer: controls True is not an int",
+        ),
         ("{not json", "bad JSON"),
     ],
 )

@@ -8,8 +8,14 @@ every layer the benchmark expects it to reach.
 Every benchmark invocation must also reproduce the report digest pinned
 in perfbench/pinned.json; seed 0 of each workload is checked here, in
 process, so a change to the report bytes shows in the unit tests.
+
+The benchmark also reads qmuxopt names that no workload runs through (its
+kernel timings and machine facts), so every qmuxopt name a perfbench
+module imports or reads off an imported module must exist.
 """
 
+import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -72,3 +78,74 @@ def test_seed_0_report_matches_the_pinned_digest(tmp_path, monkeypatch, name):
     expected = workloads.pinned_digest(name, 0)
     assert expected is not None
     assert workloads.report_digest(report) == expected
+
+
+def qmuxopt_reads(tree: ast.Module) -> list:
+    """Dotted paths of the qmuxopt names the tree imports, and of the
+    attribute chains it reads off a name so imported."""
+    bound, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "qmuxopt":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    found.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qmuxopt":
+                    name = alias.asname or "qmuxopt"
+                    bound[name] = alias.name if alias.asname else "qmuxopt"
+                    found.append(alias.name)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            found.append(".".join([bound[node.id], *chain]))
+    return sorted(set(found))
+
+
+def missing(paths) -> list:
+    """The dotted paths that name no module or attribute."""
+    out = []
+    for path in paths:
+        parts = path.split(".")
+        try:
+            obj = importlib.import_module(parts[0])
+            for i, part in enumerate(parts[1:], start=2):
+                if hasattr(obj, part):
+                    obj = getattr(obj, part)
+                else:
+                    obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            out.append(path)
+    return out
+
+
+def test_the_name_check_sees_imports_and_attribute_reads():
+    source = (
+        "from qmuxopt import cost, kernels\n"
+        "from qmuxopt.errors import QmuxError, NoSuchError\n"
+        "import qmuxopt.mux\n"
+        "cost.gate_cost(2)\n"
+        "kernels.NO_SUCH_CODE\n"
+        "qmuxopt.mux.forward_transform\n"
+    )
+    reads = qmuxopt_reads(ast.parse(source))
+    assert reads == [
+        "qmuxopt.cost",
+        "qmuxopt.cost.gate_cost",
+        "qmuxopt.errors.NoSuchError",
+        "qmuxopt.errors.QmuxError",
+        "qmuxopt.kernels",
+        "qmuxopt.kernels.NO_SUCH_CODE",
+        "qmuxopt.mux",
+        "qmuxopt.mux.forward_transform",
+    ]
+    assert missing(reads) == ["qmuxopt.errors.NoSuchError", "qmuxopt.kernels.NO_SUCH_CODE"]
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_qmuxopt_name_perfbench_reads_exists(path):
+    assert missing(qmuxopt_reads(ast.parse(path.read_text(encoding="utf-8")))) == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qmuxopt import boolrm, gates
-from qmuxopt.boolrm import rm_transform, negative_digit_mask
+from qmuxopt.blocksearch import digit_mask
+from qmuxopt.boolrm import rm_transform
 from qmuxopt.errors import (
     InconsistentWidth,
     MalformedCube,
@@ -193,7 +194,7 @@ def test_gate_pattern_matches_spectrum_pattern(n):
             polarity = "".join(str(d) for d in rng.integers(0, 3, size=n))
             spec = rm_transform(func, polarity)
             polarized = forward_transform(m, polarity)
-            mask = negative_digit_mask(polarity)
+            mask = digit_mask(polarity, "0")
             deviation = np.abs(polarized.targets - np.eye(2)).reshape(-1, 4).max(axis=1)
             non_identity = deviation > 1e-9
             for i in range(1 << n):

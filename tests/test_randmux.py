@@ -8,9 +8,9 @@ from qmuxopt.randmux import (
     POOL_NVV,
     GatePool,
     generate,
-    known_cases,
     resolve_pool,
 )
+from qmuxopt.reference import known_cases
 from qmuxopt.search import SearchConfig, exhaustive_search
 
 

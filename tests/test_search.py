@@ -9,13 +9,13 @@ from qmuxopt import blocksearch, cost, gates, group, kernels, mux, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
-from qmuxopt.mux import Multiplexer, forward_transform, triangular_solve
+from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, GatePool, generate, resolve_pool
+from qmuxopt.reference import triangular_solve
 from qmuxopt.search import (
     SearchConfig,
     exhaustive_search,
-    iter_polarity_costs,
     random_polarity_search,
     run_search,
 )
@@ -82,18 +82,17 @@ def test_exhaustive_matches_naive_loop(m, family, digits):
 def test_polarity_cost_stream_matches_direct_transforms():
     rng = np.random.default_rng(124)
     std = Multiplexer(3, np.stack([gates.random_unitary(rng) for _ in range(8)]))
-    streamed = dict(iter_polarity_costs(std, "kqf"))
-    for polarity in all_polarities(3, "012"):
-        direct = multiplexer_cost(forward_transform(std, polarity)).total
-        assert streamed[polarity] == direct
+    streamed = search.polarity_costs(std, "kqf").tolist()
+    for polarity, value in zip(all_polarities(3, "012"), streamed, strict=True):
+        assert value == multiplexer_cost(forward_transform(std, polarity)).total
 
 
 def test_kqf_restricted_to_fixed_digits_reproduces_fpqf():
     rng = np.random.default_rng(125)
     std = Multiplexer(3, np.stack([gates.random_unitary(rng) for _ in range(8)]))
-    kqf_costs = dict(iter_polarity_costs(std, "kqf"))
-    fpqf_costs = dict(iter_polarity_costs(std, "fpqf"))
-    assert {p: c for p, c in kqf_costs.items() if "2" not in p} == fpqf_costs
+    kqf_costs = zip(all_polarities(3, "012"), search.polarity_costs(std, "kqf").tolist())
+    fpqf_costs = search.polarity_costs(std, "fpqf").tolist()
+    assert [c for p, c in kqf_costs if "2" not in p] == fpqf_costs
 
 
 def test_mixed_best_bounded_by_fixed_best_and_original():
@@ -117,7 +116,7 @@ def test_exhaustive_size_limits():
 def test_polarity_cost_stream_enforces_the_size_limit():
     std = generate(10, POOL_NVV, seed=0)
     with pytest.raises(SizeLimitExceeded, match="exhaustive kqf search is limited to 9"):
-        next(iter_polarity_costs(std, "kqf"))
+        search.polarity_costs(std, "kqf")
 
 
 def test_kqf_size_limit_comes_before_interning(monkeypatch):
@@ -253,9 +252,9 @@ def test_group_path_streams_match_complex_path(monkeypatch, case, family):
     for m in range(1, 7):
         std = ALL_CASES[case](m)
         assert (group.intern(std.targets) is None) == (case in FALLBACK_CASES)
-        ids_stream = list(iter_polarity_costs(std, family))
+        ids_stream = search.polarity_costs(std, family).tolist()
         complex_stream = _complex_reference(
-            monkeypatch, lambda: list(iter_polarity_costs(std, family))
+            monkeypatch, lambda: search.polarity_costs(std, family).tolist()
         )
         assert ids_stream == complex_stream
 
@@ -296,21 +295,21 @@ def test_exhaustive_search_on_rounded_h_literal_matches_complex_path(monkeypatch
     # The deepest m at which intern accepts the 13-digit H for FPQF.
     std = generate(m, GatePool("custom", (H13, "I")), seed=4)
     assert group.intern(std.targets) is not None
-    stream = list(iter_polarity_costs(std, family))
+    stream = search.polarity_costs(std, family).tolist()
     assert stream == _complex_reference(
-        monkeypatch, lambda: list(iter_polarity_costs(std, family))
+        monkeypatch, lambda: search.polarity_costs(std, family).tolist()
     )
 
 
 def per_polarity_reference(std, family):
-    """(polarity, cost) for every polarity by its own complex cascade: no
-    shared prefixes, no QETV slots, no group IDs."""
+    """Cost of every polarity, in lexicographic order, by its own complex
+    cascade: no shared prefixes, no QETV slots, no group IDs."""
     cost_table = cost.cost_table_vector(std.controls)
     out = []
     for polarity in all_polarities(std.controls, search.FAMILY_DIGITS[family]):
         targets = mux.transform_stages(std.targets, polarity, "forward")
         counts = cost.control_count_vector(polarity)
-        out.append((polarity, kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0]))
+        out.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
     return out
 
 
@@ -328,7 +327,7 @@ def test_block_search_matches_per_polarity_reference(monkeypatch, case, family):
         expected = per_polarity_reference(std, family)
         for block in BLOCKS:
             monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
-            assert list(iter_polarity_costs(std, family)) == expected, (m, block)
+            assert search.polarity_costs(std, family).tolist() == expected, (m, block)
 
 
 @pytest.mark.parametrize("family", ["fpqf", "kqf"])
@@ -338,7 +337,7 @@ def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkey
     expected = per_polarity_reference(std, family)
     for block in BLOCKS:
         monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
-        assert list(iter_polarity_costs(std, family)) == expected, block
+        assert search.polarity_costs(std, family).tolist() == expected, block
 
 
 @pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
