@@ -11,7 +11,6 @@ controls are free.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +65,14 @@ class CostReport:
 
     def to_json_dict(self) -> dict:
         """JSON body for jsonout.write_json; per_gate is a Table of the
-        columns gate_index, controls and cost."""
-        columns = (self.gate_index.tolist(), self.controls.tolist(), self.costs.tolist())
+        columns gate_index, controls and cost, which the writer reads from
+        the arrays a batch of rows at a time."""
+        columns = (self.gate_index, self.controls, self.costs)
         return {
             "per_gate": jsonout.Table(("gate_index", "controls", "cost"), columns),
             "total": self.total,
             "skipped_identities": self.skipped_identities,
         }
-
-    def to_json(self) -> str:
-        buffer = io.StringIO()
-        jsonout.write_json(buffer, self.to_json_dict())
-        return buffer.getvalue()
 
     def format_table(self) -> str:
         """Aligned-column text table; long reports elide the middle."""

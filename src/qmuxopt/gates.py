@@ -22,10 +22,6 @@ from .errors import NonUnitary, UnknownGate
 # so mux.inverse_transform rejects its own round trip from m = 16 on.
 EPS = 1e-9
 
-# Matrix literals joined per batch in render_gates: the strings of one batch
-# are the only per-entry temporaries alive at a time.
-RENDER_CHUNK_ROWS = 4096
-
 _SQRT2 = np.sqrt(2.0)
 
 I = np.eye(2, dtype=complex)
@@ -136,34 +132,28 @@ def parse_gate(token: str) -> np.ndarray:
     raise UnknownGate(f"unrecognized gate token {token!r}")
 
 
-def _matrix_literal(real: list, imag: list) -> str:
-    """M(...) token from the row-major real and imaginary parts, at full
-    float precision (repr keeps -0.0)."""
-    return "M(" + ",".join(f"{re!r},{im!r}" for re, im in zip(real, imag)) + ")"
+def render_gates(us: np.ndarray):
+    """Tokens that parse_gate accepts for a (n, 2, 2) stack: a list of
+    tokens per kernels.CHUNK_ROWS matrices, each made only when the
+    generator reaches it, so the strings of one chunk are the only
+    per-entry objects alive at a time.
 
-
-def render_gate(u: np.ndarray) -> str:
-    """Render a matrix as a token that parse_gate accepts.
-
-    Catalog gates render as their names; everything else becomes a matrix
-    literal with full float precision, so parse/render round-trips.
+    Catalog gates render as their names: one comparison of the chunk per
+    catalog gate, in catalog order, so the first match wins.  Everything
+    else becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
+    full float precision (repr keeps -0.0), so parse and render round-trip.
+    The literals' entries, viewed as interleaved (re, im) float64, are
+    deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one
+    np.sort of the chunk's patterns and one np.searchsorted into its
+    distinct ones; each distinct pattern is repr'd once per chunk.  A
+    token's text depends only on its own matrix, so the bytes do not depend
+    on the chunking.
     """
-    for name, mat in CATALOG.items():
-        if approx_eq(u, mat):
-            return name
-    return _matrix_literal(u.real.ravel().tolist(), u.imag.ravel().tolist())
+    for start in range(0, len(us), kernels.CHUNK_ROWS):
+        yield _render_chunk(us[start : start + kernels.CHUNK_ROWS])
 
 
-def render_gates(us: np.ndarray) -> list:
-    """render_gate of every matrix in a (n, 2, 2) stack, vectorized.
-
-    One comparison of the whole stack per catalog gate, in catalog order,
-    so the first match wins as in render_gate.  The other matrices become
-    literals: their entries, viewed as interleaved (re, im) float64 in
-    row-major order, are deduplicated by bit pattern (so -0.0 and 0.0 stay
-    apart), each distinct one is repr'd once, and the tokens are joined
-    RENDER_CHUNK_ROWS matrices at a time, which bounds the temporaries.
-    """
+def _render_chunk(us: np.ndarray) -> list:
     n = len(us)
     tokens = [None] * n
     unmatched = np.ones(n, dtype=bool)
@@ -173,23 +163,16 @@ def render_gates(us: np.ndarray) -> list:
             tokens[i] = name
         unmatched &= ~hit
     rest = np.flatnonzero(unmatched)
+    if not len(rest):
+        return tokens
     bits = us[rest].view(np.float64).reshape(-1).view(np.uint64)
-    distinct, _, where = kernels.unique(bits)
+    ordered = np.sort(bits)
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    distinct = ordered[starts]
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    where = where.reshape(-1, 8)
-    for start in range(0, len(rest), RENDER_CHUNK_ROWS):
-        chunk = slice(start, start + RENDER_CHUNK_ROWS)
-        for i, entries in zip(rest[chunk].tolist(), texts[where[chunk]].tolist()):
-            tokens[i] = "M(" + ",".join(entries) + ")"
+    where = np.searchsorted(distinct, bits).reshape(-1, 8)
+    for i, entries in zip(rest.tolist(), texts[where].tolist()):
+        tokens[i] = "M(" + ",".join(entries) + ")"
     return tokens
-
-
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Sample a random element of U(2).
-
-    Parametrized as phase * rz(alpha) @ ry(beta) @ rz(gamma), which covers
-    the whole group and is reproducible from the generator state.
-    """
-    alpha, gamma, delta = rng.uniform(0.0, 2 * np.pi, size=3)
-    beta = rng.uniform(0.0, np.pi)
-    return np.exp(1j * delta) * (rz(alpha) @ ry(beta) @ rz(gamma))

@@ -73,23 +73,35 @@ class GateGroup:
 
 
 def _keys(mats: np.ndarray) -> np.ndarray:
-    """One uint64 hash per matrix of its entries rounded to the key grid.
+    """One uint64 hash per matrix of its entries rounded to the key grid,
+    kernels.CHUNK_ROWS matrices at a time.
 
     Each entry is mixed (multiply, xorshift, multiply) before the sum: a
     plain linear combination collides on structured sets such as the
     Clifford group.
     """
-    grid = np.rint(mats.reshape(-1, 4).view(float) * _KEY_SCALE).astype(np.int64)
-    mixed = grid.view(np.uint64) * _KEY_MUL
-    mixed ^= mixed >> np.uint64(29)
-    mixed *= _KEY_MUL[0]
-    return mixed.sum(axis=1, dtype=np.uint64)
+    keys = np.empty(len(mats), dtype=np.uint64)
+    for start in range(0, len(mats), kernels.CHUNK_ROWS):
+        rows = slice(start, start + kernels.CHUNK_ROWS)
+        entries = mats[rows].reshape(-1, 4).view(float)
+        mixed = np.rint(entries * _KEY_SCALE).astype(np.int64).view(np.uint64)
+        mixed *= _KEY_MUL
+        mixed ^= mixed >> np.uint64(29)
+        mixed *= _KEY_MUL[0]
+        mixed.sum(axis=1, dtype=np.uint64, out=keys[rows])
+    return keys
 
 
-def _gap(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest Frobenius norm of x[i] - y[i] over a stack of 2x2 matrices."""
-    diff = (x - y).view(float).reshape(len(x), 8)
-    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
+def _gap(x: np.ndarray, y: np.ndarray, ids=None) -> float:
+    """Largest Frobenius norm of x[i] - y[i], or of x[i] - y[ids[i]], over a
+    stack of 2x2 matrices, kernels.CHUNK_ROWS matrices at a time."""
+    worst = 0.0
+    for start in range(0, len(x), kernels.CHUNK_ROWS):
+        rows = slice(start, start + kernels.CHUNK_ROWS)
+        other = y[rows] if ids is None else y[ids[rows]]
+        diff = (x[rows] - other).view(float).reshape(-1, 8)
+        worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
+    return float(np.sqrt(worst))
 
 
 def _lookup(table_keys: np.ndarray, order: np.ndarray, keys: np.ndarray):
@@ -167,7 +179,7 @@ def intern(targets: np.ndarray):
     if np.any(mul[np.arange(g), inv] != 0):
         return None
     residuals = (
-        _gap(targets, elements[ids]),  # also catches a hash collision that merged targets
+        _gap(targets, elements, ids),  # also catches a hash collision that merged targets
         table_residual,
         _gap(elements.conj().swapaxes(1, 2), elements[inv]),
     )

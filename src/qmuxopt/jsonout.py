@@ -3,16 +3,20 @@
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
 into fh, a batch of at most JSON_CHUNKS_PER_WRITE items at a time, so a
 report of tens of MB is never held as one string.  It writes dict keys
-itself at every level (keys are strs), a list of strs item by item, and a
-Table row by row from one %-template; any other value is small and goes
-through json.dumps, re-indented to its depth (JSON text never holds a raw
-newline inside a string, so replacing every newline is safe).
+itself at every level (keys are strs), a list of strs item by item, a
+Chunked list of strs a chunk at a time as its chunks are made, and a Table
+row by row from one %-template; any other value is small and goes through
+json.dumps, re-indented to its depth (JSON text never holds a raw newline
+inside a string, so replacing every newline is safe).  The text of each
+item is that of json.dumps, so neither the batching nor the chunking
+changes a byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -22,10 +26,24 @@ JSON_CHUNKS_PER_WRITE = 4096
 
 
 @dataclass(frozen=True)
+class Chunked:
+    """A list of strs made a chunk at a time: chunks() returns an iterator
+    of lists of strs, and write_json takes the next chunk only when it
+    reaches it, so the whole list never exists.  Iterating a Chunked
+    yields its strs."""
+
+    chunks: Callable[[], Iterator[list]]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.chunks())
+
+
+@dataclass(frozen=True)
 class Table:
     """A JSON list of dicts that share `keys`, held by column: row i is
-    {keys[k]: columns[k][i]}.  Each column is a list of Python ints or of
-    strs."""
+    {keys[k]: columns[k][i]}.  Each column is a list of strs, or of ints:
+    a list of Python ints or a numpy integer array, which write_json turns
+    into Python ints a batch of rows at a time."""
 
     keys: tuple
     columns: tuple
@@ -50,10 +68,16 @@ def _pieces(value, pad: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, list) and value and all(isinstance(s, str) for s in value):
-        yield "[\n" + inner + encode_basestring_ascii(value[0])
-        rest = map(encode_basestring_ascii, itertools.islice(value, 1, None))
-        yield from map((",\n" + inner).__add__, rest)
+    elif isinstance(value, Chunked) or (
+        isinstance(value, list) and all(isinstance(s, str) for s in value)
+    ):
+        encoded = map(encode_basestring_ascii, value)
+        first = next(encoded, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[\n" + inner + first
+        yield from map((",\n" + inner).__add__, encoded)
         yield "\n" + pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
@@ -61,14 +85,17 @@ def _pieces(value, pad: str):
 
 def _table(table: Table, pad: str):
     inner, field = pad + "  ", pad + "    "
-    columns, fields = [], []
+    texts, fields = [], []
     for key, column in zip(table.keys, table.columns):
-        text = column and isinstance(column[0], str)
-        columns.append(list(map(encode_basestring_ascii, column)) if text else column)
+        text = len(column) > 0 and isinstance(column[0], str)
+        texts.append(text)
         name = encode_basestring_ascii(key).replace("%", "%%")
         fields.append(f"{field}{name}: {'%s' if text else '%d'}")
     row = "{\n" + ",\n".join(fields) + "\n" + inner + "}"
-    rows = zip(*columns)
+    rows = itertools.chain.from_iterable(
+        zip(*_columns(table, texts, start))
+        for start in range(0, len(table.columns[0]), JSON_CHUNKS_PER_WRITE)
+    )
     first = next(rows, None)
     if first is None:
         yield "[]"
@@ -76,3 +103,17 @@ def _table(table: Table, pad: str):
     yield "[\n" + inner + row % first
     yield from map((",\n" + inner + row).__mod__, rows)
     yield "\n" + pad + "]"
+
+
+def _columns(table: Table, texts: list, start: int) -> list:
+    """JSON_CHUNKS_PER_WRITE rows of the table's columns from `start`, as
+    lists of Python ints and of encoded strs: only one batch of row values
+    exists as Python objects at a time."""
+    part = []
+    for column, text in zip(table.columns, texts):
+        values = column[start : start + JSON_CHUNKS_PER_WRITE]
+        if text:
+            part.append(list(map(encode_basestring_ascii, values)))
+        else:
+            part.append(values.tolist() if hasattr(values, "tolist") else values)
+    return part

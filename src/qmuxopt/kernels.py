@@ -66,6 +66,11 @@ INVERSE_POS = 2
 INVERSE_NEG = 3
 IDENTITY = 4
 
+# Rows one pass over a gate vector handles at a time: every temporary of
+# a butterfly column, identity test, unitarity check, key hash or render
+# holds at most this many matrices (256 KB of complex 2x2).
+CHUNK_ROWS = 4096
+
 GF2_POS = 0
 GF2_NEG = 1
 GF2_MIXED = 2
@@ -104,30 +109,68 @@ def _times_inverse(x, y, out, group) -> None:
         np.take(group.mulinv, index, out=out)
 
 
-def gate_stage(gates: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarray:
-    """Apply one butterfly column to a (2^n, 2, 2) gate vector, or, given
-    the `group` its IDs index, to a (2^n,) uint8 ID vector."""
-    if kernel == IDENTITY:
-        return gates.copy()
-    a, b = _halves(gates, bit)
-    # C order, so the reshape in _halves is a view of `out`; empty_like
-    # would keep a Fortran-ordered input's layout and write into a copy.
-    out = np.empty(gates.shape, gates.dtype)
-    lo, hi = _halves(out, bit)
-    if kernel == FORWARD_POS:
-        lo[...] = a
-        _times_inverse(b, a, hi, group)
-    elif kernel == FORWARD_NEG:
-        lo[...] = b
-        _times_inverse(a, b, hi, group)
-    elif kernel == INVERSE_POS:
-        lo[...] = a
-        _times(b, a, hi, group)
-    elif kernel == INVERSE_NEG:
-        _times(b, a, lo, group)
-        hi[...] = a
+# Per kernel: the product, its operands (x, y) as halves (0 the clear-bit
+# half a, 1 the set-bit half b), the output half it lands in, and the input
+# half copied to the other output half.
+_COLUMNS = {
+    FORWARD_POS: (_times_inverse, (1, 0), 1, 0),
+    FORWARD_NEG: (_times_inverse, (0, 1), 1, 1),
+    INVERSE_POS: (_times, (1, 0), 1, 0),
+    INVERSE_NEG: (_times, (1, 0), 0, 0),
+}
+
+
+def _pieces(rows: int, run: int):
+    """Index expressions that split a column's (rows, run) grid of pairs
+    into views of at most CHUNK_ROWS pairs: whole rows while a row is
+    shorter than CHUNK_ROWS, runs of one row from there on."""
+    if run >= CHUNK_ROWS:
+        for r in range(rows):
+            for s in range(0, run, CHUNK_ROWS):
+                yield r, slice(s, s + CHUNK_ROWS)
     else:
+        step = CHUNK_ROWS // run
+        for r in range(0, rows, step):
+            yield slice(r, r + step)
+
+
+def gate_stage(
+    gates: np.ndarray, kernel: int, bit: int, group=None, out=None
+) -> np.ndarray:
+    """Apply one butterfly column to a (2^n, 2, 2) gate vector, or, given
+    the `group` its IDs index, to a (2^n,) uint8 ID vector.
+
+    Returns a new vector, or writes into `out` and returns it: a
+    C-contiguous array of the same shape and dtype that is either `gates`
+    itself, so the column runs in place, or shares no memory with it.  The
+    column runs CHUNK_ROWS pairs at a time, so its temporaries (the
+    conjugate of a piece's operand, and in place the product that is
+    written back) hold at most CHUNK_ROWS matrices.  Each product is the
+    np.matmul or table lookup of the same operands as over the whole
+    vector at once, so the bytes do not depend on the chunking or on
+    whether the column runs in place.
+    """
+    if out is None:
+        # C order, so the reshape in _halves is a view of `out`; empty_like
+        # would keep a Fortran-ordered input's layout and write into a copy.
+        out = np.empty(gates.shape, gates.dtype)
+    if kernel == IDENTITY:
+        if out is not gates:
+            np.copyto(out, gates)
+        return out
+    if kernel not in _COLUMNS:
         raise ValueError(f"unknown kernel code {kernel}")
+    product, (x, y), dest, kept = _COLUMNS[kernel]
+    src, dst = _halves(gates, bit), _halves(out, bit)
+    in_place = out is gates
+    for piece in _pieces(*src[0].shape[:2]):
+        # In place the product would overwrite its own operand: stage it.
+        result = np.empty(src[x][piece].shape, gates.dtype) if in_place else dst[dest][piece]
+        product(src[x][piece], src[y][piece], result, group)
+        if not (in_place and kept == 1 - dest):
+            dst[1 - dest][piece] = src[kept][piece]
+        if in_place:
+            dst[dest][piece] = result
     return out
 
 
@@ -155,13 +198,19 @@ def etv_stage(pairs: np.ndarray, out: np.ndarray) -> None:
 
 
 def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
-    """True for each gate equal to the 2x2 identity within eps in every entry.
+    """True for each gate equal to the 2x2 identity within eps in every entry,
+    CHUNK_ROWS gates at a time.
 
     A 1-D vector holds group IDs, whose identity is exactly ID 0.
     """
     if gates.ndim == 1:
         return gates == 0
-    return np.abs(gates - np.eye(2)).reshape(gates.shape[0], 4).max(axis=1) <= eps
+    mask = np.empty(len(gates), dtype=bool)
+    for start in range(0, len(gates), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        deviation = np.abs(gates[rows] - np.eye(2)).reshape(-1, 4).max(axis=1)
+        np.less_equal(deviation, eps, out=mask[rows])
+    return mask
 
 
 def mux_cost(gates, counts, cost_table, eps):

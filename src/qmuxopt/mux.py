@@ -51,10 +51,7 @@ class Multiplexer:
         expected = (1 << self.controls, 2, 2)
         if arr.shape != expected:
             raise ValueError(f"targets must have shape {expected}, got {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("targets contain non-finite entries")
-        residual = arr @ arr.conj().transpose(0, 2, 1) - np.eye(2)
-        worst = float(np.abs(residual).max())
+        worst = _unitarity_residual(arr)
         if worst > EPS:
             raise ValueError(f"targets are not unitary (worst deviation {worst:.3e})")
         arr.setflags(write=False)
@@ -93,6 +90,19 @@ class Multiplexer:
         if self.form == STANDARD:
             return STANDARD
         return f"{self.form}:{self.polarity}"
+
+
+def _unitarity_residual(arr: np.ndarray) -> float:
+    """Largest entry of |u u^H - I| over a (n, 2, 2) stack, kernels.CHUNK_ROWS
+    matrices at a time; raises on a non-finite entry anywhere first."""
+    worst = 0.0
+    for start in range(0, len(arr), kernels.CHUNK_ROWS):
+        part = arr[start : start + kernels.CHUNK_ROWS]
+        if not np.all(np.isfinite(part.view(float))):
+            raise ValueError("targets contain non-finite entries")
+        residual = part @ part.conj().transpose(0, 2, 1) - np.eye(2)
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
@@ -146,6 +156,12 @@ def transform_stages(
     (bit 0) last; inverse runs the same columns with inverse kernels in
     reverse order.  Given the `group.GateGroup` they index, `targets` are
     uint8 element IDs (see `kernels.gate_stage`).
+
+    The cascade copies `targets` once and runs every column in place in
+    that copy, kernels.CHUNK_ROWS pairs at a time, so its temporaries stay
+    O(CHUNK_ROWS); a fresh vector per column and a conjugate copy of half
+    of it would add 1.5 vectors each.  An in-place column computes the same
+    products as a fresh one, so the result is the same bit for bit.
     """
     m = len(polarity)
     if direction == "forward":
@@ -156,7 +172,7 @@ def transform_stages(
         raise ValueError(f"unknown direction {direction!r}")
     out = targets.copy()
     for k in order:
-        out = kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group)
+        kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group, out=out)
     return out
 
 

@@ -13,13 +13,15 @@ JSON mirror uses the same field names:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
+import sys
 
 import numpy as np
 
-from . import gates
+from . import gates, jsonout
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
 from .mux import FPQF, KQF, STANDARD, Multiplexer, without_inverters
 
@@ -27,6 +29,12 @@ _TOKEN_RE = re.compile(r"\S+")
 
 # Gate tokens per targets line in dump_qmux.
 TOKENS_PER_LINE = 8
+
+# A list holds at most sys.maxsize < 2^63 items, so no token list matches
+# this many controls or more.  Such a count is refused before 1 << controls
+# is built: an integer of `controls` bits (1.25 GB near 10^10), whose
+# decimal text Python refuses past 4,300 digits.
+UNMATCHABLE_CONTROLS = sys.maxsize.bit_length()
 
 
 def _parse_form(text: str, source, line):
@@ -59,6 +67,17 @@ def _gate_matrices(tokens: list, fail) -> np.ndarray:
         rows[token] = len(parsed) - 1
     index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     return np.array(parsed, dtype=complex).reshape(-1, 2, 2)[index]
+
+
+def _check_control_count(controls: int, tokens: list, source, line) -> None:
+    """Refuse a control count that no token list can match (see
+    UNMATCHABLE_CONTROLS) without building 1 << controls."""
+    if controls >= UNMATCHABLE_CONTROLS:
+        raise ParseError(
+            f"{controls} controls need 2^{controls} gate tokens, got {len(tokens)}",
+            source,
+            line,
+        )
 
 
 def _token_place(spans: list, i: int) -> tuple:
@@ -106,6 +125,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
                 controls = 0
             if controls < 1:
                 raise ParseError(f"bad control count {value.strip()!r}", source, lineno)
+            controls_line = lineno
         elif key == "form":
             form, polarity = _parse_form(value, source, lineno)
         elif key == "targets":
@@ -122,6 +142,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         raise ParseError("missing 'form:' line", source)
     if not in_targets:
         raise ParseError("missing 'targets:' line", source)
+    _check_control_count(controls, tokens, source, controls_line)
     expected = 1 << controls
     if len(tokens) != expected:
         where = _token_place(spans, len(tokens) - 1)[0] if tokens else None
@@ -152,6 +173,7 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
     form, polarity = _parse_form(form_text, source, None)
+    _check_control_count(controls, tokens, source, None)
 
     def fail(i, exc):
         raise ParseError(f"target {i}: {exc}", source)
@@ -168,8 +190,10 @@ def load_qmux(path) -> Multiplexer:
         return parse_qmux(fh.read(), source=str(path))
 
 
-def target_tokens(m: Multiplexer) -> list:
-    return gates.render_gates(m.targets)
+def target_tokens(m: Multiplexer) -> jsonout.Chunked:
+    """The targets' gate tokens, rendered a chunk at a time as they are
+    consumed (see gates.render_gates); nothing is rendered by this call."""
+    return jsonout.Chunked(functools.partial(gates.render_gates, m.targets))
 
 
 def dump_qmux(m: Multiplexer) -> str:
@@ -179,9 +203,9 @@ def dump_qmux(m: Multiplexer) -> str:
     negative digits first (the same realized semantics)."""
     m = without_inverters(m)
     lines = [f"controls: {m.controls}", f"form: {m.describe()}", "targets:"]
-    tokens = target_tokens(m)
-    for start in range(0, len(tokens), TOKENS_PER_LINE):
-        lines.append("  " + " ".join(tokens[start : start + TOKENS_PER_LINE]))
+    tokens = iter(target_tokens(m))
+    while line := list(itertools.islice(tokens, TOKENS_PER_LINE)):
+        lines.append("  " + " ".join(line))
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +215,7 @@ def to_json_dict(m: Multiplexer) -> dict:
     return {
         "controls": m.controls,
         "form": m.describe(),
-        "targets": target_tokens(m),
+        "targets": list(target_tokens(m)),
     }
 
 

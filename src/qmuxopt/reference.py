@@ -6,9 +6,11 @@ butterfly_stage, pair by pair, checks kernels.gate_stage; triangular_solve,
 gate by gate from the activation semantics, mux.forward_transform;
 rm_transform_matrix (a Kronecker product) and evaluate_spectrum (the XOR of
 map_coefficient's base functions) boolrm.rm_transform; control_count and
-map_coefficient's literal counts blocksearch.count_vector; and the pinned
-optima of known_cases search.exhaustive_search.  Only the package's
-__init__ imports this module, and it never calls the kernels it checks.
+map_coefficient's literal counts blocksearch.count_vector; render_gate,
+one matrix at a time, gates.render_gates; and the pinned optima of
+known_cases search.exhaustive_search.  random_unitary samples inputs for
+them.  Only the package's __init__ imports this module, and it never calls
+the kernels it checks.
 """
 
 from __future__ import annotations
@@ -54,6 +56,28 @@ def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
         out[base] = lo
         out[base + step] = hi
     return out
+
+
+def render_gate(u: np.ndarray) -> str:
+    """Render a matrix as a token that parse_gate accepts: the name of the
+    first catalog gate within EPS, or else a matrix literal at full float
+    precision (repr keeps -0.0), so parse/render round-trips."""
+    for name, mat in gates.CATALOG.items():
+        if gates.approx_eq(u, mat):
+            return name
+    entries = zip(u.real.ravel().tolist(), u.imag.ravel().tolist())
+    return "M(" + ",".join(f"{re!r},{im!r}" for re, im in entries) + ")"
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Sample a random element of U(2).
+
+    Parametrized as phase * rz(alpha) @ ry(beta) @ rz(gamma), which covers
+    the whole group and is reproducible from the generator state.
+    """
+    alpha, gamma, delta = rng.uniform(0.0, 2 * np.pi, size=3)
+    beta = rng.uniform(0.0, np.pi)
+    return np.exp(1j * delta) * (gates.rz(alpha) @ gates.ry(beta) @ gates.rz(gamma))
 
 
 def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:

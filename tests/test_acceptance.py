@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qmuxopt import boolrm, cli, gates
+from qmuxopt import boolrm, cli, gates, reference
 from qmuxopt.blocksearch import digit_mask
 from qmuxopt.boolrm import BoolFunc, rm_transform
 from qmuxopt.cost import gate_cost
@@ -99,7 +99,7 @@ def test_criterion_04_two_control_algebra():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        f0, f1, f2, f3 = (gates.random_unitary(rng) for _ in range(4))
+        f0, f1, f2, f3 = (reference.random_unitary(rng) for _ in range(4))
         std = Multiplexer(2, np.stack([f0, f1, f2, f3]))
         g = forward_transform(std, "11").targets
         inv = gates.inverse
@@ -137,7 +137,7 @@ def test_criterion_06_semantic_equivalence_suite():
     for m in (1, 2, 3, 4):
         for _ in range(25):
             std = Multiplexer(
-                m, np.stack([gates.random_unitary(rng) for _ in range(1 << m)])
+                m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
             )
             for polarity in all_polarities(m, "012"):
                 fw = forward_transform(std, polarity)

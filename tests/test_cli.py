@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmuxopt import gates, pla
+from qmuxopt import gates, pla, reference
 from qmuxopt import search as search_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
@@ -95,6 +96,37 @@ def test_optimize_malformed_exits_2(capsys, tmp_path):
     assert "bad.qmux:3:" in err
 
 
+@pytest.mark.parametrize("suffix", [".qmux", ".json"])
+def test_cost_refuses_an_unmatchable_control_count_with_exit_2(capsys, tmp_path, suffix):
+    path = tmp_path / f"huge{suffix}"
+    if suffix == ".json":
+        path.write_text('{"controls": 100000, "form": "standard", "targets": ["I", "X"]}')
+    else:
+        path.write_text("controls: 100000\nform: standard\ntargets: I X\n")
+    code, out, err = run(capsys, ["cost", path])
+    line = "" if suffix == ".json" else ":1"
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{line}: 100000 controls need 2^100000 gate tokens, got 2\n"
+
+
+def test_a_random_report_holds_a_few_target_vectors_at_most(tmp_path):
+    """In process, a random-mode JSON report at m = 16 peaks (tracemalloc)
+    under 8 times the 2^m x 64 B target vector: every pass over the vector
+    works in chunks and the best targets are rendered as they are written."""
+    m = 16
+    path = tmp_path / "m16.qmux"
+    save_qmux(generate(m, POOL_FULL, seed=3), path)
+    argv = ["optimize", str(path), "--mode", "random", "--samples", "2", "--seed", "3",
+            "--format", "json", "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << m) * 64
+
+
 def test_optimize_size_limit_exits_3(capsys, tmp_path):
     big = Multiplexer(10, np.tile(gates.X, (1024, 1, 1)))
     path = tmp_path / "big.qmux"
@@ -145,7 +177,7 @@ def test_verify_transformed_polarity_mismatch_exits_2(capsys, case_file, tmp_pat
 
 def test_optimize_then_verify_best_always_passes(capsys, tmp_path):
     rng = np.random.default_rng(160)
-    targets = np.stack([gates.random_unitary(rng) for _ in range(8)])
+    targets = np.stack([reference.random_unitary(rng) for _ in range(8)])
     path = tmp_path / "r.qmux"
     save_qmux(Multiplexer(3, targets), path)
     code, out, _ = run(capsys, ["optimize", path, "--format", "json"])

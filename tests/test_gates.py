@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates
+from qmuxopt import gates, kernels, reference
 from qmuxopt.errors import NonUnitary, UnknownGate
 
 
@@ -32,15 +32,15 @@ def test_h_times_x_hand_product():
 def test_multiply_result_stays_unitary():
     rng = np.random.default_rng(10)
     for _ in range(50):
-        u = gates.random_unitary(rng)
-        v = gates.random_unitary(rng)
+        u = reference.random_unitary(rng)
+        v = reference.random_unitary(rng)
         assert gates.is_unitary(u @ v, tol=1e-8)
 
 
 def test_multiply_is_associative():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        a, b, c = (gates.random_unitary(rng) for _ in range(3))
+        a, b, c = (reference.random_unitary(rng) for _ in range(3))
         left = (a @ b) @ c
         right = a @ (b @ c)
         assert np.abs(left - right).max() <= 1e-8
@@ -61,14 +61,14 @@ def test_inverse_of_rotation_negates_angle():
 def test_inverse_is_involution():
     rng = np.random.default_rng(12)
     for _ in range(1000):
-        u = gates.random_unitary(rng)
+        u = reference.random_unitary(rng)
         assert np.abs(gates.inverse(gates.inverse(u)) - u).max() <= 1e-9
 
 
 def test_inverse_multiplies_to_identity():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        u = gates.random_unitary(rng)
+        u = reference.random_unitary(rng)
         assert gates.approx_eq(u @ gates.inverse(u), gates.I, tol=1e-8)
 
 
@@ -113,35 +113,40 @@ def test_parse_gate_rotations():
 def test_render_parse_round_trip():
     rng = np.random.default_rng(14)
     for _ in range(100):
-        u = gates.random_unitary(rng)
-        token = gates.render_gate(u)
+        u = reference.random_unitary(rng)
+        token = reference.render_gate(u)
         assert np.abs(gates.parse_gate(token) - u).max() <= 1e-12
 
 
 def test_render_gate_prefers_catalog_names():
-    assert gates.render_gate(gates.V @ gates.V) == "X"
-    assert gates.render_gate(gates.I) == "I"
+    assert reference.render_gate(gates.V @ gates.V) == "X"
+    assert reference.render_gate(gates.I) == "I"
 
 
 def _render_reference(us):
-    return [gates.render_gate(u) for u in us]
+    return [reference.render_gate(u) for u in us]
+
+
+def _rendered(us):
+    """gates.render_gates flattened: its tokens in order."""
+    return [token for chunk in gates.render_gates(us) for token in chunk]
 
 
 def test_render_gates_keeps_signed_zeros_apart():
     phase = np.exp(0.3j)
     plus = np.array([[complex(0.0, 0.0), phase], [phase, complex(0.0, 0.0)]])
     minus = np.array([[complex(-0.0, -0.0), phase], [phase, complex(-0.0, 0.0)]])
-    tokens = gates.render_gates(np.stack([plus, minus, plus]))
+    tokens = _rendered(np.stack([plus, minus, plus]))
     assert tokens == _render_reference([plus, minus, plus])
     assert tokens[0].startswith("M(0.0,0.0,") and tokens[1].startswith("M(-0.0,-0.0,")
 
 
 def test_render_gates_repeated_bit_patterns():
     rng = np.random.default_rng(15)
-    pool = np.stack([gates.random_unitary(rng) for _ in range(5)])
+    pool = np.stack([reference.random_unitary(rng) for _ in range(5)])
     stack = pool[rng.integers(0, 5, size=64)]
     stack[::7] = gates.rx(0.3)  # entries shared across matrices and within one
-    assert gates.render_gates(stack) == _render_reference(stack)
+    assert _rendered(stack) == _render_reference(stack)
 
 
 def test_render_gates_at_the_catalog_tolerance():
@@ -149,12 +154,39 @@ def test_render_gates_at_the_catalog_tolerance():
     outside = gates.X.copy()
     outside[0, 1] += 1.1 * gates.EPS
     stack = np.stack([inside, outside, gates.V - 0.9j * gates.EPS, gates.V + 1.1j * gates.EPS])
-    tokens = gates.render_gates(stack)
+    tokens = _rendered(stack)
     assert tokens == _render_reference(stack)
     assert [t.startswith("M(") for t in tokens] == [False, True, False, True]
 
 
 def test_render_gates_all_catalog_and_empty():
     catalog = np.stack(list(gates.CATALOG.values()) * 3)
-    assert gates.render_gates(catalog) == list(gates.CATALOG) * 3
-    assert gates.render_gates(np.empty((0, 2, 2), dtype=complex)) == []
+    assert _rendered(catalog) == list(gates.CATALOG) * 3
+    assert _rendered(np.empty((0, 2, 2), dtype=complex)) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_render_gates_in_any_chunking_equals_the_per_gate_render(monkeypatch, chunk):
+    """With chunks of 1 and 3 matrices: runs of one literal longer than a
+    chunk (a boundary inside a run of duplicate floats), catalog rows
+    between them, signed zeros next to their negation, and entries just
+    inside and outside the catalog tolerance."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    literal = gates.rx(0.3)
+    signed = np.array([[-0.0, np.exp(0.2j)], [np.exp(0.2j), 0.0]])
+    near = [gates.X + 0.9 * gates.EPS, gates.V + 1.1j * gates.EPS]
+    stack = np.stack(
+        [literal] * 5 + [gates.H, gates.X] + [signed, -signed] * 3 + near + [gates.I]
+        + [literal] * 4
+    )
+    tokens = _rendered(stack)
+    assert tokens == _render_reference(stack)
+    assert tokens[5:7] == ["H", "X"] and tokens[-5] == "I"
+    assert tokens[13] == "X" and tokens[14].startswith("M(")
+    assert "-0.0" in tokens[7] and tokens[7] != tokens[8]
+
+
+def test_render_gates_makes_one_list_per_chunk(monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
+    chunks = list(gates.render_gates(np.stack([gates.X] * 7)))
+    assert [len(chunk) for chunk in chunks] == [3, 3, 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, mux
+from qmuxopt import gates, group, mux, reference
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate, resolve_pool
@@ -68,7 +68,7 @@ def test_phase_times_identity_is_not_id_zero():
     "targets",
     [
         generate(6, resolve_pool("custom:X,RX(0.3)"), seed=4).targets,
-        np.stack([gates.random_unitary(np.random.default_rng(5)) for _ in range(16)]),
+        np.stack([reference.random_unitary(np.random.default_rng(5)) for _ in range(16)]),
         np.stack([gates.rz(2 * np.pi * k / 300) for k in range(300)]),
         np.stack([gates.rz(2 * np.pi / 257)] * 4),
     ],

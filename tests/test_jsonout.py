@@ -7,17 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from qmuxopt import gates, jsonout
+from qmuxopt import gates, jsonout, kernels, reference
 from qmuxopt.cli import main
 from qmuxopt.jsonout import Table, write_json
 from qmuxopt.mux import Multiplexer
-from qmuxopt.muxio import save_qmux
+from qmuxopt.muxio import save_qmux, target_tokens
 
 
 def _plain(value):
     """value with every Table replaced by its list of row dicts."""
     if isinstance(value, Table):
-        return [dict(zip(value.keys, row)) for row in zip(*value.columns)]
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in value.columns]
+        return [dict(zip(value.keys, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     return value
@@ -34,6 +35,13 @@ BODIES = {
     "empty containers": {"dict": {}, "list": [], "table": Table(("k",), ([],)), "nested": [[]]},
     "one-row table": {"t": Table(("polarity", "cost"), (["0%d1"], [7]))},
     "table": Table(("gate_index", "controls", "cost"), ([0, 5, 9], [1, 2, 10], [1, 5, 224])),
+    "array table": {
+        "empty": Table(("k",), (np.array([], dtype=np.int64),)),
+        "rows": Table(
+            ("gate_index", "p", "cost"),
+            (np.arange(7, dtype=np.int64) * 5000, list("abcdefg"), np.full(7, 448)),
+        ),
+    },
     "string lists": {"one": ["M(0.0,-0.0)"], "many": ["I", "X\\", "π", ""]},
     "mixed list": {"mixed": ["a", 1, {"b": [2.0, "c"]}], "numbers": [1, 2]},
     "deep": {"a": {"b": {"c": {"d": ["x", "y"], "t": Table(("%s", "v"), (["p"], [3]))}}}},
@@ -52,7 +60,7 @@ def test_write_json_equals_json_dumps(monkeypatch, name, chunks):
 
 def _rand_file(tmp_path, m):
     rng = np.random.default_rng(m)
-    targets = np.stack([gates.random_unitary(rng) for _ in range(1 << m)])
+    targets = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
     targets[1] = gates.I
     path = tmp_path / f"rand{m}.qmux"
     save_qmux(Multiplexer(m, targets), path)
@@ -121,3 +129,49 @@ def test_largest_write_is_bounded(monkeypatch, capsys, tmp_path):
     assert main(argv) == 0
     assert sum(stream.writes) == total
     assert max(stream.writes) <= 8 * 200 < total // 20
+
+
+class _Writes:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _token_stack(count):
+    rng = np.random.default_rng(70 + count)
+    pool = [gates.X, gates.H, gates.rx(0.3), -gates.rz(0.2), reference.random_unitary(rng)]
+    return np.array([pool[i % len(pool)] for i in range(count)]).reshape(count, 2, 2)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 4096])
+@pytest.mark.parametrize("count", [0, 1, 37])
+def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
+    """A Chunked token sequence, made three tokens at a time, writes the
+    bytes of json.dumps of its list, alone and inside a report, with no
+    write holding more than JSON_CHUNKS_PER_WRITE items."""
+    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", chunks)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
+    stack = _token_stack(count)
+    tokens = jsonout.Chunked(lambda: gates.render_gates(stack))
+    plain = [reference.render_gate(u) for u in stack]
+    assert list(tokens) == plain
+    report = {"search": {"best": "1"}, "best_targets": tokens, "n": count}
+    for body, want in ((tokens, plain), (report, {**report, "best_targets": plain})):
+        stream = _Writes()
+        write_json(stream, body)
+        assert "".join(stream.writes) == json.dumps(want, indent=2)
+        # Each item of a container after the first starts its own line.
+        assert max(text.count("\n") for text in stream.writes) <= chunks
+
+
+def test_target_tokens_render_only_when_written(monkeypatch):
+    m = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
+    made = []
+    real = gates.render_gates
+    monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
+    tokens = target_tokens(m)
+    assert made == []
+    assert _written({"t": tokens}) == json.dumps({"t": list(tokens)}, indent=2)
+    assert made == [8, 8]

@@ -14,7 +14,7 @@ GATE_KERNELS = [
 
 
 def _random_gate_vector(rng, n):
-    return np.stack([gates.random_unitary(rng) for _ in range(n)])
+    return np.stack([reference.random_unitary(rng) for _ in range(n)])
 
 
 # Per-pair references: the same products on one 2x2 pair at a time.
@@ -133,3 +133,48 @@ def test_unique_matches_np_unique(n, high):
     expected = np.unique(values, return_index=True, return_inverse=True)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, kernels.CHUNK_ROWS])
+@pytest.mark.parametrize("kernel", GATE_KERNELS)
+def test_in_place_column_equals_the_fresh_column(monkeypatch, kernel, chunk):
+    """Bit for bit, on matrices and on IDs, at bit 0, a middle bit and the
+    top bit, with pieces of 1, 3 and CHUNK_ROWS pairs against a fresh
+    column over the whole vector."""
+    m = 6
+    matrices = _random_gate_vector(np.random.default_rng(43), 1 << m)
+    clifford = generate(m, POOL_FULL, seed=44).targets
+    gate_group, ids = group.intern(clifford)
+    cases = [(matrices, None), (clifford, None), (ids, gate_group)]
+    for bit in (0, m // 2, m - 1):
+        wants = [kernels.gate_stage(vec, kernel, bit, g) for vec, g in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "CHUNK_ROWS", chunk)
+            for (vec, g), want in zip(cases, wants):
+                fresh = kernels.gate_stage(vec, kernel, bit, g)
+                work = vec.copy()
+                in_place = kernels.gate_stage(work, kernel, bit, g, out=work)
+                assert in_place is work
+                assert fresh.tobytes() == want.tobytes()
+                assert in_place.tobytes() == want.tobytes()
+
+
+def test_column_into_a_separate_out_leaves_the_input_alone():
+    vec = _random_gate_vector(np.random.default_rng(45), 16)
+    before = vec.copy()
+    out = np.empty_like(vec)
+    got = kernels.gate_stage(vec, kernels.FORWARD_NEG, 2, out=out)
+    assert got is out
+    assert got.tobytes() == kernels.gate_stage(vec, kernels.FORWARD_NEG, 2).tobytes()
+    assert vec.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_identity_mask_is_the_same_in_any_chunking(monkeypatch, chunk):
+    vec = generate(5, POOL_FULL, seed=46).targets.copy()
+    vec[3] = gates.I * np.exp(0.5e-9j)  # within EPS of I
+    vec[4] = gates.I * np.exp(2e-9j)  # just past it
+    want = kernels.identity_mask(vec, gates.EPS)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    assert np.array_equal(kernels.identity_mask(vec, gates.EPS), want)
+    assert want[3] and not want[4]

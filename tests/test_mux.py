@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, kernels
+from qmuxopt import gates, group, kernels, reference
 from qmuxopt.errors import (
     FormMismatch,
     LengthNotPowerOfTwo,
@@ -21,13 +21,14 @@ from qmuxopt.mux import (
     semantics,
     transform_stages,
 )
+from qmuxopt.randmux import POOL_FULL, generate
 from qmuxopt.reference import butterfly_stage, triangular_solve
 
 INV = gates.inverse
 
 
 def random_mux(rng, m, form=STANDARD, polarity=None):
-    targets = np.stack([gates.random_unitary(rng) for _ in range(1 << m)])
+    targets = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
     return Multiplexer(m, targets, form, polarity)
 
 
@@ -146,7 +147,7 @@ def test_max_semantic_deviation_needs_equal_control_counts():
 
 def test_butterfly_stage_with_callable_kernel():
     rng = np.random.default_rng(53)
-    vec = np.stack([gates.random_unitary(rng) for _ in range(4)])
+    vec = np.stack([reference.random_unitary(rng) for _ in range(4)])
     out = butterfly_stage(vec, lambda a, b: (b, a @ b), 0)
     assert np.abs(out[0] - vec[1]).max() <= 1e-12
     assert np.abs(out[1] - vec[0] @ vec[1]).max() <= 1e-12
@@ -156,13 +157,13 @@ def test_butterfly_stage_with_callable_kernel():
 
 def test_butterfly_stage_identity_kernel():
     rng = np.random.default_rng(54)
-    vec = np.stack([gates.random_unitary(rng) for _ in range(8)])
+    vec = np.stack([reference.random_unitary(rng) for _ in range(8)])
     assert np.array_equal(kernels.gate_stage(vec, kernels.IDENTITY, 1), vec)
 
 
 def test_butterfly_stage_inverse_pos_at_bit_one():
     rng = np.random.default_rng(55)
-    a, b, c, d = (gates.random_unitary(rng) for _ in range(4))
+    a, b, c, d = (reference.random_unitary(rng) for _ in range(4))
     out = kernels.gate_stage(np.stack([a, b, c, d]), kernels.INVERSE_POS, 1)
     assert np.abs(out[0] - a).max() <= 1e-12
     assert np.abs(out[1] - b).max() <= 1e-12
@@ -237,7 +238,7 @@ def test_forward_polarity_length_checked():
 
 def test_inverse_single_variable_base_cases():
     rng = np.random.default_rng(58)
-    g0, g1 = gates.random_unitary(rng), gates.random_unitary(rng)
+    g0, g1 = reference.random_unitary(rng), reference.random_unitary(rng)
     pos = Multiplexer(1, np.stack([g0, g1]), FPQF, "1")
     back = inverse_transform(pos)
     assert np.abs(back.targets[0] - g0).max() <= 1e-12
@@ -411,3 +412,40 @@ def test_activation_mask_matches_the_scalar_firing_rule():
                     _fires(g, state, case.digits, case.inverted_lines) for g in range(1 << m)
                 ]
                 assert activation_mask(case, state).tolist() == expected
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_transform_stages_in_place_equals_a_cascade_of_fresh_columns(monkeypatch, direction):
+    """The cascade runs its columns in place in one copy, in pieces of
+    CHUNK_ROWS pairs: bit for bit the chain of fresh columns, on matrices
+    and on IDs, and the input is left as it was."""
+    m = 5
+    rng = np.random.default_rng(60)
+    matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=61).targets)
+    kernel_of = kernels.FORWARD if direction == "forward" else kernels.INVERSE
+    order = range(m) if direction == "forward" else range(m - 1, -1, -1)
+    for polarity in ("10201", "00000", "21120"):
+        for vec, g in ((matrices, None), (ids, gate_group)):
+            want = vec
+            for k in order:
+                want = kernels.gate_stage(want, kernel_of[polarity[k]], m - 1 - k, g)
+            before = vec.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "CHUNK_ROWS", 3)
+                got = transform_stages(vec, polarity, direction, g)
+            assert got.tobytes() == want.tobytes()
+            assert vec.tobytes() == before
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_unitarity_check_is_the_same_in_any_chunking(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    targets = ivvx_case().targets.copy()
+    targets[3] = 1.5 * gates.X
+    with pytest.raises(ValueError, match=r"worst deviation 1\.250e\+00"):
+        Multiplexer(2, targets)
+    targets[0] = 1.1 * gates.I
+    targets[3, 0, 0] = np.nan  # non-finite wins over an earlier non-unitary gate
+    with pytest.raises(ValueError, match="non-finite"):
+        Multiplexer(2, targets)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates
+from qmuxopt import gates, reference
 from qmuxopt.errors import ParseError
 from qmuxopt.mux import (
     FPQF,
@@ -12,6 +12,7 @@ from qmuxopt.mux import (
     negative_control_realization,
 )
 from qmuxopt.muxio import (
+    UNMATCHABLE_CONTROLS,
     dump_qmux,
     dump_qmux_json,
     load_qmux,
@@ -45,7 +46,7 @@ def test_parse_accepts_comments_and_wrapped_targets():
     m = parse_qmux(text)
     assert m.form == FPQF
     assert m.polarity == "11"
-    assert target_tokens(m) == ["I", "V", "V", "I"]
+    assert list(target_tokens(m)) == ["I", "V", "V", "I"]
 
 
 def test_parse_kqf_form():
@@ -68,7 +69,7 @@ def test_dump_is_deterministic():
 
 def test_polarized_round_trip_with_matrix_literals():
     rng = np.random.default_rng(150)
-    std = Multiplexer(2, np.stack([gates.random_unitary(rng) for _ in range(4)]))
+    std = Multiplexer(2, np.stack([reference.random_unitary(rng) for _ in range(4)]))
     g = forward_transform(std, "10")
     again = parse_qmux(dump_qmux(g))
     assert again.form == FPQF
@@ -229,11 +230,11 @@ def test_target_tokens_match_per_gate_render():
         np.array([[-0.0, 1], [1, -0.0]], dtype=complex),  # X with -0.0
         gates.rx(1.1),
         gates.ry(-0.7),
-        *(gates.random_unitary(rng) for _ in range(18)),
+        *(reference.random_unitary(rng) for _ in range(18)),
     ]
     m = Multiplexer(5, np.stack(targets))
-    tokens = target_tokens(m)
-    assert tokens == [gates.render_gate(u) for u in m.targets]
+    tokens = list(target_tokens(m))
+    assert tokens == [reference.render_gate(u) for u in m.targets]
     assert tokens[:9] == list(gates.CATALOG) + ["X", "VD"]
     assert tokens[9].startswith("M(") and "-0.0" in tokens[10]
 
@@ -260,3 +261,34 @@ def test_realized_multiplexer_round_trips_with_its_inverters():
 def test_fpqf_form_with_a_mixed_digit_is_a_parse_error(text):
     with pytest.raises(ParseError):
         parse_qmux(text)
+
+
+@pytest.mark.parametrize("controls", [100000, 10**6])
+def test_an_unmatchable_control_count_is_refused_with_its_line(controls):
+    """No token list matches 2^63 or more tokens, so the count is refused
+    before 1 << controls is built (at 10^6 a 125 KB integer whose decimal
+    text Python refuses to make)."""
+    text = f"# header\ncontrols: {controls}\nform: standard\ntargets: I X\n"
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="big.qmux")
+    assert str(info.value) == (
+        f"big.qmux:2: {controls} controls need 2^{controls} gate tokens, got 2"
+    )
+
+
+@pytest.mark.parametrize("controls", [100000, 10**6])
+def test_an_unmatchable_control_count_is_refused_in_json(controls):
+    text = f'{{"controls": {controls}, "form": "standard", "targets": ["I", "X", "V"]}}'
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="big.json")
+    assert str(info.value) == (
+        f"big.json: {controls} controls need 2^{controls} gate tokens, got 3"
+    )
+
+
+def test_the_largest_matchable_control_count_keeps_the_count_message():
+    below = UNMATCHABLE_CONTROLS - 1
+    with pytest.raises(ParseError, match=f"expected {1 << below} gate tokens, got 2"):
+        parse_qmux(f"controls: {below}\nform: standard\ntargets: I X\n")
+    with pytest.raises(ParseError, match=f"{UNMATCHABLE_CONTROLS} controls need"):
+        parse_qmux(f"controls: {UNMATCHABLE_CONTROLS}\nform: standard\ntargets: I X\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, cost, gates, group, kernels, mux, search
+from qmuxopt import blocksearch, cost, gates, group, kernels, mux, reference, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
@@ -71,7 +71,7 @@ def test_all_identity_targets_cost_nothing_everywhere():
 @pytest.mark.parametrize("family,digits", [("fpqf", "01"), ("kqf", "012")])
 def test_exhaustive_matches_naive_loop(m, family, digits):
     rng = np.random.default_rng(120 + m)
-    std = Multiplexer(m, np.stack([gates.random_unitary(rng) for _ in range(1 << m)]))
+    std = Multiplexer(m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)]))
     report = exhaustive_search(std, SearchConfig(family=family))
     best, worst, average, _ = brute_force_report(std, digits)
     assert (report.best_polarity, report.best_cost) == best
@@ -81,7 +81,7 @@ def test_exhaustive_matches_naive_loop(m, family, digits):
 
 def test_polarity_cost_stream_matches_direct_transforms():
     rng = np.random.default_rng(124)
-    std = Multiplexer(3, np.stack([gates.random_unitary(rng) for _ in range(8)]))
+    std = Multiplexer(3, np.stack([reference.random_unitary(rng) for _ in range(8)]))
     streamed = search.polarity_costs(std, "kqf").tolist()
     for polarity, value in zip(all_polarities(3, "012"), streamed, strict=True):
         assert value == multiplexer_cost(forward_transform(std, polarity)).total
@@ -89,7 +89,7 @@ def test_polarity_cost_stream_matches_direct_transforms():
 
 def test_kqf_restricted_to_fixed_digits_reproduces_fpqf():
     rng = np.random.default_rng(125)
-    std = Multiplexer(3, np.stack([gates.random_unitary(rng) for _ in range(8)]))
+    std = Multiplexer(3, np.stack([reference.random_unitary(rng) for _ in range(8)]))
     kqf_costs = zip(all_polarities(3, "012"), search.polarity_costs(std, "kqf").tolist())
     fpqf_costs = search.polarity_costs(std, "fpqf").tolist()
     assert [c for p, c in kqf_costs if "2" not in p] == fpqf_costs
@@ -209,7 +209,7 @@ def test_original_cost_equals_the_standard_form_cost_report(pool, m):
 
 def _random_multiplexer(m, seed):
     rng = np.random.default_rng(seed)
-    return Multiplexer(m, np.stack([gates.random_unitary(rng) for _ in range(1 << m)]))
+    return Multiplexer(m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)]))
 
 
 # Inputs whose targets close into a small group, so the search walks IDs.
@@ -429,7 +429,7 @@ def test_qetv_stage_on_ids_matches_matrices():
 # Targets for the property test: Clifford gates, a rotation and Haar-random
 # unitaries, so identities, shared products and the complex path all occur.
 _PROPERTY_GATES = [gates.I, gates.X, gates.H, gates.V, gates.rx(0.3)] + [
-    gates.random_unitary(np.random.default_rng(310 + k)) for k in range(3)
+    reference.random_unitary(np.random.default_rng(310 + k)) for k in range(3)
 ]
 
 
