@@ -211,10 +211,11 @@ def polarity_costs(
     polarity order.
 
     vector holds 2^n entries (gates, IDs or bits).  stage(vec, digit, bit)
-    applies one butterfly column; column is the slot column (see expand),
-    as wide as the family's rules need; live(entries) is 1 or True for each
-    entry of a flat (k, ...) array that costs; cost_table[c] is the cost of
-    a live entry whose count is c, for c in 0..n.
+    returns vec after one butterfly column and leaves vec as it was;
+    column is the slot column (see expand), as wide as the family's rules
+    need; live(entries) is 1 or True for each entry of a flat (k, ...)
+    array that costs; cost_table[c] is the cost of a live entry whose
+    count is c, for c in 0..n.
     """
     n = len(vector).bit_length() - 1
     digits = FAMILY_DIGITS[family]

@@ -118,11 +118,13 @@ def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
 
 
 def _cascade(vec: np.ndarray, polarity: str) -> np.ndarray:
-    """The GF(2) butterfly columns of the polarity, c_1's first."""
+    """The GF(2) butterfly columns of the polarity, c_1's first, in place
+    on one copy of vec."""
     n = len(polarity)
+    out = vec.copy()
     for k, digit in enumerate(polarity):
-        vec = kernels.gf2_stage(vec, kernels.GF2[digit], n - 1 - k)
-    return vec
+        kernels.gf2_stage(out, kernels.GF2[digit], n - 1 - k)
+    return out
 
 
 def literal_cost(spectrum: RMSpectrum) -> int:
@@ -142,7 +144,7 @@ def rm_search(func: BoolFunc, family: str = FPRM) -> list:
     costs = blocksearch.polarity_costs(
         func.minterms,
         family,
-        stage=lambda vec, digit, bit: kernels.gf2_stage(vec, kernels.GF2[digit], bit),
+        stage=lambda vec, digit, bit: kernels.gf2_stage(vec.copy(), kernels.GF2[digit], bit),
         column=kernels.etv_stage,
         live=lambda bits: bits,
         cost_table=np.arange(n + 1),

@@ -218,6 +218,12 @@ def _cmd_verify(args) -> int:
                 f"expected {args.polarity}",
                 args.transformed,
             )
+        if transformed.controls != std.controls:
+            raise ParseError(
+                f"transformed file has {transformed.controls} controls, "
+                f"the input has {std.controls}",
+                args.transformed,
+            )
     else:
         transformed = mux.forward_transform(std, args.polarity)
     deviation = mux.max_semantic_deviation(std, transformed)

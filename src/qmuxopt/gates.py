@@ -7,6 +7,7 @@ phase in the circuit, so two gates differing by a phase are distinct here.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -70,11 +71,19 @@ def approx_eq(u: np.ndarray, v: np.ndarray, tol: float = EPS) -> bool:
     return bool(np.max(np.abs(u - v)) <= tol)
 
 
-def is_unitary(u: np.ndarray, tol: float = EPS) -> bool:
-    """True iff u has finite entries and u @ u† = I within tol."""
-    if not np.all(np.isfinite(u.view(float))):
-        return False
-    return bool(np.max(np.abs(u @ u.conj().T - I)) <= tol)
+def unitarity_residual(us: np.ndarray) -> float:
+    """Largest entry of |u u^H - I| over a (n, 2, 2) stack, kernels.CHUNK_ROWS
+    matrices at a time: nan when any entry anywhere is non-finite, so that
+    wins over a non-unitary matrix; inf when finite entries overflow."""
+    worst = 0.0
+    for start in range(0, len(us), kernels.CHUNK_ROWS):
+        part = us[start : start + kernels.CHUNK_ROWS]
+        if not np.isfinite(part.view(float)).all():
+            return math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(np.abs(part @ part.conj().transpose(0, 2, 1) - I).max())
+        worst = max(worst, math.inf if math.isnan(residual) else residual)
+    return worst
 
 
 _ROTATION_RE = re.compile(r"^(RX|RY|RZ)\((.+)\)$")
@@ -91,8 +100,9 @@ def parse_gate(token: str) -> np.ndarray:
       - rotations  RX(theta), RY(theta), RZ(theta)  with theta in radians;
       - matrix literal  M(a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im)  row-major.
 
-    Raises UnknownGate for anything else, NonUnitary when a matrix literal
-    fails the unitarity check.
+    Raises UnknownGate for anything else, a non-finite rotation angle
+    included, and NonUnitary when a matrix literal fails the unitarity
+    check.
     """
     text = token.strip().upper()
     name = ALIASES.get(text, text)
@@ -104,7 +114,9 @@ def parse_gate(token: str) -> np.ndarray:
         try:
             angle = float(match.group(2))
         except ValueError:
-            raise UnknownGate(f"bad rotation angle in {token!r}") from None
+            angle = math.nan
+        if not math.isfinite(angle):
+            raise UnknownGate(f"bad rotation angle in {token!r}")
         return _ROTATIONS[match.group(1)](angle)
 
     match = _MATRIX_RE.match(text)
@@ -124,8 +136,8 @@ def parse_gate(token: str) -> np.ndarray:
                 [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
             ]
         )
-        if not is_unitary(u):
-            dev = float(np.max(np.abs(u @ u.conj().T - I)))
+        dev = unitarity_residual(u[None])
+        if not dev <= EPS:
             raise NonUnitary(f"matrix literal is not unitary (deviation {dev:.3e})")
         return u
 

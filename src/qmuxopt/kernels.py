@@ -1,25 +1,33 @@
 """Hot numeric kernels: butterfly columns and per-polarity cost sums.
 
-Kernel codes (one butterfly column pairs indices differing at `bit`; the
-pair is (a, b) with a at the clear-bit index):
+One butterfly column pairs the indices that differ at `bit`; the pair is
+(a, b) with a at the clear-bit index.  `gate_stage` runs every column, of
+either algebra, from one code table:
 
   FORWARD_POS   (a, b) -> (a, b @ a^-1)
   FORWARD_NEG   (a, b) -> (b, a @ b^-1)
   INVERSE_POS   (a, b) -> (a, b @ a)
   INVERSE_NEG   (a, b) -> (b @ a, a)
-  IDENTITY      (a, b) -> (a, b)
+  GF2_POS       (a, b) -> (a, b ^ a)
+  GF2_NEG       (a, b) -> (a ^ b, b)
+  IDENTITY      (a, b) -> (a, b)        (GF2_MIXED is IDENTITY)
 
-With a `group.GateGroup` the vector holds uint8 element IDs instead of
-matrices, and each product is a lookup in the group's tables (mul[i, j] is
-the ID of element i times element j; the flat mulinv[(i << 8) | j] that of
-element i times the inverse of element j, one lookup on a uint16 index):
+The quantum codes take a (2^n, 2, 2) vector of unitaries or, given the
+`group.GateGroup` they index, a (2^n,) uint8 vector of element IDs, where
+each product is a lookup in the group's tables (mul[i, j] is the ID of
+element i times element j; the flat mulinv[(i << 8) | j] that of element
+i times the inverse of element j, one lookup on a uint16 index):
 
   FORWARD_POS   (a, b) -> (a, mulinv[b << 8 | a])
   FORWARD_NEG   (a, b) -> (b, mulinv[a << 8 | b])
   INVERSE_POS   (a, b) -> (a, mul[b, a])
   INVERSE_NEG   (a, b) -> (mul[b, a], a)
 
-ID 0 is the identity, so an ID vector's identity test is `ids == 0`.
+ID 0 is the identity, so an ID vector's identity test is `ids == 0`.  The
+GF(2) codes take a (2^n,) uint8 vector of bits, with XOR as the product.
+
+A column runs in place: it overwrites the vector it is given and returns
+it.  A caller that still needs the input passes a copy.
 
 The quantum extended-vector (QETV) column keeps all four values a forward
 column can produce from a pair, so one expansion serves every digit:
@@ -29,15 +37,8 @@ column can produce from a pair, so one expansion serves every digit:
 `blocksearch.SLOT_RULES` gives the slots each digit keeps; each product is
 the same operation on the same operands as in gate_stage, so the kept
 slots equal the forward column bit for bit.  On IDs the last slot is inv
-of the third, exactly.
-
-GF(2) codes for the classical transform (x, y are bits):
-
-  GF2_POS    (x, y) -> (x, x ^ y)
-  GF2_NEG    (x, y) -> (x ^ y, y)
-  GF2_MIXED  (x, y) -> (x, y)
-
-Its extended-vector column keeps all three values those columns produce:
+of the third, exactly.  The GF(2) extended-vector column keeps all three
+values its columns produce:
 
   etv_stage  (x, y) -> (x, y, x ^ y)
 
@@ -65,15 +66,14 @@ FORWARD_NEG = 1
 INVERSE_POS = 2
 INVERSE_NEG = 3
 IDENTITY = 4
+GF2_POS = 5
+GF2_NEG = 6
+GF2_MIXED = IDENTITY
 
 # Rows one pass over a gate vector handles at a time: every temporary of
 # a butterfly column, identity test, unitarity check, key hash or render
 # holds at most this many matrices (256 KB of complex 2x2).
 CHUNK_ROWS = 4096
-
-GF2_POS = 0
-GF2_NEG = 1
-GF2_MIXED = 2
 
 FORWARD = {"1": FORWARD_POS, "0": FORWARD_NEG, "2": IDENTITY}
 INVERSE = {"1": INVERSE_POS, "0": INVERSE_NEG, "2": IDENTITY}
@@ -109,14 +109,21 @@ def _times_inverse(x, y, out, group) -> None:
         np.take(group.mulinv, index, out=out)
 
 
+def _xor(x, y, out, group) -> None:
+    """out = x ^ y, on bits."""
+    np.bitwise_xor(x, y, out=out)
+
+
 # Per kernel: the product, its operands (x, y) as halves (0 the clear-bit
 # half a, 1 the set-bit half b), the output half it lands in, and the input
-# half copied to the other output half.
+# half left in the other output half.
 _COLUMNS = {
     FORWARD_POS: (_times_inverse, (1, 0), 1, 0),
     FORWARD_NEG: (_times_inverse, (0, 1), 1, 1),
     INVERSE_POS: (_times, (1, 0), 1, 0),
     INVERSE_NEG: (_times, (1, 0), 0, 0),
+    GF2_POS: (_xor, (1, 0), 1, 0),
+    GF2_NEG: (_xor, (0, 1), 0, 1),
 }
 
 
@@ -134,44 +141,33 @@ def _pieces(rows: int, run: int):
             yield slice(r, r + step)
 
 
-def gate_stage(
-    gates: np.ndarray, kernel: int, bit: int, group=None, out=None
-) -> np.ndarray:
-    """Apply one butterfly column to a (2^n, 2, 2) gate vector, or, given
-    the `group` its IDs index, to a (2^n,) uint8 ID vector.
+def gate_stage(vec: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarray:
+    """Run one butterfly column in place on `vec` and return it: a
+    (2^n, 2, 2) gate vector, a (2^n,) uint8 ID vector of `group`, or a
+    (2^n,) uint8 bit vector for the GF(2) codes.
 
-    Returns a new vector, or writes into `out` and returns it: a
-    C-contiguous array of the same shape and dtype that is either `gates`
-    itself, so the column runs in place, or shares no memory with it.  The
-    column runs CHUNK_ROWS pairs at a time, so its temporaries (the
-    conjugate of a piece's operand, and in place the product that is
-    written back) hold at most CHUNK_ROWS matrices.  Each product is the
-    np.matmul or table lookup of the same operands as over the whole
-    vector at once, so the bytes do not depend on the chunking or on
-    whether the column runs in place.
+    `vec` must be writable and C-contiguous, so that the pair halves are
+    views of it; any other vector is refused rather than written through a
+    copy.  The column runs CHUNK_ROWS pairs at a time: each piece's product
+    is staged in a temporary of at most CHUNK_ROWS entries and written
+    back, so the bytes do not depend on the chunking.
     """
-    if out is None:
-        # C order, so the reshape in _halves is a view of `out`; empty_like
-        # would keep a Fortran-ordered input's layout and write into a copy.
-        out = np.empty(gates.shape, gates.dtype)
+    if not (vec.flags.c_contiguous and vec.flags.writeable):
+        raise ValueError("a butterfly column needs a writable C-contiguous vector")
     if kernel == IDENTITY:
-        if out is not gates:
-            np.copyto(out, gates)
-        return out
+        return vec
     if kernel not in _COLUMNS:
         raise ValueError(f"unknown kernel code {kernel}")
     product, (x, y), dest, kept = _COLUMNS[kernel]
-    src, dst = _halves(gates, bit), _halves(out, bit)
-    in_place = out is gates
-    for piece in _pieces(*src[0].shape[:2]):
-        # In place the product would overwrite its own operand: stage it.
-        result = np.empty(src[x][piece].shape, gates.dtype) if in_place else dst[dest][piece]
-        product(src[x][piece], src[y][piece], result, group)
-        if not (in_place and kept == 1 - dest):
-            dst[1 - dest][piece] = src[kept][piece]
-        if in_place:
-            dst[dest][piece] = result
-    return out
+    halves = _halves(vec, bit)
+    for piece in _pieces(*halves[0].shape[:2]):
+        # The product overwrites one of its own operands: stage it.
+        result = np.empty(halves[x][piece].shape, vec.dtype)
+        product(halves[x][piece], halves[y][piece], result, group)
+        if kept == dest:
+            halves[1 - dest][piece] = halves[kept][piece]
+        halves[dest][piece] = result
+    return vec
 
 
 def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
@@ -241,19 +237,6 @@ def unique(values: np.ndarray):
     return ordered[starts], order[starts], inverse
 
 
-def gf2_stage(vec: np.ndarray, kernel: int, bit: int) -> np.ndarray:
-    """Apply one GF(2) butterfly column to a (2^n,) uint8 vector."""
-    if kernel == GF2_MIXED:
-        return vec.copy()
-    x, y = _halves(vec, bit)
-    out = np.empty(vec.shape, vec.dtype)
-    lo, hi = _halves(out, bit)
-    if kernel == GF2_POS:
-        lo[...] = x
-        np.bitwise_xor(x, y, out=hi)
-    elif kernel == GF2_NEG:
-        np.bitwise_xor(x, y, out=lo)
-        hi[...] = y
-    else:
-        raise ValueError(f"unknown GF(2) kernel code {kernel}")
-    return out
+# The classical callers' name for gate_stage, under which the benchmark
+# traces GF(2) columns apart from quantum ones.
+gf2_stage = gate_stage

@@ -15,6 +15,7 @@ digit reads its control line through an inverter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,18 @@ class Multiplexer:
     inverted_lines: tuple = field(default=())
 
     def __post_init__(self):
-        if not isinstance(self.controls, int) or self.controls < 1:
+        # bool is an int subclass, but True is no control count.
+        if isinstance(self.controls, bool) or not isinstance(self.controls, int):
+            raise ValueError(f"controls {self.controls!r} is not an int")
+        if self.controls < 1:
             raise ValueError("a multiplexer needs at least one control variable")
         arr = np.ascontiguousarray(np.asarray(self.targets, dtype=complex))
         expected = (1 << self.controls, 2, 2)
         if arr.shape != expected:
             raise ValueError(f"targets must have shape {expected}, got {arr.shape}")
-        worst = _unitarity_residual(arr)
+        worst = gates.unitarity_residual(arr)
+        if math.isnan(worst):
+            raise ValueError("targets contain non-finite entries")
         if worst > EPS:
             raise ValueError(f"targets are not unitary (worst deviation {worst:.3e})")
         arr.setflags(write=False)
@@ -90,19 +96,6 @@ class Multiplexer:
         if self.form == STANDARD:
             return STANDARD
         return f"{self.form}:{self.polarity}"
-
-
-def _unitarity_residual(arr: np.ndarray) -> float:
-    """Largest entry of |u u^H - I| over a (n, 2, 2) stack, kernels.CHUNK_ROWS
-    matrices at a time; raises on a non-finite entry anywhere first."""
-    worst = 0.0
-    for start in range(0, len(arr), kernels.CHUNK_ROWS):
-        part = arr[start : start + kernels.CHUNK_ROWS]
-        if not np.all(np.isfinite(part.view(float))):
-            raise ValueError("targets contain non-finite entries")
-        residual = part @ part.conj().transpose(0, 2, 1) - np.eye(2)
-        worst = max(worst, float(np.abs(residual).max()))
-    return worst
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
@@ -157,11 +150,9 @@ def transform_stages(
     reverse order.  Given the `group.GateGroup` they index, `targets` are
     uint8 element IDs (see `kernels.gate_stage`).
 
-    The cascade copies `targets` once and runs every column in place in
-    that copy, kernels.CHUNK_ROWS pairs at a time, so its temporaries stay
-    O(CHUNK_ROWS); a fresh vector per column and a conjugate copy of half
-    of it would add 1.5 vectors each.  An in-place column computes the same
-    products as a fresh one, so the result is the same bit for bit.
+    The cascade copies `targets` once and runs every column in place on
+    that copy (kernels.gate_stage), so `targets` is left as it was and the
+    only other memory is each column's O(CHUNK_ROWS) temporaries.
     """
     m = len(polarity)
     if direction == "forward":
@@ -172,7 +163,7 @@ def transform_stages(
         raise ValueError(f"unknown direction {direction!r}")
     out = targets.copy()
     for k in order:
-        kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group, out=out)
+        kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group)
     return out
 
 

@@ -123,7 +123,7 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
         root,
         family,
         stage=lambda vec, digit, bit: kernels.gate_stage(
-            vec, kernels.FORWARD[digit], bit, gate_group
+            vec.copy(), kernels.FORWARD[digit], bit, gate_group
         ),
         column=lambda pairs, out: kernels.qetv_stage(pairs, out, gate_group),
         live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),

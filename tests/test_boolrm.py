@@ -313,6 +313,18 @@ def _etv_slot_index(polarity, position):
     return index
 
 
+def test_search_and_transforms_leave_the_minterms_alone():
+    # n = 12 > BLOCK_VARS[FPRM]: the search runs DFS columns above its blocks.
+    vec = np.random.default_rng(17).integers(0, 2, size=1 << 12).astype(np.uint8)
+    func = BoolFunc(12, vec.copy())
+    rm_search(func, "fprm")
+    spectrum = rm_transform(func, "1020" * 3)
+    coefficients = spectrum.coefficients.tobytes()
+    assert rm_inverse_transform(spectrum) is not None
+    assert func.minterms.tobytes() == vec.tobytes()
+    assert spectrum.coefficients.tobytes() == coefficients
+
+
 def test_etv_slots_equal_the_transform_bit_for_bit():
     n = 6
     func = BoolFunc(n, np.random.default_rng(520).integers(0, 2, size=1 << n).astype(np.uint8))

@@ -175,6 +175,40 @@ def test_verify_transformed_polarity_mismatch_exits_2(capsys, case_file, tmp_pat
     assert "polarity" in err
 
 
+def test_verify_transformed_with_another_control_count_exits_2(capsys, case_file, tmp_path):
+    # The polarity matches the transformed file, so only the counts differ.
+    path = tmp_path / "three.qmux"
+    save_qmux(forward_transform(generate(3, POOL_FULL, seed=2), "101"), path)
+    code, _, err = run(capsys, ["verify", case_file, "101", "--transformed", path])
+    assert code == 2
+    assert err.strip().endswith(f"{path}: transformed file has 3 controls, the input has 2")
+
+
+@pytest.mark.parametrize("token", ["RX(inf)", "RZ(nan)", "RX(1e400)"])
+@pytest.mark.parametrize("name", ["bad.qmux", "bad.json"])
+def test_cost_refuses_a_non_finite_rotation_angle_with_its_position(capsys, tmp_path, name, token):
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"controls": 1, "form": "standard", "targets": ["X", token]}))
+        where = f"{path}: target 1:"
+    else:
+        path.write_text(f"controls: 1\nform: standard\ntargets:\n  X {token}\n")
+        where = f"{path}:4:5:"
+    code, out, err = run(capsys, ["cost", path])
+    assert code == 2 and out == ""
+    assert f"{where} bad rotation angle in {token!r}" in err
+    assert "Warning" not in err
+
+
+def test_generate_refuses_a_pool_with_a_non_finite_angle(capsys, tmp_path):
+    out = tmp_path / "g.qmux"
+    code, _, err = run(capsys, ["generate", "--controls", "2", "--pool", "custom:X,RX(inf)",
+                                "--out", out])
+    assert code == 2
+    assert "bad rotation angle in 'RX(inf)'" in err
+    assert not out.exists()
+
+
 def test_optimize_then_verify_best_always_passes(capsys, tmp_path):
     rng = np.random.default_rng(160)
     targets = np.stack([reference.random_unitary(rng) for _ in range(8)])

@@ -7,12 +7,30 @@ from qmuxopt.errors import NonUnitary, UnknownGate
 
 def test_catalog_gates_are_unitary():
     for name, g in gates.CATALOG.items():
-        assert gates.is_unitary(g), name
+        assert gates.unitarity_residual(g[None]) <= gates.EPS, name
         assert np.abs(g @ g.conj().T - gates.I).max() <= 1e-9
 
 
 def test_non_finite_entries_are_not_unitary():
-    assert not gates.is_unitary(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    assert np.isnan(gates.unitarity_residual(np.array([[[np.nan, 0], [0, 1]]], dtype=complex)))
+
+
+def test_unitarity_residual_is_the_worst_entry_of_u_u_dagger_minus_i():
+    us = np.stack([gates.X, 1.5 * gates.X, gates.H])
+    assert gates.unitarity_residual(us) == 1.25
+    assert gates.unitarity_residual(us[:0]) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 2, kernels.CHUNK_ROWS])
+def test_unitarity_residual_puts_a_non_finite_entry_first(monkeypatch, chunk):
+    """nan for a non-finite entry anywhere, even after a non-unitary one;
+    inf, and no overflow warning, when finite entries overflow."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    us = np.stack([gates.I, 2 * gates.X, gates.Z, gates.Y])
+    us[3, 1, 1] = np.inf
+    assert np.isnan(gates.unitarity_residual(us))
+    us[3] = 1e200 * np.array([[1, 1j], [1, -1]])
+    assert gates.unitarity_residual(us) == np.inf
 
 
 def test_x_squared_is_identity():
@@ -34,7 +52,7 @@ def test_multiply_result_stays_unitary():
     for _ in range(50):
         u = reference.random_unitary(rng)
         v = reference.random_unitary(rng)
-        assert gates.is_unitary(u @ v, tol=1e-8)
+        assert gates.unitarity_residual((u @ v)[None]) <= 1e-8
 
 
 def test_multiply_is_associative():
@@ -94,8 +112,21 @@ def test_parse_gate_matrix_literal_identity():
 
 
 def test_parse_gate_matrix_literal_non_unitary():
-    with pytest.raises(NonUnitary):
+    with pytest.raises(NonUnitary, match=r"\(deviation 3\.000e\+00\)"):
         gates.parse_gate("M(1,0,0,0,0,0,2,0)")
+
+
+@pytest.mark.parametrize("token", ["M(inf,0,0,0,0,0,1,0)", "M(1,0,0,0,0,0,1,nan)"])
+def test_parse_gate_non_finite_literal_deviates_by_nan(token):
+    with pytest.raises(NonUnitary, match=r"\(deviation nan\)"):
+        gates.parse_gate(token)
+
+
+@pytest.mark.parametrize("token", ["RX(inf)", "RZ(nan)", "RX(1e400)", "ry(-inf)"])
+def test_parse_gate_refuses_a_non_finite_rotation_angle(token):
+    with pytest.raises(UnknownGate) as exc:
+        gates.parse_gate(token)
+    assert str(exc.value) == f"bad rotation angle in {token!r}"
 
 
 @pytest.mark.parametrize("token", ["QQ", "M(1,2)", "M(1,0,0,0,0,0,1,x)", "RX()", "RX(abc)", ""])

@@ -32,13 +32,30 @@ GF2_PAIR_KERNELS = {
     kernels.GF2_MIXED: lambda x, y: (x, y),
 }
 
+# The same per-pair products on group IDs, through the mul and inv tables.
+ID_PAIR_KERNELS = {
+    kernels.FORWARD_POS: lambda g, a, b: (a, g.mul[b, g.inv[a]]),
+    kernels.FORWARD_NEG: lambda g, a, b: (b, g.mul[a, g.inv[b]]),
+    kernels.INVERSE_POS: lambda g, a, b: (a, g.mul[b, a]),
+    kernels.INVERSE_NEG: lambda g, a, b: (g.mul[b, a], a),
+    kernels.IDENTITY: lambda g, a, b: (a, b),
+}
+
+
+def _per_pair(vec, pair_kernel, bit):
+    """pair_kernel(a, b) -> (a', b') on every pair differing at `bit`, one
+    pair at a time, into a copy of a 1-D vec."""
+    want = vec.copy()
+    step = 1 << bit
+    for base in range(len(vec)):
+        if not base & step:
+            want[base], want[base + step] = pair_kernel(vec[base], vec[base + step])
+    return want
+
 
 def _gate_vectors(m):
     rng = np.random.default_rng(20 + m)
-    clifford = generate(m, POOL_FULL, seed=m).targets
-    for vec in (_random_gate_vector(rng, 1 << m), clifford):
-        yield vec
-        yield np.asfortranarray(vec)
+    return _random_gate_vector(rng, 1 << m), generate(m, POOL_FULL, seed=m).targets
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -48,7 +65,7 @@ def test_gate_stage_matches_per_pair_reference(kernel, m):
     for vec in _gate_vectors(m):
         for bit in range(m):
             want = reference.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
-            got = kernels.gate_stage(vec, kernel, bit)
+            got = kernels.gate_stage(vec.copy(), kernel, bit)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
 
@@ -60,9 +77,9 @@ def test_group_id_stage_matches_complex_stage(kernel, m):
         vec = generate(m, pool, seed=30 + m).targets
         gate_group, ids = group.intern(vec)
         for bit in range(m):
-            got = kernels.gate_stage(ids, kernel, bit, gate_group)
+            got = kernels.gate_stage(ids.copy(), kernel, bit, gate_group)
             assert got.dtype == np.uint8 and got.shape == ids.shape
-            want = kernels.gate_stage(vec, kernel, bit)
+            want = kernels.gate_stage(vec.copy(), kernel, bit)
             assert np.abs(gate_group.elements[got] - want).max() <= 1e-12
 
 
@@ -85,14 +102,8 @@ def test_identity_mask_on_id_vectors():
 def test_gf2_stage_matches_per_pair_reference(kernel, n):
     vec = np.random.default_rng(40 + n).integers(0, 2, size=1 << n).astype(np.uint8)
     for bit in range(n):
-        want = vec.copy()
-        step = 1 << bit
-        for base in range(1 << n):
-            if not base & step:
-                want[base], want[base + step] = GF2_PAIR_KERNELS[kernel](
-                    vec[base], vec[base + step]
-                )
-        got = kernels.gf2_stage(vec, kernel, bit)
+        want = _per_pair(vec, GF2_PAIR_KERNELS[kernel], bit)
+        got = kernels.gf2_stage(vec.copy(), kernel, bit)
         assert got.dtype == vec.dtype
         assert np.array_equal(got, want)
 
@@ -111,7 +122,7 @@ def test_gf2_kernels_are_self_inverse():
     rng = np.random.default_rng(41)
     vec = rng.integers(0, 2, size=16).astype(np.uint8)
     for kernel in (kernels.GF2_POS, kernels.GF2_NEG, kernels.GF2_MIXED):
-        twice = kernels.gf2_stage(kernels.gf2_stage(vec, kernel, 2), kernel, 2)
+        twice = kernels.gf2_stage(kernels.gf2_stage(vec.copy(), kernel, 2), kernel, 2)
         assert np.array_equal(twice, vec)
 
 
@@ -122,7 +133,7 @@ def test_forward_and_inverse_kernels_cancel():
         (kernels.FORWARD_POS, kernels.INVERSE_POS),
         (kernels.FORWARD_NEG, kernels.INVERSE_NEG),
     ]:
-        back = kernels.gate_stage(kernels.gate_stage(vec, fwd, 1), inv, 1)
+        back = kernels.gate_stage(kernels.gate_stage(vec.copy(), fwd, 1), inv, 1)
         assert np.abs(back - vec).max() <= 1e-12
 
 
@@ -135,38 +146,73 @@ def test_unique_matches_np_unique(n, high):
         assert np.array_equal(g, e)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, kernels.CHUNK_ROWS])
-@pytest.mark.parametrize("kernel", GATE_KERNELS)
-def test_in_place_column_equals_the_fresh_column(monkeypatch, kernel, chunk):
-    """Bit for bit, on matrices and on IDs, at bit 0, a middle bit and the
-    top bit, with pieces of 1, 3 and CHUNK_ROWS pairs against a fresh
-    column over the whole vector."""
-    m = 6
+def test_gf2_stage_is_gate_stage():
+    assert kernels.gf2_stage is kernels.gate_stage
+    assert kernels.GF2_MIXED == kernels.IDENTITY
+    assert len({*GATE_KERNELS, *GF2_PAIR_KERNELS}) == 7
+
+
+def _column_cases(m, kernel):
+    """(vector, group, per-pair reference of a column at a bit) for every
+    vector kind the kernel code takes."""
+    if kernel in (kernels.GF2_POS, kernels.GF2_NEG):
+        bits = np.random.default_rng(47).integers(0, 2, size=1 << m).astype(np.uint8)
+        return [(bits, None, lambda bit: _per_pair(bits, GF2_PAIR_KERNELS[kernel], bit))]
     matrices = _random_gate_vector(np.random.default_rng(43), 1 << m)
     clifford = generate(m, POOL_FULL, seed=44).targets
     gate_group, ids = group.intern(clifford)
-    cases = [(matrices, None), (clifford, None), (ids, gate_group)]
-    for bit in (0, m // 2, m - 1):
-        wants = [kernels.gate_stage(vec, kernel, bit, g) for vec, g in cases]
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "CHUNK_ROWS", chunk)
-            for (vec, g), want in zip(cases, wants):
-                fresh = kernels.gate_stage(vec, kernel, bit, g)
-                work = vec.copy()
-                in_place = kernels.gate_stage(work, kernel, bit, g, out=work)
-                assert in_place is work
-                assert fresh.tobytes() == want.tobytes()
-                assert in_place.tobytes() == want.tobytes()
+    pair = PAIR_KERNELS[kernel]
+    return [
+        (matrices, None, lambda bit: reference.butterfly_stage(matrices, pair, bit)),
+        (clifford, None, lambda bit: reference.butterfly_stage(clifford, pair, bit)),
+        (
+            ids,
+            gate_group,
+            lambda bit: _per_pair(
+                ids, lambda a, b: ID_PAIR_KERNELS[kernel](gate_group, a, b), bit
+            ),
+        ),
+    ]
 
 
-def test_column_into_a_separate_out_leaves_the_input_alone():
-    vec = _random_gate_vector(np.random.default_rng(45), 16)
-    before = vec.copy()
-    out = np.empty_like(vec)
-    got = kernels.gate_stage(vec, kernels.FORWARD_NEG, 2, out=out)
-    assert got is out
-    assert got.tobytes() == kernels.gate_stage(vec, kernels.FORWARD_NEG, 2).tobytes()
-    assert vec.tobytes() == before.tobytes()
+@pytest.mark.parametrize("chunk", [1, 3, kernels.CHUNK_ROWS])
+@pytest.mark.parametrize("kernel", [*GATE_KERNELS, kernels.GF2_POS, kernels.GF2_NEG])
+def test_every_column_runs_in_place_in_any_chunking(monkeypatch, kernel, chunk):
+    """Every code, on matrices, Clifford matrices, group IDs and bits, at
+    bit 0, a middle bit and the top bit: the column overwrites the vector
+    it is given with the per-pair reference, bit for bit, whether a piece
+    holds 1, 3 or CHUNK_ROWS pairs."""
+    m = 6
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    for vec, gate_group, reference_at in _column_cases(m, kernel):
+        for bit in (0, m // 2, m - 1):
+            want = reference_at(bit)
+            work = vec.copy()
+            got = kernels.gate_stage(work, kernel, bit, gate_group)
+            assert got is work
+            assert got.dtype == vec.dtype and got.shape == vec.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [*GATE_KERNELS, kernels.GF2_POS, kernels.GF2_NEG])
+def test_column_refuses_a_vector_it_cannot_write_in_place(kernel):
+    """A read-only vector, or one that is not C-contiguous, whose halves
+    would be copies, is refused and left as it was."""
+    if kernel in (kernels.GF2_POS, kernels.GF2_NEG):
+        vec = np.random.default_rng(48).integers(0, 2, size=32).astype(np.uint8)
+    else:
+        vec = _random_gate_vector(np.random.default_rng(48), 32)
+    read_only = vec.copy()
+    read_only.setflags(write=False)
+    strided = vec.copy()[::2]
+    refused = [read_only, strided]
+    if vec.ndim == 3:
+        refused.append(np.asfortranarray(vec))
+    for bad in refused:
+        before = bad.tobytes()
+        with pytest.raises(ValueError, match="writable C-contiguous"):
+            kernels.gate_stage(bad, kernel, 1)
+        assert bad.tobytes() == before
 
 
 @pytest.mark.parametrize("chunk", [1, 3])

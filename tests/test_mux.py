@@ -97,6 +97,14 @@ def test_rejects_an_inverter_on_a_mixed_line():
         Multiplexer(2, ivvx_case().targets, KQF, "21", (1,))
 
 
+@pytest.mark.parametrize("controls", [True, 1.0, "1"])
+def test_rejects_a_control_count_that_is_not_an_int(controls):
+    # bool is an int subclass; dump_qmux would write `controls: True`,
+    # which parse_qmux refuses.
+    with pytest.raises(ValueError, match=f"controls {controls!r} is not an int"):
+        Multiplexer(controls, np.stack([gates.I, gates.X]))
+
+
 def test_targets_are_read_only():
     m = ivvx_case()
     with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ def test_butterfly_stage_with_callable_kernel():
 def test_butterfly_stage_identity_kernel():
     rng = np.random.default_rng(54)
     vec = np.stack([reference.random_unitary(rng) for _ in range(8)])
-    assert np.array_equal(kernels.gate_stage(vec, kernels.IDENTITY, 1), vec)
+    assert np.array_equal(kernels.gate_stage(vec.copy(), kernels.IDENTITY, 1), vec)
 
 
 def test_butterfly_stage_inverse_pos_at_bit_one():
@@ -416,9 +424,10 @@ def test_activation_mask_matches_the_scalar_firing_rule():
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_transform_stages_in_place_equals_a_cascade_of_fresh_columns(monkeypatch, direction):
-    """The cascade runs its columns in place in one copy, in pieces of
-    CHUNK_ROWS pairs: bit for bit the chain of fresh columns, on matrices
-    and on IDs, and the input is left as it was."""
+    """The cascade runs its columns in place in one copy, in pieces of 3
+    pairs: bit for bit the same chain of columns run one by one in pieces
+    of CHUNK_ROWS, on matrices and on IDs, and the input is left as it
+    was."""
     m = 5
     rng = np.random.default_rng(60)
     matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
@@ -427,7 +436,7 @@ def test_transform_stages_in_place_equals_a_cascade_of_fresh_columns(monkeypatch
     order = range(m) if direction == "forward" else range(m - 1, -1, -1)
     for polarity in ("10201", "00000", "21120"):
         for vec, g in ((matrices, None), (ids, gate_group)):
-            want = vec
+            want = vec.copy()
             for k in order:
                 want = kernels.gate_stage(want, kernel_of[polarity[k]], m - 1 - k, g)
             before = vec.tobytes()
@@ -449,3 +458,11 @@ def test_unitarity_check_is_the_same_in_any_chunking(monkeypatch, chunk):
     targets[3, 0, 0] = np.nan  # non-finite wins over an earlier non-unitary gate
     with pytest.raises(ValueError, match="non-finite"):
         Multiplexer(2, targets)
+
+
+def test_targets_whose_residual_overflows_are_not_unitary():
+    # Finite entries whose u u^H overflows to inf - inf = nan must still
+    # fail the check, quietly, rather than compare as no deviation at all.
+    targets = np.stack([gates.I, 1e200 * np.array([[1, 1j], [1, -1]])])
+    with pytest.raises(ValueError, match=r"worst deviation inf"):
+        Multiplexer(1, targets)

@@ -149,3 +149,21 @@ def test_the_name_check_sees_imports_and_attribute_reads():
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
 def test_every_qmuxopt_name_perfbench_reads_exists(path):
     assert missing(qmuxopt_reads(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_kernel_timings_run_on_the_current_kernel_contract(monkeypatch):
+    """perfbench/run.py times gate_stage and gf2_stage on its own arrays,
+    outside any traced CLI run; a change to how a column is called must not
+    break its --trace 1 report."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports workloads
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(run, "KERNEL_REPEATS", 1)
+    timings = run.kernel_timings(0)
+    assert sorted(timings) == [
+        "kernels.gate_stage.column_ms_m12",
+        "kernels.gf2_stage.column_ms_n16",
+        "kernels.mux_cost.sum_ms_m12",
+    ]
+    assert all(0 < ms < float("inf") for ms in timings.values())

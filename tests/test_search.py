@@ -367,6 +367,30 @@ def test_exhaustive_fpqf_runs_dfs_columns_only_above_the_block(monkeypatch):
     assert sorted(bits) == [6, 6, 6, 6, 7, 7]
 
 
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+@pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
+def test_search_leaves_its_root_vector_alone(monkeypatch, family, pool):
+    """The DFS runs its columns in place on copies: neither std.targets nor
+    the interned ID vector it starts from changes."""
+    std = generate(8, resolve_pool(pool), seed=323)
+    targets = std.targets.tobytes()
+    roots = []
+    intern = group.intern
+
+    def recorded(vec):
+        interned = intern(vec)
+        if interned is not None:
+            roots.append((interned[1], interned[1].tobytes()))
+        return interned
+
+    monkeypatch.setattr(group, "intern", recorded)
+    search.polarity_costs(std, family)
+    assert std.targets.tobytes() == targets
+    assert len(roots) == (pool == "full")
+    for root, before in roots:
+        assert root.flags.writeable and root.tobytes() == before
+
+
 def test_block_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     # Complex path: a 4^6-slot row of 2x2 matrices is 256 KB, and a node
     # holds 16 of them at m = 10, 4 MB unchunked.
