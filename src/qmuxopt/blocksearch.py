@@ -1,17 +1,43 @@
-"""Block search: the cost of every polarity of a butterfly family at once.
+"""Butterfly cascades and block search: every polarity of a family at once.
 
-This module is the only one that knows the four families.  FPQF/KQF (over
-gates or group IDs) and FPRM/KRM (over bits) are both cascades of
-butterfly columns over 2^n entries, the first variable (the most
-significant index bit) first.  One table per fact, keyed by family:
+This module is the only one that knows the four families and the only
+one that turns a family and a polarity digit into butterfly columns.
+FPQF/KQF (over gates or group IDs) and FPRM/KRM (over bits) are both
+cascades of butterfly columns over 2^n entries, the first variable (the
+most significant index bit) first.  One table per fact, keyed by family:
 
   FAMILY_DIGITS  the polarity digits: '1' positive, '0' negative, '2' mixed
+  FORWARD_CODES  per digit, the kernels code of its column in the forward
+                 cascade: quantum '1' FORWARD_POS, '0' FORWARD_NEG, '2'
+                 IDENTITY; GF(2) '1' GF2_POS, '0' GF2_NEG, '2' GF2_MIXED
+  INVERSE_CODES  the same for the inverse cascade: quantum '1'
+                 INVERSE_POS, '0' INVERSE_NEG, '2' IDENTITY; GF(2) columns
+                 commute and each is its own inverse, so the GF(2) codes
+                 are the forward ones
   SLOT_RULES     per digit, the (slot, shift) of its clear-bit and set-bit
                  outputs (below)
   BLOCK_VARS     how many bottom variables each DFS node expands to slots
   LIMITS         the most variables an exhaustive search takes
 
 check_polarity, check_size and count_vector read them for every caller.
+
+cascade(vector, polarity, family, group=None, inverse=False) runs one
+polarity's full cascade: it copies the vector once and runs every column
+in place on the copy (see kernels.gate_stage), c_1's first, or, inverse,
+c_n's first.  polarity_costs(vector, family, cost_table, group=None) and
+expand(rows, family, group=None) take the family alone and pick its
+columns from it.  The quantum families run kernels.gate_stage and
+kernels.qetv_stage, the GF(2) ones kernels.gf2_stage and
+kernels.etv_stage; a quantum entry costs unless it is the identity
+(kernels.identity_mask within gates.EPS), a GF(2) entry when it is 1.
+
+The benchmark's tracer (perfbench/tracer.py) replaces kernels.gate_stage
+and kernels.gf2_stage by timing wrappers after the program is imported,
+reads a column's vector and code from its first two arguments, and counts
+GF(2) columns under gf2_stage's name.  So each call of cascade, expand or
+polarity_costs reads the column functions off kernels (never out of a
+table built at import), GF(2) columns go through the name gf2_stage, and
+every column is called positionally as (vector, code, bit, group).
 
 A column maps each pair (x, y), x at the clear-bit index, to two outputs,
 each one of a few values the pair can produce, its slots:
@@ -65,7 +91,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import PolarityLengthMismatch, SizeLimitExceeded
+from .gates import EPS
 
 FPQF = "fpqf"
 KQF = "kqf"
@@ -73,6 +101,13 @@ FPRM = "fprm"
 KRM = "krm"
 
 FAMILY_DIGITS = {FPQF: "01", KQF: "012", FPRM: "01", KRM: "012"}
+_GF2_FAMILIES = (FPRM, KRM)
+
+_QUANTUM_FORWARD = {"1": kernels.FORWARD_POS, "0": kernels.FORWARD_NEG, "2": kernels.IDENTITY}
+_QUANTUM_INVERSE = {"1": kernels.INVERSE_POS, "0": kernels.INVERSE_NEG, "2": kernels.IDENTITY}
+_GF2 = {"1": kernels.GF2_POS, "0": kernels.GF2_NEG, "2": kernels.GF2_MIXED}
+FORWARD_CODES = {FPQF: _QUANTUM_FORWARD, KQF: _QUANTUM_FORWARD, FPRM: _GF2, KRM: _GF2}
+INVERSE_CODES = {FPQF: _QUANTUM_INVERSE, KQF: _QUANTUM_INVERSE, FPRM: _GF2, KRM: _GF2}
 
 # Each digit's (clear-bit, set-bit) outputs as (slot, added count): QETV
 # slots a, b, b a^-1, a b^-1 and controls; ETV slots x, y, x ^ y and
@@ -159,20 +194,48 @@ def count_vector(polarity: str, family: str) -> np.ndarray:
     return counts
 
 
-def expand(rows: np.ndarray, column, width: int) -> np.ndarray:
+def _columns(family: str) -> tuple:
+    """(DFS column, slot column, slots it writes per pair) of the family,
+    the functions read off kernels now (see the module docstring)."""
+    if family in _GF2_FAMILIES:
+        return kernels.gf2_stage, kernels.etv_stage, 3
+    return kernels.gate_stage, kernels.qetv_stage, 4
+
+
+def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=False):
+    """The vector after the polarity's full cascade of the family's columns.
+
+    Forward runs c_1's column (the most significant bit) first and c_n's
+    (bit 0) last; inverse runs the inverse columns in reverse order.
+    Given the `group.GateGroup` they index, quantum entries are uint8
+    element IDs.  The cascade copies `vector` once and runs every column
+    in place on the copy, so `vector` is left as it was and the only other
+    memory is each column's O(CHUNK_ROWS) temporaries.
+    """
+    n = len(polarity)
+    stage = _columns(family)[0]
+    codes = (INVERSE_CODES if inverse else FORWARD_CODES)[family]
+    out = vector.copy()
+    for k in reversed(range(n)) if inverse else range(n):
+        stage(out, codes[polarity[k]], n - 1 - k, group)
+    return out
+
+
+def expand(rows: np.ndarray, family: str, group=None) -> np.ndarray:
     """Slots of each row: (r, 2^b, ...) entries -> (r, width^b, ...).
 
-    column(pairs, out) writes the width slots of the pairs pairs[:, 0],
-    pairs[:, 1] to out[:, 0] .. out[:, width - 1].  Columns run in cascade
-    order, the top row bit first, and each new slot axis lands outside the
-    earlier ones.
+    The family's slot column writes the width slots of the pairs
+    pairs[:, 0], pairs[:, 1] to out[:, 0] .. out[:, width - 1], on IDs of
+    `group` when one is given.  Columns run in cascade order, the top row
+    bit first, and each new slot axis lands outside the earlier ones.
     """
+    _, column, width = _columns(family)
     r, tail = rows.shape[0], rows.shape[2:]
     block = rows.reshape(r, rows.shape[1], 1, *tail)
     while block.shape[1] > 1:
         pairs = block.reshape(r, 2, block.shape[1] // 2, block.shape[2], *tail)
         out = np.empty((r, pairs.shape[2], width, pairs.shape[3], *tail), rows.dtype)
-        column(pairs, out.swapaxes(1, 2))
+        column(pairs, out.swapaxes(1, 2), group)
         block = out.reshape(r, pairs.shape[2], -1, *tail)
     return block.reshape(r, -1, *tail)
 
@@ -204,23 +267,19 @@ def _reduce(hist: np.ndarray, digits: str, rules: dict, width: int) -> np.ndarra
     return hist.reshape(bins, -1)
 
 
-def polarity_costs(
-    vector: np.ndarray, family: str, *, stage, column, live, cost_table: np.ndarray
-) -> np.ndarray:
+def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, group=None):
     """Cost of every polarity of the family, as int64 in lexicographic
     polarity order.
 
-    vector holds 2^n entries (gates, IDs or bits).  stage(vec, digit, bit)
-    returns vec after one butterfly column and leaves vec as it was;
-    column is the slot column (see expand), as wide as the family's rules
-    need; live(entries) is 1 or True for each entry of a flat (k, ...)
-    array that costs; cost_table[c] is the cost of a live entry whose
-    count is c, for c in 0..n.
+    vector holds 2^n entries: gates or IDs of `group` for FPQF/KQF, bits
+    for FPRM/KRM.  cost_table[c] is the cost of a live entry whose count
+    is c, for c in 0..n: a gate or ID that is not the identity (within
+    gates.EPS), or a 1 bit.
     """
     n = len(vector).bit_length() - 1
+    stage, _, width = _columns(family)
+    codes = FORWARD_CODES[family]
     digits = FAMILY_DIGITS[family]
-    rules = SLOT_RULES[family]
-    width = 1 + max(slot for rule in rules.values() for slot, _ in rule)
     base = len(digits)
     block = min(BLOCK_VARS[family], n)
     top = n - block
@@ -251,15 +310,16 @@ def polarity_costs(
             node_rows = vec.reshape(len(rows), -1, *tail)
             hist.fill(0)
             for lo in range(0, len(rows), chunk):
-                slots = expand(node_rows[lo : lo + chunk], column, width)
-                alive = live(slots.reshape(-1, *tail)).reshape(len(slots), -1)
-                del slots
-                _add_histogram(hist, alive, counts[lo : lo + chunk])
-            node_costs = cost_table @ _reduce(hist, digits, rules, width)
+                slots = expand(node_rows[lo : lo + chunk], family, group)
+                if family not in _GF2_FAMILIES:  # a GF(2) bit is its own live test
+                    mask = kernels.identity_mask(slots.reshape(-1, *tail), EPS)
+                    slots = ~mask.reshape(len(slots), -1)
+                _add_histogram(hist, slots, counts[lo : lo + chunk])
+            node_costs = cost_table @ _reduce(hist, digits, SLOT_RULES[family], width)
             costs[node * span : (node + 1) * span] = node_costs
             return
         for k, digit in enumerate(digits):
-            child = stage(vec, digit, n - 1 - depth)
+            child = stage(vec.copy(), codes[digit], n - 1 - depth, group)
             walk(child, counts + steps[depth][k], depth + 1, node * base + k)
 
     walk(vector, np.zeros(len(rows), dtype=np.int64), 0, 0)

@@ -11,14 +11,15 @@ The columns commute, so the order is fixed (first variable first) purely
 for determinism.  Output position i of the transform pairs with the base
 function reference.map_coefficient(i, p); positions are never reordered.
 
-rm_search costs every polarity with `blocksearch.polarity_costs` on the
-GF(2) butterfly: a DFS of `kernels.gf2_stage` columns over the top
-digits, then blocks of `kernels.etv_stage` slots, the function's extended
-truth vector (ETV; per variable the x = 0 cofactor, the x = 1 cofactor
-and their XOR).  A coefficient's count is the literal count of its base
-function: a fixed digit adds a literal where the index bit equals the
-digit, a '2' digit always.  A polarity's literal cost is the sum of the
-counts of its nonzero coefficients.
+rm_transform and rm_inverse_transform run `blocksearch.cascade` on the
+family's GF(2) columns.  rm_search costs every polarity with
+`blocksearch.polarity_costs`: a DFS of GF(2) columns over the top digits,
+then blocks of the function's extended truth vector (ETV; per variable
+the x = 0 cofactor, the x = 1 cofactor and their XOR).  A coefficient's
+count is the literal count of its base function: a fixed digit adds a
+literal where the index bit equals the digit, a '2' digit always.  A
+polarity's literal cost is the sum of the counts of its nonzero
+coefficients, so the cost table is 0..n.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocksearch, kernels
-from .blocksearch import FAMILY_DIGITS, FPRM, KRM, check_polarity, count_vector
+from . import blocksearch
+from .blocksearch import FAMILY_DIGITS, FPRM, KRM, cascade, check_polarity, count_vector
 
 @dataclass(frozen=True)
 class BoolFunc:
@@ -105,7 +106,7 @@ def rm_transform(func: BoolFunc, polarity: str) -> RMSpectrum:
     matrix applied to the minterm vector.
     """
     check_polarity(polarity, func.num_vars, KRM)
-    return RMSpectrum(polarity, _cascade(func.minterms, polarity))
+    return RMSpectrum(polarity, cascade(func.minterms, polarity, KRM))
 
 
 def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
@@ -114,17 +115,8 @@ def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
     Each GF(2) column is its own inverse, and columns on different bits
     commute, so the cascade that made the spectrum also undoes it.
     """
-    return BoolFunc(spectrum.num_vars, _cascade(spectrum.coefficients, spectrum.polarity))
-
-
-def _cascade(vec: np.ndarray, polarity: str) -> np.ndarray:
-    """The GF(2) butterfly columns of the polarity, c_1's first, in place
-    on one copy of vec."""
-    n = len(polarity)
-    out = vec.copy()
-    for k, digit in enumerate(polarity):
-        kernels.gf2_stage(out, kernels.GF2[digit], n - 1 - k)
-    return out
+    coefficients = cascade(spectrum.coefficients, spectrum.polarity, KRM, inverse=True)
+    return BoolFunc(spectrum.num_vars, coefficients)
 
 
 def literal_cost(spectrum: RMSpectrum) -> int:
@@ -141,14 +133,7 @@ def rm_search(func: BoolFunc, family: str = FPRM) -> list:
     """
     blocksearch.check_size(family, func.num_vars)
     n = func.num_vars
-    costs = blocksearch.polarity_costs(
-        func.minterms,
-        family,
-        stage=lambda vec, digit, bit: kernels.gf2_stage(vec.copy(), kernels.GF2[digit], bit),
-        column=kernels.etv_stage,
-        live=lambda bits: bits,
-        cost_table=np.arange(n + 1),
-    )
+    costs = blocksearch.polarity_costs(func.minterms, family, np.arange(n + 1))
     order = np.argsort(costs, kind="stable")  # stable: ties stay lexicographic
     # Python objects only now, after every block array is freed.
     names = ["".join(p) for p in itertools.product(FAMILY_DIGITS[family], repeat=n)]

@@ -42,8 +42,8 @@ values its columns produce:
 
   etv_stage  (x, y) -> (x, y, x ^ y)
 
-FORWARD, INVERSE and GF2 map a polarity digit to the code of the column
-its variable runs in each cascade.
+Both take (pairs, out, group=None).  Which code a polarity digit runs,
+and in which order, is blocksearch's to decide, not this module's.
 
 `unique` finds the distinct values of a key vector with one stable sort.
 The program uses it in place of np.unique, whose first bare call (no
@@ -74,10 +74,6 @@ GF2_MIXED = IDENTITY
 # a butterfly column, identity test, unitarity check, key hash or render
 # holds at most this many matrices (256 KB of complex 2x2).
 CHUNK_ROWS = 4096
-
-FORWARD = {"1": FORWARD_POS, "0": FORWARD_NEG, "2": IDENTITY}
-INVERSE = {"1": INVERSE_POS, "0": INVERSE_NEG, "2": IDENTITY}
-GF2 = {"1": GF2_POS, "0": GF2_NEG, "2": GF2_MIXED}
 
 
 def _halves(arr: np.ndarray, bit: int):
@@ -186,9 +182,10 @@ def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
         np.take(group.inv, out[:, 2], out=out[:, 3])
 
 
-def etv_stage(pairs: np.ndarray, out: np.ndarray) -> None:
+def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     """One GF(2) extended-vector column: write the slots (x, y, x ^ y) of the
-    bit pairs x = pairs[:, 0], y = pairs[:, 1] to out[:, 0] .. out[:, 2]."""
+    bit pairs x = pairs[:, 0], y = pairs[:, 1] to out[:, 0] .. out[:, 2].
+    Bits index no group: `group` is there for qetv_stage's signature."""
     out[:, :2] = pairs
     np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=out[:, 2])
 

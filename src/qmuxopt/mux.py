@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gates, kernels
-from .blocksearch import FPQF, KQF, check_polarity, digit_mask
+from . import gates
+from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
 from .errors import FormMismatch
 
 STANDARD = "standard"
@@ -140,31 +140,16 @@ def max_semantic_deviation(a: Multiplexer, b: Multiplexer) -> float:
     return worst
 
 
-def transform_stages(
-    targets: np.ndarray, polarity: str, direction: str, group=None
-) -> np.ndarray:
-    """Run the full butterfly cascade over a raw gate vector.
+def transform_stages(targets: np.ndarray, polarity: str, direction: str, group=None):
+    """blocksearch.cascade of a raw gate vector, `direction` "forward" or
+    "inverse".
 
-    Forward runs the column for c_1 (most significant bit) first and c_m
-    (bit 0) last; inverse runs the same columns with inverse kernels in
-    reverse order.  Given the `group.GateGroup` they index, `targets` are
-    uint8 element IDs (see `kernels.gate_stage`).
-
-    The cascade copies `targets` once and runs every column in place on
-    that copy (kernels.gate_stage), so `targets` is left as it was and the
-    only other memory is each column's O(CHUNK_ROWS) temporaries.
+    Kept only because the benchmark's workloads call it; no program code
+    does.  ROADMAP item 1, the benchmark refresh, deletes it.
     """
-    m = len(polarity)
-    if direction == "forward":
-        kernel_of, order = kernels.FORWARD, range(m)
-    elif direction == "inverse":
-        kernel_of, order = kernels.INVERSE, reversed(range(m))
-    else:
+    if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    out = targets.copy()
-    for k in order:
-        kernels.gate_stage(out, kernel_of[polarity[k]], m - 1 - k, group)
-    return out
+    return cascade(targets, polarity, KQF, group, direction == "inverse")
 
 
 def form_for_polarity(polarity: str) -> str:
@@ -181,7 +166,7 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
     form = form_for_polarity(polarity)
     check_polarity(polarity, std.controls, form)
-    out = transform_stages(std.targets, polarity, "forward")
+    out = cascade(std.targets, polarity, form)
     return Multiplexer(std.controls, out, form, polarity)
 
 
@@ -190,7 +175,7 @@ def inverse_transform(polarized: Multiplexer) -> Multiplexer:
     if polarized.form == STANDARD:
         raise FormMismatch("inverse transform needs a polarized multiplexer")
     plain = without_inverters(polarized)
-    out = transform_stages(plain.targets, plain.polarity, "inverse")
+    out = cascade(plain.targets, plain.polarity, plain.form, inverse=True)
     return Multiplexer(plain.controls, out, STANDARD)
 
 

@@ -186,8 +186,12 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
 
 
 def load_qmux(path) -> Multiplexer:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_qmux(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), str(path))
+    return parse_qmux(text, source=str(path))
 
 
 def target_tokens(m: Multiplexer) -> jsonout.Chunked:

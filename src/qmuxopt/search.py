@@ -1,14 +1,14 @@
 """Exhaustive and random polarity search over a standard-form multiplexer.
 
-The exhaustive search is `blocksearch.polarity_costs` on the quantum
-butterfly, the same for FPQF and KQF: a DFS of `kernels.gate_stage`
-forward columns over all but the bottom `blocksearch.BLOCK_VARS` digits,
-then one block of `kernels.qetv_stage` slots per DFS node, which costs
-all of the node's suffix polarities at once.  A gate's count is its
-number of controls: a fixed digit controls the gates at its set-bit
-indices, a '2' digit every gate, and `cost.gate_cost` prices the count
-of every gate that is not the identity.  Random search runs one forward
-cascade per sampled polarity.
+The exhaustive search is `blocksearch.polarity_costs` of the family
+(FPQF or KQF), which picks the quantum columns itself: a DFS of forward
+columns over all but the bottom `blocksearch.BLOCK_VARS` digits, then one
+block of quantum extended-vector slots per DFS node, which costs all of
+the node's suffix polarities at once.  A gate's count is its number of
+controls: a fixed digit controls the gates at its set-bit indices, a '2'
+digit every gate, and `cost.gate_cost` prices the count of every gate
+that is not the identity.  Random search runs one `blocksearch.cascade`
+per sampled polarity.
 
 When the targets close under multiplication into a small finite group
 whose float residuals stay inside EPS over m columns (`group.intern`;
@@ -119,16 +119,8 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
     _require_standard(std)
     blocksearch.check_size(family, std.controls)
     gate_group, root = _interned(std)
-    return blocksearch.polarity_costs(
-        root,
-        family,
-        stage=lambda vec, digit, bit: kernels.gate_stage(
-            vec.copy(), kernels.FORWARD[digit], bit, gate_group
-        ),
-        column=lambda pairs, out: kernels.qetv_stage(pairs, out, gate_group),
-        live=lambda gates: ~kernels.identity_mask(gates, mux.EPS),
-        cost_table=cost.cost_table_vector(std.controls),
-    )
+    table = cost.cost_table_vector(std.controls)
+    return blocksearch.polarity_costs(root, family, table, gate_group)
 
 
 def _summary(
@@ -191,7 +183,7 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     indices, values = [], []
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
-        targets = mux.transform_stages(root, polarity, "forward", gate_group)
+        targets = blocksearch.cascade(root, polarity, cfg.family, gate_group)
         counts = blocksearch.count_vector(polarity, cfg.family)
         indices.append(int(polarity, base))
         values.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])

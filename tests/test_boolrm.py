@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, boolrm, kernels
+from qmuxopt import blocksearch, boolrm
 from qmuxopt.boolrm import (
     BoolFunc,
     literal_cost,
@@ -328,7 +328,7 @@ def test_search_and_transforms_leave_the_minterms_alone():
 def test_etv_slots_equal_the_transform_bit_for_bit():
     n = 6
     func = BoolFunc(n, np.random.default_rng(520).integers(0, 2, size=1 << n).astype(np.uint8))
-    slots = blocksearch.expand(func.minterms.reshape(1, 1 << n), kernels.etv_stage, 3)[0]
+    slots = blocksearch.expand(func.minterms.reshape(1, 1 << n), boolrm.KRM)[0]
     assert slots.shape == (3**n,)
     rng = np.random.default_rng(521)
     for _ in range(20):

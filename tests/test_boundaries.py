@@ -4,6 +4,9 @@ No module imports or reads another module's private (`_name`) names: each
 rule lives behind the public names of its home.  The reference oracles in
 `reference` stay out of the program: only the package's `__init__`
 imports them, and they never run through the `kernels` they check.
+`kernels` imports no module of the package, and `blocksearch` is the only
+other module that reads a column code or runs a column: it alone turns a
+family and a polarity digit into columns.
 """
 
 import ast
@@ -108,3 +111,58 @@ def test_each_check_fails_when_the_stray_import_is_put_back():
     assert "reference" in package_imports(ast.parse(mux + "from . import reference\n"))
     ref = (PACKAGE / "reference.py").read_text(encoding="utf-8")
     assert "kernels" in package_imports(ast.parse(ref + "from .kernels import IDENTITY\n"))
+
+
+def test_kernels_imports_no_module_of_the_package():
+    source = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert package_imports(ast.parse(source)) == set()
+
+
+# The column codes and column functions of kernels.
+COLUMN_NAMES = {
+    "FORWARD_POS", "FORWARD_NEG", "INVERSE_POS", "INVERSE_NEG", "IDENTITY",
+    "GF2_POS", "GF2_NEG", "GF2_MIXED",
+    "gate_stage", "gf2_stage", "qetv_stage", "etv_stage",
+}
+
+
+def column_reads(tree: ast.Module) -> list:
+    """(line, name) of each column code or column function the tree
+    imports, reads as an attribute or names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in COLUMN_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in COLUMN_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in COLUMN_NAMES:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name not in ("kernels.py", "blocksearch.py")],
+    ids=lambda p: p.name,
+)
+def test_only_blocksearch_reads_column_codes_or_runs_columns(path):
+    assert column_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_each_kernels_rule_fails_when_a_stray_read_is_put_back():
+    kernels = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert package_imports(ast.parse(kernels + "from .gates import EPS\n")) == {"gates"}
+    mux = (PACKAGE / "mux.py").read_text(encoding="utf-8")
+    end = len(mux.splitlines())
+    stray = (
+        "from .kernels import etv_stage\n"
+        "kernels.gate_stage(out, kernels.FORWARD_POS, 0)\n"
+        "gf2_stage(out, GF2_NEG, 0)\n"
+    )
+    assert column_reads(ast.parse(mux + stray)) == [
+        (end + 1, "etv_stage"),
+        (end + 2, "FORWARD_POS"),
+        (end + 2, "gate_stage"),
+        (end + 3, "GF2_NEG"),
+        (end + 3, "gf2_stage"),
+    ]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qmuxopt import gates, pla, reference
+from qmuxopt import mux as mux_mod
 from qmuxopt import search as search_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
@@ -459,6 +460,40 @@ def test_optimize_random_size_limit_exits_3(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, ["optimize", path, "--mode", "random"])
     assert code == 3
     assert "random search is limited to 3 controls" in err
+
+
+def test_verify_refuses_past_its_limit_before_any_transform(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "m15.qmux"
+    save_qmux(generate(15, POOL_FULL, seed=5), path)
+    monkeypatch.setattr(mux_mod, "forward_transform", _refuse)
+    monkeypatch.setattr(mux_mod, "max_semantic_deviation", _refuse)
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["verify", path, "1" * 15])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err == "error: verify is limited to 14 controls, got 15\n"
+
+
+def test_verify_help_states_its_limit(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "limited to 14 controls" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["cost", "optimize", "verify", "verify --transformed"])
+def test_a_qmux_file_that_is_not_utf8_is_named_in_the_error(capsys, case_file, tmp_path, command):
+    bad = tmp_path / "bad.qmux"
+    bad.write_bytes(b"\xffcontrols: 2\n")
+    if command == "verify --transformed":
+        argv = ["verify", case_file, "11", "--transformed", bad]
+    else:
+        argv = [command, bad] + (["11"] if command == "verify" else [])
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_verify_transformed_in_standard_form_exits_2(capsys, case_file):

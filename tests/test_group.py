@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, mux, reference
+from qmuxopt import blocksearch, gates, group, mux, reference
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate, resolve_pool
@@ -103,8 +103,8 @@ def test_complex_cascade_stays_within_margin_of_the_exact_elements():
     worst = 0.0
     for _ in range(6):
         polarity = "".join(rng.choice(list("012"), size=m))
-        complex_out = mux.transform_stages(std.targets, polarity, "forward")
-        out = mux.transform_stages(ids, polarity, "forward", gate_group)
+        complex_out = blocksearch.cascade(std.targets, polarity, mux.KQF)
+        out = blocksearch.cascade(ids, polarity, mux.KQF, gate_group)
         worst = max(worst, float(np.abs(complex_out - gate_group.elements[out]).max()))
     assert worst <= 1e-11
     away = np.abs(gate_group.elements[1:] - np.eye(2)).reshape(-1, 4).max(axis=1)
@@ -135,11 +135,11 @@ def test_complex_cascade_stays_inside_the_bound_at_the_deepest_accepted_m():
     rng = np.random.default_rng(9)
     polarities = ["1" * m, "0" * m] + ["".join(rng.choice(list("01"), size=m)) for _ in range(4)]
     for polarity in polarities:
-        complex_out = mux.transform_stages(std.targets, polarity, "forward")
-        out = mux.transform_stages(ids, polarity, "forward", gate_group)
+        complex_out = blocksearch.cascade(std.targets, polarity, mux.KQF)
+        out = blocksearch.cascade(ids, polarity, mux.KQF, gate_group)
         assert np.abs(complex_out - gate_group.elements[out]).max() <= gates.EPS / 2
     # The all-positive cascade does carry the drift well past the residual.
-    drift = np.abs(mux.transform_stages(std.targets, "1" * m, "forward") - np.eye(2)).max()
+    drift = np.abs(blocksearch.cascade(std.targets, "1" * m, mux.KQF) - np.eye(2)).max()
     assert drift > 100 * (1 - (std.targets[0] @ std.targets[0])[0, 0].real)
 
 

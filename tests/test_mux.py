@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, kernels, reference
+from qmuxopt import gates, kernels, reference
+from qmuxopt.blocksearch import cascade
 from qmuxopt.errors import (
     FormMismatch,
     LengthNotPowerOfTwo,
@@ -21,7 +22,6 @@ from qmuxopt.mux import (
     semantics,
     transform_stages,
 )
-from qmuxopt.randmux import POOL_FULL, generate
 from qmuxopt.reference import butterfly_stage, triangular_solve
 
 INV = gates.inverse
@@ -321,7 +321,7 @@ def test_diagonal_targets_make_stage_order_irrelevant():
     targets = np.stack([gates.rz(a) for a in rng.uniform(0, 2 * np.pi, size=1 << m)])
     std = Multiplexer(m, targets)
     for polarity in ("111", "010", "120"):
-        shipped = transform_stages(std.targets, polarity, "forward")
+        shipped = cascade(std.targets, polarity, KQF)
         reversed_order = std.targets.copy()
         from qmuxopt import kernels
         table = {"1": kernels.FORWARD_POS, "0": kernels.FORWARD_NEG, "2": kernels.IDENTITY}
@@ -338,7 +338,7 @@ def test_noncommuting_targets_are_stage_order_sensitive():
     rng = np.random.default_rng(91)
     std = random_mux(rng, 2)
     from qmuxopt import kernels
-    shipped = transform_stages(std.targets, "11", "forward")
+    shipped = cascade(std.targets, "11", FPQF)
     other = std.targets.copy()
     for k in reversed(range(2)):
         other = kernels.gate_stage(other, kernels.FORWARD_POS, 2 - 1 - k)
@@ -420,31 +420,6 @@ def test_activation_mask_matches_the_scalar_firing_rule():
                     _fires(g, state, case.digits, case.inverted_lines) for g in range(1 << m)
                 ]
                 assert activation_mask(case, state).tolist() == expected
-
-
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-def test_transform_stages_in_place_equals_a_cascade_of_fresh_columns(monkeypatch, direction):
-    """The cascade runs its columns in place in one copy, in pieces of 3
-    pairs: bit for bit the same chain of columns run one by one in pieces
-    of CHUNK_ROWS, on matrices and on IDs, and the input is left as it
-    was."""
-    m = 5
-    rng = np.random.default_rng(60)
-    matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
-    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=61).targets)
-    kernel_of = kernels.FORWARD if direction == "forward" else kernels.INVERSE
-    order = range(m) if direction == "forward" else range(m - 1, -1, -1)
-    for polarity in ("10201", "00000", "21120"):
-        for vec, g in ((matrices, None), (ids, gate_group)):
-            want = vec.copy()
-            for k in order:
-                want = kernels.gate_stage(want, kernel_of[polarity[k]], m - 1 - k, g)
-            before = vec.tobytes()
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "CHUNK_ROWS", 3)
-                got = transform_stages(vec, polarity, direction, g)
-            assert got.tobytes() == want.tobytes()
-            assert vec.tobytes() == before
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])

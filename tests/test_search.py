@@ -307,7 +307,7 @@ def per_polarity_reference(std, family):
     cost_table = cost.cost_table_vector(std.controls)
     out = []
     for polarity in all_polarities(std.controls, search.FAMILY_DIGITS[family]):
-        targets = mux.transform_stages(std.targets, polarity, "forward")
+        targets = blocksearch.cascade(std.targets, polarity, family)
         counts = cost.control_count_vector(polarity)
         out.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
     return out
@@ -427,13 +427,12 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
         paths.append(group.intern(std.targets))
     for group_arg, vector in paths:
         rows = vector.reshape(1, 1 << m, *vector.shape[1:])
-        column = lambda pairs, out: kernels.qetv_stage(pairs, out, group_arg)  # noqa: E731
-        slots = blocksearch.expand(rows, column, 4)[0]
+        slots = blocksearch.expand(rows, mux.KQF, group_arg)[0]
         assert slots.shape == (4**m, *vector.shape[1:])
         rng = np.random.default_rng(300)
         for _ in range(20):
             polarity = "".join(rng.choice(list("012"), size=m))
-            expected = mux.transform_stages(vector, polarity, "forward", group_arg)
+            expected = blocksearch.cascade(vector, polarity, mux.KQF, group_arg)
             picked = slots[[_slot_index(polarity, i) for i in range(1 << m)]]
             assert picked.tobytes() == expected.tobytes(), polarity
 
