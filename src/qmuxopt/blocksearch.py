@@ -22,9 +22,10 @@ most significant index bit) first.  One table per fact, keyed by family:
 check_polarity, check_size and count_vector read them for every caller.
 
 cascade(vector, polarity, family, group=None, inverse=False) runs one
-polarity's full cascade: it copies the vector once and runs every column
-in place on the copy (see kernels.gate_stage), c_1's first, or, inverse,
-c_n's first.  polarity_costs(vector, family, cost_table, group=None) and
+polarity's full cascade, every column in place on the vector it is given
+(see kernels.gate_stage; callers that keep their vector pass a copy),
+c_1's first, or, inverse, c_n's first.
+polarity_costs(vector, family, cost_table, group=None) and
 expand(rows, family, group=None) take the family alone and pick its
 columns from it.  The quantum families run kernels.gate_stage and
 kernels.qetv_stage, the GF(2) ones kernels.gf2_stage and
@@ -208,17 +209,21 @@ def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=
     Forward runs c_1's column (the most significant bit) first and c_n's
     (bit 0) last; inverse runs the inverse columns in reverse order.
     Given the `group.GateGroup` they index, quantum entries are uint8
-    element IDs.  The cascade copies `vector` once and runs every column
-    in place on the copy, so `vector` is left as it was and the only other
-    memory is each column's O(CHUNK_ROWS) temporaries.
+    element IDs.  Every column runs in place on `vector`, which must be a
+    writable C-contiguous array, and the cascade returns it; the only
+    other memory is each column's O(CHUNK_ROWS) temporaries.  A caller
+    that still needs its vector passes a copy.
     """
     n = len(polarity)
+    if len(vector) != 1 << n:
+        raise ValueError(
+            f"a polarity of {n} digits needs {1 << n} entries, got a vector of {len(vector)}"
+        )
     stage = _columns(family)[0]
     codes = (INVERSE_CODES if inverse else FORWARD_CODES)[family]
-    out = vector.copy()
     for k in reversed(range(n)) if inverse else range(n):
-        stage(out, codes[polarity[k]], n - 1 - k, group)
-    return out
+        stage(vector, codes[polarity[k]], n - 1 - k, group)
+    return vector
 
 
 def expand(rows: np.ndarray, family: str, group=None) -> np.ndarray:

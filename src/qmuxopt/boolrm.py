@@ -31,6 +31,8 @@ import numpy as np
 
 from . import blocksearch
 from .blocksearch import FAMILY_DIGITS, FPRM, KRM, cascade, check_polarity, count_vector
+from .kernels import read_only
+
 
 @dataclass(frozen=True)
 class BoolFunc:
@@ -42,7 +44,7 @@ class BoolFunc:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
-        vec = np.asarray(self.minterms, dtype=np.uint8)
+        vec = read_only(self.minterms, np.uint8)
         if vec.shape != (1 << self.num_vars,):
             raise ValueError(
                 f"minterm vector must have length {1 << self.num_vars}, "
@@ -50,7 +52,6 @@ class BoolFunc:
             )
         if np.any(vec > 1):
             raise ValueError("minterm values must be 0 or 1")
-        vec.setflags(write=False)
         object.__setattr__(self, "minterms", vec)
 
     @classmethod
@@ -75,7 +76,9 @@ class BoolFunc:
             raise ValueError(
                 f"minterm string length {len(bits)} is not a power of two >= 2"
             )
-        return cls(n, np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"))
+        vec = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        vec.setflags(write=False)  # handed over: kept uncopied
+        return cls(n, vec)
 
     def value(self, point: int) -> int:
         return int(self.minterms[point])
@@ -89,9 +92,7 @@ class RMSpectrum:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.coefficients, dtype=np.uint8)
-        vec.setflags(write=False)
-        object.__setattr__(self, "coefficients", vec)
+        object.__setattr__(self, "coefficients", read_only(self.coefficients, np.uint8))
 
     @property
     def num_vars(self) -> int:
@@ -106,7 +107,9 @@ def rm_transform(func: BoolFunc, polarity: str) -> RMSpectrum:
     matrix applied to the minterm vector.
     """
     check_polarity(polarity, func.num_vars, KRM)
-    return RMSpectrum(polarity, cascade(func.minterms, polarity, KRM))
+    coefficients = cascade(func.minterms.copy(), polarity, KRM)
+    coefficients.setflags(write=False)  # handed over: kept uncopied
+    return RMSpectrum(polarity, coefficients)
 
 
 def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
@@ -115,7 +118,8 @@ def rm_inverse_transform(spectrum: RMSpectrum) -> BoolFunc:
     Each GF(2) column is its own inverse, and columns on different bits
     commute, so the cascade that made the spectrum also undoes it.
     """
-    coefficients = cascade(spectrum.coefficients, spectrum.polarity, KRM, inverse=True)
+    coefficients = cascade(spectrum.coefficients.copy(), spectrum.polarity, KRM, inverse=True)
+    coefficients.setflags(write=False)  # handed over: kept uncopied
     return BoolFunc(spectrum.num_vars, coefficients)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 import time
@@ -140,7 +141,9 @@ def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
     jsonout.write_json, which streams it into the file a batch of keys,
     list items and table rows at a time, never as one string; the bytes
     are those of json.dumps(body, indent=2), with each jsonout.Table as
-    its list of row dicts."""
+    its list of row dicts.  Text and CSV lines may come from a generator,
+    and are written jsonout.JSON_CHUNKS_PER_WRITE lines at a time; the
+    bytes are those of the lines joined by newlines."""
     if args.out:
         stream = open(args.out, "w", encoding="utf-8")
     else:
@@ -149,10 +152,24 @@ def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
         if args.format == "json":
             jsonout.write_json(fh, {"manifest": manifest, **json_body()})
         elif args.format == "csv":
-            fh.write("\n".join(_manifest_lines(manifest) + csv_lines()))
+            _write_lines(fh, itertools.chain(_manifest_lines(manifest), csv_lines()))
         else:
-            fh.write("\n".join(_manifest_lines(manifest) + [""] + text_lines()))
+            _write_lines(fh, itertools.chain(_manifest_lines(manifest), [""], text_lines()))
         fh.write("\n")
+
+
+def _write_lines(fh, lines) -> None:
+    """Write the lines joined by newlines, jsonout.JSON_CHUNKS_PER_WRITE
+    lines at a time.  A batch's lines are dropped before its text is
+    written, so a long line (the optimize report's targets) is not held
+    twice while it is encoded."""
+    lines = iter(lines)
+    sep = ""
+    while batch := list(itertools.islice(lines, jsonout.JSON_CHUNKS_PER_WRITE)):
+        text = sep + "\n".join(batch)
+        del batch
+        fh.write(text)
+        sep = "\n"
 
 
 def _cmd_optimize(args) -> int:
@@ -297,9 +314,10 @@ def _cmd_classical(args) -> int:
     return 0
 
 
-def _ranked_lines(ranked) -> list:
-    """Text and CSV body of a classical ranking."""
-    return ["polarity,cost"] + [f"{p},{c}" for p, c in ranked]
+def _ranked_lines(ranked):
+    """Text and CSV body of a classical ranking, made a line at a time."""
+    yield "polarity,cost"
+    yield from (f"{p},{c}" for p, c in ranked)
 
 
 def _ranked_json(ranked) -> jsonout.Table:
@@ -326,9 +344,12 @@ def _cmd_cost(args) -> int:
     manifest["wall_time_s"] = time.perf_counter() - started
 
     def csv_lines():
-        return ["gate,controls,cost"] + [f"{i},{c},{k}" for i, c, k in report.rows()] + [
-            f"# total: {report.total}", f"# skipped_identities: {report.skipped_identities}"
-        ]
+        yield "gate,controls,cost"
+        for start in range(0, len(report.costs), jsonout.JSON_CHUNKS_PER_WRITE):
+            rows = report.rows(slice(start, start + jsonout.JSON_CHUNKS_PER_WRITE))
+            yield from (f"{i},{c},{k}" for i, c, k in rows)
+        yield f"# total: {report.total}"
+        yield f"# skipped_identities: {report.skipped_identities}"
 
     _report(
         args,

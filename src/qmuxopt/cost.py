@@ -91,9 +91,10 @@ class CostReport:
 
 def multiplexer_cost(mux: Multiplexer) -> CostReport:
     """Cost report for a multiplexer in its current form (standard form is
-    the all-mixed polarity).  Identity targets are skipped."""
+    the all-mixed polarity).  Identity targets are skipped; the identity
+    test runs once per palette matrix."""
     counts = blocksearch.count_vector(mux.digits, KQF)
-    is_identity = kernels.identity_mask(mux.targets, EPS)
+    is_identity = mux.palette.per_gate(kernels.identity_mask(mux.palette.matrices, EPS))
     gate_index = np.flatnonzero(~is_identity).astype(np.int64, copy=False)
     controls = counts[gate_index]
     costs = cost_table_vector(mux.controls)[controls]

@@ -1,5 +1,12 @@
 """Exact encoding of a multiplexer's targets as elements of a finite group.
 
+`intern` takes a multiplexer's palette, its few distinct matrices, and
+the number of gates the cascade runs over: the group, its tables and the
+residuals come from the palette alone, and the depth of the error bound
+below from the gate count.  The search spreads the palette's IDs to the
+gates with one lookup per gate, so no 2^m-entry key, sort or complex
+vector is built on the way.
+
 Every built-in pool (X Y Z H V VD I) draws from the single-qubit Clifford
 group, which closes under multiplication to 192 unitaries: 24 Cliffords
 times the 8 phases e^{i pi k/4}.  When a multiplexer's distinct targets
@@ -136,13 +143,17 @@ def _closure(generators: np.ndarray):
     return np.concatenate(elements)
 
 
-def intern(targets: np.ndarray):
+def intern(targets: np.ndarray, count: int):
     """(GateGroup, ids) when the distinct targets generate a group of at
     most MAX_ELEMENTS elements and the residuals of the encoding keep a
-    cascade over len(targets) gates within EPS / 2 of it (see the module
+    cascade over `count` gates within EPS / 2 of it (see the module
     docstring); None otherwise.
 
-    ids is a uint8 vector with targets[i] within TOL of elements[ids[i]].
+    targets is a multiplexer's palette, its distinct matrices, or any
+    stack of matrices; repeats are allowed.  count sets the cascade's
+    depth, so a palette of a few matrices for 2^m gates is accepted or
+    declined exactly as its 2^m-gate vector would be.  ids is a uint8
+    vector with targets[i] within TOL of elements[ids[i]].
     """
     target_keys = _keys(targets)
     distinct, first, where = kernels.unique(target_keys)
@@ -183,7 +194,7 @@ def intern(targets: np.ndarray):
         table_residual,
         _gap(elements.conj().swapaxes(1, 2), elements[inv]),
     )
-    depth = (len(targets) - 1).bit_length()
+    depth = (count - 1).bit_length()
     if max(residuals) > TOL or sum(residuals) * (1 << depth) > gates.EPS / 2:
         return None
     mulinv = np.zeros((MAX_ELEMENTS, MAX_ELEMENTS), dtype=np.uint8)

@@ -48,6 +48,9 @@ and in which order, is blocksearch's to decide, not this module's.
 `unique` finds the distinct values of a key vector with one stable sort.
 The program uses it in place of np.unique, whose first bare call (no
 return_* flag) imports numpy.ma: about 10 ms in a fresh interpreter.
+`read_only` is how the immutable values (`mux.Multiplexer`,
+`boolrm.BoolFunc`, `boolrm.RMSpectrum`) take an array: they copy it
+unless it is handed over.
 
 Operands stay unitary throughout, so matrix inverses are conjugate
 transposes.
@@ -217,6 +220,18 @@ def mux_cost(gates, counts, cost_table, eps):
     is_id = identity_mask(gates, eps)
     total = int(cost_table[counts[~is_id]].sum())
     return total, int(is_id.sum())
+
+
+def read_only(values, dtype=None) -> np.ndarray:
+    """values as a read-only C-contiguous array of dtype.  An array the
+    caller passes is still the caller's to change, so it is copied, unless
+    it is already read-only and owns its memory: that is how the loaders
+    and the transforms hand over the arrays they build."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if arr is values and (arr.flags.writeable or not arr.flags.owndata):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 def unique(values: np.ndarray):

@@ -16,13 +16,14 @@ digit reads its control line through an inverter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
 from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
 from .errors import FormMismatch
+from .kernels import read_only
 
 STANDARD = "standard"
 
@@ -30,58 +31,126 @@ EPS = gates.EPS
 
 
 @dataclass(frozen=True, eq=False)
+class Palette:
+    """A gate vector held as its distinct matrices and, per gate, the
+    position of its matrix: gate i is matrices[index[i]].
+
+    index is None when matrices already holds one matrix per gate, as it
+    does for a plain (2^m, 2, 2) target array.  The loaders, randmux and pla
+    build palettes; forward and inverse transforms return plain arrays.
+    """
+
+    matrices: np.ndarray  # (k, 2, 2) complex
+    index: np.ndarray | None = None  # (2^m,) unsigned ints below k
+
+    def per_gate(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """values, one per palette matrix, for the gates `rows` (a slice or
+        an integer array of gate positions): values[index[rows]]."""
+        if self.index is None:
+            return values[rows]
+        return values[self.index[rows]]
+
+
+def used_palette(matrices: np.ndarray, choices: np.ndarray) -> Palette:
+    """Palette of the matrices that `choices`, one position in `matrices`
+    per gate, picks: unused matrices are left out, the rest keep their
+    order, and the index is renumbered to them."""
+    used = np.bincount(choices, minlength=len(matrices)) > 0
+    renumber = np.cumsum(used) - 1
+    index = renumber.astype(np.min_scalar_type(renumber[-1]))[choices]
+    index.setflags(write=False)
+    return Palette(matrices[used], index)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Multiplexer:
     """Immutable multiplexer value.
 
-    targets is a (2^controls, 2, 2) complex array, every entry unitary
-    within EPS.  inverted_lines lists 1-based control lines that carry a
-    leading inverter (produced by negative_control_realization); only a
+    Multiplexer(controls, targets, form, polarity, inverted_lines) takes
+    the targets as a (2^controls, 2, 2) complex array or as a Palette; every
+    palette matrix must be unitary within EPS.  An input of a few distinct
+    gates is held as its palette and an index of one byte per gate (while
+    the palette has at most 256 matrices), and
+    `palette` is how every consumer reads the targets: the unitarity
+    check, group.intern and the identity tests run on palette.matrices
+    alone, and palette.per_gate spreads their per-matrix results to the
+    gates.  Only this module expands a palette into the 2^m complex vector:
+    `targets` builds it (read-only) on each read, and the transforms build
+    a fresh one as their cascade's working copy.
+
+    inverted_lines lists 1-based control lines that carry a leading
+    inverter (produced by negative_control_realization); only a
     fixed-polarity digit's line can.
     """
 
     controls: int
-    targets: np.ndarray
+    palette: Palette
     form: str = STANDARD
     polarity: str | None = None
-    inverted_lines: tuple = field(default=())
+    inverted_lines: tuple = ()
 
-    def __post_init__(self):
+    def __init__(self, controls, targets, form=STANDARD, polarity=None, inverted_lines=()):
         # bool is an int subclass, but True is no control count.
-        if isinstance(self.controls, bool) or not isinstance(self.controls, int):
-            raise ValueError(f"controls {self.controls!r} is not an int")
-        if self.controls < 1:
+        if isinstance(controls, bool) or not isinstance(controls, int):
+            raise ValueError(f"controls {controls!r} is not an int")
+        if controls < 1:
             raise ValueError("a multiplexer needs at least one control variable")
-        arr = np.ascontiguousarray(np.asarray(self.targets, dtype=complex))
-        expected = (1 << self.controls, 2, 2)
-        if arr.shape != expected:
-            raise ValueError(f"targets must have shape {expected}, got {arr.shape}")
-        worst = gates.unitarity_residual(arr)
+        palette = targets if isinstance(targets, Palette) else Palette(targets)
+        matrices = read_only(palette.matrices, complex)
+        index = None if palette.index is None else read_only(palette.index)
+        expected = (1 << controls, 2, 2)
+        if index is None:
+            shape = matrices.shape
+        else:
+            if matrices.ndim != 3 or matrices.shape[1:] != (2, 2):
+                raise ValueError(f"palette matrices must be (k, 2, 2), got {matrices.shape}")
+            if index.ndim != 1 or index.dtype.kind != "u":
+                raise ValueError("a palette index is a vector of unsigned ints")
+            shape = (len(index), 2, 2)
+        if shape != expected:
+            raise ValueError(f"targets must have shape {expected}, got {shape}")
+        if index is not None and (top := int(index.max())) >= len(matrices):
+            raise ValueError(f"palette index {top} out of range 0..{len(matrices) - 1}")
+        worst = gates.unitarity_residual(matrices)
         if math.isnan(worst):
             raise ValueError("targets contain non-finite entries")
         if worst > EPS:
             raise ValueError(f"targets are not unitary (worst deviation {worst:.3e})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "targets", arr)
 
-        if self.form == STANDARD:
-            if self.polarity is not None:
+        if form == STANDARD:
+            if polarity is not None:
                 raise ValueError("standard form carries no polarity")
-        elif self.form in (FPQF, KQF):
-            if self.polarity is None:
-                raise ValueError(f"{self.form} form requires a polarity")
-            check_polarity(self.polarity, self.controls, self.form)
+        elif form in (FPQF, KQF):
+            if polarity is None:
+                raise ValueError(f"{form} form requires a polarity")
+            check_polarity(polarity, controls, form)
         else:
-            raise ValueError(f"unknown form {self.form!r}")
+            raise ValueError(f"unknown form {form!r}")
 
-        lines = tuple(sorted(set(self.inverted_lines)))
-        if lines and self.form == STANDARD:
+        lines = tuple(sorted(set(inverted_lines)))
+        if lines and form == STANDARD:
             raise ValueError("standard form has no polarized lines to invert")
         for k in lines:
-            if not 1 <= k <= self.controls:
-                raise ValueError(f"inverted line {k} out of range 1..{self.controls}")
-            if self.polarity[k - 1] == "2":
+            if not 1 <= k <= controls:
+                raise ValueError(f"inverted line {k} out of range 1..{controls}")
+            if polarity[k - 1] == "2":
                 raise ValueError(f"line {k} is mixed polarity and cannot carry an inverter")
-        object.__setattr__(self, "inverted_lines", lines)
+        for name, value in (
+            ("controls", controls),
+            ("palette", Palette(matrices, index)),
+            ("form", form),
+            ("polarity", polarity),
+            ("inverted_lines", lines),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The (2^controls, 2, 2) complex targets, read-only: a palette is
+        expanded into a new array on every read."""
+        out = self.palette.per_gate(self.palette.matrices)
+        out.setflags(write=False)
+        return out
 
     @property
     def num_targets(self) -> int:
@@ -96,6 +165,12 @@ class Multiplexer:
         if self.form == STANDARD:
             return STANDARD
         return f"{self.form}:{self.polarity}"
+
+
+def working_targets(mux: Multiplexer) -> np.ndarray:
+    """A new writable (2^m, 2, 2) array of the targets, for a cascade to run
+    in place on: the palette's expansion, or a copy of a plain array."""
+    return np.require(mux.palette.per_gate(mux.palette.matrices), requirements="CW")
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
@@ -123,9 +198,10 @@ def semantics(mux: Multiplexer, input_state: int) -> np.ndarray:
     Ordered product of the active targets, highest index leftmost; the
     identity when nothing fires.
     """
+    active = np.flatnonzero(activation_mask(mux, input_state))
     out = np.eye(2, dtype=complex)
-    for i in np.flatnonzero(activation_mask(mux, input_state)):
-        out = mux.targets[i] @ out
+    for target in mux.palette.per_gate(mux.palette.matrices, active):
+        out = target @ out
     return out
 
 
@@ -149,7 +225,7 @@ def transform_stages(targets: np.ndarray, polarity: str, direction: str, group=N
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    return cascade(targets, polarity, KQF, group, direction == "inverse")
+    return cascade(targets.copy(), polarity, KQF, group, direction == "inverse")
 
 
 def form_for_polarity(polarity: str) -> str:
@@ -166,7 +242,8 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
     form = form_for_polarity(polarity)
     check_polarity(polarity, std.controls, form)
-    out = cascade(std.targets, polarity, form)
+    out = cascade(working_targets(std), polarity, form)
+    out.setflags(write=False)  # handed over: kept uncopied
     return Multiplexer(std.controls, out, form, polarity)
 
 
@@ -175,7 +252,8 @@ def inverse_transform(polarized: Multiplexer) -> Multiplexer:
     if polarized.form == STANDARD:
         raise FormMismatch("inverse transform needs a polarized multiplexer")
     plain = without_inverters(polarized)
-    out = cascade(plain.targets, plain.polarity, plain.form, inverse=True)
+    out = cascade(working_targets(plain), plain.polarity, plain.form, inverse=True)
+    out.setflags(write=False)  # handed over: kept uncopied
     return Multiplexer(plain.controls, out, STANDARD)
 
 
@@ -186,7 +264,7 @@ def without_inverters(mux: Multiplexer) -> Multiplexer:
     digits = list(mux.polarity)
     for k in mux.inverted_lines:
         digits[k - 1] = "0" if digits[k - 1] == "1" else "1"
-    return Multiplexer(mux.controls, mux.targets, mux.form, "".join(digits))
+    return Multiplexer(mux.controls, mux.palette, mux.form, "".join(digits))
 
 
 def negative_control_realization(mux: Multiplexer) -> Multiplexer:
@@ -209,5 +287,5 @@ def negative_control_realization(mux: Multiplexer) -> Multiplexer:
         else:
             digits.append(digit)
     lines = tuple(sorted(set(mux.inverted_lines) ^ set(flipped)))
-    return Multiplexer(mux.controls, mux.targets, mux.form, "".join(digits), lines)
+    return Multiplexer(mux.controls, mux.palette, mux.form, "".join(digits), lines)
 

@@ -9,6 +9,12 @@ Text format ('#' starts a comment anywhere):
 JSON mirror uses the same field names:
 
     {"controls": 2, "form": "fpqf:11", "targets": ["I", "V", "V", "I"]}
+
+Both loaders return the multiplexer as a palette: the distinct matrices
+of its tokens, each token parsed once, and one index entry per gate (one
+byte while there are at most 256 of them).  The text loader fills the
+index a batch of lines at a time, so only one batch of tokens is ever
+held as strs, and neither loader builds the 2^m complex vector.
 """
 
 from __future__ import annotations
@@ -23,12 +29,15 @@ import numpy as np
 
 from . import gates, jsonout
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
-from .mux import FPQF, KQF, STANDARD, Multiplexer, without_inverters
+from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, without_inverters
 
 _TOKEN_RE = re.compile(r"\S+")
 
 # Gate tokens per targets line in dump_qmux.
 TOKENS_PER_LINE = 8
+# Gate tokens parse_qmux and from_json_dict index at a time: the only
+# tokens held as strs at once, except that a line is never split.
+TOKENS_PER_BATCH = 4096
 
 # A list holds at most sys.maxsize < 2^63 items, so no token list matches
 # this many controls or more.  Such a count is refused before 1 << controls
@@ -51,45 +60,84 @@ def _parse_form(text: str, source, line):
     )
 
 
-def _gate_matrices(tokens: list, fail) -> np.ndarray:
-    """(n, 2, 2) matrices of the gate tokens, parsing each distinct token once.
+class _PaletteBuilder:
+    """The palette and index of a stream of gate tokens, a batch at a time.
 
-    For the first token that does not parse, calls fail(index, exc), which
-    raises; a token's first occurrence is where it fails.
+    Each distinct token is parsed once, and tokens whose matrices are equal
+    (NOT and X) share one palette matrix.  Only the batch being indexed is
+    held as strs: earlier batches are kept as their index vectors alone.
     """
-    rows = dict.fromkeys(tokens)  # distinct tokens in first-occurrence order
-    parsed = []
-    for token in rows:
+
+    def __init__(self):
+        self.positions = {}  # token -> palette position
+        self.by_bytes = {}  # matrix bytes -> palette position
+        self.matrices = []
+        self.parts = [np.empty(0, np.uint8)]
+        self.count = 0
+        self.error = None  # (token number, exception) of the first bad token
+
+    def add(self, tokens: list) -> None:
+        """Index a batch of tokens."""
         try:
-            parsed.append(gates.parse_gate(token))
+            part = np.fromiter(map(self.positions.__getitem__, tokens), np.intp, len(tokens))
+        except KeyError:  # new tokens: parse each once, then index the batch
+            for token in dict.fromkeys(tokens):  # first-occurrence order
+                if token not in self.positions:
+                    self.positions[token] = self._position(token, tokens)
+            part = np.fromiter(map(self.positions.__getitem__, tokens), np.intp, len(tokens))
+        self.parts.append(part.astype(np.min_scalar_type(max(len(self.matrices) - 1, 0))))
+        self.count += len(tokens)
+
+    def _position(self, token: str, batch: list) -> int:
+        """Palette position of a new token's matrix, added if new; a token
+        that does not parse is recorded if it is the first, and gets 0."""
+        try:
+            matrix = gates.parse_gate(token)
         except (UnknownGate, NonUnitary) as exc:
-            fail(tokens.index(token), exc)
-        rows[token] = len(parsed) - 1
-    index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    return np.array(parsed, dtype=complex).reshape(-1, 2, 2)[index]
+            if self.error is None:
+                self.error = (self.count + batch.index(token), exc)
+            return 0
+        position = self.by_bytes.setdefault(matrix.tobytes(), len(self.matrices))
+        if position == len(self.matrices):
+            self.matrices.append(matrix)
+        return position
+
+    def palette(self) -> Palette:
+        """The palette of every token added, its index handed over read-only."""
+        index = np.concatenate(self.parts)
+        index.setflags(write=False)
+        return Palette(np.array(self.matrices, dtype=complex).reshape(-1, 2, 2), index)
 
 
-def _check_control_count(controls: int, tokens: list, source, line) -> None:
+def _check_control_count(controls: int, count: int, source, line) -> None:
     """Refuse a control count that no token list can match (see
     UNMATCHABLE_CONTROLS) without building 1 << controls."""
     if controls >= UNMATCHABLE_CONTROLS:
         raise ParseError(
-            f"{controls} controls need 2^{controls} gate tokens, got {len(tokens)}",
+            f"{controls} controls need 2^{controls} gate tokens, got {count}",
             source,
             line,
         )
 
 
 def _token_place(spans: list, i: int) -> tuple:
-    """(line, column) of token i, from the spans parse_qmux records: the
-    token is on the last line whose first token index is at most i."""
+    """(line, column) of token i of a batch, from the spans parse_qmux
+    records: the token is on the last line whose first token index is at
+    most i."""
     lineno, line, offset, first = next(s for s in reversed(spans) if s[3] <= i)
     match = next(itertools.islice(_TOKEN_RE.finditer(line, offset), i - first, None))
     return lineno, match.start() + 1
 
 
 def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
-    """Parse .qmux text (or its JSON mirror, detected by a leading '{')."""
+    """Parse .qmux text (or its JSON mirror, detected by a leading '{').
+
+    The targets are read a batch of lines at a time, at least
+    TOKENS_PER_BATCH tokens unless the lines run out, into the palette
+    and index of _PaletteBuilder.  A bad token's line and column are
+    worked out when its batch is indexed; it is reported only after the
+    token count, which takes precedence, has been checked.
+    """
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -100,19 +148,41 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     controls = None
     form = None
     polarity = None
-    tokens = []
+    builder = _PaletteBuilder()
+    batch = []
     # One (line number, line, offset, index of its first token) per line of
-    # targets; a token's line and column are worked out only for an error.
+    # the batch; a token's line and column are worked out only for an error.
     spans = []
+    bad_place = None
+    last_line = None  # the line of the last token
     in_targets = False
+
+    def flush():
+        nonlocal bad_place
+        first, clean = builder.count, builder.error is None
+        builder.add(batch)
+        if clean and builder.error is not None:
+            bad_place = _token_place(spans, builder.error[0] - first)
+        batch.clear()
+        spans.clear()
+
+    def take(lineno, line, offset):
+        nonlocal last_line
+        spans.append((lineno, line, offset, len(batch)))
+        tokens = line[offset:].split()
+        if tokens:
+            last_line = lineno
+        batch.extend(tokens)
+        if len(batch) >= TOKENS_PER_BATCH:
+            flush()
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         comment = raw.find("#")
         line = raw[:comment] if comment >= 0 else raw
         if not line.strip():
             continue
         if in_targets:
-            spans.append((lineno, line, 0, len(tokens)))
-            tokens += line.split()
+            take(lineno, line, 0)
             continue
         key, sep, value = line.partition(":")
         if not sep:
@@ -130,11 +200,10 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             form, polarity = _parse_form(value, source, lineno)
         elif key == "targets":
             in_targets = True
-            offset = line.index(":") + 1
-            spans.append((lineno, line, offset, len(tokens)))
-            tokens += value.split()
+            take(lineno, line, line.index(":") + 1)
         else:
             raise ParseError(f"unknown field {key!r}", source, lineno)
+    flush()
 
     if controls is None:
         raise ParseError("missing 'controls:' line", source)
@@ -142,20 +211,16 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         raise ParseError("missing 'form:' line", source)
     if not in_targets:
         raise ParseError("missing 'targets:' line", source)
-    _check_control_count(controls, tokens, source, controls_line)
+    _check_control_count(controls, builder.count, source, controls_line)
     expected = 1 << controls
-    if len(tokens) != expected:
-        where = _token_place(spans, len(tokens) - 1)[0] if tokens else None
+    if builder.count != expected:
         raise ParseError(
-            f"expected {expected} gate tokens, got {len(tokens)}", source, where
+            f"expected {expected} gate tokens, got {builder.count}", source, last_line
         )
-
-    def fail(i, exc):
-        raise ParseError(str(exc), source, *_token_place(spans, i))
-
-    matrices = _gate_matrices(tokens, fail)
+    if builder.error is not None:
+        raise ParseError(str(builder.error[1]), source, *bad_place)
     try:
-        return Multiplexer(controls, matrices, form, polarity)
+        return Multiplexer(controls, builder.palette(), form, polarity)
     except (ValueError, QmuxError) as exc:
         raise ParseError(str(exc), source)
 
@@ -173,14 +238,15 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
     form, polarity = _parse_form(form_text, source, None)
-    _check_control_count(controls, tokens, source, None)
-
-    def fail(i, exc):
+    _check_control_count(controls, len(tokens), source, None)
+    builder = _PaletteBuilder()
+    for start in range(0, len(tokens), TOKENS_PER_BATCH):
+        builder.add(tokens[start : start + TOKENS_PER_BATCH])
+    if builder.error is not None:
+        i, exc = builder.error
         raise ParseError(f"target {i}: {exc}", source)
-
-    matrices = _gate_matrices(tokens, fail)
     try:
-        return Multiplexer(controls, matrices, form, polarity)
+        return Multiplexer(controls, builder.palette(), form, polarity)
     except (ValueError, QmuxError) as exc:
         raise ParseError(str(exc), source)
 

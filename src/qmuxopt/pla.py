@@ -16,7 +16,7 @@ import numpy as np
 from . import gates
 from .boolrm import BoolFunc
 from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader
-from .mux import Multiplexer
+from .mux import Multiplexer, used_palette
 
 _CUBE_CHARS = set("01-")
 _OUTPUT_CHARS = set("01~-")
@@ -151,13 +151,11 @@ def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
     for term in pla.terms:
         if term.outputs[output_index] == "1":
             vec[cube_minterms(term.cube)] = 1
+    vec.setflags(write=False)  # handed over: kept uncopied
     return BoolFunc(pla.num_inputs, vec)
 
 
 def to_multiplexer(func: BoolFunc) -> Multiplexer:
-    """Standard-form multiplexer realizing func: X where 1, I where 0."""
-    n = 1 << func.num_vars
-    targets = np.empty((n, 2, 2), dtype=complex)
-    targets[func.minterms == 1] = gates.X
-    targets[func.minterms == 0] = gates.I
-    return Multiplexer(func.num_vars, targets)
+    """Standard-form multiplexer realizing func: X where 1, I where 0, held
+    as the palette of those two gates and the minterms as its index."""
+    return Multiplexer(func.num_vars, used_palette(np.stack([gates.I, gates.X]), func.minterms))

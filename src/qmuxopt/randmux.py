@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gates
 from .errors import UnknownGate
-from .mux import Multiplexer
+from .mux import Multiplexer, used_palette
 
 MAX_CONTROLS = 20
 
@@ -54,11 +54,11 @@ def resolve_pool(label: str) -> GatePool:
 
 
 def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
-    """Standard-form multiplexer with 2^controls targets drawn from pool."""
+    """Standard-form multiplexer with 2^controls targets drawn from pool,
+    held as the palette of the pool gates drawn."""
     if not 1 <= controls <= MAX_CONTROLS:
         raise ValueError(f"controls must be in 1..{MAX_CONTROLS}, got {controls}")
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, len(pool.gate_tokens), size=1 << controls)
-    targets = pool.matrices()[choices]
-    return Multiplexer(controls, targets)
+    return Multiplexer(controls, used_palette(pool.matrices(), choices))
 

@@ -99,6 +99,7 @@ def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
     flip = digit_mask(polarity, "0")
     solved = np.empty((1 << m, 2, 2), dtype=complex)
     probe = Multiplexer(m, np.tile(np.eye(2, dtype=complex), (1 << m, 1, 1)), form, polarity)
+    targets = std.targets
     for t in range(1 << m):
         state = t ^ flip
         active = np.flatnonzero(activation_mask(probe, state))
@@ -106,7 +107,7 @@ def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
         for j in sorted(active):
             if j != t:
                 tail = solved[j] @ tail
-        solved[t] = std.targets[state] @ gates.inverse(tail)
+        solved[t] = targets[state] @ gates.inverse(tail)
     return Multiplexer(m, solved, form, polarity)
 
 

@@ -11,16 +11,18 @@ that is not the identity.  Random search runs one `blocksearch.cascade`
 per sampled polarity.
 
 When the targets close under multiplication into a small finite group
-whose float residuals stay inside EPS over m columns (`group.intern`;
-every built-in pool up to m = 18), both searches walk uint8 element IDs
-through the group's product tables instead of complex 2x2 products, and
-the identity test is exact.  Costs, polarities and tie-breaks are the
-same as on the complex path, which runs for all other targets, such as
-RX(theta) or arbitrary matrix literals.
+whose float residuals stay inside EPS over m columns (`group.intern` of
+the multiplexer's palette; every built-in pool up to m = 18), both
+searches walk uint8 element IDs through the group's product tables
+instead of complex 2x2 products, and the identity test is exact; the
+complex targets are then never built.  Costs, polarities and tie-breaks
+are the same as on the complex path, which runs for all other targets,
+such as RX(theta) or arbitrary matrix literals.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -107,40 +109,61 @@ def _require_standard(std: mux.Multiplexer):
         raise FormMismatch(f"search needs a standard-form multiplexer, got {std.form}")
 
 
-def _interned(std: mux.Multiplexer) -> tuple:
-    """(gate_group, ids) from group.intern, or (None, targets) when the
-    targets do not close: the search then runs on complex matrices."""
-    return group.intern(std.targets) or (None, std.targets)
+def _roots(std: mux.Multiplexer) -> tuple:
+    """(gate_group, roots): group.intern of the palette and the gate count,
+    and a function that returns a new writable vector for a cascade to
+    start from.  When intern accepts, that vector is each gate's uint8
+    element ID, spread once from the palette's IDs and copied per call;
+    otherwise gate_group is None and it is the complex targets, expanded
+    from the palette on each call, so no complex vector outlives its
+    cascade.
+    """
+    interned = group.intern(std.palette.matrices, std.num_targets)
+    if interned is None:
+        return None, functools.partial(mux.working_targets, std)
+    gate_group, ids = interned
+    return gate_group, std.palette.per_gate(ids).copy
+
+
+def _original_cost(std: mux.Multiplexer, root: np.ndarray) -> int:
+    """Cost of the standard form, from a root vector of _roots: its
+    identity test is exact on IDs and within EPS on complex targets, the
+    same decision (see group)."""
+    counts = blocksearch.count_vector(std.digits, mux.KQF)
+    return kernels.mux_cost(root, counts, cost.cost_table_vector(std.controls), mux.EPS)[0]
+
+
+def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
+    """(costs, original): polarity_costs, and the original cost, taken from
+    the root vector before the DFS starts on it."""
+    _require_standard(std)
+    blocksearch.check_size(family, std.controls)
+    gate_group, roots = _roots(std)
+    root = roots()
+    original = _original_cost(std, root)
+    table = cost.cost_table_vector(std.controls)
+    return blocksearch.polarity_costs(root, family, table, gate_group), original
 
 
 def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
     """Cost of every polarity of the family, as int64 in lexicographic
     polarity order (see blocksearch)."""
-    _require_standard(std)
-    blocksearch.check_size(family, std.controls)
-    gate_group, root = _interned(std)
-    table = cost.cost_table_vector(std.controls)
-    return blocksearch.polarity_costs(root, family, table, gate_group)
+    return _exhaustive(std, family)[0]
 
 
 def _summary(
-    std: mux.Multiplexer, cfg: SearchConfig, mode: str, indices, costs, start: float
+    std: mux.Multiplexer, cfg: SearchConfig, mode: str, indices, costs, original, start: float
 ) -> SearchReport:
     """SearchReport of the evaluated polarities, given by their indices
     (the polarity read as a base-b numeral, so index order is
-    lexicographic order) and costs, for a search begun at `start`."""
+    lexicographic order) and costs, and of the original cost, for a
+    search begun at `start`."""
     m, base = std.controls, len(FAMILY_DIGITS[cfg.family])
     indices = np.asarray(indices, dtype=np.int64)
     costs = np.asarray(costs, dtype=np.int64)
     # Lowest and highest cost, each tie to the lexicographically smallest.
     best = indices[np.lexsort((indices, costs))[0]]
     worst = indices[np.lexsort((indices, -costs))[0]]
-    original, _ = kernels.mux_cost(
-        std.targets,
-        blocksearch.count_vector(std.digits, mux.KQF),
-        cost.cost_table_vector(m),
-        mux.EPS,
-    )
     return SearchReport(
         family=cfg.family,
         mode=mode,
@@ -159,8 +182,8 @@ def _summary(
 def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate every polarity of cfg.family and aggregate the results."""
     start = time.perf_counter()
-    costs = polarity_costs(std, cfg.family)
-    return _summary(std, cfg, "exhaustive", np.arange(len(costs)), costs, start)
+    costs, original = _exhaustive(std, cfg.family)
+    return _summary(std, cfg, "exhaustive", np.arange(len(costs)), costs, original, start)
 
 
 def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
@@ -179,15 +202,17 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     cost_table = cost.cost_table_vector(m)
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
-    gate_group, root = _interned(std)
+    gate_group, roots = _roots(std)
+    original = _original_cost(std, roots())
     indices, values = [], []
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
-        targets = blocksearch.cascade(root, polarity, cfg.family, gate_group)
+        targets = blocksearch.cascade(roots(), polarity, cfg.family, gate_group)
         counts = blocksearch.count_vector(polarity, cfg.family)
         indices.append(int(polarity, base))
         values.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
-    return _summary(std, cfg, "random", indices, values, start)
+        del targets  # freed before the next sample's root is made
+    return _summary(std, cfg, "random", indices, values, original, start)
 
 
 def run_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:

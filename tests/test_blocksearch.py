@@ -117,7 +117,7 @@ def cascade_cases(m, inverse):
     group IDs and bits."""
     rng = np.random.default_rng(70 + m)
     matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
-    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=71).targets)
+    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=71).targets, 1 << m)
     bits = rng.integers(0, 2, size=1 << m).astype(np.uint8)
     for vec in (matrices, ids, bits):
         vec.setflags(write=False)
@@ -135,29 +135,27 @@ def cascade_cases(m, inverse):
 def test_cascade_equals_a_chain_of_reference_columns(monkeypatch, inverse, chunk):
     """On matrices (against reference.butterfly_stage), group IDs and bits
     (per-pair lookups and XORs), in pieces of 1, 3 or 4,096 pairs: bit for
-    bit, and the input is left as it was."""
+    bit, in the copy each cascade is given."""
     m = 5
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
     for family, vec, gate_group, column in cascade_cases(m, inverse):
-        before = vec.tobytes()
         for polarity in ("10201", "00000", "21120", "11111", "22222"):
             want = reference_cascade(vec, polarity, column, inverse)
-            got = blocksearch.cascade(vec, polarity, family, gate_group, inverse)
-            assert got.dtype == vec.dtype and got.shape == vec.shape
+            work = vec.copy()
+            got = blocksearch.cascade(work, polarity, family, gate_group, inverse)
+            assert got is work
             assert got.tobytes() == want.tobytes(), (family, polarity)
-        assert vec.tobytes() == before
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_cascade_in_place_equals_a_chain_of_fresh_columns(monkeypatch, inverse):
-    """The cascade runs its columns in place in one copy, in pieces of 3
-    pairs: bit for bit the same chain of columns run one by one in pieces
-    of CHUNK_ROWS, on matrices and on IDs, and the input is left as it
-    was."""
+    """The cascade runs its columns in place in the vector it is given, in
+    pieces of 3 pairs: bit for bit the same chain of columns run one by one
+    in pieces of CHUNK_ROWS, on matrices and on IDs."""
     m = 5
     rng = np.random.default_rng(60)
     matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
-    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=61).targets)
+    gate_group, ids = group.intern(generate(m, POOL_FULL, seed=61).targets, 1 << m)
     codes = (blocksearch.INVERSE_CODES if inverse else blocksearch.FORWARD_CODES)[KQF]
     order = range(m - 1, -1, -1) if inverse else range(m)
     for polarity in ("10201", "00000", "21120"):
@@ -165,12 +163,20 @@ def test_cascade_in_place_equals_a_chain_of_fresh_columns(monkeypatch, inverse):
             want = vec.copy()
             for k in order:
                 want = kernels.gate_stage(want, codes[polarity[k]], m - 1 - k, g)
-            before = vec.tobytes()
+            work = vec.copy()
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "CHUNK_ROWS", 3)
-                got = blocksearch.cascade(vec, polarity, KQF, g, inverse)
-            assert got.tobytes() == want.tobytes()
-            assert vec.tobytes() == before
+                got = blocksearch.cascade(work, polarity, KQF, g, inverse)
+            assert got is work and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("polarity", ["11", "11111"], ids=["too-few", "too-many"])
+def test_cascade_refuses_a_polarity_of_the_wrong_length(polarity):
+    bits = np.zeros(16, np.uint8)
+    n = len(polarity)
+    message = f"a polarity of {n} digits needs {1 << n} entries, got a vector of 16"
+    with pytest.raises(ValueError, match=message):
+        blocksearch.cascade(bits, polarity, KRM)
 
 
 @pytest.mark.parametrize("family", [FPQF, KQF, FPRM, KRM])
@@ -181,13 +187,13 @@ def test_the_inverse_cascade_undoes_the_forward_one(family):
         vectors = [(rng.integers(0, 2, size=1 << m).astype(np.uint8), None)]
     else:
         matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
-        gate_group, ids = group.intern(generate(m, POOL_FULL, seed=81).targets)
+        gate_group, ids = group.intern(generate(m, POOL_FULL, seed=81).targets, 1 << m)
         vectors = [(matrices, None), (ids, gate_group)]
     digits = list(blocksearch.FAMILY_DIGITS[family])
     for _ in range(12):
         polarity = "".join(rng.choice(digits, size=m))
         for vec, gate_group in vectors:
-            forward = blocksearch.cascade(vec, polarity, family, gate_group)
+            forward = blocksearch.cascade(vec.copy(), polarity, family, gate_group)
             back = blocksearch.cascade(forward, polarity, family, gate_group, inverse=True)
             if vec.ndim == 3:
                 assert np.abs(back - vec).max() <= 1e-12, polarity
@@ -211,8 +217,8 @@ def test_columns_are_read_off_kernels_at_call_time_and_called_positionally(monke
     monkeypatch.setattr(kernels, "gate_stage", recorder("gate", kernels.gate_stage))
     monkeypatch.setattr(kernels, "gf2_stage", recorder("gf2", kernels.gf2_stage))
     f = blocksearch.FORWARD_CODES
-    gate_group, ids = group.intern(generate(8, POOL_FULL, seed=82).targets)
-    blocksearch.cascade(ids, "10201102", KQF, gate_group)
+    gate_group, ids = group.intern(generate(8, POOL_FULL, seed=82).targets, 1 << 8)
+    blocksearch.cascade(ids.copy(), "10201102", KQF, gate_group)
     assert calls == [("gate", f[KQF][d]) for d in "10201102"]
     calls.clear()
     # FPQF at m = 8: 2 + 4 DFS columns above the 6-variable block.
@@ -220,7 +226,7 @@ def test_columns_are_read_off_kernels_at_call_time_and_called_positionally(monke
     assert sorted(calls) == sorted([("gate", f[FPQF]["1"]), ("gate", f[FPQF]["0"])] * 3)
     calls.clear()
     bits = np.random.default_rng(83).integers(0, 2, size=1 << 11).astype(np.uint8)
-    blocksearch.cascade(bits, "10201102112", KRM, inverse=True)
+    blocksearch.cascade(bits.copy(), "10201102112", KRM, inverse=True)
     assert calls == [("gf2", f[KRM][d]) for d in reversed("10201102112")]
     calls.clear()
     # FPRM at n = 11: 2 DFS columns above the 10-variable block.
@@ -237,7 +243,7 @@ def per_polarity_costs(vector, family, cost_table, gate_group):
     n = len(vector).bit_length() - 1
     out = []
     for polarity in polarities(family, n):
-        entries = blocksearch.cascade(vector, polarity, family, gate_group)
+        entries = blocksearch.cascade(vector.copy(), polarity, family, gate_group)
         counts = count_vector(polarity, family)
         if family in (FPRM, KRM):
             out.append(int(cost_table[counts[entries == 1]].sum()))
@@ -253,8 +259,8 @@ def polarity_cost_cases(family):
         bits = np.random.default_rng(90).integers(0, 2, size=1 << 6).astype(np.uint8)
         return [(bits, None, np.arange(7))]
     matrices = generate(5, resolve_pool("custom:X,I,RX(0.3)"), seed=91).targets
-    assert group.intern(matrices) is None
-    gate_group, ids = group.intern(generate(5, POOL_FULL, seed=92).targets)
+    assert group.intern(matrices, len(matrices)) is None
+    gate_group, ids = group.intern(generate(5, POOL_FULL, seed=92).targets, 1 << 5)
     table = cost.cost_table_vector(5)
     return [(matrices, None, table), (ids, gate_group, table)]
 

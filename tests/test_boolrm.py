@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qmuxopt import blocksearch, boolrm
 from qmuxopt.boolrm import (
     BoolFunc,
+    RMSpectrum,
     literal_cost,
     rm_inverse_transform,
     rm_search,
@@ -376,3 +377,23 @@ def test_bool_func_rejects_invalid_fields(n, minterms, needle):
 def test_minterm_vector_length_checked():
     with pytest.raises(ValueError):
         BoolFunc(2, np.array([0, 1, 1], dtype=np.uint8))
+
+
+def test_the_callers_vectors_stay_writable():
+    bits = np.array([0, 1, 1, 0], np.uint8)
+    func = BoolFunc(2, bits)
+    spectrum = RMSpectrum("10", bits)
+    assert bits.flags.writeable
+    bits[0] = 1  # the values keep their own copies
+    assert func.minterms.tolist() == spectrum.coefficients.tolist() == [0, 1, 1, 0]
+    assert not func.minterms.flags.writeable and not spectrum.coefficients.flags.writeable
+
+
+def test_handed_over_vectors_are_kept_without_a_copy():
+    func = BoolFunc.from_string("0110")
+    spectrum = rm_transform(func, "10")
+    again = rm_inverse_transform(spectrum)
+    for vec, kept in ((func.minterms, BoolFunc(2, func.minterms).minterms),
+                      (spectrum.coefficients, RMSpectrum("10", spectrum.coefficients).coefficients),
+                      (again.minterms, BoolFunc(2, again.minterms).minterms)):
+        assert kept is vec

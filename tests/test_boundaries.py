@@ -6,7 +6,10 @@ rule lives behind the public names of its home.  The reference oracles in
 imports them, and they never run through the `kernels` they check.
 `kernels` imports no module of the package, and `blocksearch` is the only
 other module that reads a column code or runs a column: it alone turns a
-family and a polarity digit into columns.
+family and a polarity digit into columns.  `mux` alone expands a
+multiplexer's palette into the 2^m complex vector: everywhere else the
+palette's matrices are only read whole (to intern them, to test them for
+the identity), so the vector cannot come back unseen.
 """
 
 import ast
@@ -165,4 +168,61 @@ def test_each_kernels_rule_fails_when_a_stray_read_is_put_back():
         (end + 2, "gate_stage"),
         (end + 3, "GF2_NEG"),
         (end + 3, "gf2_stage"),
+    ]
+
+
+def palette_gathers(tree: ast.Module) -> list:
+    """(line, how) of each place the tree spreads a palette's matrices to
+    the gates: a subscript of them, or a per_gate or take call given them.
+    A palette's matrices are `<x>.palette.matrices` or a name bound to it."""
+
+    def is_matrices(node):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            return node.attr == "matrices" and isinstance(value, ast.Attribute) and (
+                value.attr == "palette"
+            )
+        return isinstance(node, ast.Name) and node.id in names
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_matrices(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_matrices(node.value):
+            found.append((node.lineno, "subscript"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("per_gate", "take") and any(map(is_matrices, node.args)):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "mux.py"], ids=lambda p: p.name
+)
+def test_only_mux_expands_a_palette_into_the_complex_vector(path):
+    assert palette_gathers(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_palette_rule_fails_when_a_stray_expansion_is_put_back():
+    mux = (PACKAGE / "mux.py").read_text(encoding="utf-8")
+    assert palette_gathers(ast.parse(mux)) != []  # the home of the expansion
+    source = (PACKAGE / "cost.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    stray = (
+        "matrices = m.palette.matrices\n"
+        "full = matrices[m.palette.index]\n"
+        "again = m.palette.matrices[m.palette.index]\n"
+        "same = m.palette.per_gate(m.palette.matrices)\n"
+        "np.take(matrices, m.palette.index, axis=0)\n"
+        "mask = m.palette.per_gate(kernels.identity_mask(m.palette.matrices, EPS))\n"
+    )
+    assert palette_gathers(ast.parse(source + stray)) == [
+        (end + 2, "subscript"),
+        (end + 3, "subscript"),
+        (end + 4, "per_gate"),
+        (end + 5, "take"),
     ]

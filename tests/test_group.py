@@ -7,7 +7,7 @@ from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate, resolve_pool
 
 def _interned(targets):
-    result = group.intern(targets)
+    result = group.intern(targets, len(targets))
     assert result is not None
     return result
 
@@ -75,13 +75,13 @@ def test_phase_times_identity_is_not_id_zero():
     ids=["rx-pool", "random-unitaries", "over-256-distinct", "order-514-generator"],
 )
 def test_intern_declines_targets_that_do_not_close_small(targets):
-    assert group.intern(targets) is None
+    assert group.intern(targets, len(targets)) is None
 
 
 def test_key_collisions_are_caught(monkeypatch):
     # Every matrix hashing alike must not merge distinct gates.
     monkeypatch.setattr(group, "_keys", lambda mats: np.zeros(len(mats), dtype=np.uint64))
-    assert group.intern(generate(4, POOL_FULL, seed=6).targets) is None
+    assert group.intern(generate(4, POOL_FULL, seed=6).targets, 16) is None
 
 
 def test_matrix_literal_of_a_clifford_lands_on_its_element():
@@ -103,8 +103,8 @@ def test_complex_cascade_stays_within_margin_of_the_exact_elements():
     worst = 0.0
     for _ in range(6):
         polarity = "".join(rng.choice(list("012"), size=m))
-        complex_out = blocksearch.cascade(std.targets, polarity, mux.KQF)
-        out = blocksearch.cascade(ids, polarity, mux.KQF, gate_group)
+        complex_out = blocksearch.cascade(std.targets.copy(), polarity, mux.KQF)
+        out = blocksearch.cascade(ids.copy(), polarity, mux.KQF, gate_group)
         worst = max(worst, float(np.abs(complex_out - gate_group.elements[out]).max()))
     assert worst <= 1e-11
     away = np.abs(gate_group.elements[1:] - np.eye(2)).reshape(-1, 4).max(axis=1)
@@ -125,7 +125,7 @@ def test_intern_declines_where_the_cascade_could_grow_past_eps(literal, deepest)
     h = gates.parse_gate(literal)
     for m in (3, deepest, deepest + 1, 14):
         targets = np.stack([h, gates.I] * (1 << (m - 1)))
-        assert (group.intern(targets) is not None) == (m <= deepest), m
+        assert (group.intern(targets, len(targets)) is not None) == (m <= deepest), m
 
 
 def test_complex_cascade_stays_inside_the_bound_at_the_deepest_accepted_m():
@@ -135,11 +135,11 @@ def test_complex_cascade_stays_inside_the_bound_at_the_deepest_accepted_m():
     rng = np.random.default_rng(9)
     polarities = ["1" * m, "0" * m] + ["".join(rng.choice(list("01"), size=m)) for _ in range(4)]
     for polarity in polarities:
-        complex_out = blocksearch.cascade(std.targets, polarity, mux.KQF)
-        out = blocksearch.cascade(ids, polarity, mux.KQF, gate_group)
+        complex_out = blocksearch.cascade(std.targets.copy(), polarity, mux.KQF)
+        out = blocksearch.cascade(ids.copy(), polarity, mux.KQF, gate_group)
         assert np.abs(complex_out - gate_group.elements[out]).max() <= gates.EPS / 2
     # The all-positive cascade does carry the drift well past the residual.
-    drift = np.abs(blocksearch.cascade(std.targets, "1" * m, mux.KQF) - np.eye(2)).max()
+    drift = np.abs(blocksearch.cascade(std.targets.copy(), "1" * m, mux.KQF) - np.eye(2)).max()
     assert drift > 100 * (1 - (std.targets[0] @ std.targets[0])[0, 0].real)
 
 

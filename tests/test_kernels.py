@@ -75,7 +75,7 @@ def test_gate_stage_matches_per_pair_reference(kernel, m):
 def test_group_id_stage_matches_complex_stage(kernel, m):
     for pool in (POOL_FULL, POOL_NVV):
         vec = generate(m, pool, seed=30 + m).targets
-        gate_group, ids = group.intern(vec)
+        gate_group, ids = group.intern(vec, len(vec))
         for bit in range(m):
             got = kernels.gate_stage(ids.copy(), kernel, bit, gate_group)
             assert got.dtype == np.uint8 and got.shape == ids.shape
@@ -85,7 +85,7 @@ def test_group_id_stage_matches_complex_stage(kernel, m):
 
 def test_identity_mask_on_id_vectors():
     vec = generate(6, POOL_FULL, seed=31).targets
-    gate_group, ids = group.intern(vec)
+    gate_group, ids = group.intern(vec, len(vec))
     assert np.array_equal(kernels.identity_mask(ids, gates.EPS), ids == 0)
     assert np.array_equal(
         kernels.identity_mask(ids, gates.EPS), kernels.identity_mask(vec, gates.EPS)
@@ -113,7 +113,7 @@ def test_unknown_kernel_codes_rejected():
         kernels.gate_stage(_random_gate_vector(np.random.default_rng(0), 4), 9, 0)
     with pytest.raises(ValueError):
         kernels.gf2_stage(np.zeros(4, dtype=np.uint8), 9, 0)
-    gate_group, ids = group.intern(np.stack([gates.I, gates.X] * 2))
+    gate_group, ids = group.intern(np.stack([gates.I, gates.X] * 2), 4)
     with pytest.raises(ValueError):
         kernels.gate_stage(ids, 9, 0, gate_group)
 
@@ -160,7 +160,7 @@ def _column_cases(m, kernel):
         return [(bits, None, lambda bit: _per_pair(bits, GF2_PAIR_KERNELS[kernel], bit))]
     matrices = _random_gate_vector(np.random.default_rng(43), 1 << m)
     clifford = generate(m, POOL_FULL, seed=44).targets
-    gate_group, ids = group.intern(clifford)
+    gate_group, ids = group.intern(clifford, len(clifford))
     pair = PAIR_KERNELS[kernel]
     return [
         (matrices, None, lambda bit: reference.butterfly_stage(matrices, pair, bit)),

@@ -111,6 +111,20 @@ def test_targets_are_read_only():
         m.targets[0, 0, 0] = 5.0
 
 
+def test_the_callers_targets_stay_writable():
+    t = np.stack([gates.I, gates.X])
+    m = Multiplexer(1, t)
+    assert t.flags.writeable
+    t[0] = gates.X  # the multiplexer keeps its own copy
+    assert np.array_equal(m.targets, np.stack([gates.I, gates.X]))
+
+
+def test_a_transform_hands_its_targets_over_without_a_copy():
+    g = forward_transform(ivvx_case(), "11")
+    assert g.palette.index is None and not g.palette.matrices.flags.writeable
+    assert Multiplexer(2, g.palette.matrices, FPQF, "11").palette.matrices is g.palette.matrices
+
+
 # --- semantics ---
 
 
@@ -321,7 +335,7 @@ def test_diagonal_targets_make_stage_order_irrelevant():
     targets = np.stack([gates.rz(a) for a in rng.uniform(0, 2 * np.pi, size=1 << m)])
     std = Multiplexer(m, targets)
     for polarity in ("111", "010", "120"):
-        shipped = cascade(std.targets, polarity, KQF)
+        shipped = cascade(std.targets.copy(), polarity, KQF)
         reversed_order = std.targets.copy()
         from qmuxopt import kernels
         table = {"1": kernels.FORWARD_POS, "0": kernels.FORWARD_NEG, "2": kernels.IDENTITY}
@@ -338,7 +352,7 @@ def test_noncommuting_targets_are_stage_order_sensitive():
     rng = np.random.default_rng(91)
     std = random_mux(rng, 2)
     from qmuxopt import kernels
-    shipped = cascade(std.targets, "11", FPQF)
+    shipped = cascade(std.targets.copy(), "11", FPQF)
     other = std.targets.copy()
     for k in reversed(range(2)):
         other = kernels.gate_stage(other, kernels.FORWARD_POS, 2 - 1 - k)

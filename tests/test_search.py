@@ -122,7 +122,7 @@ def test_polarity_cost_stream_enforces_the_size_limit():
 def test_kqf_size_limit_comes_before_interning(monkeypatch):
     std = generate(10, POOL_NVV, seed=0)
 
-    def refuse(targets):
+    def refuse(targets, count):
         raise AssertionError("interned an oversized multiplexer")
 
     monkeypatch.setattr(group, "intern", refuse)
@@ -239,7 +239,7 @@ FALLBACK_CASES = {
 def _complex_reference(monkeypatch, fn, *args):
     """fn(*args) with interning switched off: the complex gate_stage/EPS path."""
     with monkeypatch.context() as patch:
-        patch.setattr(search.group, "intern", lambda targets: None)
+        patch.setattr(search.group, "intern", lambda targets, count: None)
         return fn(*args)
 
 
@@ -251,7 +251,7 @@ ALL_CASES = {**GROUP_CASES, **FALLBACK_CASES}
 def test_group_path_streams_match_complex_path(monkeypatch, case, family):
     for m in range(1, 7):
         std = ALL_CASES[case](m)
-        assert (group.intern(std.targets) is None) == (case in FALLBACK_CASES)
+        assert (group.intern(std.targets, std.num_targets) is None) == (case in FALLBACK_CASES)
         ids_stream = search.polarity_costs(std, family).tolist()
         complex_stream = _complex_reference(
             monkeypatch, lambda: search.polarity_costs(std, family).tolist()
@@ -264,7 +264,7 @@ def test_group_path_streams_match_complex_path(monkeypatch, case, family):
 def test_random_search_group_path_matches_complex_path(monkeypatch, case, family):
     # m = 9 puts 512 distinct targets in the over-256 case.
     std = ALL_CASES[case](9 if case == "over-256-distinct" else 6)
-    assert (group.intern(std.targets) is None) == (case in FALLBACK_CASES)
+    assert (group.intern(std.targets, std.num_targets) is None) == (case in FALLBACK_CASES)
     cfg = SearchConfig(family=family, mode="random", samples=24, seed=7)
     report = random_polarity_search(std, cfg)
     assert report == _complex_reference(monkeypatch, random_polarity_search, std, cfg)
@@ -294,7 +294,7 @@ def test_random_search_on_rounded_h_literals_matches_complex_path(monkeypatch, t
 def test_exhaustive_search_on_rounded_h_literal_matches_complex_path(monkeypatch, family, m):
     # The deepest m at which intern accepts the 13-digit H for FPQF.
     std = generate(m, GatePool("custom", (H13, "I")), seed=4)
-    assert group.intern(std.targets) is not None
+    assert group.intern(std.targets, std.num_targets) is not None
     stream = search.polarity_costs(std, family).tolist()
     assert stream == _complex_reference(
         monkeypatch, lambda: search.polarity_costs(std, family).tolist()
@@ -307,7 +307,7 @@ def per_polarity_reference(std, family):
     cost_table = cost.cost_table_vector(std.controls)
     out = []
     for polarity in all_polarities(std.controls, search.FAMILY_DIGITS[family]):
-        targets = blocksearch.cascade(std.targets, polarity, family)
+        targets = blocksearch.cascade(std.targets.copy(), polarity, family)
         counts = cost.control_count_vector(polarity)
         out.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
     return out
@@ -333,7 +333,7 @@ def test_block_search_matches_per_polarity_reference(monkeypatch, case, family):
 @pytest.mark.parametrize("family", ["fpqf", "kqf"])
 def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkeypatch, family):
     std = generate(7, GatePool("custom", (H13, "I")), seed=4)
-    assert group.intern(std.targets) is not None
+    assert group.intern(std.targets, std.num_targets) is not None
     expected = per_polarity_reference(std, family)
     for block in BLOCKS:
         monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
@@ -345,7 +345,7 @@ def test_block_search_on_rounded_h_literal_matches_per_polarity_reference(monkey
 def test_block_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, pool, family):
     # m = 8: two DFS digits above the 6-variable block, so 4 rows a node.
     std = generate(8, resolve_pool(pool), seed=320)
-    assert (group.intern(std.targets) is None) == (pool != "full")
+    assert (group.intern(std.targets, std.num_targets) is None) == (pool != "full")
     expected = search.polarity_costs(std, family)
     monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
     assert np.array_equal(search.polarity_costs(std, family), expected)
@@ -370,32 +370,29 @@ def test_exhaustive_fpqf_runs_dfs_columns_only_above_the_block(monkeypatch):
 @pytest.mark.parametrize("family", ["fpqf", "kqf"])
 @pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
 def test_search_leaves_its_root_vector_alone(monkeypatch, family, pool):
-    """The DFS runs its columns in place on copies: neither std.targets nor
-    the interned ID vector it starts from changes."""
+    """The DFS runs its columns in place on copies: the root vector that
+    blocksearch.polarity_costs starts from, the gates' IDs or their complex
+    targets, comes back as it went in."""
     std = generate(8, resolve_pool(pool), seed=323)
-    targets = std.targets.tobytes()
     roots = []
-    intern = group.intern
+    polarity_costs = blocksearch.polarity_costs
 
-    def recorded(vec):
-        interned = intern(vec)
-        if interned is not None:
-            roots.append((interned[1], interned[1].tobytes()))
-        return interned
+    def recorded(vector, *args):
+        roots.append((vector, vector.tobytes()))
+        return polarity_costs(vector, *args)
 
-    monkeypatch.setattr(group, "intern", recorded)
+    monkeypatch.setattr(blocksearch, "polarity_costs", recorded)
     search.polarity_costs(std, family)
-    assert std.targets.tobytes() == targets
-    assert len(roots) == (pool == "full")
-    for root, before in roots:
-        assert root.flags.writeable and root.tobytes() == before
+    [(root, before)] = roots
+    assert root.dtype == (np.uint8 if pool == "full" else complex)
+    assert root.flags.writeable and root.tobytes() == before
 
 
 def test_block_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     # Complex path: a 4^6-slot row of 2x2 matrices is 256 KB, and a node
     # holds 16 of them at m = 10, 4 MB unchunked.
     std = generate(10, resolve_pool("custom:X,I,RX(0.3)"), seed=322)
-    assert group.intern(std.targets) is None
+    assert group.intern(std.targets, std.num_targets) is None
     monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
@@ -424,7 +421,7 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
     std = ALL_CASES[case](m)
     paths = [(None, std.targets)]
     if case == "full":
-        paths.append(group.intern(std.targets))
+        paths.append(group.intern(std.targets, std.num_targets))
     for group_arg, vector in paths:
         rows = vector.reshape(1, 1 << m, *vector.shape[1:])
         slots = blocksearch.expand(rows, mux.KQF, group_arg)[0]
@@ -432,14 +429,14 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
         rng = np.random.default_rng(300)
         for _ in range(20):
             polarity = "".join(rng.choice(list("012"), size=m))
-            expected = blocksearch.cascade(vector, polarity, mux.KQF, group_arg)
+            expected = blocksearch.cascade(vector.copy(), polarity, mux.KQF, group_arg)
             picked = slots[[_slot_index(polarity, i) for i in range(1 << m)]]
             assert picked.tobytes() == expected.tobytes(), polarity
 
 
 def test_qetv_stage_on_ids_matches_matrices():
     std = generate(4, POOL_FULL, seed=7)
-    gate_group, ids = group.intern(std.targets)
+    gate_group, ids = group.intern(std.targets, std.num_targets)
     pairs = ids.reshape(2, 2, 4)
     out = np.empty((2, 4, 4), dtype=np.uint8)
     kernels.qetv_stage(pairs, out, gate_group)
