@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import __version__, blocksearch, boolrm, cost, jsonout, mux, muxio, pla, randmux
+from . import __version__, blocksearch, boolrm, cost, jsonout, kernels, mux, muxio, pla, randmux
 from . import search as search_mod
 from .errors import ParseError, QmuxError, SizeLimitExceeded
 
@@ -135,15 +135,15 @@ def _manifest_lines(manifest: dict) -> list:
 
 
 def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
-    """Write the report in args.format to args.out, or to stdout.  The
+    """Write the report in args.format to args.out, or to stdout, through
+    jsonout, the one writer, kernels.CHUNK_ROWS pieces per write.  The
     bodies are callables that build the text lines, the JSON dict and the
     CSV lines; only the one the format asks for runs.  JSON goes through
-    jsonout.write_json, which streams it into the file a batch of keys,
-    list items and table rows at a time, never as one string; the bytes
-    are those of json.dumps(body, indent=2), with each jsonout.Table as
-    its list of row dicts.  Text and CSV lines may come from a generator,
-    and are written jsonout.JSON_CHUNKS_PER_WRITE lines at a time; the
-    bytes are those of the lines joined by newlines."""
+    jsonout.write_json: the bytes are those of json.dumps(body, indent=2),
+    with each jsonout.Table as its list of row dicts.  Text and CSV lines
+    may come from a generator, and a line may be an iterable of pieces
+    rather than a str; the bytes are those of the lines joined by
+    newlines."""
     if args.out:
         stream = open(args.out, "w", encoding="utf-8")
     else:
@@ -151,24 +151,22 @@ def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
     with stream as fh:
         if args.format == "json":
             jsonout.write_json(fh, {"manifest": manifest, **json_body()})
-        elif args.format == "csv":
-            _write_lines(fh, itertools.chain(_manifest_lines(manifest), csv_lines()))
         else:
-            _write_lines(fh, itertools.chain(_manifest_lines(manifest), [""], text_lines()))
-        fh.write("\n")
+            body = csv_lines() if args.format == "csv" else itertools.chain([""], text_lines())
+            jsonout.write(fh, _joined(itertools.chain(_manifest_lines(manifest), body)))
+        jsonout.write(fh, ["\n"])
 
 
-def _write_lines(fh, lines) -> None:
-    """Write the lines joined by newlines, jsonout.JSON_CHUNKS_PER_WRITE
-    lines at a time.  A batch's lines are dropped before its text is
-    written, so a long line (the optimize report's targets) is not held
-    twice while it is encoded."""
-    lines = iter(lines)
+def _joined(lines):
+    """The pieces of the lines joined by newlines; a line is a str or an
+    iterable of strs."""
     sep = ""
-    while batch := list(itertools.islice(lines, jsonout.JSON_CHUNKS_PER_WRITE)):
-        text = sep + "\n".join(batch)
-        del batch
-        fh.write(text)
+    for line in lines:
+        if isinstance(line, str):
+            yield sep + line
+        else:
+            yield sep
+            yield from line
         sep = "\n"
 
 
@@ -205,7 +203,7 @@ def _cmd_optimize(args) -> int:
             f"search time: {report.elapsed:.3f} s",
             "",
             "transformed targets (best polarity):",
-            "  " + " ".join(tokens),
+            itertools.chain([" "], map(" ".__add__, tokens)),  # "  I X ..." a token at a time
             "",
             "cost breakdown (best polarity):",
             best_cost_report.format_table(),
@@ -345,8 +343,8 @@ def _cmd_cost(args) -> int:
 
     def csv_lines():
         yield "gate,controls,cost"
-        for start in range(0, len(report.costs), jsonout.JSON_CHUNKS_PER_WRITE):
-            rows = report.rows(slice(start, start + jsonout.JSON_CHUNKS_PER_WRITE))
+        for start in range(0, len(report.costs), kernels.CHUNK_ROWS):
+            rows = report.rows(slice(start, start + kernels.CHUNK_ROWS))
             yield from (f"{i},{c},{k}" for i, c, k in rows)
         yield f"# total: {report.total}"
         yield f"# skipped_identities: {report.skipped_identities}"

@@ -156,10 +156,9 @@ def render_gates(us: np.ndarray):
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
     deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one
-    np.sort of the chunk's patterns and one np.searchsorted into its
-    distinct ones; each distinct pattern is repr'd once per chunk.  A
-    token's text depends only on its own matrix, so the bytes do not depend
-    on the chunking.
+    np.unique of the chunk's patterns; each distinct pattern is repr'd
+    once per chunk.  A token's text depends only on its own matrix, so the
+    bytes do not depend on the chunking.
     """
     for start in range(0, len(us), kernels.CHUNK_ROWS):
         yield _render_chunk(us[start : start + kernels.CHUNK_ROWS])
@@ -178,13 +177,8 @@ def _render_chunk(us: np.ndarray) -> list:
     if not len(rest):
         return tokens
     bits = us[rest].view(np.float64).reshape(-1).view(np.uint64)
-    ordered = np.sort(bits)
-    starts = np.empty(len(ordered), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    distinct = ordered[starts]
+    distinct, where = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    where = np.searchsorted(distinct, bits).reshape(-1, 8)
-    for i, entries in zip(rest.tolist(), texts[where].tolist()):
+    for i, entries in zip(rest.tolist(), texts[where.reshape(-1, 8)].tolist()):
         tokens[i] = "M(" + ",".join(entries) + ")"
     return tokens

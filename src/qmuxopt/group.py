@@ -156,7 +156,7 @@ def intern(targets: np.ndarray, count: int):
     vector with targets[i] within TOL of elements[ids[i]].
     """
     target_keys = _keys(targets)
-    distinct, first, where = kernels.unique(target_keys)
+    distinct, first, where = np.unique(target_keys, return_index=True, return_inverse=True)
     if len(distinct) > MAX_ELEMENTS:
         return None
     elements = _closure(targets[first])

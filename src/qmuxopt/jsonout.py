@@ -1,15 +1,21 @@
-"""Streaming writer of indent-2 JSON reports.
+"""The one streaming writer of every report and .qmux file.
+
+write(fh, pieces) is the one loop that calls a stream's write: it joins
+an iterable of strs into writes of kernels.CHUNK_ROWS pieces each, so a
+report of tens of MB is never held as one string.  The text and CSV
+reports hand it their lines' pieces, a long line (the optimize report's
+targets) a token at a time.
 
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
-into fh, a batch of at most JSON_CHUNKS_PER_WRITE items at a time, so a
-report of tens of MB is never held as one string.  It writes dict keys
-itself at every level (keys are strs), a list of strs item by item, a
-Chunked list of strs a chunk at a time as its chunks are made, and a Table
-row by row from one %-template; any other value is small and goes through
-json.dumps, re-indented to its depth (JSON text never holds a raw newline
-inside a string, so replacing every newline is safe).  The text of each
-item is that of json.dumps, so neither the batching nor the chunking
-changes a byte.
+through write, one piece per dict key, list item or table row.  It writes
+dict keys itself at every level (keys are strs), a list of strs item by
+item, a Chunked list of strs a chunk at a time as its chunks are made,
+and a Table row by row from one %-template, reading its columns
+kernels.CHUNK_ROWS rows at a time; any other value is small and goes
+through json.dumps, re-indented to its depth (JSON text never holds a raw
+newline inside a string, so replacing every newline is safe).  The text
+of each item is that of json.dumps, so neither the batching nor the
+chunking changes a byte.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-# Items (dict keys, list items, table rows) joined into one write.  With
-# PYTHONUNBUFFERED or `python -u` every stdout write is a system call.
-JSON_CHUNKS_PER_WRITE = 4096
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,20 @@ class Table:
     columns: tuple
 
 
+def write(fh, pieces) -> None:
+    """Write the strs of `pieces` to fh, kernels.CHUNK_ROWS of them joined
+    into each write.  With PYTHONUNBUFFERED or `python -u` every stdout
+    write is a system call.  Empty pieces are dropped, so an empty batch
+    means the pieces have run out, and no batch's list of pieces outlives
+    its join."""
+    pieces = filter(None, pieces)
+    while text := "".join(itertools.islice(pieces, kernels.CHUNK_ROWS)):
+        fh.write(text)
+
+
 def write_json(fh, value) -> None:
     """Write json.dumps(value, indent=2) to fh, each Table as its rows."""
-    pieces = _pieces(value, "")
-    while batch := "".join(itertools.islice(pieces, JSON_CHUNKS_PER_WRITE)):
-        fh.write(batch)
+    write(fh, _pieces(value, ""))
 
 
 def _pieces(value, pad: str):
@@ -94,7 +107,7 @@ def _table(table: Table, pad: str):
     row = "{\n" + ",\n".join(fields) + "\n" + inner + "}"
     rows = itertools.chain.from_iterable(
         zip(*_columns(table, texts, start))
-        for start in range(0, len(table.columns[0]), JSON_CHUNKS_PER_WRITE)
+        for start in range(0, len(table.columns[0]), kernels.CHUNK_ROWS)
     )
     first = next(rows, None)
     if first is None:
@@ -106,12 +119,12 @@ def _table(table: Table, pad: str):
 
 
 def _columns(table: Table, texts: list, start: int) -> list:
-    """JSON_CHUNKS_PER_WRITE rows of the table's columns from `start`, as
+    """kernels.CHUNK_ROWS rows of the table's columns from `start`, as
     lists of Python ints and of encoded strs: only one batch of row values
     exists as Python objects at a time."""
     part = []
     for column, text in zip(table.columns, texts):
-        values = column[start : start + JSON_CHUNKS_PER_WRITE]
+        values = column[start : start + kernels.CHUNK_ROWS]
         if text:
             part.append(list(map(encode_basestring_ascii, values)))
         else:

@@ -45,9 +45,9 @@ values its columns produce:
 Both take (pairs, out, group=None).  Which code a polarity digit runs,
 and in which order, is blocksearch's to decide, not this module's.
 
-`unique` finds the distinct values of a key vector with one stable sort.
-The program uses it in place of np.unique, whose first bare call (no
-return_* flag) imports numpy.ma: about 10 ms in a fresh interpreter.
+`CHUNK_ROWS` is the program's one per-gate batch size: kernel passes,
+loader batches, render chunks, report rows and the pieces of one write
+all take at most that many at a time.
 `read_only` is how the immutable values (`mux.Multiplexer`,
 `boolrm.BoolFunc`, `boolrm.RMSpectrum`) take an array: they copy it
 unless it is handed over.
@@ -232,21 +232,6 @@ def read_only(values, dtype=None) -> np.ndarray:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-def unique(values: np.ndarray):
-    """(distinct, first, inverse) of a 1-D array, as np.unique(values,
-    return_index=True, return_inverse=True) gives them: the sorted distinct
-    values, the index of each one's first occurrence, and for every entry
-    the position of its value in `distinct`."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inverse = np.empty(len(values), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], order[starts], inverse
 
 
 # The classical callers' name for gate_stage, under which the benchmark

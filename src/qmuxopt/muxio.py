@@ -12,9 +12,10 @@ JSON mirror uses the same field names:
 
 Both loaders return the multiplexer as a palette: the distinct matrices
 of its tokens, each token parsed once, and one index entry per gate (one
-byte while there are at most 256 of them).  The text loader fills the
-index a batch of lines at a time, so only one batch of tokens is ever
-held as strs, and neither loader builds the 2^m complex vector.
+byte while there are at most 256 of them).  Both loaders fill the index
+a batch of at least kernels.CHUNK_ROWS tokens at a time (the text loader
+never splits a line), so only one batch of tokens is ever held as strs,
+and neither loader builds the 2^m complex vector.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import gates, jsonout
+from . import gates, jsonout, kernels
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
 from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, without_inverters
 
@@ -35,9 +36,6 @@ _TOKEN_RE = re.compile(r"\S+")
 
 # Gate tokens per targets line in dump_qmux.
 TOKENS_PER_LINE = 8
-# Gate tokens parse_qmux and from_json_dict index at a time: the only
-# tokens held as strs at once, except that a line is never split.
-TOKENS_PER_BATCH = 4096
 
 # A list holds at most sys.maxsize < 2^63 items, so no token list matches
 # this many controls or more.  Such a count is refused before 1 << controls
@@ -120,23 +118,25 @@ def _check_control_count(controls: int, count: int, source, line) -> None:
         )
 
 
-def _token_place(spans: list, i: int) -> tuple:
-    """(line, column) of token i of a batch, from the spans parse_qmux
-    records: the token is on the last line whose first token index is at
-    most i."""
-    lineno, line, offset, first = next(s for s in reversed(spans) if s[3] <= i)
-    match = next(itertools.islice(_TOKEN_RE.finditer(line, offset), i - first, None))
-    return lineno, match.start() + 1
+def _token_places(text: str, targets_line: int):
+    """(line, column) of each target token in order, rescanning the text
+    from its `targets:` line; only an error message needs them."""
+    lines = itertools.islice(text.splitlines(), targets_line - 1, None)
+    for lineno, raw in enumerate(lines, start=targets_line):
+        line = raw.partition("#")[0]
+        offset = line.index(":") + 1 if lineno == targets_line else 0
+        for match in _TOKEN_RE.finditer(line, offset):
+            yield lineno, match.start() + 1
 
 
 def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     """Parse .qmux text (or its JSON mirror, detected by a leading '{').
 
     The targets are read a batch of lines at a time, at least
-    TOKENS_PER_BATCH tokens unless the lines run out, into the palette
-    and index of _PaletteBuilder.  A bad token's line and column are
-    worked out when its batch is indexed; it is reported only after the
-    token count, which takes precedence, has been checked.
+    kernels.CHUNK_ROWS tokens unless the lines run out, into the palette
+    and index of _PaletteBuilder.  A bad token is reported only after the
+    token count, which takes precedence, has been checked; the line and
+    column of an error are worked out then, by a rescan of the targets.
     """
     if text.lstrip().startswith("{"):
         try:
@@ -148,41 +148,19 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     controls = None
     form = None
     polarity = None
+    targets_line = None
     builder = _PaletteBuilder()
     batch = []
-    # One (line number, line, offset, index of its first token) per line of
-    # the batch; a token's line and column are worked out only for an error.
-    spans = []
-    bad_place = None
-    last_line = None  # the line of the last token
-    in_targets = False
-
-    def flush():
-        nonlocal bad_place
-        first, clean = builder.count, builder.error is None
-        builder.add(batch)
-        if clean and builder.error is not None:
-            bad_place = _token_place(spans, builder.error[0] - first)
-        batch.clear()
-        spans.clear()
-
-    def take(lineno, line, offset):
-        nonlocal last_line
-        spans.append((lineno, line, offset, len(batch)))
-        tokens = line[offset:].split()
-        if tokens:
-            last_line = lineno
-        batch.extend(tokens)
-        if len(batch) >= TOKENS_PER_BATCH:
-            flush()
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         comment = raw.find("#")
         line = raw[:comment] if comment >= 0 else raw
-        if not line.strip():
+        if targets_line is not None:
+            batch += line.split()
+            if len(batch) >= kernels.CHUNK_ROWS:
+                builder.add(batch)
+                batch = []
             continue
-        if in_targets:
-            take(lineno, line, 0)
+        if not line.strip():
             continue
         key, sep, value = line.partition(":")
         if not sep:
@@ -199,26 +177,29 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         elif key == "form":
             form, polarity = _parse_form(value, source, lineno)
         elif key == "targets":
-            in_targets = True
-            take(lineno, line, line.index(":") + 1)
+            targets_line = lineno
+            batch = value.split()
         else:
             raise ParseError(f"unknown field {key!r}", source, lineno)
-    flush()
+    builder.add(batch)
 
     if controls is None:
         raise ParseError("missing 'controls:' line", source)
     if form is None:
         raise ParseError("missing 'form:' line", source)
-    if not in_targets:
+    if targets_line is None:
         raise ParseError("missing 'targets:' line", source)
     _check_control_count(controls, builder.count, source, controls_line)
     expected = 1 << controls
     if builder.count != expected:
+        last_line = max((n for n, _ in _token_places(text, targets_line)), default=None)
         raise ParseError(
             f"expected {expected} gate tokens, got {builder.count}", source, last_line
         )
     if builder.error is not None:
-        raise ParseError(str(builder.error[1]), source, *bad_place)
+        i, exc = builder.error
+        place = next(itertools.islice(_token_places(text, targets_line), i, None))
+        raise ParseError(str(exc), source, *place)
     try:
         return Multiplexer(controls, builder.palette(), form, polarity)
     except (ValueError, QmuxError) as exc:
@@ -240,8 +221,8 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     form, polarity = _parse_form(form_text, source, None)
     _check_control_count(controls, len(tokens), source, None)
     builder = _PaletteBuilder()
-    for start in range(0, len(tokens), TOKENS_PER_BATCH):
-        builder.add(tokens[start : start + TOKENS_PER_BATCH])
+    for start in range(0, len(tokens), kernels.CHUNK_ROWS):
+        builder.add(tokens[start : start + kernels.CHUNK_ROWS])
     if builder.error is not None:
         i, exc = builder.error
         raise ParseError(f"target {i}: {exc}", source)
@@ -297,4 +278,4 @@ def save_qmux(m: Multiplexer, path) -> None:
     path = str(path)
     text = dump_qmux_json(m) if path.endswith(".json") else dump_qmux(m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        jsonout.write(fh, [text])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .errors import UnknownGate
+from .errors import SizeLimitExceeded, UnknownGate
 from .mux import Multiplexer, used_palette
 
 MAX_CONTROLS = 20
@@ -55,9 +55,14 @@ def resolve_pool(label: str) -> GatePool:
 
 def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
     """Standard-form multiplexer with 2^controls targets drawn from pool,
-    held as the palette of the pool gates drawn."""
-    if not 1 <= controls <= MAX_CONTROLS:
+    held as the palette of the pool gates drawn.  Raises ValueError for
+    fewer than 1 control and SizeLimitExceeded for more than MAX_CONTROLS."""
+    if controls < 1:
         raise ValueError(f"controls must be in 1..{MAX_CONTROLS}, got {controls}")
+    if controls > MAX_CONTROLS:
+        raise SizeLimitExceeded(
+            f"generate is limited to {MAX_CONTROLS} controls, got {controls}"
+        )
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, len(pool.gate_tokens), size=1 << controls)
     return Multiplexer(controls, used_palette(pool.matrices(), choices))

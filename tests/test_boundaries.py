@@ -9,7 +9,9 @@ other module that reads a column code or runs a column: it alone turns a
 family and a polarity digit into columns.  `mux` alone expands a
 multiplexer's palette into the 2^m complex vector: everywhere else the
 palette's matrices are only read whole (to intern them, to test them for
-the identity), so the vector cannot come back unseen.
+the identity), so the vector cannot come back unseen.  `jsonout` alone
+calls a stream's write: every report and file goes through its one
+batching loop, so no report can be joined into one string again.
 """
 
 import ast
@@ -226,3 +228,38 @@ def test_the_palette_rule_fails_when_a_stray_expansion_is_put_back():
         (end + 4, "per_gate"),
         (end + 5, "take"),
     ]
+
+
+def stream_writes(tree: ast.Module) -> list:
+    """Line of each call of a `write` or `writelines` method, except the
+    module function jsonout.write."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if node.func.attr in ("write", "writelines") and not (
+                isinstance(receiver, ast.Name) and receiver.id == "jsonout"
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "jsonout.py"], ids=lambda p: p.name
+)
+def test_only_jsonout_calls_a_streams_write(path):
+    assert stream_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_write_rule_fails_when_a_stray_write_is_put_back():
+    jsonout = (PACKAGE / "jsonout.py").read_text(encoding="utf-8")
+    assert stream_writes(ast.parse(jsonout)) != []  # the home of the loop
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    end = len(cli.splitlines())
+    stray = (
+        'jsonout.write(fh, ["\\n"])\n'
+        'fh.write("\\n")\n'
+        'sys.stdout.write(text)\n'
+        "fh.writelines(lines)\n"
+    )
+    assert stream_writes(ast.parse(cli + stray)) == [end + 2, end + 3, end + 4]

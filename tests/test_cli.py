@@ -210,6 +210,22 @@ def test_generate_refuses_a_pool_with_a_non_finite_angle(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "controls,code,message",
+    [
+        (21, 3, "error: generate is limited to 20 controls, got 21"),
+        (0, 2, "error: controls must be in 1..20, got 0"),
+    ],
+)
+def test_generate_control_count_limits_exit_codes(capsys, tmp_path, controls, code, message):
+    """More controls than randmux.MAX_CONTROLS is a size limit (exit 3, as
+    for random search's limit); fewer than one is a usage error (exit 2)."""
+    out = tmp_path / "g.qmux"
+    got, stdout, err = run(capsys, ["generate", "--controls", controls, "--out", out])
+    assert (got, stdout, err) == (code, "", message + "\n")
+    assert not out.exists()
+
+
 def test_optimize_then_verify_best_always_passes(capsys, tmp_path):
     rng = np.random.default_rng(160)
     targets = np.stack([reference.random_unitary(rng) for _ in range(8)])
@@ -515,8 +531,9 @@ def test_fpqf_form_with_a_mixed_digit_exits_2(capsys, tmp_path, name):
 
 
 def test_a_quantum_run_does_not_import_numpy_ma(tmp_path):
-    """A bare np.unique call imports numpy.ma, about 10 ms in a fresh
-    interpreter; the program dedups with kernels.unique instead."""
+    """A bare np.unique call (no return_* flag) imports numpy.ma, about
+    10 ms in a fresh interpreter; the program's np.unique calls ask for
+    the index or the inverse, which do not."""
     path = tmp_path / "m3.qmux"
     save_qmux(generate(3, POOL_FULL, seed=1), path)
     script = (

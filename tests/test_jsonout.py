@@ -53,7 +53,7 @@ BODIES = {
 @pytest.mark.parametrize("chunks", [1, 2, 4096])
 @pytest.mark.parametrize("name", sorted(BODIES))
 def test_write_json_equals_json_dumps(monkeypatch, name, chunks):
-    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", chunks)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     body = BODIES[name]
     assert _written(body) == json.dumps(_plain(body), indent=2)
 
@@ -83,7 +83,7 @@ def _one_gate_file(tmp_path):
 
 @pytest.mark.parametrize("chunks", [1, 2, 4096])
 def test_cli_json_reports_equal_json_dumps(monkeypatch, capsys, tmp_path, chunks):
-    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", chunks)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     rand = _rand_file(tmp_path, 4)
     # (arguments, the key path of a list in the report, its length)
     commands = [
@@ -116,14 +116,14 @@ class _RecordingStream:
 
 
 def test_largest_write_is_bounded(monkeypatch, capsys, tmp_path):
-    """A report goes out in writes of at most JSON_CHUNKS_PER_WRITE items,
+    """A report goes out in writes of at most kernels.CHUNK_ROWS items,
     never as one string: the guard on the peak memory of large reports."""
     monkeypatch.setattr(time, "perf_counter", lambda: 0.0)  # timings differ run to run
     path = _rand_file(tmp_path, 8)  # 255 literals of about 150 bytes
     argv = ["optimize", str(path), "--format", "json"]
     assert main(argv) == 0
     total = len(capsys.readouterr().out)
-    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", 8)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 8)
     stream = _RecordingStream()
     monkeypatch.setattr("sys.stdout", stream)
     assert main(argv) == 0
@@ -148,11 +148,10 @@ def _token_stack(count):
 @pytest.mark.parametrize("chunks", [1, 2, 4096])
 @pytest.mark.parametrize("count", [0, 1, 37])
 def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
-    """A Chunked token sequence, made three tokens at a time, writes the
-    bytes of json.dumps of its list, alone and inside a report, with no
-    write holding more than JSON_CHUNKS_PER_WRITE items."""
-    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", chunks)
-    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
+    """A Chunked token sequence, made kernels.CHUNK_ROWS tokens at a time,
+    writes the bytes of json.dumps of its list, alone and inside a report,
+    with no write holding more than kernels.CHUNK_ROWS items."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     stack = _token_stack(count)
     tokens = jsonout.Chunked(lambda: gates.render_gates(stack))
     plain = [reference.render_gate(u) for u in stack]
@@ -164,6 +163,18 @@ def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
         assert "".join(stream.writes) == json.dumps(want, indent=2)
         # Each item of a container after the first starts its own line.
         assert max(text.count("\n") for text in stream.writes) <= chunks
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 4096])
+def test_write_joins_every_piece_in_writes_of_chunk_rows(monkeypatch, chunks):
+    """jsonout.write makes one write per kernels.CHUNK_ROWS non-empty
+    pieces, and a run of empty pieces does not end it early."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+    pieces = ["a", "", "", "", "b", "cd", ""] * 3
+    stream = _Writes()
+    jsonout.write(stream, iter(pieces))
+    assert "".join(stream.writes) == "".join(pieces)
+    assert len(stream.writes) == -(-9 // chunks)
 
 
 def test_target_tokens_render_only_when_written(monkeypatch):

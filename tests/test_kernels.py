@@ -137,15 +137,6 @@ def test_forward_and_inverse_kernels_cancel():
         assert np.abs(back - vec).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n,high", [(0, 1), (1, 1), (50, 7), (1000, 1 << 40)])
-def test_unique_matches_np_unique(n, high):
-    values = np.random.default_rng(n).integers(0, high, size=n).astype(np.uint64)
-    got = kernels.unique(values)
-    expected = np.unique(values, return_index=True, return_inverse=True)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
-
-
 def test_gf2_stage_is_gate_stage():
     assert kernels.gf2_stage is kernels.gate_stage
     assert kernels.GF2_MIXED == kernels.IDENTITY

@@ -8,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, jsonout, muxio
+from qmuxopt import gates, group, kernels, muxio
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cli import main
 from qmuxopt.errors import ParseError
 from qmuxopt.mux import Multiplexer, Palette, used_palette
-from qmuxopt.muxio import TOKENS_PER_BATCH, parse_qmux, save_qmux
+from qmuxopt.muxio import parse_qmux, save_qmux
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
 
@@ -153,17 +153,17 @@ def _targets_text(tokens: list, per_line: int = 8) -> str:
 
 def test_a_bad_token_past_the_first_batch_keeps_its_line_and_column():
     tokens = ["I"] * (1 << 13)
-    tokens[TOKENS_PER_BATCH + 13] = "BAD"  # line 3 + 4096 / 8 + 1, the sixth token
-    tokens[TOKENS_PER_BATCH + 20] = "WORSE"
+    tokens[kernels.CHUNK_ROWS + 13] = "BAD"  # line 3 + 4096 / 8 + 1, the sixth token
+    tokens[kernels.CHUNK_ROWS + 20] = "WORSE"
     text = "controls: 13\nform: standard\ntargets:\n" + _targets_text(tokens)
     with pytest.raises(ParseError) as info:
         parse_qmux(text, source="big.qmux")
-    line = 3 + (TOKENS_PER_BATCH + 13) // 8 + 1
+    line = 3 + (kernels.CHUNK_ROWS + 13) // 8 + 1
     assert str(info.value) == f"big.qmux:{line}:11: unrecognized gate token 'BAD'"
 
 
 def test_a_token_count_mismatch_is_reported_before_a_bad_token():
-    tokens = ["BAD"] + ["X"] * (TOKENS_PER_BATCH + 2)
+    tokens = ["BAD"] + ["X"] * (kernels.CHUNK_ROWS + 2)
     text = "controls: 12\nform: standard\ntargets:\n" + _targets_text(tokens)
     with pytest.raises(ParseError) as info:
         parse_qmux(text, source="big.qmux")
@@ -173,14 +173,14 @@ def test_a_token_count_mismatch_is_reported_before_a_bad_token():
 
 def test_a_bad_token_in_the_json_mirror_past_the_first_batch_is_named_by_number():
     tokens = ["X"] * (1 << 13)
-    tokens[TOKENS_PER_BATCH + 5] = "RQ(1)"
+    tokens[kernels.CHUNK_ROWS + 5] = "RQ(1)"
     text = '{"controls": 13, "form": "standard", "targets": [%s]}' % ", ".join(
         f'"{t}"' for t in tokens
     )
     with pytest.raises(ParseError) as info:
         parse_qmux(text, source="big.json")
     assert str(info.value) == (
-        f"big.json: target {TOKENS_PER_BATCH + 5}: unrecognized gate token 'RQ(1)'"
+        f"big.json: target {kernels.CHUNK_ROWS + 5}: unrecognized gate token 'RQ(1)'"
     )
 
 
@@ -209,14 +209,54 @@ def test_a_random_csv_run_on_an_interned_input_never_builds_the_complex_vector(t
         ["cost", "{path}", "--format", "text"],
         ["classical", "0x6996966996696996", "--format", "csv"],
         ["classical", "0x6996966996696996", "--format", "text"],
+        ["optimize", "{path}", "--format", "text"],
+        ["optimize", "{path}", "--mode", "random", "--samples", "3", "--format", "text"],
+        ["verify", "{path}", "012012", "--format", "text"],
+        ["verify", "{path}", "012012", "--format", "csv"],
     ],
 )
 def test_line_reports_are_the_same_bytes_in_any_batch_size(monkeypatch, capsys, tmp_path, argv):
+    """Every piece of a text or CSV report, the optimize report's target
+    line a token at a time, goes through jsonout.write in batches of
+    kernels.CHUNK_ROWS; the bytes do not depend on the batch size."""
     monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
     path = tmp_path / "m6.qmux"
     save_qmux(generate(6, POOL_FULL, seed=2), path)
     argv = [a.format(path=path) for a in argv]
     expected = _reports(capsys, [argv])
-    monkeypatch.setattr(jsonout, "JSON_CHUNKS_PER_WRITE", 3)
-    assert _reports(capsys, [argv]) == expected
-    assert expected[0][1].count("\n") > 10
+    for chunk in (1, 3):
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+        assert _reports(capsys, [argv]) == expected, chunk
+    out = expected[0][1]
+    assert out.count("\n") > (6 if argv[0] == "verify" else 10)
+    if argv[0] == "optimize":
+        lines = out.splitlines()
+        targets = lines[lines.index("transformed targets (best polarity):") + 1]
+        assert targets.startswith("  ") and targets[2] != " "
+        assert len(targets.split()) == 64
+
+
+def test_a_text_optimize_report_peaks_with_the_json_one(tmp_path):
+    """The text report streams its target line a token at a time, as the
+    JSON report streams its target list: their traced peaks (tracemalloc)
+    lie within 1 MiB, where joining the 2^m tokens into one line took 3 times
+    the JSON peak."""
+
+    def argv(path, fmt):
+        return ["optimize", str(path), "--mode", "random", "--samples", "1", "--seed", "3",
+                "--format", fmt, "--out", str(tmp_path / f"report.{fmt}")]
+
+    small, path = tmp_path / "m3.qmux", tmp_path / "m16.qmux"
+    save_qmux(generate(3, POOL_FULL, seed=3), small)
+    save_qmux(generate(16, POOL_FULL, seed=3), path)
+    for fmt in ("text", "json"):  # a first run's one-time allocations are about 0.9 MiB
+        assert main(argv(small, fmt)) == 0
+    peaks = {}
+    for fmt in ("text", "json"):
+        tracemalloc.start()
+        try:
+            assert main(argv(path, fmt)) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks["text"] - peaks["json"]) <= 1 << 20, peaks

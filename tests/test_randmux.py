@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmuxopt import gates
-from qmuxopt.errors import UnknownGate
+from qmuxopt.errors import SizeLimitExceeded, UnknownGate
 from qmuxopt.randmux import (
     POOL_FULL,
     POOL_NVV,
@@ -39,9 +39,9 @@ def test_generated_targets_are_unitary():
 
 
 def test_generate_range_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"controls must be in 1\.\.20, got 0"):
         generate(0, POOL_FULL, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeLimitExceeded, match="generate is limited to 20 controls, got 21"):
         generate(21, POOL_FULL, seed=1)
 
 
