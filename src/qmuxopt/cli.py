@@ -111,39 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(command: str, inputs, config: dict, seed=None) -> dict:
-    return {
+def _report(args, started: float, inputs, config: dict, text, json_body, csv, seed=None) -> None:
+    """Write the report in args.format to args.out, or to stdout, through
+    jsonout, the one writer, kernels.CHUNK_ROWS pieces per write.
+
+    The report owns its manifest: the command, inputs, config and seed,
+    and the wall time since `started`, stamped here before any body is
+    built.  The bodies are callables that build the text pieces, the JSON
+    dict and the CSV pieces; only the one the format asks for runs.  Text
+    and CSV bodies yield pieces that end in a newline, or a line a piece
+    at a time.  JSON goes through jsonout.write_json, then a newline: the
+    bytes are those of the body dumped by the json module with indent 2,
+    each jsonout.Table as its list of row dicts."""
+    manifest = {
         "tool": "qmuxopt",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "inputs": list(inputs),
         "config": config,
         "seed": seed,
-        "wall_time_s": None,  # filled in just before emission
+        "wall_time_s": time.perf_counter() - started,
     }
-
-
-def _manifest_lines(manifest: dict) -> list:
-    config = " ".join(f"{k}={v}" for k, v in manifest["config"].items())
-    return [
-        f"# qmuxopt {manifest['version']} {manifest['command']}",
-        f"# inputs: {', '.join(manifest['inputs']) or '-'}",
-        f"# config: {config or '-'}",
-        f"# seed: {manifest['seed'] if manifest['seed'] is not None else '-'}",
-        f"# wall-time-s: {manifest['wall_time_s']:.6f}",
-    ]
-
-
-def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
-    """Write the report in args.format to args.out, or to stdout, through
-    jsonout, the one writer, kernels.CHUNK_ROWS pieces per write.  The
-    bodies are callables that build the text lines, the JSON dict and the
-    CSV lines; only the one the format asks for runs.  JSON goes through
-    jsonout.write_json: the bytes are those of json.dumps(body, indent=2),
-    with each jsonout.Table as its list of row dicts.  Text and CSV lines
-    may come from a generator, and a line may be an iterable of pieces
-    rather than a str; the bytes are those of the lines joined by
-    newlines."""
     if args.out:
         stream = open(args.out, "w", encoding="utf-8")
     else:
@@ -151,23 +139,18 @@ def _report(args, manifest: dict, text_lines, json_body, csv_lines) -> None:
     with stream as fh:
         if args.format == "json":
             jsonout.write_json(fh, {"manifest": manifest, **json_body()})
-        else:
-            body = csv_lines() if args.format == "csv" else itertools.chain([""], text_lines())
-            jsonout.write(fh, _joined(itertools.chain(_manifest_lines(manifest), body)))
-        jsonout.write(fh, ["\n"])
-
-
-def _joined(lines):
-    """The pieces of the lines joined by newlines; a line is a str or an
-    iterable of strs."""
-    sep = ""
-    for line in lines:
-        if isinstance(line, str):
-            yield sep + line
-        else:
-            yield sep
-            yield from line
-        sep = "\n"
+            jsonout.write(fh, ["\n"])
+            return
+        settings = " ".join(f"{k}={v}" for k, v in config.items())
+        head = (
+            f"# qmuxopt {__version__} {args.command}\n"
+            f"# inputs: {', '.join(manifest['inputs']) or '-'}\n"
+            f"# config: {settings or '-'}\n"
+            f"# seed: {'-' if seed is None else seed}\n"
+            f"# wall-time-s: {manifest['wall_time_s']:.6f}\n"
+        )
+        body = csv() if args.format == "csv" else itertools.chain(["\n"], text())
+        jsonout.write(fh, itertools.chain([head], body))
 
 
 def _cmd_optimize(args) -> int:
@@ -182,32 +165,22 @@ def _cmd_optimize(args) -> int:
         best_cost_report = cost.multiplexer_cost(best)
         tokens = muxio.target_tokens(best)
 
-    manifest = _manifest(
-        "optimize",
-        [args.input],
-        {"family": args.family, "mode": args.mode, "samples": args.samples},
-        seed=args.seed if args.mode == "random" else None,
-    )
-    manifest["wall_time_s"] = time.perf_counter() - started
-
     def text():
-        return [
-            f"controls: {report.controls}",
-            f"original cost: {report.original_cost}",
+        yield (
+            f"controls: {report.controls}\n"
+            f"original cost: {report.original_cost}\n"
             f"best polarity: {report.best_polarity}   cost: {report.best_cost}"
-            f"   ({100.0 * report.best_reduction:.1f}% reduction)",
-            f"worst polarity: {report.worst_polarity}   cost: {report.worst_cost}",
+            f"   ({100.0 * report.best_reduction:.1f}% reduction)\n"
+            f"worst polarity: {report.worst_polarity}   cost: {report.worst_cost}\n"
             f"average cost: {report.average_cost:.2f}"
-            f"   ({100.0 * report.average_reduction:.1f}% average reduction)",
-            f"polarities evaluated: {report.polarities_evaluated}",
-            f"search time: {report.elapsed:.3f} s",
-            "",
-            "transformed targets (best polarity):",
-            itertools.chain([" "], map(" ".__add__, tokens)),  # "  I X ..." a token at a time
-            "",
-            "cost breakdown (best polarity):",
-            best_cost_report.format_table(),
-        ]
+            f"   ({100.0 * report.average_reduction:.1f}% average reduction)\n"
+            f"polarities evaluated: {report.polarities_evaluated}\n"
+            f"search time: {report.elapsed:.3f} s\n"
+            "\n"
+            "transformed targets (best polarity):\n "
+        )
+        yield from map(" ".__add__, tokens)  # "  I X ..." a token at a time
+        yield "\n\ncost breakdown (best polarity):\n" + best_cost_report.format_table() + "\n"
 
     def body_json():
         return {
@@ -217,9 +190,11 @@ def _cmd_optimize(args) -> int:
         }
 
     def csv_lines():
-        return ["controls,original,best,worst,average,reduction_pct", report.csv_row()]
+        return ["controls,original,best,worst,average,reduction_pct\n" + report.csv_row() + "\n"]
 
-    _report(args, manifest, text, body_json, csv_lines)
+    seed = args.seed if args.mode == "random" else None
+    config = {"family": args.family, "mode": args.mode, "samples": args.samples}
+    _report(args, started, [args.input], config, text, body_json, csv_lines, seed)
     return 0
 
 
@@ -255,15 +230,15 @@ def _cmd_verify(args) -> int:
     deviation = mux.max_semantic_deviation(std, transformed)
     ok = deviation <= VERIFY_TOLERANCE
 
-    manifest = _manifest("verify", inputs, {"polarity": args.polarity})
-    manifest["wall_time_s"] = time.perf_counter() - started
     verdict = "PASS" if ok else "FAIL"
     _report(
         args,
-        manifest,
-        lambda: [f"max deviation: {deviation:.3e}", verdict],
+        started,
+        inputs,
+        {"polarity": args.polarity},
+        lambda: [f"max deviation: {deviation:.3e}\n{verdict}\n"],
         lambda: {"polarity": args.polarity, "max_deviation": deviation, "pass": ok},
-        lambda: ["polarity,max_deviation,pass", f"{args.polarity},{deviation:.3e},{ok}"],
+        lambda: [f"polarity,max_deviation,pass\n{args.polarity},{deviation:.3e},{ok}\n"],
     )
     return 0 if ok else 1
 
@@ -291,20 +266,15 @@ def _cmd_classical(args) -> int:
     if args.top is not None:
         ranked = ranked[: args.top]
 
-    manifest = _manifest(
-        "classical",
+    _report(
+        args,
+        started,
         [path or args.input],
         {
             "family": family,
             "variables": func.num_vars,
             "output_index": args.output_index if path else None,
         },
-    )
-    manifest["wall_time_s"] = time.perf_counter() - started
-
-    _report(
-        args,
-        manifest,
         lambda: _ranked_lines(ranked),
         lambda: {"family": family, "num_vars": func.num_vars, "ranked": _ranked_json(ranked)},
         lambda: _ranked_lines(ranked),
@@ -314,8 +284,8 @@ def _cmd_classical(args) -> int:
 
 def _ranked_lines(ranked):
     """Text and CSV body of a classical ranking, made a line at a time."""
-    yield "polarity,cost"
-    yield from (f"{p},{c}" for p, c in ranked)
+    yield "polarity,cost\n"
+    yield from (f"{p},{c}\n" for p, c in ranked)
 
 
 def _ranked_json(ranked) -> jsonout.Table:
@@ -338,21 +308,20 @@ def _cmd_cost(args) -> int:
     started = time.perf_counter()
     loaded = muxio.load_qmux(args.input)
     report = cost.multiplexer_cost(loaded)
-    manifest = _manifest("cost", [args.input], {"form": loaded.describe()})
-    manifest["wall_time_s"] = time.perf_counter() - started
 
     def csv_lines():
-        yield "gate,controls,cost"
+        yield "gate,controls,cost\n"
         for start in range(0, len(report.costs), kernels.CHUNK_ROWS):
             rows = report.rows(slice(start, start + kernels.CHUNK_ROWS))
-            yield from (f"{i},{c},{k}" for i, c, k in rows)
-        yield f"# total: {report.total}"
-        yield f"# skipped_identities: {report.skipped_identities}"
+            yield from map("%d,%d,%d\n".__mod__, rows)
+        yield f"# total: {report.total}\n# skipped_identities: {report.skipped_identities}\n"
 
     _report(
         args,
-        manifest,
-        lambda: [report.format_table()],
+        started,
+        [args.input],
+        {"form": loaded.describe()},
+        lambda: [report.format_table() + "\n"],
         lambda: {"form": loaded.describe(), "cost_report": report.to_json_dict()},
         csv_lines,
     )

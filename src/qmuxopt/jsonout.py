@@ -1,45 +1,32 @@
-"""The one streaming writer of every report and .qmux file.
+"""The one streaming writer of every report and file.
 
 write(fh, pieces) is the one loop that calls a stream's write: it joins
-an iterable of strs into writes of kernels.CHUNK_ROWS pieces each, so a
-report of tens of MB is never held as one string.  The text and CSV
-reports hand it their lines' pieces, a long line (the optimize report's
-targets) a token at a time.
+any iterable of strs into writes of kernels.CHUNK_ROWS pieces each, so a
+report or .qmux file of tens of MB is never held as one string.  The
+text and CSV reports hand it newline-ended lines, a long line (the
+optimize report's targets) a token at a time, and a .qmux file is handed
+over a token at a time.
 
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
 through write, one piece per dict key, list item or table row.  It writes
 dict keys itself at every level (keys are strs), a list of strs item by
-item, a Chunked list of strs a chunk at a time as its chunks are made,
-and a Table row by row from one %-template, reading its columns
-kernels.CHUNK_ROWS rows at a time; any other value is small and goes
-through json.dumps, re-indented to its depth (JSON text never holds a raw
-newline inside a string, so replacing every newline is safe).  The text
-of each item is that of json.dumps, so neither the batching nor the
-chunking changes a byte.
+item, an iterator (of strs) as the JSON list of its strs, taking each only
+when it reaches it, and a Table row by row from one %-template, reading its
+columns kernels.CHUNK_ROWS rows at a time; any other value is small and
+goes through json.dumps, re-indented to its depth (JSON text never holds a
+raw newline inside a string, so replacing every newline is safe).  The
+text of each item is that of json.dumps, so the batching changes no byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import kernels
-
-
-@dataclass(frozen=True)
-class Chunked:
-    """A list of strs made a chunk at a time: chunks() returns an iterator
-    of lists of strs, and write_json takes the next chunk only when it
-    reaches it, so the whole list never exists.  Iterating a Chunked
-    yields its strs."""
-
-    chunks: Callable[[], Iterator[list]]
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.chunks())
 
 
 @dataclass(frozen=True)
@@ -81,7 +68,7 @@ def _pieces(value, pad: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, Chunked) or (
+    elif isinstance(value, Iterator) or (
         isinstance(value, list) and all(isinstance(s, str) for s in value)
     ):
         encoded = map(encode_basestring_ascii, value)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
+from . import gates, kernels
 from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
 from .errors import FormMismatch
 from .kernels import read_only
@@ -75,8 +75,9 @@ class Multiplexer:
     check, group.intern and the identity tests run on palette.matrices
     alone, and palette.per_gate spreads their per-matrix results to the
     gates.  Only this module expands a palette into the 2^m complex vector:
-    `targets` builds it (read-only) on each read, and the transforms build
-    a fresh one as their cascade's working copy.
+    `targets` builds it (read-only) on each read, the transforms build a
+    fresh one as their cascade's working copy, and target_chunks gives it
+    to the writers a chunk at a time.
 
     inverted_lines lists 1-based control lines that carry a leading
     inverter (produced by negative_control_realization); only a
@@ -171,6 +172,14 @@ def working_targets(mux: Multiplexer) -> np.ndarray:
     """A new writable (2^m, 2, 2) array of the targets, for a cascade to run
     in place on: the palette's expansion, or a copy of a plain array."""
     return np.require(mux.palette.per_gate(mux.palette.matrices), requirements="CW")
+
+
+def target_chunks(mux: Multiplexer):
+    """The targets kernels.CHUNK_ROWS gates at a time, as (n, 2, 2) arrays:
+    views of a plain array, or gathers from the palette, so the whole
+    complex vector is never built."""
+    for start in range(0, mux.num_targets, kernels.CHUNK_ROWS):
+        yield mux.palette.per_gate(mux.palette.matrices, slice(start, start + kernels.CHUNK_ROWS))
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:

@@ -16,11 +16,17 @@ byte while there are at most 256 of them).  Both loaders fill the index
 a batch of at least kernels.CHUNK_ROWS tokens at a time (the text loader
 never splits a line), so only one batch of tokens is ever held as strs,
 and neither loader builds the 2^m complex vector.
+
+Files are streamed the same way: both formats are written through jsonout
+a token at a time, from the targets' tokens rendered a chunk of
+mux.target_chunks at a time, so no writer builds the complex vector or
+holds the file's text.  dump_qmux and dump_qmux_json return the bytes
+save_qmux writes.
 """
 
 from __future__ import annotations
 
-import functools
+import io
 import itertools
 import json
 import re
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import gates, jsonout, kernels
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
-from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, without_inverters
+from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, target_chunks, without_inverters
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -241,41 +247,47 @@ def load_qmux(path) -> Multiplexer:
     return parse_qmux(text, source=str(path))
 
 
-def target_tokens(m: Multiplexer) -> jsonout.Chunked:
-    """The targets' gate tokens, rendered a chunk at a time as they are
-    consumed (see gates.render_gates); nothing is rendered by this call."""
-    return jsonout.Chunked(functools.partial(gates.render_gates, m.targets))
+def target_tokens(m: Multiplexer):
+    """The targets' gate tokens, one-shot: each chunk of mux.target_chunks
+    is rendered (see gates.render_gates) only when its first token is
+    consumed, so nothing is rendered by this call.  A chunk's tokens are
+    dropped before the next chunk is rendered."""
+    lists = itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
+    return itertools.chain.from_iterable(lists)
+
+
+def _write_qmux(fh, m: Multiplexer, as_json: bool) -> None:
+    """Write m to fh as .qmux text, or as its JSON mirror (jsonout.write_json
+    of its fields and a newline), a token at a time.  The format has no
+    inverters, so line inverters are folded back into negative digits first
+    (the same realized semantics)."""
+    m = without_inverters(m)
+    tokens = target_tokens(m)
+    if as_json:
+        jsonout.write_json(fh, {"controls": m.controls, "form": m.describe(), "targets": tokens})
+        jsonout.write(fh, ["\n"])
+    else:
+        head = f"controls: {m.controls}\nform: {m.describe()}\ntargets:"
+        seps = itertools.cycle(["\n  "] + [" "] * (TOKENS_PER_LINE - 1))
+        jsonout.write(fh, itertools.chain([head], map(str.__add__, seps, tokens), ["\n"]))
 
 
 def dump_qmux(m: Multiplexer) -> str:
-    """Render as .qmux text; deterministic, so equal inputs give equal bytes.
-
-    The format has no inverters, so line inverters are folded back into
-    negative digits first (the same realized semantics)."""
-    m = without_inverters(m)
-    lines = [f"controls: {m.controls}", f"form: {m.describe()}", "targets:"]
-    tokens = iter(target_tokens(m))
-    while line := list(itertools.islice(tokens, TOKENS_PER_LINE)):
-        lines.append("  " + " ".join(line))
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(m: Multiplexer) -> dict:
-    """JSON mirror of dump_qmux, inverters folded back in the same way."""
-    m = without_inverters(m)
-    return {
-        "controls": m.controls,
-        "form": m.describe(),
-        "targets": list(target_tokens(m)),
-    }
+    """Render as .qmux text; deterministic, so equal inputs give equal bytes."""
+    buffer = io.StringIO()
+    _write_qmux(buffer, m, as_json=False)
+    return buffer.getvalue()
 
 
 def dump_qmux_json(m: Multiplexer) -> str:
-    return json.dumps(to_json_dict(m), indent=2) + "\n"
+    """Render as the JSON mirror of dump_qmux."""
+    buffer = io.StringIO()
+    _write_qmux(buffer, m, as_json=True)
+    return buffer.getvalue()
 
 
 def save_qmux(m: Multiplexer, path) -> None:
+    """Write m to path, as its JSON mirror if the path ends in .json."""
     path = str(path)
-    text = dump_qmux_json(m) if path.endswith(".json") else dump_qmux(m)
     with open(path, "w", encoding="utf-8") as fh:
-        jsonout.write(fh, [text])
+        _write_qmux(fh, m, path.endswith(".json"))

@@ -11,7 +11,9 @@ multiplexer's palette into the 2^m complex vector: everywhere else the
 palette's matrices are only read whole (to intern them, to test them for
 the identity), so the vector cannot come back unseen.  `jsonout` alone
 calls a stream's write: every report and file goes through its one
-batching loop, so no report can be joined into one string again.
+batching loop, so no report can be joined into one string again; and
+`jsonout` alone calls json.dumps, so every JSON document, report or
+file, is written by its streaming writer.
 """
 
 import ast
@@ -263,3 +265,47 @@ def test_the_write_rule_fails_when_a_stray_write_is_put_back():
         "fh.writelines(lines)\n"
     )
     assert stream_writes(ast.parse(cli + stray)) == [end + 2, end + 3, end + 4]
+
+
+def json_dumps_calls(tree: ast.Module) -> list:
+    """Line of each call of json.dumps, or of a dumps imported from json."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name == "dumps"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "dumps"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "json"
+            ) or (isinstance(func, ast.Name) and func.id in imported):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "jsonout.py"], ids=lambda p: p.name
+)
+def test_only_jsonout_calls_json_dumps(path):
+    assert json_dumps_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_json_dumps_rule_fails_when_a_stray_dumps_is_put_back():
+    jsonout = (PACKAGE / "jsonout.py").read_text(encoding="utf-8")
+    assert json_dumps_calls(ast.parse(jsonout)) != []  # the home of the writer
+    muxio = (PACKAGE / "muxio.py").read_text(encoding="utf-8")
+    end = len(muxio.splitlines())
+    stray = (
+        'text = json.dumps(data, indent=2) + "\\n"\n'
+        "from json import dumps as to_text\n"
+        "to_text(data)\n"
+        "json.loads(text)\n"
+    )
+    assert json_dumps_calls(ast.parse(muxio + stray)) == [end + 1, end + 3]

@@ -1,6 +1,7 @@
 """The streaming report writer against json.dumps(body, indent=2), byte for byte."""
 
 import io
+import itertools
 import json
 import time
 
@@ -148,16 +149,19 @@ def _token_stack(count):
 @pytest.mark.parametrize("chunks", [1, 2, 4096])
 @pytest.mark.parametrize("count", [0, 1, 37])
 def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
-    """A Chunked token sequence, made kernels.CHUNK_ROWS tokens at a time,
+    """A plain iterator of tokens, rendered kernels.CHUNK_ROWS at a time,
     writes the bytes of json.dumps of its list, alone and inside a report,
     with no write holding more than kernels.CHUNK_ROWS items."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     stack = _token_stack(count)
-    tokens = jsonout.Chunked(lambda: gates.render_gates(stack))
+
+    def tokens():
+        return itertools.chain.from_iterable(gates.render_gates(stack))
+
     plain = [reference.render_gate(u) for u in stack]
-    assert list(tokens) == plain
-    report = {"search": {"best": "1"}, "best_targets": tokens, "n": count}
-    for body, want in ((tokens, plain), (report, {**report, "best_targets": plain})):
+    assert list(tokens()) == plain
+    report = {"search": {"best": "1"}, "best_targets": tokens(), "n": count}
+    for body, want in ((tokens(), plain), (report, {**report, "best_targets": plain})):
         stream = _Writes()
         write_json(stream, body)
         assert "".join(stream.writes) == json.dumps(want, indent=2)
@@ -178,11 +182,16 @@ def test_write_joins_every_piece_in_writes_of_chunk_rows(monkeypatch, chunks):
 
 
 def test_target_tokens_render_only_when_written(monkeypatch):
+    """target_tokens renders nothing when called, and each chunk of
+    kernels.CHUNK_ROWS gates only when its first token is consumed."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
     m = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
     made = []
-    real = gates.render_gates
-    monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
+    real = gates._render_chunk
+    monkeypatch.setattr(gates, "_render_chunk", lambda us: made.append(len(us)) or real(us))
     tokens = target_tokens(m)
     assert made == []
-    assert _written({"t": tokens}) == json.dumps({"t": list(tokens)}, indent=2)
-    assert made == [8, 8]
+    plain = [reference.render_gate(u) for u in m.targets]
+    assert next(tokens) == plain[0] and made == [3]
+    assert _written({"t": tokens}) == json.dumps({"t": plain[1:]}, indent=2)
+    assert made == [3, 3, 2]

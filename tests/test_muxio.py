@@ -1,7 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qmuxopt import gates, reference
+from qmuxopt import gates, kernels, reference
+from qmuxopt.cli import main
 from qmuxopt.errors import ParseError
 from qmuxopt.mux import (
     FPQF,
@@ -20,7 +24,7 @@ from qmuxopt.muxio import (
     save_qmux,
     target_tokens,
 )
-from qmuxopt.randmux import POOL_FULL, generate
+from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
 
 
 def ivvx_case():
@@ -292,3 +296,46 @@ def test_the_largest_matchable_control_count_keeps_the_count_message():
         parse_qmux(f"controls: {below}\nform: standard\ntargets: I X\n")
     with pytest.raises(ParseError, match=f"{UNMATCHABLE_CONTROLS} controls need"):
         parse_qmux(f"controls: {UNMATCHABLE_CONTROLS}\nform: standard\ntargets: I X\n")
+
+
+POOLS = ["full", "custom:X,I,RX(0.3)"]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("suffix", [".qmux", ".json"])
+def test_save_qmux_streams_the_file(tmp_path, pool, suffix):
+    """save_qmux at m = 16 peaks (tracemalloc) under 2 MiB: the tokens are
+    rendered from a chunk of gathered targets at a time and written a
+    batch at a time, so neither the 4 MiB complex vector nor the file's
+    text (0.2 to 2.7 MB) is ever held whole."""
+    m = generate(16, resolve_pool(pool), seed=3)
+    tracemalloc.start()
+    try:
+        save_qmux(m, tmp_path / f"m16{suffix}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_generated_files_do_not_depend_on_the_chunk_size(monkeypatch, capsys, tmp_path, pool):
+    """generate writes the same .qmux and .json bytes at every
+    kernels.CHUNK_ROWS: eight tokens to a targets line, and the JSON
+    mirror as json.dumps(..., indent=2) and a newline."""
+    m = generate(6, resolve_pool(pool), seed=3)
+    tokens = [reference.render_gate(u) for u in m.targets]
+    lines = ["  " + " ".join(tokens[i : i + 8]) + "\n" for i in range(0, 64, 8)]
+    want = {
+        ".qmux": "controls: 6\nform: standard\ntargets:\n" + "".join(lines),
+        ".json": json.dumps({"controls": 6, "form": "standard", "targets": tokens}, indent=2)
+        + "\n",
+    }
+    for chunks in (1, 3, kernels.CHUNK_ROWS):
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+        for suffix, text in want.items():
+            path = tmp_path / f"m6{suffix}"
+            argv = ["generate", "--controls", "6", "--pool", pool, "--seed", "3", "--out", path]
+            assert main([str(a) for a in argv]) == 0
+            assert path.read_text(encoding="utf-8") == text, (chunks, suffix)
+    capsys.readouterr()
