@@ -29,8 +29,7 @@ polarity_costs(vector, family, cost_table, group=None) and
 expand(rows, family, group=None) take the family alone and pick its
 columns from it.  The quantum families run kernels.gate_stage and
 kernels.qetv_stage, the GF(2) ones kernels.gf2_stage and
-kernels.etv_stage; a quantum entry costs unless it is the identity
-(kernels.identity_mask within gates.EPS), a GF(2) entry when it is 1.
+kernels.etv_stage.
 
 The benchmark's tracer (perfbench/tracer.py) replaces kernels.gate_stage
 and kernels.gf2_stage by timing wrappers after the program is imported,
@@ -58,10 +57,13 @@ operation on the same operands as in its own cascade.  Each new slot axis
 lands outside the earlier ones, and the unexpanded bits stay outermost,
 so every column works on long contiguous runs.
 
-A live entry (not the identity; a 1 bit) costs cost_table[count], which
-need not be linear, so each node reduces a histogram H[count, slot] of
-its live slots, seeded by the rows' prefix counts, one variable at a
-time (width slots -> one per digit, one more count bin):
+One cost rule prices every family: an entry costs cost_table[count],
+its count read off count_vector, unless it is its algebra's identity,
+which kernels.identity_mask decides for all three kinds of entry (the
+identity matrix within gates.EPS, group ID 0, bit 0).  The table need
+not be linear, so each node reduces a histogram H[count, slot] of its
+live (non-identity) slots, seeded by count_vector of its prefix, one
+variable at a time (width slots -> one per digit, one more count bin):
 
   out[c + shift, digit] += H[c, slot]   for both (slot, shift) of the digit
 
@@ -277,9 +279,9 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     polarity order.
 
     vector holds 2^n entries: gates or IDs of `group` for FPQF/KQF, bits
-    for FPRM/KRM.  cost_table[c] is the cost of a live entry whose count
-    is c, for c in 0..n: a gate or ID that is not the identity (within
-    gates.EPS), or a 1 bit.
+    for FPRM/KRM.  cost_table[c] is the cost of an entry whose count is c,
+    for c in 0..n, unless the entry is its algebra's identity (see the
+    module docstring).
     """
     n = len(vector).bit_length() - 1
     stage, _, width = _columns(family)
@@ -289,14 +291,6 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     block = min(BLOCK_VARS[family], n)
     top = n - block
     span = base**block
-    rows = np.arange(1 << top)
-    # steps[depth][k]: what digit k at that depth adds to each row's count,
-    # built once rather than at every node.
-    shifts = [count_vector(d, family) for d in digits]
-    steps = []
-    for depth in range(top):
-        bit = (rows >> (top - 1 - depth)) & 1
-        steps.append([shift[bit] for shift in shifts])
     # Every histogram entry counts at most 2^n entries, so the narrowest
     # unsigned type holding 2^n is exact (uint16 for n = 8..15).  Against
     # int32 it cut FPRM n = 14 from 44 to 29 ms in a fresh process on a
@@ -309,23 +303,27 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     # page-faults its bins in again (1.6 MB a node for FPRM at n = 16).
     hist = np.empty((top + 1, width**block), dtype=dtype)
 
-    def walk(vec, counts, depth, node):
-        if depth == top:
-            tail = vec.shape[1:]
-            node_rows = vec.reshape(len(rows), -1, *tail)
-            hist.fill(0)
-            for lo in range(0, len(rows), chunk):
-                slots = expand(node_rows[lo : lo + chunk], family, group)
-                if family not in _GF2_FAMILIES:  # a GF(2) bit is its own live test
-                    mask = kernels.identity_mask(slots.reshape(-1, *tail), EPS)
-                    slots = ~mask.reshape(len(slots), -1)
-                _add_histogram(hist, slots, counts[lo : lo + chunk])
-            node_costs = cost_table @ _reduce(hist, digits, SLOT_RULES[family], width)
-            costs[node * span : (node + 1) * span] = node_costs
+    def walk(vec, prefix):
+        if len(prefix) < top:
+            for digit in digits:
+                walk(stage(vec.copy(), codes[digit], n - 1 - len(prefix), group), prefix + digit)
             return
-        for k, digit in enumerate(digits):
-            child = stage(vec.copy(), codes[digit], n - 1 - depth, group)
-            walk(child, counts + steps[depth][k], depth + 1, node * base + k)
+        # A depth-top node: 2^top runs of 2^block entries, each run counted
+        # as its top bits are under the prefix.
+        tail = vec.shape[1:]
+        grid = vec.reshape(1 << top, -1, *tail)
+        counts = count_vector(prefix, family)
+        hist.fill(0)
+        for lo in range(0, len(grid), chunk):
+            slots = expand(grid[lo : lo + chunk], family, group)
+            # The live test takes the slots' name, so they are freed before
+            # the histogram: 0.5 MB less peak RSS for FPQF at m = 12.
+            slots = ~kernels.identity_mask(slots.reshape(-1, *tail), EPS).reshape(len(slots), -1)
+            _add_histogram(hist, slots, counts[lo : lo + chunk])
+        node = int(prefix or "0", base)
+        costs[node * span : (node + 1) * span] = cost_table @ _reduce(
+            hist, digits, SLOT_RULES[family], width
+        )
 
-    walk(vector, np.zeros(len(rows), dtype=np.int64), 0, 0)
+    walk(vector, "")
     return costs

@@ -144,27 +144,21 @@ def parse_gate(token: str) -> np.ndarray:
     raise UnknownGate(f"unrecognized gate token {token!r}")
 
 
-def render_gates(us: np.ndarray):
-    """Tokens that parse_gate accepts for a (n, 2, 2) stack: a list of
-    tokens per kernels.CHUNK_ROWS matrices, each made only when the
-    generator reaches it, so the strings of one chunk are the only
-    per-entry objects alive at a time.
+def render_gates(us: np.ndarray) -> list:
+    """The tokens that parse_gate accepts for a (n, 2, 2) stack, as a list.
+    Callers hand it a chunk at a time (see mux.target_chunks), so one
+    chunk's strings are the only per-entry objects alive at a time.
 
-    Catalog gates render as their names: one comparison of the chunk per
+    Catalog gates render as their names: one comparison of the stack per
     catalog gate, in catalog order, so the first match wins.  Everything
     else becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
     deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one
-    np.unique of the chunk's patterns; each distinct pattern is repr'd
-    once per chunk.  A token's text depends only on its own matrix, so the
-    bytes do not depend on the chunking.
+    np.unique of the stack's patterns; each distinct pattern is repr'd
+    once.  A token's text depends only on its own matrix, so the bytes do
+    not depend on how the caller chunks the targets.
     """
-    for start in range(0, len(us), kernels.CHUNK_ROWS):
-        yield _render_chunk(us[start : start + kernels.CHUNK_ROWS])
-
-
-def _render_chunk(us: np.ndarray) -> list:
     n = len(us)
     tokens = [None] * n
     unmatched = np.ones(n, dtype=bool)

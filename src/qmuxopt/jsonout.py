@@ -8,14 +8,15 @@ optimize report's targets) a token at a time, and a .qmux file is handed
 over a token at a time.
 
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
-through write, one piece per dict key, list item or table row.  It writes
-dict keys itself at every level (keys are strs), a list of strs item by
-item, an iterator (of strs) as the JSON list of its strs, taking each only
-when it reaches it, and a Table row by row from one %-template, reading its
-columns kernels.CHUNK_ROWS rows at a time; any other value is small and
-goes through json.dumps, re-indented to its depth (JSON text never holds a
-raw newline inside a string, so replacing every newline is safe).  The
-text of each item is that of json.dumps, so the batching changes no byte.
+through write, one piece per dict key, iterator item or table row.  It writes
+dict keys itself at every level (keys are strs), an iterator (of strs) as
+the JSON list of its strs, taking each only when it reaches it, and a
+Table row by row from one %-template, reading its columns
+kernels.CHUNK_ROWS rows at a time; any other value, lists included, is
+small and goes through json.dumps, re-indented to its depth (JSON text
+never holds a raw newline inside a string, so replacing every newline is
+safe).  The text of each item is that of json.dumps, so the batching
+changes no byte.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ def _pieces(value, pad: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, Iterator) or (
-        isinstance(value, list) and all(isinstance(s, str) for s in value)
-    ):
+    elif isinstance(value, Iterator):
         encoded = map(encode_basestring_ascii, value)
         first = next(encoded, None)
         if first is None:

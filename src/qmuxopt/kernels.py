@@ -194,10 +194,10 @@ def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
 
 
 def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
-    """True for each gate equal to the 2x2 identity within eps in every entry,
-    CHUNK_ROWS gates at a time.
-
-    A 1-D vector holds group IDs, whose identity is exactly ID 0.
+    """True for each entry that is its algebra's identity: a (n, 2, 2) gate
+    equal to the 2x2 identity within eps in every entry, tested CHUNK_ROWS
+    gates at a time; in a 1-D uint8 vector, a group ID equal to ID 0 or a
+    GF(2) bit equal to 0, both exactly.
     """
     if gates.ndim == 1:
         return gates == 0
@@ -210,11 +210,11 @@ def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
 
 
 def mux_cost(gates, counts, cost_table, eps):
-    """Total gate cost of a polarized gate vector.
+    """Total cost of a polarized vector of gates, group IDs or GF(2) bits.
 
-    counts[i] is the number of controls on gate i; cost_table maps a control
-    count to its cost.  Gates equal to the identity within eps (or, in an
-    ID vector, equal to ID 0) are free.
+    counts[i] is the count of entry i (controls, or literals); cost_table
+    maps a count to its cost.  Entries that identity_mask calls the
+    identity (the identity gate within eps, ID 0, bit 0) are free.
     Returns (total_cost, skipped_identities).
     """
     is_id = identity_mask(gates, eps)

@@ -252,8 +252,7 @@ def target_tokens(m: Multiplexer):
     is rendered (see gates.render_gates) only when its first token is
     consumed, so nothing is rendered by this call.  A chunk's tokens are
     dropped before the next chunk is rendered."""
-    lists = itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
-    return itertools.chain.from_iterable(lists)
+    return itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
 
 
 def _write_qmux(fh, m: Multiplexer, as_json: bool) -> None:

@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blocksearch, cost, group, kernels, mux
+from . import blocksearch, cost, group, kernels, mux, randmux
 from .blocksearch import FAMILY_DIGITS
 from .errors import FormMismatch, SizeLimitExceeded
-
-RANDOM_LIMIT = 20
 
 
 @dataclass
@@ -125,12 +123,14 @@ def _roots(std: mux.Multiplexer) -> tuple:
     return gate_group, std.palette.per_gate(ids).copy
 
 
-def _original_cost(std: mux.Multiplexer, root: np.ndarray) -> int:
-    """Cost of the standard form, from a root vector of _roots: its
-    identity test is exact on IDs and within EPS on complex targets, the
-    same decision (see group)."""
-    counts = blocksearch.count_vector(std.digits, mux.KQF)
-    return kernels.mux_cost(root, counts, cost.cost_table_vector(std.controls), mux.EPS)[0]
+def _cost(targets: np.ndarray, polarity: str, family: str) -> int:
+    """Cost of a polarized target vector (gates or IDs) by blocksearch's one
+    rule; the standard form is the all-'2' KQF polarity.  The identity test
+    is exact on IDs and within EPS on complex targets, the same decision
+    (see group)."""
+    counts = blocksearch.count_vector(polarity, family)
+    table = cost.cost_table_vector(len(polarity))
+    return kernels.mux_cost(targets, counts, table, mux.EPS)[0]
 
 
 def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
@@ -140,7 +140,7 @@ def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
     blocksearch.check_size(family, std.controls)
     gate_group, roots = _roots(std)
     root = roots()
-    original = _original_cost(std, root)
+    original = _cost(root, std.digits, mux.KQF)
     table = cost.cost_table_vector(std.controls)
     return blocksearch.polarity_costs(root, family, table, gate_group), original
 
@@ -152,29 +152,26 @@ def polarity_costs(std: mux.Multiplexer, family: str) -> np.ndarray:
 
 
 def _summary(
-    std: mux.Multiplexer, cfg: SearchConfig, mode: str, indices, costs, original, start: float
+    std: mux.Multiplexer, cfg: SearchConfig, mode: str, best, worst, total, count,
+    original, start: float,
 ) -> SearchReport:
-    """SearchReport of the evaluated polarities, given by their indices
-    (the polarity read as a base-b numeral, so index order is
-    lexicographic order) and costs, and of the original cost, for a
-    search begun at `start`."""
+    """SearchReport of `count` evaluated polarities costing `total` in all,
+    and of the original cost, for a search begun at `start`.  best and
+    worst are (cost, index) of the lowest and highest cost, each tie to
+    the smallest index: the polarity read as a base-b numeral, so index
+    order is lexicographic order."""
     m, base = std.controls, len(FAMILY_DIGITS[cfg.family])
-    indices = np.asarray(indices, dtype=np.int64)
-    costs = np.asarray(costs, dtype=np.int64)
-    # Lowest and highest cost, each tie to the lexicographically smallest.
-    best = indices[np.lexsort((indices, costs))[0]]
-    worst = indices[np.lexsort((indices, -costs))[0]]
     return SearchReport(
         family=cfg.family,
         mode=mode,
         controls=m,
         original_cost=original,
-        best_polarity=np.base_repr(best, base).zfill(m),
-        best_cost=int(costs.min()),
-        worst_polarity=np.base_repr(worst, base).zfill(m),
-        worst_cost=int(costs.max()),
-        average_cost=int(costs.sum()) / len(costs),
-        polarities_evaluated=len(costs),
+        best_polarity=np.base_repr(best[1], base).zfill(m),
+        best_cost=best[0],
+        worst_polarity=np.base_repr(worst[1], base).zfill(m),
+        worst_cost=worst[0],
+        average_cost=total / count,
+        polarities_evaluated=count,
         elapsed=time.perf_counter() - start,
     )
 
@@ -183,36 +180,45 @@ def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate every polarity of cfg.family and aggregate the results."""
     start = time.perf_counter()
     costs, original = _exhaustive(std, cfg.family)
-    return _summary(std, cfg, "exhaustive", np.arange(len(costs)), costs, original, start)
+    # argmin and argmax take the first extreme, the smallest index.
+    best, worst = int(costs.argmin()), int(costs.argmax())
+    return _summary(
+        std, cfg, "exhaustive", (int(costs[best]), best), (int(costs[worst]), worst),
+        int(costs.sum()), len(costs), original, start,
+    )
 
 
 def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate cfg.samples polarities drawn uniformly (with replacement).
 
     Deterministic for a fixed seed: draws come from numpy's default
-    generator (PCG64) seeded with cfg.seed.
+    generator (PCG64) seeded with cfg.seed.  Only running aggregates of the
+    samples are kept, so memory does not grow with cfg.samples.
     """
     _require_standard(std)
-    if std.controls > RANDOM_LIMIT:
+    if std.controls > randmux.MAX_CONTROLS:
         raise SizeLimitExceeded(
-            f"random search is limited to {RANDOM_LIMIT} controls, got {std.controls}"
+            f"random search is limited to {randmux.MAX_CONTROLS} controls, got {std.controls}"
         )
     m = std.controls
     base = len(FAMILY_DIGITS[cfg.family])
-    cost_table = cost.cost_table_vector(m)
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
     gate_group, roots = _roots(std)
-    original = _original_cost(std, roots())
-    indices, values = [], []
+    original = _cost(roots(), std.digits, mux.KQF)
+    # The (cost, index) samples of the lowest cost and of the highest,
+    # each tie to the smallest index.
+    best = worst = None
+    total = 0
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
         targets = blocksearch.cascade(roots(), polarity, cfg.family, gate_group)
-        counts = blocksearch.count_vector(polarity, cfg.family)
-        indices.append(int(polarity, base))
-        values.append(kernels.mux_cost(targets, counts, cost_table, mux.EPS)[0])
+        sample = (_cost(targets, polarity, cfg.family), int(polarity, base))
         del targets  # freed before the next sample's root is made
-    return _summary(std, cfg, "random", indices, values, original, start)
+        best = min(best or sample, sample)
+        worst = min(worst or sample, sample, key=lambda s: (-s[0], s[1]))
+        total += sample[0]
+    return _summary(std, cfg, "random", best, worst, total, cfg.samples, original, start)
 
 
 def run_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:

@@ -8,9 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmuxopt import gates, pla, reference
+from qmuxopt import gates, pla, randmux, reference
 from qmuxopt import mux as mux_mod
-from qmuxopt import search as search_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import dump_qmux, load_qmux, save_qmux
@@ -470,9 +469,9 @@ def _steady_lines(out):
 
 
 def test_optimize_random_size_limit_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(search_mod, "RANDOM_LIMIT", 3)
     path = tmp_path / "m4.qmux"
     save_qmux(generate(4, POOL_FULL, seed=0), path)
+    monkeypatch.setattr(randmux, "MAX_CONTROLS", 3)
     code, _, err = run(capsys, ["optimize", path, "--mode", "random"])
     assert code == 3
     assert "random search is limited to 3 controls" in err

@@ -158,16 +158,11 @@ def _render_reference(us):
     return [reference.render_gate(u) for u in us]
 
 
-def _rendered(us):
-    """gates.render_gates flattened: its tokens in order."""
-    return [token for chunk in gates.render_gates(us) for token in chunk]
-
-
 def test_render_gates_keeps_signed_zeros_apart():
     phase = np.exp(0.3j)
     plus = np.array([[complex(0.0, 0.0), phase], [phase, complex(0.0, 0.0)]])
     minus = np.array([[complex(-0.0, -0.0), phase], [phase, complex(-0.0, 0.0)]])
-    tokens = _rendered(np.stack([plus, minus, plus]))
+    tokens = gates.render_gates(np.stack([plus, minus, plus]))
     assert tokens == _render_reference([plus, minus, plus])
     assert tokens[0].startswith("M(0.0,0.0,") and tokens[1].startswith("M(-0.0,-0.0,")
 
@@ -177,7 +172,7 @@ def test_render_gates_repeated_bit_patterns():
     pool = np.stack([reference.random_unitary(rng) for _ in range(5)])
     stack = pool[rng.integers(0, 5, size=64)]
     stack[::7] = gates.rx(0.3)  # entries shared across matrices and within one
-    assert _rendered(stack) == _render_reference(stack)
+    assert gates.render_gates(stack) == _render_reference(stack)
 
 
 def test_render_gates_at_the_catalog_tolerance():
@@ -185,39 +180,12 @@ def test_render_gates_at_the_catalog_tolerance():
     outside = gates.X.copy()
     outside[0, 1] += 1.1 * gates.EPS
     stack = np.stack([inside, outside, gates.V - 0.9j * gates.EPS, gates.V + 1.1j * gates.EPS])
-    tokens = _rendered(stack)
+    tokens = gates.render_gates(stack)
     assert tokens == _render_reference(stack)
     assert [t.startswith("M(") for t in tokens] == [False, True, False, True]
 
 
 def test_render_gates_all_catalog_and_empty():
     catalog = np.stack(list(gates.CATALOG.values()) * 3)
-    assert _rendered(catalog) == list(gates.CATALOG) * 3
-    assert _rendered(np.empty((0, 2, 2), dtype=complex)) == []
-
-
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_render_gates_in_any_chunking_equals_the_per_gate_render(monkeypatch, chunk):
-    """With chunks of 1 and 3 matrices: runs of one literal longer than a
-    chunk (a boundary inside a run of duplicate floats), catalog rows
-    between them, signed zeros next to their negation, and entries just
-    inside and outside the catalog tolerance."""
-    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
-    literal = gates.rx(0.3)
-    signed = np.array([[-0.0, np.exp(0.2j)], [np.exp(0.2j), 0.0]])
-    near = [gates.X + 0.9 * gates.EPS, gates.V + 1.1j * gates.EPS]
-    stack = np.stack(
-        [literal] * 5 + [gates.H, gates.X] + [signed, -signed] * 3 + near + [gates.I]
-        + [literal] * 4
-    )
-    tokens = _rendered(stack)
-    assert tokens == _render_reference(stack)
-    assert tokens[5:7] == ["H", "X"] and tokens[-5] == "I"
-    assert tokens[13] == "X" and tokens[14].startswith("M(")
-    assert "-0.0" in tokens[7] and tokens[7] != tokens[8]
-
-
-def test_render_gates_makes_one_list_per_chunk(monkeypatch):
-    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
-    chunks = list(gates.render_gates(np.stack([gates.X] * 7)))
-    assert [len(chunk) for chunk in chunks] == [3, 3, 1]
+    assert gates.render_gates(catalog) == list(gates.CATALOG) * 3
+    assert gates.render_gates(np.empty((0, 2, 2), dtype=complex)) == []

@@ -156,7 +156,8 @@ def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
     stack = _token_stack(count)
 
     def tokens():
-        return itertools.chain.from_iterable(gates.render_gates(stack))
+        pieces = (stack[start : start + chunks] for start in range(0, count, chunks))
+        return itertools.chain.from_iterable(map(gates.render_gates, pieces))
 
     plain = [reference.render_gate(u) for u in stack]
     assert list(tokens()) == plain
@@ -187,8 +188,8 @@ def test_target_tokens_render_only_when_written(monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
     m = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
     made = []
-    real = gates._render_chunk
-    monkeypatch.setattr(gates, "_render_chunk", lambda us: made.append(len(us)) or real(us))
+    real = gates.render_gates
+    monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
     tokens = target_tokens(m)
     assert made == []
     plain = [reference.render_gate(u) for u in m.targets]

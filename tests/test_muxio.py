@@ -14,6 +14,7 @@ from qmuxopt.mux import (
     forward_transform,
     max_semantic_deviation,
     negative_control_realization,
+    used_palette,
 )
 from qmuxopt.muxio import (
     UNMATCHABLE_CONTROLS,
@@ -241,6 +242,30 @@ def test_target_tokens_match_per_gate_render():
     assert tokens == [reference.render_gate(u) for u in m.targets]
     assert tokens[:9] == list(gates.CATALOG) + ["X", "VD"]
     assert tokens[9].startswith("M(") and "-0.0" in tokens[10]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, kernels.CHUNK_ROWS])
+def test_target_tokens_in_any_chunking_equal_the_per_gate_render(monkeypatch, chunk):
+    """With chunks of 1, 3 and the default: runs of one literal longer than
+    a chunk (a boundary inside a run of duplicate floats), catalog rows
+    between them, signed zeros next to their negation, and entries just
+    inside and outside the catalog tolerance, from a plain target array
+    and from a palette."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    literal = gates.rx(0.3)
+    signed = np.array([[-0.0, np.exp(0.2j)], [np.exp(0.2j), 0.0]])
+    near = [np.exp(9e-10j) * gates.X, np.exp(1.6e-9j) * gates.V]  # |V| entries are 2^-0.5
+    stack = np.stack(
+        [literal] * 5 + [gates.H, gates.X] + [signed, -signed] * 3 + near + [gates.I]
+        + [literal] * 16
+    )
+    plain = [reference.render_gate(u) for u in stack]
+    for targets in (stack, used_palette(stack, np.arange(32))):
+        tokens = list(target_tokens(Multiplexer(5, targets)))
+        assert tokens == plain
+        assert tokens[5:7] == ["H", "X"] and tokens[15] == "I"
+        assert tokens[13] == "X" and tokens[14].startswith("M(")
+        assert "-0.0" in tokens[7] and tokens[7] != tokens[8]
 
 
 def test_realized_multiplexer_round_trips_with_its_inverters():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, cost, gates, group, kernels, mux, reference, search
+from qmuxopt import blocksearch, cost, gates, group, kernels, mux, randmux, reference, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
@@ -492,9 +492,27 @@ def test_random_ties_take_the_lexicographically_smallest_sampled_polarity():
     assert report.best_cost == report.worst_cost == 0
 
 
+def test_random_search_memory_does_not_grow_with_the_samples():
+    """Random search keeps running aggregates, not a list per sample: after
+    a warm-up, 4,000 samples peak less than 32 KiB above 200."""
+    std = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+
+    def peak(samples):
+        cfg = SearchConfig(family="kqf", mode="random", samples=samples, seed=9)
+        tracemalloc.start()
+        try:
+            random_polarity_search(std, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # warm-up: caches filled on a first call are no sample's
+    assert peak(4000) - peak(200) < 32 << 10
+
+
 def test_random_search_enforces_its_size_limit(monkeypatch):
-    monkeypatch.setattr(search, "RANDOM_LIMIT", 3)
     std = generate(4, POOL_FULL, seed=0)
+    monkeypatch.setattr(randmux, "MAX_CONTROLS", 3)
     with pytest.raises(SizeLimitExceeded, match="limited to 3 controls, got 4"):
         random_polarity_search(std, SearchConfig(mode="random"))
 
