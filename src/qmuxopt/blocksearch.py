@@ -26,10 +26,10 @@ polarity's full cascade, every column in place on the vector it is given
 (see kernels.gate_stage; callers that keep their vector pass a copy),
 c_1's first, or, inverse, c_n's first.
 polarity_costs(vector, family, cost_table, group=None) and
-expand(rows, family, group=None) take the family alone and pick its
-columns from it.  The quantum families run kernels.gate_stage and
-kernels.qetv_stage, the GF(2) ones kernels.gf2_stage and
-kernels.etv_stage.
+expand(rows, family, spare, group=None, left=0) take the family
+alone and pick its columns from it.  The quantum families run
+kernels.gate_stage and kernels.qetv_stage, the GF(2) ones
+kernels.gf2_stage and kernels.etv_stage.
 
 The benchmark's tracer (perfbench/tracer.py) replaces kernels.gate_stage
 and kernels.gf2_stage by timing wrappers after the program is imported,
@@ -88,9 +88,37 @@ the chunks' histograms: the histogram is a sum over rows, so this is
 exact.  An FPQF node at m = 14 holds 256 rows of 4^6 slots, 1 MB of IDs
 or 64 MB of complex matrices, where a 256 KB chunk takes 64 rows of IDs,
 one row of matrices or 4 classical rows of 3^10 bits.
+
+A search allocates its vector- and slot-sized working memory once,
+sized from the chunk's row count, and every node writes into it: one
+vector per DFS depth, refilled from its parent's with np.copyto; the
+chunk's rows, gathered with np.take; two slot buffers that expand's
+columns write into in turn (the slot columns take an `out`); the live
+planes (kernels.identity_mask takes an `out` too); one histogram and a
+row of its sums; and the reduction's two step buffers, sized by its
+largest step.  What a node still allocates is small: its prefix's
+2^(n - b) counts and their order, and, on matrices only, identity_mask's
+deviations, CHUNK_ROWS gates at a time.  A node takes its rows (2^b
+entries each) in order of prefix count, so each count's live slots are
+one run of the chunk, summed without a gather.  The reduction writes
+each step into the other buffer, and once the reduced digits outnumber
+the slots left, one transpose moves them innermost, so its last steps
+run on long runs too.
+
+On IDs the last variable is compared, not expanded.  In a group b a^-1
+is the identity exactly when a == b, and so is a b^-1, so after b - 1
+expansions the last variable's live planes are a != 0, b != 0 and
+a != b, one plane for slots 2 and 3 both: three comparisons a pair in
+place of the largest column, its table lookups and its 4^b slots a row.
+Matrices keep the full expansion and identity_mask, since a product
+within EPS of I does not need equal operands; bits keep it too, as their
+last column is a copy and one XOR, with no lookup to save.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -146,14 +174,16 @@ LIMITS = {FPQF: 14, KQF: 9, FPRM: 16, KRM: 10}
 BLOCK_VARS = {FPQF: 6, KQF: 6, FPRM: 10, KRM: 10}
 
 # The most slot bytes a node expands at once (see the module docstring).
-# Measured in process on a 2-core Xeon, each setting in a fresh process:
-# FPQF at m = 14 on the full pool (1 MB of ID slots a node) took 0.74 s in
-# 8 MB chunks and 0.49 s in 256 KB ones, with 280k against 0.8k minor page
-# faults a search; FPRM at n = 16 made 148k against 4k faults, and its
-# repeated searches ran about 15 % faster.  Complex FPQF at m = 12 on
-# custom:X,I,RX(0.3) peaked at 2.3 MB traced, 43.6 MB unchunked, in about
-# the same time.  The cost: FPRM at n = 14 splits each node into 4 chunks
-# and its CLI run took about 2 % longer.
+# Complex FPQF at m = 12 on custom:X,I,RX(0.3) peaked at 2.3 MB traced,
+# 43.6 MB unchunked, in about the same time.  With the search's buffers
+# allocated once, the chunk size no longer sets the page faults: measured
+# on a 2-core Xeon, one search in a fresh process, 256 KB against 8 MB
+# chunks, FPQF at m = 14 on the full pool took 0.81 s and 0.81 s with
+# 0.3k and 0.9k minor faults (a buffer a node took 1.60 and 1.89 s, with
+# 226k and 284k faults); FPRM at n = 16 0.69 and 0.59 s with 5.2k and
+# 6.7k faults, mostly rm_search's own (81k and 218k before); complex FPQF
+# at m = 10 on custom:X,I,RX(0.3) 0.48 and 0.42 s with 0.3k and 0.9k
+# (37k and 24k before).
 CHUNK_BYTES = 256 << 10
 
 
@@ -228,49 +258,102 @@ def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=
     return vector
 
 
-def expand(rows: np.ndarray, family: str, group=None) -> np.ndarray:
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first entries of a flat workspace buffer, viewed as `shape`."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def expand(rows: np.ndarray, family: str, spare, group=None, left: int = 0) -> np.ndarray:
     """Slots of each row: (r, 2^b, ...) entries -> (r, width^b, ...).
 
     The family's slot column writes the width slots of the pairs
     pairs[:, 0], pairs[:, 1] to out[:, 0] .. out[:, width - 1], on IDs of
     `group` when one is given.  Columns run in cascade order, the top row
-    bit first, and each new slot axis lands outside the earlier ones.
+    bit first, and each new slot axis lands outside the earlier ones.  The
+    bottom `left` variables stay entries: each row is then 2^left runs of
+    width^(b - left) slots, so with left = 1 its two halves are the last
+    variable's pairs, every variable above it expanded.
+
+    spare is two flat buffers of the rows' dtype, each with room for all
+    the rows' slots; the columns write into them in turn and the result is
+    a view of one (or the rows themselves, if nothing is expanded).
     """
     _, column, width = _columns(family)
     r, tail = rows.shape[0], rows.shape[2:]
     block = rows.reshape(r, rows.shape[1], 1, *tail)
-    while block.shape[1] > 1:
+    turn = 0
+    while block.shape[1] > 1 << left:
         pairs = block.reshape(r, 2, block.shape[1] // 2, block.shape[2], *tail)
-        out = np.empty((r, pairs.shape[2], width, pairs.shape[3], *tail), rows.dtype)
+        out = _view(spare[turn], (r, pairs.shape[2], width, pairs.shape[3], *tail))
+        turn ^= 1
         column(pairs, out.swapaxes(1, 2), group)
         block = out.reshape(r, pairs.shape[2], -1, *tail)
     return block.reshape(r, -1, *tail)
 
 
-def _add_histogram(hist: np.ndarray, alive: np.ndarray, counts: np.ndarray) -> None:
-    """hist[c, s] += live slot s in the rows whose prefix count is c: one
-    masked row sum per count the rows have, so a chunk of a few rows adds
-    to a few of the bins."""
-    for c in set(counts.tolist()):
-        hist[c] += alive[counts == c].sum(axis=0, dtype=hist.dtype)
+def _add_histogram(hist: np.ndarray, alive: np.ndarray, runs: list, lo: int, total) -> None:
+    """hist[c] += the live slots of the rows whose prefix count is c.  The
+    chunk holds a node's rows lo, lo + 1, ..., and the node's rows come
+    sorted by count, so the rows of count c are one run (c, start, end);
+    each run's part of the chunk is summed into the buffer `total` (shaped
+    like one row) and added."""
+    hi = lo + len(alive)
+    for c, start, end in runs:
+        if start < hi and end > lo:
+            rows = alive[max(start, lo) - lo : min(end, hi) - lo]
+            np.add.reduce(rows, axis=0, dtype=hist.dtype, out=total)
+            hist[c] += total
 
 
-def _reduce(hist: np.ndarray, digits: str, rules: dict, width: int) -> np.ndarray:
-    """Reduce a (bins, width^b) slot histogram to (bins + b, len(digits)^b)."""
-    bins = hist.shape[0]
-    hist = hist.reshape(bins, 1, -1)
-    while hist.shape[2] > 1:
-        # Reduce the last variable left, whose slot axis is the outermost:
-        # (count, digits reduced so far, its slots, the earlier variables'
+def _reduce_buffers(bins: int, block: int, base: int, width: int, dtype) -> list:
+    """_reduce's two flat step buffers for a (bins, width^block) histogram,
+    each sized by its largest step: step j (j = 0 .. block - 1) writes
+    (bins + 1 + j) count bins of base^(j + 1) digits and width^(block - 1 - j)
+    slots left."""
+    step = max(
+        ((bins + 1 + j) * base ** (j + 1) * width ** (block - 1 - j) for j in range(block)),
+        default=0,
+    )
+    return [np.empty(step, dtype=dtype) for _ in range(2)]
+
+
+def _reduce(hist: np.ndarray, digits: str, rules: dict, width: int, spare) -> np.ndarray:
+    """Reduce a (bins, width^b) slot histogram to (bins + b, len(digits)^b),
+    each step written into the two buffers of _reduce_buffers in turn.
+
+    The reduced digits start outside the slots left and move innermost with
+    one transpose once they outnumber them, so each step reads and writes
+    long runs.  Measured on warm blocks on a 2-core Xeon (median of 400,
+    three rounds), this took 0.6-0.8 ms for an FPRM n = 14 block and
+    1.7-2.5 ms for KRM n = 10, where keeping the digits outside took 1.1
+    and 6.1-6.6 ms and keeping them innermost from the first step 4.3-5.8
+    and 3.9-4.8 ms (FPQF m = 12: 0.14-0.17 against 0.41-0.42 ms innermost).
+    Switching at done >= left or done * width > left instead stayed within
+    run-to-run noise.
+    """
+    bins, left = hist.shape
+    base, done, turn, inner = len(digits), 1, 0, False
+    while left > 1:
+        # Reduce the last variable left, whose slot axis is the outermost
+        # of the slots left: (count, digits so far, its slots, earlier
         # slots) -> (count + 1, its digit, digits so far, earlier slots).
-        done, rest = hist.shape[1], hist.shape[2] // width
-        slots = hist.reshape(bins, done, width, rest)
-        out = np.zeros((bins + 1, len(digits), done, rest), dtype=hist.dtype)
+        if not inner and done > left:
+            moved = _view(spare[turn], (bins, left, done))
+            np.copyto(moved, hist.reshape(bins, done, left).swapaxes(1, 2))
+            hist, turn, inner = moved, turn ^ 1, True
+        rest = left // width
+        if inner:
+            slots = hist.reshape(bins, width, rest, done)
+            out = _view(spare[turn], (bins + 1, rest, base, done))
+            into = out.swapaxes(1, 2)
+        else:
+            slots = hist.reshape(bins, done, width, rest).swapaxes(1, 2)
+            out = into = _view(spare[turn], (bins + 1, base, done, rest))
+        out.fill(0)
         for k, digit in enumerate(digits):
             for slot, shift in rules[digit]:
-                out[shift : shift + bins, k] += slots[:, :, slot]
-        bins += 1
-        hist = out.reshape(bins, -1, rest)
+                into[shift : shift + bins, k] += slots[:, slot]
+        hist, bins, done, left, turn = out, bins + 1, done * base, rest, turn ^ 1
     return hist.reshape(bins, -1)
 
 
@@ -287,10 +370,12 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     stage, _, width = _columns(family)
     codes = FORWARD_CODES[family]
     digits = FAMILY_DIGITS[family]
+    rules = SLOT_RULES[family]
     base = len(digits)
     block = min(BLOCK_VARS[family], n)
     top = n - block
     span = base**block
+    tail = vector.shape[1:]
     # Every histogram entry counts at most 2^n entries, so the narrowest
     # unsigned type holding 2^n is exact (uint16 for n = 8..15).  Against
     # int32 it cut FPRM n = 14 from 44 to 29 ms in a fresh process on a
@@ -299,31 +384,81 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     costs = np.empty(base**n, dtype=np.int64)
     # Rows a node expands at once: CHUNK_BYTES of slots, and at least one.
     chunk = max(1, CHUNK_BYTES // (width**block * (vector.nbytes // len(vector))))
-    # One histogram for every node, zeroed in place: a fresh one per node
-    # page-faults its bins in again (1.6 MB a node for FPRM at n = 16).
-    hist = np.empty((top + 1, width**block), dtype=dtype)
+    # On IDs the last variable's slots are compared, not expanded.
+    left = 1 if group is not None and block else 0
+    live_width = 3 * width ** (block - 1) if left else width**block
 
-    def walk(vec, prefix):
-        if len(prefix) < top:
-            for digit in digits:
-                walk(stage(vec.copy(), codes[digit], n - 1 - len(prefix), group), prefix + digit)
-            return
+    # The workspace, allocated once: one vector per DFS depth below the
+    # root (a DFS keeps one alive per depth anyway), the chunk's rows, the
+    # expansion's two slot buffers, the live planes, one histogram for every
+    # node (zeroed in place), a row of its sums and the reduction's two step
+    # buffers.
+    vectors = [vector] + [np.empty(vector.shape, vector.dtype) for _ in range(top)]
+    gathered = np.empty((chunk, 1 << block, *tail), vector.dtype)
+    entries = chunk * 2**left * width ** (block - left) * math.prod(tail)
+    slot_buffers = [np.empty(entries, vector.dtype) for _ in range(2)]
+    live = np.empty(chunk * live_width, dtype=bool)
+    hist = np.empty((top + 1, width**block), dtype=dtype)
+    total = np.empty(live_width, dtype=dtype)
+    step_buffers = _reduce_buffers(top + 1, block, base, width, dtype)
+    # The histogram of the live planes: slots 2 and 3 share one plane on IDs.
+    planes = hist.reshape(top + 1, width, -1)[:, :3] if left else hist
+
+    def compared(rows):
+        # On IDs, b a^-1 and a b^-1 are ID 0 exactly when a == b (group
+        # tables are exact), so the last variable's four slots take three
+        # comparisons of its pairs and no table lookup.
+        pairs = expand(rows, family, slot_buffers, group, left).reshape(len(rows), 2, -1)
+        alive = _view(live, (len(rows), 3, pairs.shape[2]))
+        np.not_equal(pairs[:, 0], 0, out=alive[:, 0])
+        np.not_equal(pairs[:, 1], 0, out=alive[:, 1])
+        np.not_equal(pairs[:, 0], pairs[:, 1], out=alive[:, 2])
+        return alive
+
+    def masked(rows):
+        expanded = expand(rows, family, slot_buffers, group)
+        alive = _view(live, expanded.shape[:2])
+        kernels.identity_mask(expanded.reshape(-1, *tail), EPS, out=alive.reshape(-1))
+        return np.logical_not(alive, out=alive)
+
+    alive_planes = compared if left else masked
+
+    def leaf(vec, prefix):
         # A depth-top node: 2^top runs of 2^block entries, each run counted
-        # as its top bits are under the prefix.
-        tail = vec.shape[1:]
+        # as its top bits are under the prefix, taken in order of count.
         grid = vec.reshape(1 << top, -1, *tail)
         counts = count_vector(prefix, family)
+        order = np.argsort(counts, kind="stable")
+        ends = np.cumsum(np.bincount(counts)).tolist()
+        runs = [(c, s, e) for c, (s, e) in enumerate(zip([0, *ends], ends)) if e > s]
         hist.fill(0)
         for lo in range(0, len(grid), chunk):
-            slots = expand(grid[lo : lo + chunk], family, group)
-            # The live test takes the slots' name, so they are freed before
-            # the histogram: 0.5 MB less peak RSS for FPQF at m = 12.
-            slots = ~kernels.identity_mask(slots.reshape(-1, *tail), EPS).reshape(len(slots), -1)
-            _add_histogram(hist, slots, counts[lo : lo + chunk])
+            # The indices are argsort's, so "clip" never clips; it lets take
+            # write straight into `out` ("raise" stages it in a copy).
+            picked = order[lo : lo + chunk]
+            rows = np.take(grid, picked, axis=0, out=gathered[: len(picked)], mode="clip")
+            alive = alive_planes(rows)
+            _add_histogram(planes, alive, runs, lo, _view(total, alive.shape[1:]))
+        if left:
+            # Slot 3, a b^-1, is live exactly where slot 2 is.
+            hist.reshape(top + 1, width, -1)[:, 3] = planes[:, 2]
         node = int(prefix or "0", base)
-        costs[node * span : (node + 1) * span] = cost_table @ _reduce(
-            hist, digits, SLOT_RULES[family], width
+        np.matmul(
+            cost_table,
+            _reduce(hist, digits, rules, width, step_buffers),
+            out=costs[node * span : (node + 1) * span],
         )
 
-    walk(vector, "")
+    # The DFS, its nodes in lexicographic order of the top digits: a node's
+    # vector is its parent's, copied, after one column, so a node reruns
+    # the columns from the first digit where its prefix leaves the previous
+    # node's (from the root for the first node).
+    previous = ()
+    for prefix in itertools.product(digits, repeat=top):
+        depth = next((k for k, (a, b) in enumerate(zip(prefix, previous)) if a != b), 0)
+        for k in range(depth, top):
+            np.copyto(vectors[k + 1], vectors[k])
+            stage(vectors[k + 1], codes[prefix[k]], n - 1 - k, group)
+        leaf(vectors[top], "".join(prefix))
+        previous = prefix
     return costs

@@ -193,20 +193,22 @@ def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=out[:, 2])
 
 
-def identity_mask(gates: np.ndarray, eps: float) -> np.ndarray:
+def identity_mask(gates: np.ndarray, eps: float, out=None) -> np.ndarray:
     """True for each entry that is its algebra's identity: a (n, 2, 2) gate
     equal to the 2x2 identity within eps in every entry, tested CHUNK_ROWS
     gates at a time; in a 1-D uint8 vector, a group ID equal to ID 0 or a
-    GF(2) bit equal to 0, both exactly.
+    GF(2) bit equal to 0, both exactly.  Written into `out`, a bool vector
+    of one entry per gate, when one is given.
     """
+    if out is None:
+        out = np.empty(len(gates), dtype=bool)
     if gates.ndim == 1:
-        return gates == 0
-    mask = np.empty(len(gates), dtype=bool)
+        return np.equal(gates, 0, out=out)
     for start in range(0, len(gates), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         deviation = np.abs(gates[rows] - np.eye(2)).reshape(-1, 4).max(axis=1)
-        np.less_equal(deviation, eps, out=mask[rows])
-    return mask
+        np.less_equal(deviation, eps, out=out[rows])
+    return out
 
 
 def mux_cost(gates, counts, cost_table, eps):

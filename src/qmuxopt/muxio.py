@@ -226,6 +226,10 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
         raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
     form, polarity = _parse_form(form_text, source, None)
     _check_control_count(controls, len(tokens), source, None)
+    # The count takes precedence over the tokens, as in the text loader, so
+    # a wrong count is refused before any token is parsed.
+    if controls >= 1 and len(tokens) != 1 << controls:
+        raise ParseError(f"expected {1 << controls} gate tokens, got {len(tokens)}", source)
     builder = _PaletteBuilder()
     for start in range(0, len(tokens), kernels.CHUNK_ROWS):
         builder.add(tokens[start : start + kernels.CHUNK_ROWS])

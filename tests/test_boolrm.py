@@ -329,7 +329,8 @@ def test_search_and_transforms_leave_the_minterms_alone():
 def test_etv_slots_equal_the_transform_bit_for_bit():
     n = 6
     func = BoolFunc(n, np.random.default_rng(520).integers(0, 2, size=1 << n).astype(np.uint8))
-    slots = blocksearch.expand(func.minterms.reshape(1, 1 << n), boolrm.KRM)[0]
+    spare = [np.empty(3**n, np.uint8) for _ in range(2)]
+    slots = blocksearch.expand(func.minterms.reshape(1, 1 << n), boolrm.KRM, spare)[0]
     assert slots.shape == (3**n,)
     rng = np.random.default_rng(521)
     for _ in range(20):

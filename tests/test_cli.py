@@ -548,3 +548,34 @@ def test_a_quantum_run_does_not_import_numpy_ma(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _minor_faults(argv, **env_vars) -> int:
+    """Minor page faults of one CLI run in a fresh interpreter, read from
+    os.wait4; the run's environment has no MALLOC_ variable but env_vars."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
+    proc = subprocess.Popen([sys.executable, "-m", "qmuxopt.cli", *map(str, argv)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+def test_search_faults_do_not_depend_on_the_allocator(tmp_path):
+    """The block search allocates its working memory once per search, so
+    glibc's mmap and trim thresholds barely change its page faults.
+    Bound: the plain run makes at most 2,000 more minor faults than one
+    whose thresholds (64 MB, 256 MB) keep every buffer on the heap.
+    Measured on a 2-core Xeon: 6.3k against 5.5k; with a fresh buffer per
+    block column, live mask and reduction step it was 21.5k against 5.5k."""
+    path = tmp_path / "m12.qmux"
+    save_qmux(generate(12, POOL_FULL, seed=3), path)
+    argv = ["optimize", path, "--family", "fpqf", "--format", "json"]
+    plain = _minor_faults(argv)
+    tuned = _minor_faults(
+        argv, MALLOC_MMAP_THRESHOLD_="67108864", MALLOC_TRIM_THRESHOLD_="268435456"
+    )
+    assert plain <= tuned + 2000, (plain, tuned)

@@ -215,3 +215,13 @@ def test_identity_mask_is_the_same_in_any_chunking(monkeypatch, chunk):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
     assert np.array_equal(kernels.identity_mask(vec, gates.EPS), want)
     assert want[3] and not want[4]
+
+
+def test_identity_mask_writes_into_a_given_vector():
+    mats = generate(5, POOL_FULL, seed=47).targets
+    ids = np.array([0, 3, 0, 1], dtype=np.uint8)
+    for entries in (mats, ids):
+        want = kernels.identity_mask(entries, gates.EPS)
+        out = np.ones(len(entries), dtype=bool)
+        assert kernels.identity_mask(entries, gates.EPS, out=out) is out
+        assert np.array_equal(out, want)

@@ -315,6 +315,33 @@ def test_an_unmatchable_control_count_is_refused_in_json(controls):
     )
 
 
+@pytest.mark.parametrize("targets", [["I", "X", "V"], ["I", "X", "V", "X", "I"]])
+def test_a_wrong_count_json_mirror_says_what_the_text_loader_says(targets):
+    text = json.dumps({"controls": 2, "form": "standard", "targets": targets})
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="short.json")
+    assert str(info.value) == f"short.json: expected 4 gate tokens, got {len(targets)}"
+
+
+def test_a_wrong_count_json_mirror_is_refused_before_its_tokens_parse(monkeypatch):
+    # Distinct rotations, so a loader that parsed first would parse each.
+    targets = [f"RX({k})" for k in range(1, 101)]
+    text = json.dumps({"controls": 2, "form": "standard", "targets": targets})
+    parsed = []
+    parse_gate = gates.parse_gate
+
+    def counted(token):
+        parsed.append(token)
+        return parse_gate(token)
+
+    monkeypatch.setattr(gates, "parse_gate", counted)
+    with pytest.raises(ParseError, match="expected 4 gate tokens, got 100"):
+        parse_qmux(text)
+    assert parsed == []
+    parse_qmux(json.dumps({"controls": 2, "form": "standard", "targets": targets[:4]}))
+    assert parsed == targets[:4]
+
+
 def test_the_largest_matchable_control_count_keeps_the_count_message():
     below = UNMATCHABLE_CONTROLS - 1
     with pytest.raises(ParseError, match=f"expected {1 << below} gate tokens, got 2"):

@@ -351,6 +351,45 @@ def test_block_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, p
     assert np.array_equal(search.polarity_costs(std, family), expected)
 
 
+@pytest.mark.parametrize("pool", ["full", "h13"])
+@pytest.mark.parametrize("family", ["fpqf", "kqf"])
+def test_compared_last_level_on_ids_matches_per_polarity_reference(monkeypatch, pool, family):
+    """On IDs a block compares its last variable's pairs instead of taking
+    their products (b a^-1 is ID 0 exactly when a == b).  Every block size
+    from 0 to the production 6, each with the default chunk and with every
+    row its own chunk, on the full pool and on the rounded H literal,
+    where intern accepts only at small m."""
+    pools = {"full": POOL_FULL, "h13": GatePool("custom", (H13, "I"))}
+    # KQF at m = 6 keeps block 0 with one-row chunks (46,656 of them) short.
+    std = generate(7 if family == "fpqf" else 6, pools[pool], seed=324)
+    assert group.intern(std.targets, std.num_targets) is not None
+    expected = per_polarity_reference(std, family)
+    for block in range(7):
+        for chunk_bytes in (blocksearch.CHUNK_BYTES, 1):
+            with monkeypatch.context() as patch:
+                patch.setitem(blocksearch.BLOCK_VARS, family, block)
+                patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
+                costs = search.polarity_costs(std, family).tolist()
+            assert costs == expected, (block, chunk_bytes)
+
+
+@pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
+def test_only_ids_leave_the_last_block_variable_unexpanded(monkeypatch, pool):
+    # m = 8: 4 nodes of 4 rows.  IDs take one chunk a node and 5 slot
+    # columns a chunk; complex rows are a chunk each, with all 6 columns.
+    std = generate(8, resolve_pool(pool), seed=325)
+    columns = []
+    qetv_stage = kernels.qetv_stage
+
+    def counted(pairs, out, gate_group=None):
+        columns.append(gate_group is not None)
+        qetv_stage(pairs, out, gate_group)
+
+    monkeypatch.setattr(kernels, "qetv_stage", counted)
+    search.polarity_costs(std, "fpqf")
+    assert columns == ([True] * 4 * 5 if pool == "full" else [False] * 4 * 4 * 6)
+
+
 def test_exhaustive_fpqf_runs_dfs_columns_only_above_the_block(monkeypatch):
     std = generate(8, POOL_FULL, seed=321)
     bits = []
@@ -424,7 +463,8 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
         paths.append(group.intern(std.targets, std.num_targets))
     for group_arg, vector in paths:
         rows = vector.reshape(1, 1 << m, *vector.shape[1:])
-        slots = blocksearch.expand(rows, mux.KQF, group_arg)[0]
+        spare = [np.empty(4**m * rows[0, 0].size, vector.dtype) for _ in range(2)]
+        slots = blocksearch.expand(rows, mux.KQF, spare, group_arg)[0]
         assert slots.shape == (4**m, *vector.shape[1:])
         rng = np.random.default_rng(300)
         for _ in range(20):
