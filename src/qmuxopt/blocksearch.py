@@ -105,14 +105,16 @@ each step into the other buffer, and once the reduced digits outnumber
 the slots left, one transpose moves them innermost, so its last steps
 run on long runs too.
 
-On IDs the last variable is compared, not expanded.  In a group b a^-1
-is the identity exactly when a == b, and so is a b^-1, so after b - 1
-expansions the last variable's live planes are a != 0, b != 0 and
-a != b, one plane for slots 2 and 3 both: three comparisons a pair in
-place of the largest column, its table lookups and its 4^b slots a row.
-Matrices keep the full expansion and identity_mask, since a product
-within EPS of I does not need equal operands; bits keep it too, as their
-last column is a copy and one XOR, with no lookup to save.
+On exact entries, IDs and bits, the last variable is compared, not
+expanded.  In a group b a^-1 is the identity exactly when a == b, and so
+is a b^-1, so after b - 1 expansions the last variable's live planes
+are a != 0, b != 0 and a != b, one plane for slots 2 and 3 both: three
+comparisons a pair in place of the largest column, its table lookups
+and its 4^b slots a row.  Bits are exact the same way, x ^ y being 0
+exactly when x == y, so their live planes are x != 0, y != 0 and x != y,
+one a slot, in place of the last ETV column's copy and XOR.  Matrices
+keep the full expansion and identity_mask, since a product within EPS of
+I does not need equal operands.
 """
 
 from __future__ import annotations
@@ -384,8 +386,9 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     costs = np.empty(base**n, dtype=np.int64)
     # Rows a node expands at once: CHUNK_BYTES of slots, and at least one.
     chunk = max(1, CHUNK_BYTES // (width**block * (vector.nbytes // len(vector))))
-    # On IDs the last variable's slots are compared, not expanded.
-    left = 1 if group is not None and block else 0
+    # On exact entries (IDs and bits, 1-D vectors) the last variable's
+    # slots are compared, not expanded.
+    left = 1 if vector.ndim == 1 and block else 0
     live_width = 3 * width ** (block - 1) if left else width**block
 
     # The workspace, allocated once: one vector per DFS depth below the
@@ -406,8 +409,9 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
 
     def compared(rows):
         # On IDs, b a^-1 and a b^-1 are ID 0 exactly when a == b (group
-        # tables are exact), so the last variable's four slots take three
-        # comparisons of its pairs and no table lookup.
+        # tables are exact), and on bits x ^ y is 0 exactly when x == y, so
+        # the last variable's slots take three comparisons of its pairs and
+        # no table lookup or XOR.
         pairs = expand(rows, family, slot_buffers, group, left).reshape(len(rows), 2, -1)
         alive = _view(live, (len(rows), 3, pairs.shape[2]))
         np.not_equal(pairs[:, 0], 0, out=alive[:, 0])
@@ -439,7 +443,7 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
             rows = np.take(grid, picked, axis=0, out=gathered[: len(picked)], mode="clip")
             alive = alive_planes(rows)
             _add_histogram(planes, alive, runs, lo, _view(total, alive.shape[1:]))
-        if left:
+        if left and width == 4:
             # Slot 3, a b^-1, is live exactly where slot 2 is.
             hist.reshape(top + 1, width, -1)[:, 3] = planes[:, 2]
         node = int(prefix or "0", base)

@@ -10,12 +10,16 @@ JSON mirror uses the same field names:
 
     {"controls": 2, "form": "fpqf:11", "targets": ["I", "V", "V", "I"]}
 
-Both loaders return the multiplexer as a palette: the distinct matrices
-of its tokens, each token parsed once, and one index entry per gate (one
-byte while there are at most 256 of them).  Both loaders fill the index
-a batch of at least kernels.CHUNK_ROWS tokens at a time (the text loader
-never splits a line), so only one batch of tokens is ever held as strs,
-and neither loader builds the 2^m complex vector.
+Both loaders take one path, in one order: the header (a control count of
+at least 1, and a form), the token count, the tokens, the Multiplexer.
+So in both formats a bad header or a wrong count is refused before any
+token is parsed.  The tokens are numbered a batch of at least
+kernels.CHUNK_ROWS at a time (the text loader never splits a line), so
+only one batch is ever held as strs; once the count is right each
+distinct token is parsed once, and the multiplexer comes back as a
+palette: the distinct matrices of its tokens and one index entry per
+gate (one byte while there are at most 256 of them).  Neither loader
+builds the 2^m complex vector.
 
 Files are streamed the same way: both formats are written through jsonout
 a token at a time, from the targets' tokens rendered a chunk of
@@ -67,66 +71,78 @@ def _parse_form(text: str, source, line):
 class _PaletteBuilder:
     """The palette and index of a stream of gate tokens, a batch at a time.
 
-    Each distinct token is parsed once, and tokens whose matrices are equal
-    (NOT and X) share one palette matrix.  Only the batch being indexed is
-    held as strs: earlier batches are kept as their index vectors alone.
+    add only numbers the tokens, in first-occurrence order, so a loader can
+    refuse a wrong count before any token is parsed.  Only the batch being
+    numbered is held as strs: earlier batches are kept as their number
+    vectors alone.
     """
 
     def __init__(self):
-        self.positions = {}  # token -> palette position
-        self.by_bytes = {}  # matrix bytes -> palette position
-        self.matrices = []
+        self.numbers = {}  # token -> its number, in first-occurrence order
         self.parts = [np.empty(0, np.uint8)]
         self.count = 0
-        self.error = None  # (token number, exception) of the first bad token
 
     def add(self, tokens: list) -> None:
-        """Index a batch of tokens."""
+        """Number a batch of tokens."""
         try:
-            part = np.fromiter(map(self.positions.__getitem__, tokens), np.intp, len(tokens))
-        except KeyError:  # new tokens: parse each once, then index the batch
+            part = np.fromiter(map(self.numbers.__getitem__, tokens), np.intp, len(tokens))
+        except KeyError:  # new tokens: number them, then the batch
             for token in dict.fromkeys(tokens):  # first-occurrence order
-                if token not in self.positions:
-                    self.positions[token] = self._position(token, tokens)
-            part = np.fromiter(map(self.positions.__getitem__, tokens), np.intp, len(tokens))
-        self.parts.append(part.astype(np.min_scalar_type(max(len(self.matrices) - 1, 0))))
+                self.numbers.setdefault(token, len(self.numbers))
+            part = np.fromiter(map(self.numbers.__getitem__, tokens), np.intp, len(tokens))
+        self.parts.append(part.astype(np.min_scalar_type(max(len(self.numbers) - 1, 0))))
         self.count += len(tokens)
 
-    def _position(self, token: str, batch: list) -> int:
-        """Palette position of a new token's matrix, added if new; a token
-        that does not parse is recorded if it is the first, and gets 0."""
-        try:
-            matrix = gates.parse_gate(token)
-        except (UnknownGate, NonUnitary) as exc:
-            if self.error is None:
-                self.error = (self.count + batch.index(token), exc)
-            return 0
-        position = self.by_bytes.setdefault(matrix.tobytes(), len(self.matrices))
-        if position == len(self.matrices):
-            self.matrices.append(matrix)
-        return position
+    def palette(self, refuse) -> Palette:
+        """The palette of every token added, its index handed over read-only.
 
-    def palette(self) -> Palette:
-        """The palette of every token added, its index handed over read-only."""
-        index = np.concatenate(self.parts)
+        Each distinct token is parsed once, in number order, and tokens
+        whose matrices are equal (NOT and X) share one palette matrix.  The
+        lowest-numbered token that does not parse is the first bad token in
+        stream order: refuse(i, exc), i the stream position of its first
+        occurrence, is raised."""
+        by_bytes = {}  # matrix bytes -> palette position, in palette order
+        positions = []
+        for number, token in enumerate(self.numbers):
+            try:
+                matrix = gates.parse_gate(token)
+            except (UnknownGate, NonUnitary) as exc:
+                raise refuse(int(np.argmax(np.concatenate(self.parts) == number)), exc)
+            positions.append(by_bytes.setdefault(matrix.tobytes(), len(by_bytes)))
+        remap = np.array(positions, dtype=np.min_scalar_type(max(len(by_bytes) - 1, 0)))
+        index = remap[np.concatenate(self.parts)]
         index.setflags(write=False)
-        return Palette(np.array(self.matrices, dtype=complex).reshape(-1, 2, 2), index)
+        return Palette(np.frombuffer(b"".join(by_bytes), complex).reshape(-1, 2, 2).copy(), index)
 
 
-def _check_control_count(controls: int, count: int, source, line) -> None:
-    """Refuse a control count that no token list can match (see
-    UNMATCHABLE_CONTROLS) without building 1 << controls."""
+def _check_count(controls: int, count: int, source, controls_line=None, last_line=None):
+    """Refuse a token count other than 2^controls, at the last line that
+    held a token; a control count that no token list matches (see
+    UNMATCHABLE_CONTROLS) is refused at its own line, before 1 << controls
+    is built.  JSON has no lines."""
     if controls >= UNMATCHABLE_CONTROLS:
         raise ParseError(
-            f"{controls} controls need 2^{controls} gate tokens, got {count}",
-            source,
-            line,
+            f"{controls} controls need 2^{controls} gate tokens, got {count}", source, controls_line
         )
+    if count != 1 << controls:
+        raise ParseError(f"expected {1 << controls} gate tokens, got {count}", source, last_line)
+
+
+def _multiplexer(builder, controls: int, form: tuple, source, refuse) -> Multiplexer:
+    """The Multiplexer of a loader's checked header (controls, and form and
+    polarity) and token count, and its numbered tokens, parsed now (see
+    _PaletteBuilder.palette, which raises refuse(i, exc) for a bad token);
+    what Multiplexer refuses becomes a ParseError."""
+    palette = builder.palette(refuse)
+    try:
+        return Multiplexer(controls, palette, *form)
+    except (ValueError, QmuxError) as exc:
+        raise ParseError(str(exc), source)
 
 
 def _token_places(text: str, targets_line: int):
     """(line, column) of each target token in order, rescanning the text
-    from its `targets:` line; only an error message needs them."""
+    from its `targets:` line; only a bad token's message needs them."""
     lines = itertools.islice(text.splitlines(), targets_line - 1, None)
     for lineno, raw in enumerate(lines, start=targets_line):
         line = raw.partition("#")[0]
@@ -138,11 +154,11 @@ def _token_places(text: str, targets_line: int):
 def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     """Parse .qmux text (or its JSON mirror, detected by a leading '{').
 
-    The targets are read a batch of lines at a time, at least
-    kernels.CHUNK_ROWS tokens unless the lines run out, into the palette
-    and index of _PaletteBuilder.  A bad token is reported only after the
-    token count, which takes precedence, has been checked; the line and
-    column of an error are worked out then, by a rescan of the targets.
+    The header lines are checked as they come; the targets are numbered a
+    batch of lines at a time, at least kernels.CHUNK_ROWS tokens unless the
+    lines run out, by _PaletteBuilder, and parsed only once their count is
+    right (see _multiplexer).  A bad token's line and column are worked out
+    then, by a rescan of the targets.
     """
     if text.lstrip().startswith("{"):
         try:
@@ -151,42 +167,41 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             raise ParseError(f"bad JSON: {exc.msg}", source, exc.lineno, exc.colno)
         return from_json_dict(data, source)
 
-    controls = None
-    form = None
-    polarity = None
-    targets_line = None
+    controls = controls_line = form = targets_line = last_line = None
     builder = _PaletteBuilder()
     batch = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        comment = raw.find("#")
-        line = raw[:comment] if comment >= 0 else raw
-        if targets_line is not None:
-            batch += line.split()
+        line = raw.partition("#")[0]
+        if targets_line is None:
+            if not line.strip():
+                continue
+            key, sep, value = line.partition(":")
+            key = key.strip().lower()
+            if not sep:
+                raise ParseError(f"expected 'key: value', got {line.strip()!r}", source, lineno)
+            if key == "controls":
+                try:
+                    controls = int(value)
+                except ValueError:
+                    controls = 0
+                if controls < 1:
+                    raise ParseError(f"bad control count {value.strip()!r}", source, lineno)
+                controls_line = lineno
+            elif key == "form":
+                form = _parse_form(value, source, lineno)
+            elif key == "targets":
+                targets_line, line = lineno, value  # its tokens follow the key
+            else:
+                raise ParseError(f"unknown field {key!r}", source, lineno)
+            if targets_line is None:
+                continue
+        tokens = line.split()
+        if tokens:
+            batch += tokens
+            last_line = lineno
             if len(batch) >= kernels.CHUNK_ROWS:
                 builder.add(batch)
                 batch = []
-            continue
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line.strip()!r}", source, lineno)
-        key = key.strip().lower()
-        if key == "controls":
-            try:
-                controls = int(value.strip())
-            except ValueError:
-                controls = 0
-            if controls < 1:
-                raise ParseError(f"bad control count {value.strip()!r}", source, lineno)
-            controls_line = lineno
-        elif key == "form":
-            form, polarity = _parse_form(value, source, lineno)
-        elif key == "targets":
-            targets_line = lineno
-            batch = value.split()
-        else:
-            raise ParseError(f"unknown field {key!r}", source, lineno)
     builder.add(batch)
 
     if controls is None:
@@ -195,21 +210,13 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         raise ParseError("missing 'form:' line", source)
     if targets_line is None:
         raise ParseError("missing 'targets:' line", source)
-    _check_control_count(controls, builder.count, source, controls_line)
-    expected = 1 << controls
-    if builder.count != expected:
-        last_line = max((n for n, _ in _token_places(text, targets_line)), default=None)
-        raise ParseError(
-            f"expected {expected} gate tokens, got {builder.count}", source, last_line
-        )
-    if builder.error is not None:
-        i, exc = builder.error
+    _check_count(controls, builder.count, source, controls_line, last_line)
+
+    def refuse(i, exc):
         place = next(itertools.islice(_token_places(text, targets_line), i, None))
-        raise ParseError(str(exc), source, *place)
-    try:
-        return Multiplexer(controls, builder.palette(), form, polarity)
-    except (ValueError, QmuxError) as exc:
-        raise ParseError(str(exc), source)
+        return ParseError(str(exc), source, *place)
+
+    return _multiplexer(builder, controls, form, source, refuse)
 
 
 def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
@@ -222,24 +229,20 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     # Exact types: bool is an int subclass, and a string is not a token list.
     if isinstance(controls, bool) or not isinstance(controls, int):
         raise ParseError(f"bad JSON multiplexer: controls {controls!r} is not an int", source)
+    if controls < 1:
+        raise ParseError(f"bad control count {str(controls)!r}", source)
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
-    form, polarity = _parse_form(form_text, source, None)
-    _check_control_count(controls, len(tokens), source, None)
-    # The count takes precedence over the tokens, as in the text loader, so
-    # a wrong count is refused before any token is parsed.
-    if controls >= 1 and len(tokens) != 1 << controls:
-        raise ParseError(f"expected {1 << controls} gate tokens, got {len(tokens)}", source)
+    form = _parse_form(form_text, source, None)
+    _check_count(controls, len(tokens), source)
     builder = _PaletteBuilder()
     for start in range(0, len(tokens), kernels.CHUNK_ROWS):
         builder.add(tokens[start : start + kernels.CHUNK_ROWS])
-    if builder.error is not None:
-        i, exc = builder.error
-        raise ParseError(f"target {i}: {exc}", source)
-    try:
-        return Multiplexer(controls, builder.palette(), form, polarity)
-    except (ValueError, QmuxError) as exc:
-        raise ParseError(str(exc), source)
+
+    def refuse(i, exc):
+        return ParseError(f"target {i}: {exc}", source)
+
+    return _multiplexer(builder, controls, form, source, refuse)
 
 
 def load_qmux(path) -> Multiplexer:

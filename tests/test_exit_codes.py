@@ -3,7 +3,9 @@
 Every run of cost, optimize or verify on any input file ends with exit
 code 0 (ok), 1 (verification failure), 2 (parse or usage error) or 3 (size
 limit).  A failure writes exactly one `error:` line to stderr, or
-argparse's usage error, and never a traceback or a warning.
+argparse's usage error, and never a traceback or a warning.  A file
+refused for its header, its control count or its token count is refused
+before any of its gate tokens is parsed.
 
 The inputs are valid .qmux files and JSON mirrors, mutated by inserting,
 deleting or replacing whitespace-separated tokens with tokens known to
@@ -19,6 +21,7 @@ import os
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,6 +62,12 @@ MUTATION_TOKENS = [
 
 _PIECE = re.compile(rb"\s+|\S+")
 
+# The loaders' header, control-count and token-count messages.
+_BEFORE_TOKENS = re.compile(
+    r"bad JSON|expected 'key: value'|bad control count|bad form|unknown field|missing '"
+    r"|controls need 2\^|expected \d+ gate tokens"
+)
+
 mutation = st.tuples(
     st.sampled_from(["insert", "delete", "replace"]),
     st.floats(0, 1, exclude_max=True),
@@ -82,16 +91,19 @@ def _mutate(text: bytes, mutations) -> bytes:
 
 
 def _run(argv):
-    """(exit code, stderr, warnings) of one cli.main run."""
+    """(exit code, stderr, warnings, gates.parse_gate calls) of one cli.main run."""
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        mock.patch.object(gates, "parse_gate", wraps=gates.parse_gate) as parse_gate,
+    ):
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage error
                 code = exc.code
-    return code, err.getvalue(), caught
+    return code, err.getvalue(), caught, parse_gate.call_count
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -110,7 +122,7 @@ def test_every_mutated_input_keeps_the_exit_code_contract(base, mutations, polar
             ["optimize", path, "--family", "kqf"],
             ["verify", path, polarity],
         ):
-            code, err, caught = _run(argv)
+            code, err, caught, parsed = _run(argv)
             assert code in (0, 1, 2, 3), argv
             assert not caught, [str(w.message) for w in caught]
             assert "Traceback" not in err
@@ -120,3 +132,5 @@ def test_every_mutated_input_keeps_the_exit_code_contract(base, mutations, polar
                 assert code == 2
             else:
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+                if _BEFORE_TOKENS.search(err):
+                    assert parsed == 0, err

@@ -32,6 +32,15 @@ def ivvx_case():
     return Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """The tokens gates.parse_gate is called on, in order."""
+    calls = []
+    parse_gate = gates.parse_gate
+    monkeypatch.setattr(gates, "parse_gate", lambda token: calls.append(token) or parse_gate(token))
+    return calls
+
+
 def test_parse_minimal_file():
     m = parse_qmux("controls: 2\nform: standard\ntargets: I V V X\n")
     assert m.controls == 2
@@ -163,16 +172,12 @@ def test_token_count_error_message_and_line(text, got, line):
     assert str(info.value) == f"case.qmux{where}: expected {expected} gate tokens, got {got}"
 
 
-def test_each_distinct_token_is_parsed_once(monkeypatch):
+def test_each_distinct_token_is_parsed_once(parsed):
     m = generate(6, POOL_FULL, seed=3)
-    calls = []
-    real = gates.parse_gate
-    monkeypatch.setattr(gates, "parse_gate", lambda token: calls.append(token) or real(token))
     for text in (dump_qmux(m), dump_qmux_json(m)):
-        calls.clear()
-        parsed = parse_qmux(text)
-        assert np.array_equal(parsed.targets, m.targets)
-        assert sorted(calls) == sorted(set(target_tokens(m)))
+        parsed.clear()
+        assert np.array_equal(parse_qmux(text).targets, m.targets)
+        assert sorted(parsed) == sorted(set(target_tokens(m)))
 
 
 def test_token_count_error_names_the_last_token_line():
@@ -323,23 +328,66 @@ def test_a_wrong_count_json_mirror_says_what_the_text_loader_says(targets):
     assert str(info.value) == f"short.json: expected 4 gate tokens, got {len(targets)}"
 
 
-def test_a_wrong_count_json_mirror_is_refused_before_its_tokens_parse(monkeypatch):
-    # Distinct rotations, so a loader that parsed first would parse each.
-    targets = [f"RX({k})" for k in range(1, 101)]
-    text = json.dumps({"controls": 2, "form": "standard", "targets": targets})
-    parsed = []
-    parse_gate = gates.parse_gate
+# Distinct rotations, so a loader that parsed first would parse each.
+ROTATIONS = [f"RX({k})" for k in range(1, 101)]
 
-    def counted(token):
-        parsed.append(token)
-        return parse_gate(token)
 
-    monkeypatch.setattr(gates, "parse_gate", counted)
+def test_a_wrong_count_json_mirror_is_refused_before_its_tokens_parse(parsed):
+    text = json.dumps({"controls": 2, "form": "standard", "targets": ROTATIONS})
     with pytest.raises(ParseError, match="expected 4 gate tokens, got 100"):
         parse_qmux(text)
     assert parsed == []
-    parse_qmux(json.dumps({"controls": 2, "form": "standard", "targets": targets[:4]}))
-    assert parsed == targets[:4]
+    parse_qmux(json.dumps({"controls": 2, "form": "standard", "targets": ROTATIONS[:4]}))
+    assert parsed == ROTATIONS[:4]
+
+
+@pytest.mark.parametrize("chunk", [1, kernels.CHUNK_ROWS])
+def test_a_wrong_count_text_file_is_refused_before_its_tokens_parse(monkeypatch, parsed, chunk):
+    """The text loader numbers its tokens a batch at a time and parses
+    none of them until the count, known only at the end, is right."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    lines = "".join("\n  " + " ".join(ROTATIONS[i : i + 8]) for i in range(0, 100, 8))
+    with pytest.raises(ParseError) as info:
+        parse_qmux(f"controls: 2\nform: standard\ntargets:{lines}\n", source="long.qmux")
+    assert str(info.value) == "long.qmux:16: expected 4 gate tokens, got 100"
+    assert parsed == []
+
+
+@pytest.mark.parametrize("controls", [0, -3])
+def test_a_json_mirror_under_one_control_is_refused_before_its_tokens_parse(parsed, controls):
+    """As in the text loader, a control count under 1 is refused with the
+    header, before the tokens (here a bad one first) are parsed."""
+    text = json.dumps({"controls": controls, "form": "standard", "targets": ["BAD", *ROTATIONS]})
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="few.json")
+    assert str(info.value) == f"few.json: bad control count '{controls}'"
+    assert parsed == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_batches_keep_the_first_bad_token_and_share_equal_matrices(monkeypatch, chunk, as_json):
+    """Tokens are numbered a batch at a time (in text, two tokens a line)
+    and parsed after the last batch, in the order they first occur."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+
+    def load(tokens):
+        if as_json:
+            data = {"controls": 3, "form": "standard", "targets": tokens}
+            return parse_qmux(json.dumps(data), "f")
+        lines = "".join(f"\n  {a} {b}" for a, b in zip(tokens[::2], tokens[1::2]))
+        return parse_qmux(f"controls: 3\nform: standard\ntargets:{lines}\n", "f")
+
+    # NOT opens the first batch and X comes in a later one: one matrix.
+    m = load(["NOT", "I", "V", "I", "V", "I", "X", "NOT"])
+    assert np.array_equal(m.palette.matrices, np.stack([gates.X, gates.I, gates.V]))
+    assert m.palette.index.tolist() == [0, 1, 2, 1, 2, 1, 0, 0]
+    # BAD, target 5 on line 6, is the first bad token; it neither opens a
+    # batch nor sorts first (AAA does), and it comes again after AAA.
+    with pytest.raises(ParseError) as info:
+        load(["I", "X", "V", "I", "NOT", "BAD", "AAA", "BAD"])
+    where = "f: target 5" if as_json else "f:6:7"
+    assert str(info.value) == f"{where}: unrecognized gate token 'BAD'"
 
 
 def test_the_largest_matchable_control_count_keeps_the_count_message():

@@ -373,21 +373,30 @@ def test_compared_last_level_on_ids_matches_per_polarity_reference(monkeypatch, 
             assert costs == expected, (block, chunk_bytes)
 
 
-@pytest.mark.parametrize("pool", ["full", "custom:X,I,RX(0.3)"])
-def test_only_ids_leave_the_last_block_variable_unexpanded(monkeypatch, pool):
-    # m = 8: 4 nodes of 4 rows.  IDs take one chunk a node and 5 slot
-    # columns a chunk; complex rows are a chunk each, with all 6 columns.
-    std = generate(8, resolve_pool(pool), seed=325)
+@pytest.mark.parametrize("entries", ["ids", "matrices", "bits"])
+def test_exact_entries_leave_the_last_block_variable_unexpanded(monkeypatch, entries):
+    """IDs and bits compare the last block variable's pairs in place of
+    its slot column; matrices expand it.  At m = n = 8 with 6 block
+    variables, 4 nodes of 4 rows: IDs and bits take one chunk a node and
+    5 slot columns a chunk; complex rows are a chunk each, with all 6."""
     columns = []
-    qetv_stage = kernels.qetv_stage
+    name = "etv_stage" if entries == "bits" else "qetv_stage"
+    stage = getattr(kernels, name)
 
     def counted(pairs, out, gate_group=None):
         columns.append(gate_group is not None)
-        qetv_stage(pairs, out, gate_group)
+        stage(pairs, out, gate_group)
 
-    monkeypatch.setattr(kernels, "qetv_stage", counted)
-    search.polarity_costs(std, "fpqf")
-    assert columns == ([True] * 4 * 5 if pool == "full" else [False] * 4 * 4 * 6)
+    monkeypatch.setattr(kernels, name, counted)
+    if entries == "bits":
+        monkeypatch.setitem(blocksearch.BLOCK_VARS, "fprm", 6)
+        bits = np.random.default_rng(325).integers(0, 2, size=256).astype(np.uint8)
+        blocksearch.polarity_costs(bits, "fprm", np.arange(9))
+    else:
+        pool = POOL_FULL if entries == "ids" else resolve_pool("custom:X,I,RX(0.3)")
+        search.polarity_costs(generate(8, pool, seed=325), "fpqf")
+    expected = {"ids": [True] * 4 * 5, "matrices": [False] * 4 * 4 * 6, "bits": [False] * 4 * 5}
+    assert columns == expected[entries]
 
 
 def test_exhaustive_fpqf_runs_dfs_columns_only_above_the_block(monkeypatch):
