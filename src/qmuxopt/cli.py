@@ -6,6 +6,11 @@ or usage error, 3 size limit exceeded.
 
 Every report embeds a manifest (tool version, command, inputs, config,
 seed, wall time) so runs can be reproduced.
+
+Only the modules every subcommand uses are imported here; each _cmd_*
+imports its own, so a run loads only what its subcommand needs.  Every
+call goes through its module's attribute at call time, so a wrapper set
+on that attribute sees it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ import os
 import sys
 import time
 
-from . import __version__, blocksearch, boolrm, cost, jsonout, kernels, mux, muxio, pla, randmux
-from . import search as search_mod
+from . import __version__, blocksearch, jsonout, kernels
 from .errors import ParseError, QmuxError, SizeLimitExceeded
 
 VERIFY_TOLERANCE = 1e-9
@@ -28,10 +32,10 @@ VERIFY_TOLERANCE = 1e-9
 VERIFY_LIMIT = 14
 
 _CLASSICAL_FAMILIES = {
-    "fpqf": boolrm.FPRM,
-    "fprm": boolrm.FPRM,
-    "kqf": boolrm.KRM,
-    "krm": boolrm.KRM,
+    "fpqf": blocksearch.FPRM,
+    "fprm": blocksearch.FPRM,
+    "kqf": blocksearch.KRM,
+    "krm": blocksearch.KRM,
 }
 
 
@@ -154,6 +158,9 @@ def _report(args, started: float, inputs, config: dict, text, json_body, csv, se
 
 
 def _cmd_optimize(args) -> int:
+    from . import cost, mux, muxio
+    from . import search as search_mod
+
     started = time.perf_counter()
     std = muxio.load_qmux(args.input)
     cfg = search_mod.SearchConfig(
@@ -199,6 +206,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import mux, muxio
+
     started = time.perf_counter()
     std = muxio.load_qmux(args.input)
     if std.controls > VERIFY_LIMIT:
@@ -246,7 +255,11 @@ def _cmd_verify(args) -> int:
 def _load_classical_input(text: str, output_index: int, family: str):
     """(function, path or None); a PLA's size limit is checked before its
     2^n minterm vector is built."""
+    from . import boolrm
+
     if os.path.exists(text) or text.lower().endswith(".pla"):
+        from . import pla
+
         cover = pla.load_pla(text)
         blocksearch.check_size(family, cover.num_inputs)
         return pla.to_bool_func(cover, output_index), text
@@ -256,6 +269,8 @@ def _load_classical_input(text: str, output_index: int, family: str):
 
 
 def _cmd_classical(args) -> int:
+    from . import boolrm
+
     started = time.perf_counter()
     family = _CLASSICAL_FAMILIES[args.family]
     try:
@@ -294,6 +309,8 @@ def _ranked_json(ranked) -> jsonout.Table:
 
 
 def _cmd_generate(args) -> int:
+    from . import muxio, randmux
+
     pool = randmux.resolve_pool(args.pool)
     generated = randmux.generate(args.controls, pool, args.seed)
     muxio.save_qmux(generated, args.out)
@@ -305,6 +322,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from . import cost, muxio
+
     started = time.perf_counter()
     loaded = muxio.load_qmux(args.input)
     report = cost.multiplexer_cost(loaded)

@@ -33,8 +33,23 @@ I exactly when its element is ID 0.  The growth is real: an H literal
 of 13 digits squares to (1 - 1.3e-13) I, and the all-positive m = 14
 cascade carries that to a gate 1.1e-9 from I, which the complex path
 counts; `intern` declines that input from m = 12 on.  On the full pool
-the residuals sum to 1.2e-15, so the ID path runs up to m = 18, where
-the measured drift (1.7e-12 at m = 17) stays far inside the bound.
+the residuals are 0 (targets), 9.89e-16 (table) and 2.2e-16 (adjoint),
+1.21e-15 in all, so the ID path runs up to m = 18 (3.2e-10 against
+EPS / 2 = 5e-10; m = 19 would be 6.3e-10), where the measured drift
+(1.7e-12 at m = 17) stays far inside the bound.
+
+The table `mul` is built by row blocks: each row is one (2, 2) @ (2, 2G)
+product of its element with all elements side by side, and each block
+takes one key, lookup, residual and near-neighbour pass.  A block holds
+kernels.CHUNK_ROWS // (4 G) rows, so each temporary holds about
+kernels.CHUNK_ROWS complex entries (64 KB), under glibc's default 128 KB
+mmap threshold: freeing blocks of kernels.CHUNK_ROWS matrices (256 KB)
+raised that threshold, and the allocator's later choices cost a
+full-pool m = 12 FPQF CLI run 8.95k minor page faults against 6.36k.
+One BLAS call per row rounds a few products differently from one call
+per pair: the full pool's table residual read 9.878e-16 that way, and no
+decision or table differs (`tests/test_group.py` holds `intern` to
+`reference.product_table`, which builds the table row by row).
 """
 
 from __future__ import annotations
@@ -143,6 +158,39 @@ def _closure(generators: np.ndarray):
     return np.concatenate(elements)
 
 
+def _table(elements: np.ndarray):
+    """(mul, residual): the (G, G) product table and the largest Frobenius
+    norm of a float product against its element; None when a product's key
+    is not an element's, or when an element has a near neighbour.
+
+    A key collision that merged two elements shows up as a product off its
+    element; two keys for one element show up as a near neighbour.  By row
+    blocks (see the module docstring), the temporaries stay at about
+    kernels.CHUNK_ROWS complex entries; the whole G x G product at once
+    would allocate several MB.
+    """
+    g = len(elements)
+    element_keys = _keys(elements)
+    order = np.argsort(element_keys)
+    side = elements.transpose(1, 0, 2).reshape(2, 2 * g)  # [E_0 E_1 ...] by columns
+    mul = np.empty((g, g), dtype=np.uint8)
+    residual = 0.0
+    step = max(1, kernels.CHUNK_ROWS // (4 * g))
+    for start in range(0, g, step):
+        block = elements[start : start + step]
+        distance = np.abs(block[:, None] - elements).reshape(len(block), g, 4).max(axis=2)
+        if np.any(np.count_nonzero(distance < 1 / _KEY_SCALE, axis=1) != 1):
+            return None
+        products = np.matmul(block, side).reshape(len(block), 2, g, 2).transpose(0, 2, 1, 3)
+        products = np.ascontiguousarray(products).reshape(-1, 2, 2)
+        row_ids = _lookup(element_keys, order, _keys(products))
+        if row_ids is None:
+            return None
+        residual = max(residual, _gap(products, elements, row_ids))
+        mul[start : start + step] = row_ids.reshape(len(block), g)
+    return mul, residual
+
+
 def intern(targets: np.ndarray, count: int):
     """(GateGroup, ids) when the distinct targets generate a group of at
     most MAX_ELEMENTS elements and the residuals of the encoding keep a
@@ -162,30 +210,17 @@ def intern(targets: np.ndarray, count: int):
     elements = _closure(targets[first])
     if elements is None:
         return None
-    g = len(elements)
     element_keys = _keys(elements)
     order = np.argsort(element_keys)
     rep_ids = _lookup(element_keys, order, distinct)
     if rep_ids is None:
         return None
     ids = rep_ids.astype(np.uint8)[where]
-
-    # Row by row keeps the temporaries at G matrices; the whole G x G
-    # product at once would allocate several MB.  A key collision that
-    # merged two elements shows up as a product off its element; two keys
-    # for one element show up as a near neighbour.
-    mul = np.empty((g, g), dtype=np.uint8)
-    table_residual = 0.0
-    for i in range(g):
-        near = np.abs(elements - elements[i]).reshape(g, 4).max(axis=1) < 1 / _KEY_SCALE
-        if np.count_nonzero(near) != 1:
-            return None
-        row = np.matmul(elements[i], elements)
-        row_ids = _lookup(element_keys, order, _keys(row))
-        if row_ids is None:
-            return None
-        table_residual = max(table_residual, _gap(row, elements[row_ids]))
-        mul[i] = row_ids
+    table = _table(elements)
+    if table is None:
+        return None
+    mul, table_residual = table
+    g = len(elements)
     inv = np.argmin(mul, axis=1).astype(np.uint8)
     if np.any(mul[np.arange(g), inv] != 0):
         return None

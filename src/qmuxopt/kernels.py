@@ -105,7 +105,10 @@ def _times_inverse(x, y, out, group) -> None:
         index = x.astype(np.uint16)
         index <<= 8
         index |= y
-        np.take(group.mulinv, index, out=out)
+        # "clip" never clips here (a uint16 index never passes the 65,536-entry
+        # mulinv, and every ID is below len(inv)); it lets take write straight
+        # into `out`, where "raise" stages it in a copy.
+        np.take(group.mulinv, index, out=out, mode="clip")
 
 
 def _xor(x, y, out, group) -> None:
@@ -182,7 +185,7 @@ def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     if group is None:
         _times_inverse(a, b, out[:, 3], group)
     else:
-        np.take(group.inv, out[:, 2], out=out[:, 3])
+        np.take(group.inv, out[:, 2], out=out[:, 3], mode="clip")  # see _times_inverse
 
 
 def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:

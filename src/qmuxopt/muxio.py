@@ -165,6 +165,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", source, exc.lineno, exc.colno)
+        except ValueError as exc:  # an int past Python's digit limit, such as a huge count
+            raise ParseError(f"bad JSON: {exc}", source)
         return from_json_dict(data, source)
 
     controls = controls_line = form = targets_line = last_line = None

@@ -7,10 +7,12 @@ gate by gate from the activation semantics, mux.forward_transform;
 rm_transform_matrix (a Kronecker product) and evaluate_spectrum (the XOR of
 map_coefficient's base functions) boolrm.rm_transform; control_count and
 map_coefficient's literal counts blocksearch.count_vector; render_gate,
-one matrix at a time, gates.render_gates; and the pinned optima of
-known_cases search.exhaustive_search.  random_unitary samples inputs for
-them.  Only the package's __init__ imports this module, and it never calls
-the kernels it checks.
+one matrix at a time, gates.render_gates; product_table, row by row and
+by nearest elements, the table step of group.intern; and the pinned
+optima of known_cases search.exhaustive_search.  random_unitary samples
+inputs for them.  No module of the program imports this one (the
+package's __init__ names its exports, imported on first use), and it never
+calls the kernels it checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .boolrm import BoolFunc, RMSpectrum
 from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
 from .mux import STANDARD, Multiplexer, activation_mask, form_for_polarity
 from .pla import to_multiplexer
+
+# group.intern's key grid: distinct elements lie farther apart than this.
+_GRID = 2.0**-20
 
 _STAGE_MATRICES = {
     "1": np.array([[1, 0], [1, 1]], dtype=np.uint8),
@@ -78,6 +83,28 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     alpha, gamma, delta = rng.uniform(0.0, 2 * np.pi, size=3)
     beta = rng.uniform(0.0, np.pi)
     return np.exp(1j * delta) * (gates.rz(alpha) @ gates.ry(beta) @ gates.rz(gamma))
+
+
+def product_table(elements: np.ndarray):
+    """(mul, residual) of group.intern's table step, one row at a time and
+    without keys: mul[i, j] is the element nearest elements[i] @ elements[j]
+    by the largest entry difference, and residual the largest Frobenius
+    norm of such a product against its element.  None, where the step
+    declines, when two elements lie within 2^-20 of each other (the key
+    grid) or a product lies no nearer than that to every element."""
+    g = len(elements)
+    mul = np.empty((g, g), dtype=np.uint8)
+    residual = 0.0
+    for i in range(g):
+        if np.count_nonzero(np.abs(elements - elements[i]).max(axis=(1, 2)) < _GRID) != 1:
+            return None
+        row = np.matmul(elements[i], elements)
+        distance = np.abs(row[:, None] - elements[None]).max(axis=(2, 3))
+        mul[i] = nearest = distance.argmin(axis=1)
+        if distance[np.arange(g), nearest].max() >= _GRID:
+            return None
+        residual = max(residual, float(np.linalg.norm(row - elements[nearest], axis=(1, 2)).max()))
+    return mul, residual
 
 
 def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:

@@ -2,9 +2,9 @@
 
 No module imports or reads another module's private (`_name`) names: each
 rule lives behind the public names of its home.  The reference oracles in
-`reference` stay out of the program: only the package's `__init__`
-imports them, and they never run through the `kernels` they check.
-`kernels` imports no module of the package, and `blocksearch` is the only
+`reference` stay out of the program: no module imports them (the
+package's `__init__` names them, imported on first use), and they never
+run through the `kernels` they check.  `kernels` imports no module of the package, and `blocksearch` is the only
 other module that reads a column code or runs a column: it alone turns a
 family and a polarity digit into columns.  `mux` alone expands a
 multiplexer's palette into the 2^m complex vector: everywhere else the
@@ -14,9 +14,19 @@ calls a stream's write: every report and file goes through its one
 batching loop, so no report can be joined into one string again; and
 `jsonout` alone calls json.dumps, so every JSON document, report or
 file, is written by its streaming writer.
+
+What a run loads is checked too, in fresh interpreters: importing the
+package loads none of its modules (its names are imported on first use),
+`qmuxopt.cli` loads only the modules every subcommand uses, and each
+subcommand loads its own, never the other side's (quantum or classical)
+nor `reference`.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,3 +319,87 @@ def test_the_json_dumps_rule_fails_when_a_stray_dumps_is_put_back():
         "json.loads(text)\n"
     )
     assert json_dumps_calls(ast.parse(muxio + stray)) == [end + 1, end + 3]
+
+
+# The names the package exports, by home module.
+EXPORTS = {
+    "boolrm": ["FPRM", "KRM", "BoolFunc", "RMSpectrum", "literal_cost", "rm_inverse_transform",
+               "rm_search", "rm_transform"],
+    "cost": ["CostReport", "gate_cost", "multiplexer_cost"],
+    "mux": ["FPQF", "KQF", "STANDARD", "Multiplexer", "forward_transform", "inverse_transform",
+            "max_semantic_deviation", "negative_control_realization", "semantics"],
+    "muxio": ["dump_qmux", "load_qmux", "parse_qmux", "save_qmux"],
+    "pla": ["load_pla", "parse_pla", "to_bool_func", "to_multiplexer"],
+    "randmux": ["POOL_FULL", "POOL_NVV", "GatePool", "generate"],
+    "reference": ["BaseFunction", "butterfly_stage", "control_count", "known_cases",
+                  "map_coefficient", "rm_transform_matrix", "triangular_solve"],
+    "search": ["SearchConfig", "SearchReport", "exhaustive_search", "random_polarity_search",
+               "run_search"],
+}
+# Loaded by `import qmuxopt.cli`: gates comes with blocksearch (EPS).
+SHARED = {"blocksearch", "cli", "errors", "gates", "jsonout", "kernels"}
+CLASSICAL_ONLY = {"boolrm", "pla", "reference"}
+QUANTUM_ONLY = {"search", "group", "mux", "muxio", "cost", "randmux", "reference"}
+
+
+@pytest.mark.parametrize(
+    "module,name", [(m, n) for m, names in EXPORTS.items() for n in names],
+    ids=lambda x: x,
+)
+def test_every_exported_name_is_its_modules_object(module, name):
+    home = getattr(importlib.import_module(f"qmuxopt.{module}"), name)
+    assert getattr(qmuxopt, name) is home
+    assert name in qmuxopt.__all__
+    star = {}
+    exec("from qmuxopt import *", star)
+    assert star[name] is home
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nothing_here'"):
+        qmuxopt.nothing_here  # noqa: B018
+
+
+def _loaded(script, cwd) -> set:
+    """The package's modules loaded once the script has run in a fresh
+    interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script += (
+        "\nimport sys\n"
+        "print(*sorted(n.split('.')[1] for n in sys.modules if n.startswith('qmuxopt.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def _cli_run(*argv) -> str:
+    return f"from qmuxopt import cli\nassert cli.main({list(argv)!r}) == 0\n"
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    assert _loaded("import qmuxopt", tmp_path) == set()
+
+
+def test_the_cli_module_loads_only_the_shared_modules(tmp_path):
+    assert _loaded("import qmuxopt.cli", tmp_path) == SHARED
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_optimize_loads_no_classical_module(tmp_path, mode):
+    made = _loaded(_cli_run("generate", "--controls", "4", "--out", "m.qmux"), tmp_path)
+    assert made & CLASSICAL_ONLY == set()
+    loaded = _loaded(
+        _cli_run("optimize", "m.qmux", "--family", "kqf", "--mode", mode, "--out", "r.txt"),
+        tmp_path,
+    )
+    assert "search" in loaded and "group" in loaded
+    assert loaded & CLASSICAL_ONLY == set()
+
+
+def test_a_minterm_string_classical_loads_no_quantum_module(tmp_path):
+    loaded = _loaded(_cli_run("classical", "01101111", "--out", "r.txt"), tmp_path)
+    assert "boolrm" in loaded
+    assert loaded & QUANTUM_ONLY == set()

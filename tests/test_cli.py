@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -400,15 +401,18 @@ def _refuse(*args, **kwargs):
     raise AssertionError("built a report body the format does not use")
 
 
-# Per format, the body builders of the other formats; each must not run.
+# Per format, the body builders of the other formats, as "module.name...";
+# each must not run.
 OPTIMIZE_UNUSED = {
-    "text": ["search_mod.SearchReport.to_json_dict", "cost.CostReport.to_json_dict",
-             "search_mod.SearchReport.csv_row"],
-    "json": ["cost.CostReport.format_table", "search_mod.SearchReport.csv_row"],
+    "text": ["search.SearchReport.to_json_dict", "cost.CostReport.to_json_dict",
+             "search.SearchReport.csv_row"],
+    "json": ["cost.CostReport.format_table", "search.SearchReport.csv_row"],
     "csv": ["cost.CostReport.format_table", "cost.CostReport.to_json_dict",
-            "search_mod.SearchReport.to_json_dict", "muxio.target_tokens"],
+            "search.SearchReport.to_json_dict", "muxio.target_tokens"],
 }
-CLASSICAL_UNUSED = {"text": ["_ranked_json"], "json": ["_ranked_lines"], "csv": ["_ranked_json"]}
+CLASSICAL_UNUSED = {
+    "text": ["cli._ranked_json"], "json": ["cli._ranked_lines"], "csv": ["cli._ranked_json"],
+}
 COST_UNUSED = {
     "text": ["cost.CostReport.to_json_dict"],
     "json": ["cost.CostReport.format_table"],
@@ -417,11 +421,11 @@ COST_UNUSED = {
 
 
 def _patch_out(monkeypatch, names):
-    import qmuxopt.cli as cli_mod
-
+    """Patch each name in its own module, which the commands import when
+    they run."""
     for name in names:
-        *path, attr = name.split(".")
-        owner = cli_mod
+        module, *path, attr = name.split(".")
+        owner = importlib.import_module(f"qmuxopt.{module}")
         for part in path:
             owner = getattr(owner, part)
         monkeypatch.setattr(owner, attr, _refuse)

@@ -134,3 +134,16 @@ def test_every_mutated_input_keeps_the_exit_code_contract(base, mutations, polar
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
                 if _BEFORE_TOKENS.search(err):
                     assert parsed == 0, err
+
+
+def test_a_json_count_past_the_int_digit_limit_exits_2_naming_the_file():
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "big.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"controls": 1' + "0" * 5000 + ', "form": "standard", "targets": ["I", "X"]}')
+        for argv in (["cost", path], ["optimize", path], ["verify", path, "1"]):
+            code, err, caught, parsed = _run(argv)
+            assert code == 2, argv
+            assert not caught and "Traceback" not in err
+            assert err.startswith(f"error: {path}: bad JSON: ") and err.count("\n") == 1, err
+            assert parsed == 0

@@ -146,3 +146,65 @@ def test_complex_cascade_stays_inside_the_bound_at_the_deepest_accepted_m():
 def test_full_pool_is_interned_at_the_random_benchmark_size():
     gate_group, ids = _interned(generate(17, POOL_FULL, seed=10).targets)
     assert len(gate_group.elements) == 192
+
+
+def _literal_h(digits):
+    h = "0." + "7071067811865475244"[:digits]
+    return gates.parse_gate(f"M({h},0,{h},0,{h},0,-{h},0)")
+
+
+def _palette(*tokens):
+    return np.stack([gates.parse_gate(t) for t in tokens])
+
+
+# (palette, controls): the full and nvv pools at every size, small
+# generating sets (Cliffords, an infinite group, the identity alone) and
+# the near-H literals of 12 to 15 digits with X across their boundaries.
+INTERN_CORPUS = (
+    [(POOL_FULL.matrices(), m) for m in range(2, 21)]
+    + [(POOL_NVV.matrices(), m) for m in range(2, 21)]
+    + [
+        (_palette(*tokens), 8)
+        for tokens in (("X", "H"), ("V", "Z"), ("Y", "V"), ("H", "Z", "V"), ("X", "RX(0.3)"), ("I",))
+    ]
+    + [(np.stack([_literal_h(d), gates.X]), m) for d in (12, 13, 14, 15) for m in range(6, 20)]
+)
+
+
+def test_intern_matches_the_row_by_row_reference(monkeypatch):
+    """The table built by row blocks gives the decision and the tables of
+    reference.product_table, which builds it one row at a time by nearest
+    elements instead of keys."""
+    tables = {}
+
+    def by_rows(elements):
+        key = elements.tobytes()
+        if key not in tables:
+            tables[key] = reference.product_table(elements)
+        return tables[key]
+
+    accepted = 0
+    for palette, m in INTERN_CORPUS:
+        got = group.intern(palette, 1 << m)
+        with monkeypatch.context() as patch:
+            patch.setattr(group, "_table", by_rows)
+            want = group.intern(palette, 1 << m)
+        assert (got is None) == (want is None), m
+        if got is None:
+            continue
+        accepted += 1
+        (got_group, got_ids), (want_group, want_ids) = got, want
+        assert got_group.elements.tobytes() == want_group.elements.tobytes()
+        for name in ("mul", "inv", "mulinv"):
+            assert np.array_equal(getattr(got_group, name), getattr(want_group, name)), name
+        assert np.array_equal(got_ids, want_ids)
+    # Both kinds of decision are covered: the full pool stops at m = 18.
+    assert 0 < accepted < len(INTERN_CORPUS)
+
+
+def test_table_declines_an_element_with_a_near_neighbour():
+    # Two elements 1e-9 apart share a key; both table builders refuse them.
+    elements = np.stack([gates.I, gates.X, gates.X * (1 + 1e-9)])
+    assert group._table(elements) is None
+    assert reference.product_table(elements) is None
+    assert group._table(elements[:2]) is not None

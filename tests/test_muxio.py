@@ -222,6 +222,15 @@ def test_parse_rejects_malformed_input(text, needle):
     assert needle in str(info.value)
 
 
+def test_a_json_count_past_the_int_digit_limit_names_the_file():
+    # json.loads refuses an int of more than 4,300 digits with a bare ValueError.
+    text = '{"controls": 1' + "0" * 5000 + ', "form": "standard", "targets": ["I", "X"]}'
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, "big.json")
+    assert str(info.value).startswith("big.json: bad JSON: ")
+    assert "4300" in str(info.value)
+
+
 def test_parse_rejects_non_unitary_literal():
     text = "controls: 1\nform: standard\ntargets: I M(1,0,0,0,0,0,2,0)\n"
     with pytest.raises(ParseError) as info:
