@@ -216,11 +216,24 @@ def digit_mask(polarity: str, digit: str) -> int:
     return sum(1 << k for k, d in enumerate(reversed(polarity)) if d == digit)
 
 
-def count_vector(polarity: str, family: str) -> np.ndarray:
+def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
     as int64: reference.control_count, or the literal count of
     reference.map_coefficient.
-    One digit's vector is its (clear-bit, set-bit) shifts."""
+    One digit's vector is its (clear-bit, set-bit) shifts.
+
+    Given `rows`, a slice of positions, only their counts: a position's
+    count is its top digits' count plus its bottom digits' count, read off
+    one vector each.  The bottom digits are as many as index a
+    kernels.CHUNK_ROWS chunk, at most n, so both vectors stay small (2^12
+    and 2^(n - 12) entries at the default) and no 2^n vector is built."""
+    if rows is not None:
+        n = len(polarity)
+        low_digits = min(n, kernels.CHUNK_ROWS.bit_length() - 1)
+        high = count_vector(polarity[: n - low_digits], family)
+        low = count_vector(polarity[n - low_digits :], family)
+        positions = np.arange(*rows.indices(1 << n))
+        return high[positions >> low_digits] + low[positions & (len(low) - 1)]
     rules = SLOT_RULES[family]
     counts = np.zeros(1, dtype=np.int64)
     for digit in polarity:

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from . import __version__, blocksearch, jsonout, kernels
+from . import __version__, blocksearch, jsonout
 from .errors import ParseError, QmuxError, SizeLimitExceeded
 
 VERIFY_TOLERANCE = 1e-9
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _report(args, started: float, inputs, config: dict, text, json_body, csv, seed=None) -> None:
     """Write the report in args.format to args.out, or to stdout, through
-    jsonout, the one writer, kernels.CHUNK_ROWS pieces per write.
+    jsonout, the one writer, in writes of bounded length.
 
     The report owns its manifest: the command, inputs, config and seed,
     and the wall time since `started`, stamped here before any body is
@@ -330,9 +330,8 @@ def _cmd_cost(args) -> int:
 
     def csv_lines():
         yield "gate,controls,cost\n"
-        for start in range(0, len(report.costs), kernels.CHUNK_ROWS):
-            rows = report.rows(slice(start, start + kernels.CHUNK_ROWS))
-            yield from map("%d,%d,%d\n".__mod__, rows)
+        for batch in report.batches():
+            yield jsonout.format_rows("%d,%d,%d\n", [column.tolist() for column in batch])
         yield f"# total: {report.total}\n# skipped_identities: {report.skipped_identities}\n"
 
     _report(

@@ -7,10 +7,19 @@ formula agree at 9 controls).  Targets exactly equal to the identity cost
 nothing; a target equal to the identity times a nontrivial phase is NOT
 free, since a controlled phase is physical.  Line inverters on negative
 controls are free.
+
+multiplexer_cost's CostReport is a streamed view of its multiplexer: it
+holds one identity decision per palette matrix, its total and its
+skipped identities, and no per-gate array.  Its rows are made
+kernels.CHUNK_ROWS gates at a time, each chunk's counts from
+blocksearch.count_vector's rows form, whenever the JSON, CSV or text
+report asks for them; so pricing a 2^m-gate multiplexer builds no 2^m
+array, and every report path reads the rows the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,57 +54,80 @@ def cost_table_vector(max_controls: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CostReport:
-    """Cost of every gate that is not the identity, in gate order, as
-    int64 arrays: its index, its control count and its cost."""
+    """Cost of every gate of a multiplexer that is not the identity, in gate
+    order, as a streamed view of the multiplexer: the report holds one
+    identity decision per palette matrix (`live`, True for a matrix that
+    costs) and its total and skipped identities, and no per-gate array.
+    Its (gate index, controls, cost) rows are made kernels.CHUNK_ROWS gates
+    at a time, each chunk's counts by blocksearch.count_vector's rows form,
+    whenever a writer asks for them (see batches and rows)."""
 
-    gate_index: np.ndarray
-    controls: np.ndarray
-    costs: np.ndarray
+    mux: Multiplexer
+    live: np.ndarray
+    total: int
     skipped_identities: int
 
-    @property
-    def total(self) -> int:
-        return int(self.costs.sum())
+    def batches(self, reverse=False):
+        """The costed gates among each kernels.CHUNK_ROWS gates, as int64
+        arrays (gate index, controls, cost), chunks in gate order, or from
+        the last chunk back."""
+        return _batches(self.mux, self.live, reverse)
 
-    def rows(self, which=slice(None)):
-        """(gate index, controls, cost) rows as Python ints; `which`
-        selects among the costed gates."""
-        columns = (self.gate_index[which], self.controls[which], self.costs[which])
-        return zip(*(column.tolist() for column in columns))
+    def rows(self, reverse=False):
+        """(gate index, controls, cost) rows as Python ints, in gate order,
+        or from the last row back."""
+        for batch in self.batches(reverse):
+            rows = zip(*(column.tolist() for column in batch))
+            yield from reversed(list(rows)) if reverse else rows
 
     def to_json_dict(self) -> dict:
         """JSON body for jsonout.write_json; per_gate is a Table of the
-        columns gate_index, controls and cost, which the writer reads from
-        the arrays a batch of rows at a time."""
-        columns = (self.gate_index, self.controls, self.costs)
+        columns gate_index, controls and cost, handed to the writer as
+        batches, one chunk of gates each."""
+        keys = ("gate_index", "controls", "cost")
         return {
-            "per_gate": jsonout.Table(("gate_index", "controls", "cost"), columns),
+            "per_gate": jsonout.Table(keys, batches=self.batches()),
             "total": self.total,
             "skipped_identities": self.skipped_identities,
         }
 
     def format_table(self) -> str:
-        """Aligned-column text table; long reports elide the middle."""
+        """Aligned-column text table; long reports elide the middle.  Only
+        the chunks that hold the rows shown are made."""
         row = "{:>6}  {:>8}  {:>6}".format
         lines = [row("gate", "controls", "cost")]
-        n = len(self.costs)
+        n = self.mux.num_targets - self.skipped_identities
         if n <= TABLE_MAX_ROWS:
             lines += [row(*r) for r in self.rows()]
         else:
-            lines += [row(*r) for r in self.rows(slice(0, TABLE_MAX_ROWS - 8))]
+            lines += [row(*r) for r in itertools.islice(self.rows(), TABLE_MAX_ROWS - 8)]
             lines.append(f"{'...':>6}  ({n - TABLE_MAX_ROWS} rows elided)")
-            lines += [row(*r) for r in self.rows(slice(n - 8, n))]
+            tail = list(itertools.islice(self.rows(reverse=True), 8))
+            lines += [row(*r) for r in reversed(tail)]
         lines.append(f"total: {self.total}    skipped identities: {self.skipped_identities}")
         return "\n".join(lines)
+
+
+def _batches(mux: Multiplexer, live: np.ndarray, reverse: bool):
+    """CostReport.batches of the multiplexer, whose palette matrices cost
+    where `live` is True."""
+    table = cost_table_vector(mux.controls)
+    starts = range(0, mux.num_targets, kernels.CHUNK_ROWS)
+    for start in reversed(starts) if reverse else starts:
+        rows = slice(start, start + kernels.CHUNK_ROWS)
+        alive = mux.palette.per_gate(live, rows)
+        controls = blocksearch.count_vector(mux.digits, KQF, rows)[alive]
+        yield np.flatnonzero(alive) + start, controls, table[controls]
 
 
 def multiplexer_cost(mux: Multiplexer) -> CostReport:
     """Cost report for a multiplexer in its current form (standard form is
     the all-mixed polarity).  Identity targets are skipped; the identity
-    test runs once per palette matrix."""
-    counts = blocksearch.count_vector(mux.digits, KQF)
-    is_identity = mux.palette.per_gate(kernels.identity_mask(mux.palette.matrices, EPS))
-    gate_index = np.flatnonzero(~is_identity).astype(np.int64, copy=False)
-    controls = counts[gate_index]
-    costs = cost_table_vector(mux.controls)[controls]
-    return CostReport(gate_index, controls, costs, int(is_identity.sum()))
+    test runs once per palette matrix, and the total and the count of
+    skipped identities come from one pass over the report's batches."""
+    live = ~kernels.identity_mask(mux.palette.matrices, EPS)
+    total = costed = 0
+    for gate_index, _, costs in _batches(mux, live, reverse=False):
+        total += int(costs.sum())
+        costed += len(gate_index)
+    return CostReport(mux, live, total, mux.num_targets - costed)

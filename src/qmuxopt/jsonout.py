@@ -1,22 +1,26 @@
 """The one streaming writer of every report and file.
 
 write(fh, pieces) is the one loop that calls a stream's write: it joins
-any iterable of strs into writes of kernels.CHUNK_ROWS pieces each, so a
-report or .qmux file of tens of MB is never held as one string.  The
-text and CSV reports hand it newline-ended lines, a long line (the
-optimize report's targets) a token at a time, and a .qmux file is handed
-over a token at a time.
+any iterable of strs into writes of at most kernels.CHUNK_ROWS pieces
+and at most a character bound derived from kernels.CHUNK_ROWS (see
+WRITE_CHARS_PER_ROW), a longer piece going alone, so no write is longer
+than that bound or its one piece, and a report or .qmux file of tens of
+MB is never held as one string.  The text and CSV reports hand it
+newline-ended lines or batches of rows, a long line (the optimize
+report's targets) a token at a time, and a .qmux file is handed over a
+token at a time.
 
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
-through write, one piece per dict key, iterator item or table row.  It writes
-dict keys itself at every level (keys are strs), an iterator (of strs) as
-the JSON list of its strs, taking each only when it reaches it, and a
-Table row by row from one %-template, reading its columns
-kernels.CHUNK_ROWS rows at a time; any other value, lists included, is
-small and goes through json.dumps, re-indented to its depth (JSON text
-never holds a raw newline inside a string, so replacing every newline is
-safe).  The text of each item is that of json.dumps, so the batching
-changes no byte.
+through write, one piece per dict key, iterator item or batch of table
+rows.  It writes dict keys itself at every level (keys are strs), an
+iterator (of strs) as the JSON list of its strs, taking each only when it
+reaches it, and a Table in pieces of as many rows as fill one write (at
+most kernels.CHUNK_ROWS), each piece one %-template repeated once per
+row; a Table may come as batches of columns, made only when the writer
+reaches them.  Any other value, lists included, is small and goes through
+json.dumps, re-indented to its depth (JSON text never holds a raw newline
+inside a string, so replacing every newline is safe).  The text of each
+item is that of json.dumps, so the batching changes no byte.
 """
 
 from __future__ import annotations
@@ -35,21 +39,56 @@ class Table:
     """A JSON list of dicts that share `keys`, held by column: row i is
     {keys[k]: columns[k][i]}.  Each column is a list of strs, or of ints:
     a list of Python ints or a numpy integer array, which write_json turns
-    into Python ints a batch of rows at a time."""
+    into Python ints a batch of rows at a time.
+
+    Given `batches` instead of columns, the rows are those of each batch in
+    turn, a batch being a tuple of such columns: a table made a chunk at a
+    time (cost.CostReport's) is then written a chunk at a time, and
+    `batches` may be a one-shot iterator."""
 
     keys: tuple
-    columns: tuple
+    columns: tuple = ()
+    batches: object = None
+
+
+# The character bound of one write is this many characters for each of
+# kernels.CHUNK_ROWS rows: 64K characters at the default, and a table
+# goes out in pieces of as many rows as fill it (about 760 to 1,260 JSON
+# rows).  Peak RSS from os.wait4 on a 2-core Xeon (3 runs each), against
+# 64 characters a row: classical FPRM at n = 14, JSON, 34.2 -> 33.3 MB
+# (33.9 MB with a piece per row); random_m17 49.3 MB and fpqf_m12 34.5 MB
+# at both.
+WRITE_CHARS_PER_ROW = 16
+
+
+def _write_bound() -> int:
+    """The most characters one write joins: WRITE_CHARS_PER_ROW for each of
+    kernels.CHUNK_ROWS rows."""
+    return kernels.CHUNK_ROWS * WRITE_CHARS_PER_ROW
 
 
 def write(fh, pieces) -> None:
-    """Write the strs of `pieces` to fh, kernels.CHUNK_ROWS of them joined
-    into each write.  With PYTHONUNBUFFERED or `python -u` every stdout
-    write is a system call.  Empty pieces are dropped, so an empty batch
-    means the pieces have run out, and no batch's list of pieces outlives
+    """Write the strs of `pieces` to fh, joined into writes of at most
+    kernels.CHUNK_ROWS pieces and at most kernels.CHUNK_ROWS *
+    WRITE_CHARS_PER_ROW characters each.  A piece longer than that bound
+    (a batch of table rows can be) is written alone, with no join and so
+    no copy: no write is longer than the bound or than its one piece.
+    With PYTHONUNBUFFERED or `python -u` every stdout write is a system
+    call.  Empty pieces are dropped, and no write's list of pieces outlives
     its join."""
-    pieces = filter(None, pieces)
-    while text := "".join(itertools.islice(pieces, kernels.CHUNK_ROWS)):
-        fh.write(text)
+    most, bound = kernels.CHUNK_ROWS, _write_bound()
+    batch, size = [], 0
+    append = batch.append
+    for piece in filter(None, pieces):
+        size += len(piece)
+        if size > bound or len(batch) == most:  # flush before the piece
+            if batch:
+                fh.write("".join(batch))
+                batch.clear()
+            size = len(piece)
+        append(piece)
+    if batch:
+        fh.write("".join(batch))
 
 
 def write_json(fh, value) -> None:
@@ -58,7 +97,8 @@ def write_json(fh, value) -> None:
 
 
 def _pieces(value, pad: str):
-    """The text of value at indent `pad`, one piece per key, item or row."""
+    """The text of value at indent `pad`, one piece per key, item or batch
+    of table rows."""
     inner = pad + "  "
     if isinstance(value, Table):
         yield from _table(value, pad)
@@ -83,34 +123,43 @@ def _pieces(value, pad: str):
 
 
 def _table(table: Table, pad: str):
+    """The table's rows, each batch in pieces of as many rows as fill the
+    write bound at the length of the row's template (at least one, at most
+    kernels.CHUNK_ROWS): each piece is one %-template, the text of a row
+    after its separator, repeated once per row and filled from the rows'
+    values in one step."""
     inner, field = pad + "  ", pad + "    "
-    texts, fields = [], []
-    for key, column in zip(table.keys, table.columns):
-        text = len(column) > 0 and isinstance(column[0], str)
-        texts.append(text)
-        name = encode_basestring_ascii(key).replace("%", "%%")
-        fields.append(f"{field}{name}: {'%s' if text else '%d'}")
-    row = "{\n" + ",\n".join(fields) + "\n" + inner + "}"
-    rows = itertools.chain.from_iterable(
-        zip(*_columns(table, texts, start))
-        for start in range(0, len(table.columns[0]), kernels.CHUNK_ROWS)
-    )
-    first = next(rows, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[\n" + inner + row % first
-    yield from map((",\n" + inner + row).__mod__, rows)
-    yield "\n" + pad + "]"
+    names = [encode_basestring_ascii(key).replace("%", "%%") for key in table.keys]
+    opened = False
+    for columns in (table.columns,) if table.batches is None else table.batches:
+        if not len(columns[0]):
+            continue
+        texts = [isinstance(column[0], str) for column in columns]
+        fields = [f"{field}{name}: {'%s' if t else '%d'}" for name, t in zip(names, texts)]
+        row = ",\n" + inner + "{\n" + ",\n".join(fields) + "\n" + inner + "}"
+        step = max(1, min(kernels.CHUNK_ROWS, _write_bound() // len(row)))
+        for start in range(0, len(columns[0]), step):
+            piece = format_rows(row, _columns(columns, texts, slice(start, start + step)))
+            yield piece if opened else "[" + piece[1:]  # "[\n" opens, ",\n" follows
+            opened = True
+    yield "\n" + pad + "]" if opened else "[]"
 
 
-def _columns(table: Table, texts: list, start: int) -> list:
-    """kernels.CHUNK_ROWS rows of the table's columns from `start`, as
-    lists of Python ints and of encoded strs: only one batch of row values
-    exists as Python objects at a time."""
+def format_rows(template: str, columns) -> str:
+    """template % row for every row of the columns (sequences of one
+    length), as one str: the template repeated once per row, filled from
+    all the rows' values in one step."""
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return template * len(columns[0]) % values
+
+
+def _columns(columns: tuple, texts: list, rows: slice) -> list:
+    """The rows of the columns as lists of Python ints and, where `texts`
+    says so, of encoded strs: only one piece's row values exist as Python
+    objects at a time."""
     part = []
-    for column, text in zip(table.columns, texts):
-        values = column[start : start + kernels.CHUNK_ROWS]
+    for column, text in zip(columns, texts):
+        values = column[rows]
         if text:
             part.append(list(map(encode_basestring_ascii, values)))
         else:

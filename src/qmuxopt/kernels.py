@@ -47,7 +47,8 @@ and in which order, is blocksearch's to decide, not this module's.
 
 `CHUNK_ROWS` is the program's one per-gate batch size: kernel passes,
 loader batches, render chunks, report rows and the pieces of one write
-all take at most that many at a time.
+all take at most that many at a time, and it sets the character bound of
+one write (see jsonout.write).
 `read_only` is how the immutable values (`mux.Multiplexer`,
 `boolrm.BoolFunc`, `boolrm.RMSpectrum`) take an array: they copy it
 unless it is handed over.

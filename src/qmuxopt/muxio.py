@@ -22,10 +22,12 @@ gate (one byte while there are at most 256 of them).  Neither loader
 builds the 2^m complex vector.
 
 Files are streamed the same way: both formats are written through jsonout
-a token at a time, from the targets' tokens rendered a chunk of
-mux.target_chunks at a time, so no writer builds the complex vector or
-holds the file's text.  dump_qmux and dump_qmux_json return the bytes
-save_qmux writes.
+a token at a time, from target_tokens, which renders a palette's distinct
+matrices once and indexes their tokens a chunk at a time, and a plain
+target array a chunk of mux.target_chunks at a time, so no writer builds
+the complex vector or holds the file's text, and every write is bounded
+in characters (see jsonout.write).  dump_qmux and dump_qmux_json return
+the bytes save_qmux writes.
 """
 
 from __future__ import annotations
@@ -257,11 +259,24 @@ def load_qmux(path) -> Multiplexer:
 
 
 def target_tokens(m: Multiplexer):
-    """The targets' gate tokens, one-shot: each chunk of mux.target_chunks
-    is rendered (see gates.render_gates) only when its first token is
-    consumed, so nothing is rendered by this call.  A chunk's tokens are
-    dropped before the next chunk is rendered."""
-    return itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
+    """The targets' gate tokens, one-shot, made kernels.CHUNK_ROWS gates at
+    a time, each chunk only when its first token is consumed, so nothing is
+    rendered by this call.  A palette's matrices are rendered once (see
+    gates.render_gates), with the first chunk, and each chunk indexes their
+    tokens; a plain target array (a transform's output) is rendered a chunk
+    of mux.target_chunks at a time.  A token's text depends only on its
+    matrix, so both give the same tokens, and a chunk's tokens are dropped
+    before the next chunk is made."""
+    if m.palette.index is None:
+        return itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
+    return itertools.chain.from_iterable(_palette_tokens(m.palette))
+
+
+def _palette_tokens(palette: Palette):
+    """Lists of the palette's gate tokens, kernels.CHUNK_ROWS gates each."""
+    tokens = np.array(gates.render_gates(palette.matrices), dtype=object)
+    for start in range(0, len(palette.index), kernels.CHUNK_ROWS):
+        yield palette.per_gate(tokens, slice(start, start + kernels.CHUNK_ROWS)).tolist()
 
 
 def _write_qmux(fh, m: Multiplexer, as_json: bool) -> None:

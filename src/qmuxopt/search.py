@@ -123,14 +123,18 @@ def _roots(std: mux.Multiplexer) -> tuple:
     return gate_group, std.palette.per_gate(ids).copy
 
 
-def _cost(targets: np.ndarray, polarity: str, family: str) -> int:
+def _cost(targets: np.ndarray, counts: np.ndarray, controls: int) -> int:
     """Cost of a polarized target vector (gates or IDs) by blocksearch's one
-    rule; the standard form is the all-'2' KQF polarity.  The identity test
-    is exact on IDs and within EPS on complex targets, the same decision
-    (see group)."""
-    counts = blocksearch.count_vector(polarity, family)
-    table = cost.cost_table_vector(len(polarity))
+    rule, given its polarity's count_vector; the standard form is the
+    all-'2' KQF polarity.  The identity test is exact on IDs and within EPS
+    on complex targets, the same decision (see group)."""
+    table = cost.cost_table_vector(controls)
     return kernels.mux_cost(targets, counts, table, mux.EPS)[0]
+
+
+def _original_cost(targets: np.ndarray, std: mux.Multiplexer) -> int:
+    """Cost of the standard form's targets (gates or IDs)."""
+    return _cost(targets, blocksearch.count_vector(std.digits, mux.KQF), std.controls)
 
 
 def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
@@ -140,7 +144,7 @@ def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
     blocksearch.check_size(family, std.controls)
     gate_group, roots = _roots(std)
     root = roots()
-    original = _cost(root, std.digits, mux.KQF)
+    original = _original_cost(root, std)
     table = cost.cost_table_vector(std.controls)
     return blocksearch.polarity_costs(root, family, table, gate_group), original
 
@@ -205,15 +209,22 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
     gate_group, roots = _roots(std)
-    original = _cost(roots(), std.digits, mux.KQF)
+    original = _original_cost(roots(), std)
+    # A polarity's counts depend only on where its '2' digits are: one
+    # vector serves every FPQF sample, and KQF keeps the last mask's.
+    counts = {}
     # The (cost, index) samples of the lowest cost and of the highest,
     # each tie to the smallest index.
     best = worst = None
     total = 0
     for _ in range(cfg.samples):
         polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
+        mask = blocksearch.digit_mask(polarity, "2")
+        if mask not in counts:
+            counts.clear()  # the old vector is freed before the new one is built
+            counts[mask] = blocksearch.count_vector(polarity, cfg.family)
         targets = blocksearch.cascade(roots(), polarity, cfg.family, gate_group)
-        sample = (_cost(targets, polarity, cfg.family), int(polarity, base))
+        sample = (_cost(targets, counts[mask], m), int(polarity, base))
         del targets  # freed before the next sample's root is made
         best = min(best or sample, sample)
         worst = min(worst or sample, sample, key=lambda s: (-s[0], s[1]))

@@ -27,6 +27,25 @@ def test_count_vector_matches_the_scalar_counts(n):
             assert count_vector(polarity, family).tolist() == expected, polarity
 
 
+@pytest.mark.parametrize("chunks", [1, 3, 4096])
+def test_count_vector_rows_are_slices_of_the_full_vector(monkeypatch, chunks):
+    """The rows form splits the polarity at the bits of a kernels.CHUNK_ROWS
+    chunk and reads two small vectors; any slice of positions gives the
+    full vector's counts there."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+    rng = np.random.default_rng(41)
+    for family in (FPQF, KQF, FPRM, KRM):
+        for n in (1, 2, 5, 13):
+            polarity = "".join(rng.choice(list(blocksearch.FAMILY_DIGITS[family]), n))
+            full = count_vector(polarity, family)
+            for start in {0, 1, 2, (1 << n) // 3, (1 << n) - 1}:
+                for stop in {start + 1, start + 3, start + 4096, 1 << n}:
+                    rows = slice(start, stop)
+                    got = count_vector(polarity, family, rows)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == full[rows].tolist(), (polarity, rows)
+
+
 @pytest.mark.parametrize("family", [FPQF, KQF, FPRM, KRM])
 def test_check_polarity_rejects_length_and_digits(family):
     digits = blocksearch.FAMILY_DIGITS[family]

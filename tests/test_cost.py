@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from qmuxopt import gates, reference
+from qmuxopt import gates, kernels, reference
+from qmuxopt import mux as mux_mod
 from qmuxopt.cost import (
     GATE_COST_TABLE,
     control_count_vector,
@@ -71,7 +72,7 @@ def test_standard_multiplexer_cost():
     report = multiplexer_cost(std)
     assert report.total == 15  # three 2-control gates at 5 each
     assert report.skipped_identities == 1
-    assert len(report.costs) == 3
+    assert [gate for gate, _, _ in report.rows()] == [1, 2, 3]
 
 
 def test_polarized_multiplexer_cost():
@@ -160,3 +161,89 @@ def test_elided_table_keeps_the_first_and_last_rows():
     shown = [int(line.split()[0]) for line in lines[1:57] + lines[58:66]]
     assert shown == list(range(56)) + list(range(248, 256))
     assert lines[66].startswith("total:") and len(lines) == 67
+
+
+def _oracle_rows(m: Multiplexer) -> list:
+    """(gate, controls, cost) of every gate that is not the identity within
+    EPS, one gate at a time by reference.control_count."""
+    rows = []
+    for i, target in enumerate(m.targets):
+        if np.abs(target - np.eye(2)).max() > gates.EPS:
+            controls = control_count(i, m.digits)
+            rows.append((i, controls, gate_cost(controls)))
+    return rows
+
+
+def _oracle_table(rows: list, skipped: int) -> str:
+    """The text table of the rows: all of them up to 64, else the first 56,
+    an elision line and the last 8."""
+    row = "{:>6}  {:>8}  {:>6}".format
+    shown = rows if len(rows) <= 64 else rows[:56] + [None] + rows[-8:]
+    lines = [row("gate", "controls", "cost")]
+    lines += [row(*r) if r else f"   ...  ({len(rows) - 64} rows elided)" for r in shown]
+    total = sum(cost for _, _, cost in rows)
+    return "\n".join(lines + [f"total: {total}    skipped identities: {skipped}"])
+
+
+# Near-identity: X V† V† is the identity within EPS, not exactly.
+_POOL = np.stack([gates.I, gates.X @ gates.VD @ gates.VD, gates.X, gates.H, gates.rx(0.4)])
+
+
+def _streamed_cases(m: int, form: str):
+    """Multiplexers of every palette layout and identity pattern: identity
+    runs at the start and at the end, long enough to cross chunk boundaries
+    before the table's first or last rows, and a random mix, both as a
+    palette and as a plain array."""
+    rng = np.random.default_rng(300 + m)
+    n = 1 << m
+    polarity = {"standard": None, "fpqf": "".join(rng.choice(list("01"), m)),
+                "kqf": "".join(rng.choice(list("012"), m))}[form]
+    layouts = {
+        "leading": np.where(np.arange(n) < n // 3, 0, rng.integers(1, 5, n)),
+        "trailing": np.where(np.arange(n) >= n - n // 3, 0, rng.integers(1, 5, n)),
+        "mixed": rng.integers(0, 5, n),
+    }
+    for name, choices in layouts.items():
+        palette = mux_mod.used_palette(_POOL, choices)
+        args = (form, polarity) if polarity else ()
+        yield name, Multiplexer(m, palette, *args)
+        yield name + "-plain", Multiplexer(m, _POOL[choices], *args)
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 4096])
+@pytest.mark.parametrize("form", ["standard", "fpqf", "kqf"])
+def test_streamed_report_matches_a_per_gate_oracle(monkeypatch, chunks, form):
+    """The streamed CostReport's rows, total, skipped identities, text
+    table and JSON body equal those built gate by gate, whatever the chunk
+    size: its rows are made a chunk at a time, forward and backward."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+    for m in range(1, 9):
+        for name, mux in _streamed_cases(m, form):
+            rows = _oracle_rows(mux)
+            report = multiplexer_cost(mux)
+            skipped = (1 << m) - len(rows)
+            assert report.total == sum(cost for _, _, cost in rows), (m, name)
+            assert report.skipped_identities == skipped, (m, name)
+            assert list(report.rows()) == rows, (m, name)
+            assert list(report.rows(reverse=True)) == rows[::-1], (m, name)
+            assert all(len(batch[0]) <= chunks for batch in report.batches())
+            assert report.format_table() == _oracle_table(rows, skipped), (m, name)
+            buffer = io.StringIO()
+            write_json(buffer, report.to_json_dict())
+            keys = ("gate_index", "controls", "cost")
+            plain = {
+                "per_gate": [dict(zip(keys, r)) for r in rows],
+                "total": report.total,
+                "skipped_identities": skipped,
+            }
+            assert buffer.getvalue() == json.dumps(plain, indent=2), (m, name)
+
+
+def test_the_report_holds_no_per_gate_array():
+    """A palette's report keeps one identity decision per palette matrix,
+    and only the multiplexer besides."""
+    std = mux_mod.used_palette(_POOL, np.arange(1 << 12) % 5)
+    report = multiplexer_cost(Multiplexer(12, std))
+    assert report.live.tolist() == [False, False, True, True, True]
+    arrays = [v for v in vars(report).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 5

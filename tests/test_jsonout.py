@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from qmuxopt import gates, jsonout, kernels, reference
+from qmuxopt import gates, jsonout, kernels, randmux, reference
 from qmuxopt.cli import main
 from qmuxopt.jsonout import Table, write_json
 from qmuxopt.mux import Multiplexer
@@ -18,8 +18,12 @@ from qmuxopt.muxio import save_qmux, target_tokens
 def _plain(value):
     """value with every Table replaced by its list of row dicts."""
     if isinstance(value, Table):
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in value.columns]
-        return [dict(zip(value.keys, row)) for row in zip(*columns)]
+        batches = [value.columns] if value.batches is None else value.batches
+        rows = []
+        for batch in batches:
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in batch]
+            rows += [dict(zip(value.keys, row)) for row in zip(*columns)]
+        return rows
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     return value
@@ -46,6 +50,20 @@ BODIES = {
     "string lists": {"one": ["M(0.0,-0.0)"], "many": ["I", "X\\", "π", ""]},
     "mixed list": {"mixed": ["a", 1, {"b": [2.0, "c"]}], "numbers": [1, 2]},
     "deep": {"a": {"b": {"c": {"d": ["x", "y"], "t": Table(("%s", "v"), (["p"], [3]))}}}},
+    "batched tables": {
+        "none": Table(("k",), batches=[]),
+        "empty": Table(("k", "v"), batches=[([], []), (np.array([], dtype=np.int64), [])]),
+        "rows": Table(
+            ("gate_index", "controls", "cost"),
+            batches=[
+                (np.array([], dtype=np.int64),) * 3,
+                (np.arange(5, dtype=np.int64), np.full(5, 3), np.full(5, 13)),
+                (np.array([], dtype=np.int64),) * 3,
+                (np.array([9, 11]), np.array([1, 20]), np.array([1, 544])),
+            ],
+        ),
+        "text": Table(("polarity", "cost"), batches=[(["0%d1", "π\\"], [7, 8]), (["2"], [0])]),
+    },
     "bare list": ["only", "strings"],
     "bare scalar": 3.25,
 }
@@ -57,6 +75,25 @@ def test_write_json_equals_json_dumps(monkeypatch, name, chunks):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     body = BODIES[name]
     assert _written(body) == json.dumps(_plain(body), indent=2)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 4096])
+def test_a_table_of_one_shot_batches_is_read_as_it_is_written(monkeypatch, chunks):
+    """A Table's batches may be a one-shot generator: the writer reads it
+    once, in order, and the text is that of its rows' list."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+    made = []
+
+    def batches():
+        for start in range(0, 11, 4):
+            made.append(start)
+            yield np.arange(start, min(start + 4, 11)), ["x"] * min(4, 11 - start)
+
+    stream = _Writes()
+    write_json(stream, {"t": Table(("i", "s"), batches=batches()), "after": 1})
+    rows = [{"i": i, "s": "x"} for i in range(11)]
+    assert "".join(stream.writes) == json.dumps({"t": rows, "after": 1}, indent=2)
+    assert made == [0, 4, 8]
 
 
 def _rand_file(tmp_path, m):
@@ -132,6 +169,48 @@ def test_largest_write_is_bounded(monkeypatch, capsys, tmp_path):
     assert max(stream.writes) <= 8 * 200 < total // 20
 
 
+def _pieces_and_writes(monkeypatch, argv) -> tuple:
+    """Lengths of the pieces one CLI run hands jsonout.write, and of the
+    writes it makes of them."""
+    pieces, stream = [], _RecordingStream()
+    real = jsonout.write
+
+    def recorded(fh, parts):
+        def tee():
+            for part in parts:
+                pieces.append(len(part))
+                yield part
+
+        real(stream, tee())
+
+    monkeypatch.setattr(jsonout, "write", recorded)
+    assert main([str(a) for a in argv]) == 0
+    monkeypatch.setattr(jsonout, "write", real)
+    return pieces, stream.writes
+
+
+def test_every_write_is_bounded_by_characters(monkeypatch, tmp_path):
+    """No write is longer than the character bound, or than its one piece
+    when that piece alone is longer, even where each piece is a batch of
+    kernels.CHUNK_ROWS table rows, which CHUNK_ROWS pieces to a write
+    would join into CHUNK_ROWS^2 rows."""
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    bound = 16 * jsonout.WRITE_CHARS_PER_ROW
+    rand = _rand_file(tmp_path, 8)
+    full = tmp_path / "full10.qmux"
+    save_qmux(randmux.generate(10, randmux.POOL_FULL, 3), full)
+    for argv in (
+        ["optimize", rand, "--format", "json"],
+        ["optimize", rand, "--format", "text"],
+        ["cost", full, "--format", "csv"],
+        ["classical", "0x" + "6f" * 8, "--family", "krm", "--format", "json"],
+    ):
+        pieces, writes = _pieces_and_writes(monkeypatch, argv)
+        assert sum(writes) == sum(pieces) > 8 * bound, argv
+        assert max(writes) <= max(bound, max(pieces)), argv
+
+
 class _Writes:
     def __init__(self):
         self.writes = []
@@ -196,3 +275,20 @@ def test_target_tokens_render_only_when_written(monkeypatch):
     assert next(tokens) == plain[0] and made == [3]
     assert _written({"t": tokens}) == json.dumps({"t": plain[1:]}, indent=2)
     assert made == [3, 3, 2]
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 4096])
+def test_a_palette_is_rendered_once(monkeypatch, chunks):
+    """target_tokens renders a palette's matrices in one call, made with the
+    first chunk, and indexes their tokens: the same tokens as rendering
+    every gate."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
+    m = randmux.generate(6, randmux.resolve_pool("custom:X,RX(0.3),H,I"), seed=5)
+    plain = [reference.render_gate(u) for u in m.targets]
+    made = []
+    real = gates.render_gates
+    monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
+    tokens = target_tokens(m)
+    assert made == []
+    assert list(tokens) == plain
+    assert made == [len(m.palette.matrices)] == [4]

@@ -573,3 +573,40 @@ def test_all_identity_multiplexer_reports_no_reduction(mode):
     assert report.original_cost == report.best_cost == report.worst_cost == 0
     assert report.best_reduction == 0.0
     assert report.average_reduction == 0.0
+
+
+@pytest.mark.parametrize("family, m, samples", [("fpqf", 6, 20), ("kqf", 2, 30), ("kqf", 5, 12)])
+def test_random_search_builds_a_count_vector_per_mask_change(monkeypatch, family, m, samples):
+    """A polarity's counts depend only on its '2' digits: an FPQF search
+    builds one count vector for all its samples, a KQF search one more
+    each time the mask of its '2' digits changes, and each sample is still
+    priced by one kernels.mux_cost call."""
+    std = generate(m, POOL_FULL, seed=7)
+    cfg = SearchConfig(family=family, mode="random", samples=samples, seed=3)
+    want = random_polarity_search(std, cfg)
+    calls = {"count_vector": 0, "mux_cost": 0}
+    polarities = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def cascade(vector, polarity, *rest):
+        polarities.append(polarity)
+        return real_cascade(vector, polarity, *rest)
+
+    real_cascade = blocksearch.cascade
+    monkeypatch.setattr(blocksearch, "cascade", cascade)
+    monkeypatch.setattr(
+        blocksearch, "count_vector", counted("count_vector", blocksearch.count_vector)
+    )
+    monkeypatch.setattr(kernels, "mux_cost", counted("mux_cost", kernels.mux_cost))
+    assert random_polarity_search(std, cfg) == want
+    masks = [blocksearch.digit_mask(p, "2") for p in polarities]
+    changes = sum(a != b for a, b in zip(masks, masks[1:]))
+    assert len(polarities) == samples
+    assert calls == {"count_vector": 2 + changes, "mux_cost": samples + 1}
+    if family == "fpqf":
+        assert changes == 0
