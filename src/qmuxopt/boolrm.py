@@ -20,16 +20,22 @@ count is the literal count of its base function: a fixed digit adds a
 literal where the index bit equals the digit, a '2' digit always.  A
 polarity's literal cost is the sum of the counts of its nonzero
 coefficients, so the cost table is 0..n.
+
+rm_search returns a Ranking: a read-only view over two arrays, the costs
+in lexicographic polarity order and their stable ascending argsort.  It
+holds no per-polarity Python object; its rows, (polarity, cost) pairs,
+are named a batch at a time as a report reaches them, so the 2^n or 3^n
+rows of a ranking never exist as objects at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import blocksearch
+from . import blocksearch, kernels
 from .blocksearch import FAMILY_DIGITS, FPRM, KRM, cascade, check_polarity, count_vector
 from .kernels import read_only
 
@@ -129,16 +135,70 @@ def literal_cost(spectrum: RMSpectrum) -> int:
     return int((spectrum.coefficients.astype(np.int64) * counts).sum())
 
 
-def rm_search(func: BoolFunc, family: str = FPRM) -> list:
-    """Every polarity of the family with its literal cost.
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Every polarity of a family with its literal cost, cheapest first,
+    ties in lexicographic polarity order: a view over two arrays.
 
-    Returns (polarity, cost) pairs sorted by ascending cost, ties broken by
-    lexicographic polarity order.
+    costs[i] is the cost of the polarity whose index is i in lexicographic
+    order, i read as a base-len(FAMILY_DIGITS[family]) numeral with c_1
+    most significant; order lists the ranked indices, a stable argsort of
+    costs.  A slice of the ranking slices order (the CLI's --top), so it
+    stays a view.  Iteration, an integer index and batches() give
+    (polarity, cost) rows, with the polarities named from their indices a
+    batch at a time: a report of every row holds only one batch's strs.
     """
+
+    family: str
+    num_vars: int
+    costs: np.ndarray
+    order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, order=self.order[key])
+        index = self.order[key : key + 1 or None]
+        if not len(index):
+            raise IndexError(f"ranking index {key} out of range for {len(self)} polarities")
+        return self.polarities(index)[0], int(self.costs[index[0]])
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(zip(*batch) for batch in self.batches())
+
+    def batches(self, rows: int | None = None):
+        """The ranked rows, `rows` (default kernels.CHUNK_ROWS) at a time, as
+        (polarities, costs): a list of strs and a list of ints, made only
+        when the batch is reached."""
+        rows = rows or kernels.CHUNK_ROWS
+        for start in range(0, len(self.order), rows):
+            index = self.order[start : start + rows]
+            yield self.polarities(index), self.costs[index].tolist()
+
+    def polarities(self, index: np.ndarray) -> list:
+        """The polarity strs of lexicographic indices: each index's
+        base-len(FAMILY_DIGITS) numeral, a digit column at a time from c_n,
+        the least significant, into one byte per digit."""
+        digits = np.frombuffer(FAMILY_DIGITS[self.family].encode(), np.uint8)
+        base, n = len(digits), self.num_vars
+        chars = np.empty((len(index), n), np.uint8)
+        rest = np.array(index, dtype=np.int64)
+        for k in range(n - 1, -1, -1):
+            chars[:, k] = digits[rest % base]
+            rest //= base
+        text = chars.tobytes().decode()
+        return [text[i : i + n] for i in range(0, len(text), n)]
+
+
+def rm_search(func: BoolFunc, family: str = FPRM) -> Ranking:
+    """Every polarity of the family with its literal cost, as a Ranking:
+    cheapest first, ties broken by lexicographic polarity order."""
     blocksearch.check_size(family, func.num_vars)
     n = func.num_vars
     costs = blocksearch.polarity_costs(func.minterms, family, np.arange(n + 1))
     order = np.argsort(costs, kind="stable")  # stable: ties stay lexicographic
-    # Python objects only now, after every block array is freed.
-    names = ["".join(p) for p in itertools.product(FAMILY_DIGITS[family], repeat=n)]
-    return [(names[i], c) for i, c in zip(order.tolist(), costs[order].tolist())]
+    costs.setflags(write=False)  # handed over: kept uncopied
+    order.setflags(write=False)
+    return Ranking(family, n, costs, order)

@@ -297,15 +297,26 @@ def _cmd_classical(args) -> int:
     return 0
 
 
+def _ranked_batches(ranked):
+    """The ranking's rows (a boolrm.Ranking, a view over its cost and order
+    arrays) in batches of as many as fill one write at the width of its
+    text row, named only when the writer reaches them."""
+    width = len(f"{'0' * ranked.num_vars},{ranked.costs.max(initial=0)}\n")
+    return ranked.batches(jsonout.rows_per_write(width))
+
+
 def _ranked_lines(ranked):
-    """Text and CSV body of a classical ranking, made a line at a time."""
+    """Text and CSV body of a classical ranking: its header, then one
+    piece per batch of rows, each batch's lines made by one %-template."""
     yield "polarity,cost\n"
-    yield from (f"{p},{c}\n" for p, c in ranked)
+    for batch in _ranked_batches(ranked):
+        yield jsonout.format_rows("%s,%d\n", batch)
 
 
 def _ranked_json(ranked) -> jsonout.Table:
-    """JSON body of a classical ranking."""
-    return jsonout.Table(("polarity", "cost"), ([p for p, _ in ranked], [c for _, c in ranked]))
+    """JSON body of a classical ranking: a Table made a batch of rows at a
+    time, as the writer reaches each batch."""
+    return jsonout.Table(("polarity", "cost"), batches=_ranked_batches(ranked))
 
 
 def _cmd_generate(args) -> int:

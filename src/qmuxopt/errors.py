@@ -30,13 +30,16 @@ class LengthNotPowerOfTwo(QmuxError):
 
 
 class ParseError(QmuxError):
-    """Input text could not be parsed; carries source position."""
+    """Input text could not be parsed; carries source position.  A source
+    name holding a character that is not printable is shown as its repr."""
 
     def __init__(self, message, source=None, line=None, column=None):
         self.source = source
         self.line = line
         self.column = column
         prefix = source or "<input>"
+        if not prefix.isprintable():  # a newline would split the one error line
+            prefix = repr(prefix)
         if line is not None:
             prefix += f":{line}"
             if column is not None:

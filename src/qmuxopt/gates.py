@@ -7,6 +7,7 @@ phase in the circuit, so two gates differing by a phase are distinct here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -144,35 +145,81 @@ def parse_gate(token: str) -> np.ndarray:
     raise UnknownGate(f"unrecognized gate token {token!r}")
 
 
-def render_gates(us: np.ndarray) -> list:
-    """The tokens that parse_gate accepts for a (n, 2, 2) stack, as a list.
-    Callers hand it a chunk at a time (see mux.target_chunks), so one
-    chunk's strings are the only per-entry objects alive at a time.
+# A chunk's tokens are handed on in sub-batches of this share of
+# kernels.CHUNK_ROWS rows, 256 at the default.  A matrix literal is at
+# most 202 characters (eight 24-character reprs), so a sub-batch fits in
+# one write of jsonout's, 16 characters for each of CHUNK_ROWS rows.
+SUB_BATCH_SHARE = 16
+
+# A gate's kind: the index of its catalog name, or _LITERAL for a matrix
+# literal.
+_NAMES = np.array([*CATALOG, None], dtype=object)
+_LITERAL = len(CATALOG)
+
+
+def render_gates(us: np.ndarray):
+    """The tokens that parse_gate accepts for a (n, 2, 2) stack, in order,
+    as one iterator over lists of at most kernels.CHUNK_ROWS //
+    SUB_BATCH_SHARE tokens.  Callers hand it a chunk at a time (see
+    mux.target_chunks), and a sub-batch's strings are made only when the
+    previous sub-batch is used up, so a chunk's tokens are never all alive
+    at once.
 
     Catalog gates render as their names: one comparison of the stack per
     catalog gate, in catalog order, so the first match wins.  Everything
     else becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
-    deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one
-    np.unique of the stack's patterns; each distinct pattern is repr'd
-    once.  A token's text depends only on its own matrix, so the bytes do
-    not depend on how the caller chunks the targets.
+    deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one sort
+    of the stack's patterns (see _distinct), and each distinct pattern is
+    repr'd once, before the first sub-batch.  A token's text depends only
+    on its own matrix, so the bytes depend neither on the chunking nor on
+    the sub-batching.
     """
     n = len(us)
-    tokens = [None] * n
-    unmatched = np.ones(n, dtype=bool)
-    for name, mat in CATALOG.items():
-        hit = unmatched & (np.abs(us - mat).reshape(n, 4).max(axis=1) <= EPS)
-        for i in np.flatnonzero(hit).tolist():
-            tokens[i] = name
-        unmatched &= ~hit
-    rest = np.flatnonzero(unmatched)
-    if not len(rest):
-        return tokens
-    bits = us[rest].view(np.float64).reshape(-1).view(np.uint64)
-    distinct, where = np.unique(bits, return_inverse=True)
+    kind = np.full(n, _LITERAL, dtype=np.uint8)
+    for k, mat in enumerate(CATALOG.values()):
+        hit = np.abs(us - mat).reshape(n, 4).max(axis=1) <= EPS
+        kind[hit & (kind == _LITERAL)] = k
+    distinct, where = _distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    for i, entries in zip(rest.tolist(), texts[where.reshape(-1, 8)].tolist()):
-        tokens[i] = "M(" + ",".join(entries) + ")"
-    return tokens
+    return itertools.chain.from_iterable(_sub_batches(kind, texts, where))
+
+
+def _distinct(bits: np.ndarray):
+    """(distinct, where): the sorted distinct values of a 1-D array and the
+    index of each value among them, as np.unique(bits,
+    return_inverse=True) gives them, with `where` in the narrowest unsigned
+    type that holds it.  For a chunk's 32,768 patterns np.unique's own
+    working arrays peak at 1.4 MB under tracemalloc, this at 0.6 MB."""
+    perm = np.argsort(bits)
+    ordered = bits[perm]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered
+    numbers = np.cumsum(new, dtype=np.min_scalar_type(len(bits)))
+    numbers -= 1
+    where = np.empty_like(numbers)
+    where[perm] = numbers
+    return distinct, where
+
+
+def _sub_batches(kind: np.ndarray, texts: np.ndarray, where: np.ndarray):
+    """Lists of the tokens of each kernels.CHUNK_ROWS // SUB_BATCH_SHARE
+    rows: catalog names by their kind, and a sub-batch's literals, the
+    next of the stack's literals in order, joined from the texts of their
+    entries' patterns."""
+    rows = max(1, kernels.CHUNK_ROWS // SUB_BATCH_SHARE)
+    done = 0  # literals rendered so far; each has 8 entries in `where`
+    for start in range(0, len(kind), rows):
+        part = kind[start : start + rows]
+        tokens = _NAMES[part]
+        literal = part == _LITERAL
+        count = int(np.count_nonzero(literal))
+        if count:
+            entries = texts[where[8 * done : 8 * (done + count)]].reshape(count, 8).tolist()
+            tokens[literal] = ["M(" + ",".join(row) + ")" for row in entries]
+            done += count
+        yield tokens.tolist()

@@ -6,7 +6,8 @@ and at most a character bound derived from kernels.CHUNK_ROWS (see
 WRITE_CHARS_PER_ROW), a longer piece going alone, so no write is longer
 than that bound or its one piece, and a report or .qmux file of tens of
 MB is never held as one string.  The text and CSV reports hand it
-newline-ended lines or batches of rows, a long line (the optimize
+newline-ended lines or batches of rows (a classical ranking's, as many
+as fill one write: see rows_per_write), a long line (the optimize
 report's targets) a token at a time, and a .qmux file is handed over a
 token at a time.
 
@@ -43,7 +44,8 @@ class Table:
 
     Given `batches` instead of columns, the rows are those of each batch in
     turn, a batch being a tuple of such columns: a table made a chunk at a
-    time (cost.CostReport's) is then written a chunk at a time, and
+    time (cost.CostReport's, or a classical ranking's, whose polarities are
+    named a batch at a time) is then written a chunk at a time, and
     `batches` may be a one-shot iterator."""
 
     keys: tuple
@@ -65,6 +67,12 @@ def _write_bound() -> int:
     """The most characters one write joins: WRITE_CHARS_PER_ROW for each of
     kernels.CHUNK_ROWS rows."""
     return kernels.CHUNK_ROWS * WRITE_CHARS_PER_ROW
+
+
+def rows_per_write(width: int) -> int:
+    """How many rows of `width` characters fill one write: at least one,
+    at most kernels.CHUNK_ROWS."""
+    return max(1, min(kernels.CHUNK_ROWS, _write_bound() // width))
 
 
 def write(fh, pieces) -> None:
@@ -137,7 +145,7 @@ def _table(table: Table, pad: str):
         texts = [isinstance(column[0], str) for column in columns]
         fields = [f"{field}{name}: {'%s' if t else '%d'}" for name, t in zip(names, texts)]
         row = ",\n" + inner + "{\n" + ",\n".join(fields) + "\n" + inner + "}"
-        step = max(1, min(kernels.CHUNK_ROWS, _write_bound() // len(row)))
+        step = rows_per_write(len(row))
         for start in range(0, len(columns[0]), step):
             piece = format_rows(row, _columns(columns, texts, slice(start, start + step)))
             yield piece if opened else "[" + piece[1:]  # "[\n" opens, ",\n" follows

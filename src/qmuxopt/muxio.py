@@ -24,9 +24,10 @@ builds the 2^m complex vector.
 Files are streamed the same way: both formats are written through jsonout
 a token at a time, from target_tokens, which renders a palette's distinct
 matrices once and indexes their tokens a chunk at a time, and a plain
-target array a chunk of mux.target_chunks at a time, so no writer builds
-the complex vector or holds the file's text, and every write is bounded
-in characters (see jsonout.write).  dump_qmux and dump_qmux_json return
+target array a chunk of mux.target_chunks at a time, its literal tokens a
+sub-batch of rows at a time, so no writer builds the complex vector or
+holds the file's text, and every write is bounded in characters (see
+jsonout.write).  dump_qmux and dump_qmux_json return
 the bytes save_qmux writes.
 """
 
@@ -264,9 +265,12 @@ def target_tokens(m: Multiplexer):
     rendered by this call.  A palette's matrices are rendered once (see
     gates.render_gates), with the first chunk, and each chunk indexes their
     tokens; a plain target array (a transform's output) is rendered a chunk
-    of mux.target_chunks at a time.  A token's text depends only on its
-    matrix, so both give the same tokens, and a chunk's tokens are dropped
-    before the next chunk is made."""
+    of mux.target_chunks at a time, and each chunk's literal tokens are
+    made a sub-batch of gates.render_gates at a time, after its distinct
+    floats are repr'd once.  A token's text depends only on its matrix, so
+    both give the same tokens.  Only lists of tokens are chained, with no
+    generator per token, and a chunk's tokens are dropped before the next
+    chunk is made."""
     if m.palette.index is None:
         return itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
     return itertools.chain.from_iterable(_palette_tokens(m.palette))
@@ -274,7 +278,7 @@ def target_tokens(m: Multiplexer):
 
 def _palette_tokens(palette: Palette):
     """Lists of the palette's gate tokens, kernels.CHUNK_ROWS gates each."""
-    tokens = np.array(gates.render_gates(palette.matrices), dtype=object)
+    tokens = np.array(list(gates.render_gates(palette.matrices)), dtype=object)
     for start in range(0, len(palette.index), kernels.CHUNK_ROWS):
         yield palette.per_gate(tokens, slice(start, start + kernels.CHUNK_ROWS)).tolist()
 

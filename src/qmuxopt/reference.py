@@ -5,9 +5,11 @@ here computes the same thing from first principles, for tests to compare:
 butterfly_stage, pair by pair, checks kernels.gate_stage; triangular_solve,
 gate by gate from the activation semantics, mux.forward_transform;
 rm_transform_matrix (a Kronecker product) and evaluate_spectrum (the XOR of
-map_coefficient's base functions) boolrm.rm_transform; control_count and
-map_coefficient's literal counts blocksearch.count_vector; render_gate,
-one matrix at a time, gates.render_gates; product_table, row by row and
+map_coefficient's base functions) boolrm.rm_transform; rm_ranking, one
+transform per polarity sorted in Python, the Ranking of boolrm.rm_search;
+control_count and map_coefficient's literal counts
+blocksearch.count_vector; render_gate, one matrix at a time,
+gates.render_gates; product_table, row by row and
 by nearest elements, the table step of group.intern; and the pinned
 optima of known_cases search.exhaustive_search.  random_unitary samples
 inputs for them.  No module of the program imports this one (the
@@ -17,13 +19,14 @@ calls the kernels it checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .blocksearch import KRM, check_polarity, digit_mask
-from .boolrm import BoolFunc, RMSpectrum
+from .blocksearch import FAMILY_DIGITS, KRM, check_polarity, digit_mask
+from .boolrm import BoolFunc, RMSpectrum, literal_cost, rm_transform
 from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
 from .mux import STANDARD, Multiplexer, activation_mask, form_for_polarity
 from .pla import to_multiplexer
@@ -151,6 +154,17 @@ def rm_transform_matrix(polarity: str) -> np.ndarray:
     for digit in polarity:
         mat = np.kron(mat, _STAGE_MATRICES[digit])
     return mat
+
+
+def rm_ranking(func: BoolFunc, family: str) -> list:
+    """Every polarity of the family with its literal cost, as (polarity,
+    cost) pairs sorted stably by cost: the rows of boolrm.rm_search's
+    Ranking, from one boolrm.rm_transform per polarity (its cascade, which
+    rm_transform_matrix checks) instead of the block search, in
+    itertools.product order instead of named from indices."""
+    polarities = map("".join, itertools.product(FAMILY_DIGITS[family], repeat=func.num_vars))
+    costs = [(p, literal_cost(rm_transform(func, p))) for p in polarities]
+    return sorted(costs, key=lambda item: item[1])
 
 
 @dataclass(frozen=True)

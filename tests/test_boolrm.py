@@ -13,7 +13,7 @@ from qmuxopt.boolrm import (
     rm_transform,
 )
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
-from qmuxopt.reference import evaluate_spectrum, map_coefficient, rm_transform_matrix
+from qmuxopt.reference import evaluate_spectrum, map_coefficient, rm_ranking, rm_transform_matrix
 
 XOR2 = BoolFunc.from_string("0110")          # a xor b
 OR_XOR = BoolFunc.from_string("01101111")    # a + (b xor c)
@@ -240,15 +240,6 @@ def test_search_matches_per_polarity_costs():
         assert ranked[polarity] == literal_cost(rm_transform(OR_XOR, polarity))
 
 
-def reference_ranking(func, family):
-    """One transform per polarity, sorted stably by cost: rm_search's contract."""
-    costs = [
-        (p, literal_cost(rm_transform(func, p)))
-        for p in all_polarities(func.num_vars, family)
-    ]
-    return sorted(costs, key=lambda item: item[1])
-
-
 def reference_functions(n):
     idx = np.arange(1 << n)
     return {
@@ -267,12 +258,12 @@ def reference_functions(n):
 def test_search_matches_per_polarity_reference(monkeypatch, family, n):
     for bits in reference_functions(n).values():
         func = BoolFunc(n, bits.astype(np.uint8))
-        expected = reference_ranking(func, family)
+        expected = rm_ranking(func, family)
         # Block sizes 0 (DFS to the leaves, t = n), 1 and 2 (0 < t < n once
         # n > 2) and the module's own (t = 0, b = n: one block, no DFS).
         for block in (0, 1, 2, blocksearch.BLOCK_VARS[family]):
             monkeypatch.setitem(blocksearch.BLOCK_VARS, family, block)
-            assert rm_search(func, family) == expected, block
+            assert list(rm_search(func, family)) == expected, block
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +278,7 @@ def test_search_matches_reference_on_random_functions(n, family, block, data):
     func = BoolFunc(n, np.array(bits, dtype=np.uint8))
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(blocksearch.BLOCK_VARS, family, block)
-        assert rm_search(func, family) == reference_ranking(func, family)
+        assert list(rm_search(func, family)) == rm_ranking(func, family)
 
 
 @pytest.mark.parametrize("family,n", [(boolrm.FPRM, 12), (boolrm.KRM, 8)])
@@ -297,9 +288,9 @@ def test_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, family,
     # Two DFS digits above the block, so each node has 4 rows to split; a
     # KRM block otherwise holds all n <= 10 variables in one row.
     monkeypatch.setitem(blocksearch.BLOCK_VARS, family, n - 2)
-    expected = rm_search(func, family)
+    expected = list(rm_search(func, family))
     monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
-    assert rm_search(func, family) == expected
+    assert list(rm_search(func, family)) == expected
 
 
 def _etv_slot_index(polarity, position):

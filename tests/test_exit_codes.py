@@ -1,4 +1,4 @@
-"""The CLI's exit-code contract as a property, on mutated input files.
+"""The CLI's exit-code contract as a property, on mutated inputs.
 
 Every run of cost, optimize or verify on any input file ends with exit
 code 0 (ok), 1 (verification failure), 2 (parse or usage error) or 3 (size
@@ -11,8 +11,11 @@ The inputs are valid .qmux files and JSON mirrors, mutated by inserting,
 deleting or replacing whitespace-separated tokens with tokens known to
 have broken loaders before: huge, negative and bool control counts,
 non-finite angles, broken matrix literals, duplicate keys, stray braces
-and bytes that are not UTF-8.  The examples are derandomized and capped,
-so the test runs the same inputs every time.
+and bytes that are not UTF-8.  `classical` takes the same contract, with
+0 or 2 as its only codes at these sizes, on binary and hex minterm
+strings mutated a character at a time and on odd values of --top and
+--output-index.  The examples are derandomized and capped, so the test
+runs the same inputs every time.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmuxopt import gates
@@ -147,3 +150,89 @@ def test_a_json_count_past_the_int_digit_limit_exits_2_naming_the_file():
             assert not caught and "Traceback" not in err
             assert err.startswith(f"error: {path}: bad JSON: ") and err.count("\n") == 1, err
             assert parsed == 0
+
+
+MINTERM_STRINGS = ["01101111", "0110", "10", "1" * 32, "0x6F0A", "0X6f", "0x" + "c3" * 8]
+# Characters and runs a minterm string is mutated with: digits of either
+# form, hex prefixes, separators, signs, a newline and a NUL, digits
+# outside ASCII, and a suffix or separator that makes it look like a path.
+MINTERM_PIECES = ["0", "1", "2", "x", "X", "0x", "a", "F", "g", " ", "\n", "\t", "-", "_", "+",
+                  ".", "\u00e9", "\u0661", "\uff10", "\x00", ".pla", "/"]
+# --top and --output-index values: in and out of range, negative, huge,
+# empty, padded, underscored, hex, float, and digits outside ASCII.
+FLAG_VALUES = ["0", "1", "3", "27", "-1", "-0", "", " 2", "2 ", "1_0", "0x1", "1e3", "3.0",
+               "\u0663", "\uff12", "\u00b3", "9" * 23, "-" + "9" * 20]
+PLA_TWO_OUTPUTS = ".i 3\n.o 2\n1-0 10\n-11 01\n000 11\n.e\n"
+
+char_mutation = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from(MINTERM_PIECES),
+)
+
+
+def _mutate_chars(text: str, mutations) -> str:
+    """Apply each (kind, place, piece) to the string's characters."""
+    chars = list(text)
+    for kind, place, piece in mutations:
+        at = int(place * (len(chars) + (kind == "insert")))
+        if kind == "insert":
+            chars[at:at] = [piece]
+        elif chars and kind == "delete":
+            del chars[at]
+        elif chars:
+            chars[at] = piece
+    return "".join(chars)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(MINTERM_STRINGS),
+    mutations=st.lists(char_mutation, max_size=3),
+    top=st.none() | st.sampled_from(FLAG_VALUES),
+    output_index=st.none() | st.sampled_from(FLAG_VALUES),
+    family=st.sampled_from(["fprm", "krm"]),
+    fmt=st.sampled_from(["text", "csv", "json"]),
+)
+# A newline inside the string split its error line in two.
+@example("0110", [("insert", 0.5, "\n")], None, None, "fprm", "text")
+@example("0110", [("insert", 0.5, "\n")], None, "1", "krm", "csv")
+@example("0x6F0A", [("insert", 0.9, "\x00"), ("insert", 0.99, ".pla")], "1", None, "fprm", "json")
+def test_every_classical_input_keeps_the_exit_code_contract(base, mutations, top, output_index,
+                                                             family, fmt):
+    flags = ["--family", family, "--format", fmt]
+    for name, value in (("--top", top), ("--output-index", output_index)):
+        if value is not None:
+            flags += [name, value]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "two.pla")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(PLA_TWO_OUTPUTS)
+        for argv in (["classical", _mutate_chars(base, mutations), *flags],
+                     ["classical", path, *flags]):
+            code, err, caught, _ = _run(argv)
+            assert code in (0, 2), argv
+            assert not caught, [str(w.message) for w in caught]
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == ""
+            elif not err.startswith("usage:"):
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert err.endswith("\n"), err
+
+
+def test_a_source_name_with_a_newline_stays_on_the_one_error_line():
+    """A file or minterm string whose name holds a newline is named by its
+    repr, so the error is still one line."""
+    with tempfile.TemporaryDirectory() as work:
+        bad_pla = os.path.join(work, "a\nb.pla")
+        with open(bad_pla, "w", encoding="utf-8") as fh:
+            fh.write(".i 2\n.o 1\n0x 1\n.e\n")
+        bad_qmux = os.path.join(work, "c\nd.qmux")
+        with open(bad_qmux, "w", encoding="utf-8") as fh:
+            fh.write("controls: 2\nform: standard\ntargets: I X\n")
+        for argv, source in ((["classical", bad_pla], bad_pla), (["cost", bad_qmux], bad_qmux),
+                             (["classical", "01\n10"], "01\n10")):
+            code, err, caught, _ = _run(argv)
+            assert code == 2 and not caught
+            assert err.startswith(f"error: {source!r}") and err.count("\n") == 1, err
