@@ -19,7 +19,8 @@ most significant index bit) first.  One table per fact, keyed by family:
   BLOCK_VARS     how many bottom variables each DFS node expands to slots
   LIMITS         the most variables an exhaustive search takes
 
-check_polarity, check_size and count_vector read them for every caller.
+check_polarity, check_size, count_vector and polarity_names read them for
+every caller.
 
 cascade(vector, polarity, family, group=None, inverse=False) runs one
 polarity's full cascade, every column in place on the vector it is given
@@ -214,6 +215,19 @@ def digit_mask(polarity: str, digit: str) -> int:
     """Index bits of the variables whose polarity digit is `digit`, variable
     c_1 the most significant bit."""
     return sum(1 << k for k, d in enumerate(reversed(polarity)) if d == digit)
+
+
+def polarity_names(index, family: str, n: int) -> list:
+    """The n-digit polarity strs of lexicographic indices: each index's
+    base-len(FAMILY_DIGITS[family]) numeral, c_1 the most significant
+    digit, a digit column at a time from c_n, into one byte per digit."""
+    digits = np.frombuffer(FAMILY_DIGITS[family].encode(), np.uint8)
+    values = np.empty((len(index), n), np.uint8)
+    rest = np.array(index, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        rest, values[:, k] = np.divmod(rest, len(digits))
+    text = digits[values].tobytes().decode()
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.ndarray:

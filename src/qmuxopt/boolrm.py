@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import blocksearch, kernels
-from .blocksearch import FAMILY_DIGITS, FPRM, KRM, cascade, check_polarity, count_vector
+from .blocksearch import FPRM, KRM, cascade, check_polarity, count_vector
 from .kernels import read_only
 
 
@@ -146,7 +146,8 @@ class Ranking:
     costs.  A slice of the ranking slices order (the CLI's --top), so it
     stays a view.  Iteration, an integer index and batches() give
     (polarity, cost) rows, with the polarities named from their indices a
-    batch at a time: a report of every row holds only one batch's strs.
+    batch at a time (blocksearch.polarity_names): a report of every row
+    holds only one batch's strs.
     """
 
     family: str
@@ -160,10 +161,10 @@ class Ranking:
     def __getitem__(self, key):
         if isinstance(key, slice):
             return replace(self, order=self.order[key])
-        index = self.order[key : key + 1 or None]
-        if not len(index):
+        row = self[key : key + 1 or None]
+        if not len(row):
             raise IndexError(f"ranking index {key} out of range for {len(self)} polarities")
-        return self.polarities(index)[0], int(self.costs[index[0]])
+        return next(iter(row))
 
     def __iter__(self):
         return itertools.chain.from_iterable(zip(*batch) for batch in self.batches())
@@ -175,21 +176,8 @@ class Ranking:
         rows = rows or kernels.CHUNK_ROWS
         for start in range(0, len(self.order), rows):
             index = self.order[start : start + rows]
-            yield self.polarities(index), self.costs[index].tolist()
-
-    def polarities(self, index: np.ndarray) -> list:
-        """The polarity strs of lexicographic indices: each index's
-        base-len(FAMILY_DIGITS) numeral, a digit column at a time from c_n,
-        the least significant, into one byte per digit."""
-        digits = np.frombuffer(FAMILY_DIGITS[self.family].encode(), np.uint8)
-        base, n = len(digits), self.num_vars
-        chars = np.empty((len(index), n), np.uint8)
-        rest = np.array(index, dtype=np.int64)
-        for k in range(n - 1, -1, -1):
-            chars[:, k] = digits[rest % base]
-            rest //= base
-        text = chars.tobytes().decode()
-        return [text[i : i + n] for i in range(0, len(text), n)]
+            names = blocksearch.polarity_names(index, self.family, self.num_vars)
+            yield names, self.costs[index].tolist()
 
 
 def rm_search(func: BoolFunc, family: str = FPRM) -> Ranking:

@@ -186,7 +186,7 @@ def _cmd_optimize(args) -> int:
             "\n"
             "transformed targets (best polarity):\n "
         )
-        yield from map(" ".__add__, tokens)  # "  I X ..." a token at a time
+        yield from (" " + " ".join(batch) for batch in tokens)  # "  I X ..." a batch a piece
         yield "\n\ncost breakdown (best polarity):\n" + best_cost_report.format_table() + "\n"
 
     def body_json():

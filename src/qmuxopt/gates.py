@@ -7,7 +7,6 @@ phase in the circuit, so two gates differing by a phase are distinct here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
@@ -145,11 +144,21 @@ def parse_gate(token: str) -> np.ndarray:
     raise UnknownGate(f"unrecognized gate token {token!r}")
 
 
-# A chunk's tokens are handed on in sub-batches of this share of
-# kernels.CHUNK_ROWS rows, 256 at the default.  A matrix literal is at
-# most 202 characters (eight 24-character reprs), so a sub-batch fits in
-# one write of jsonout's, 16 characters for each of CHUNK_ROWS rows.
-SUB_BATCH_SHARE = 16
+# Tokens travel in sub-batches of this share of kernels.CHUNK_ROWS rows,
+# 64 at the default, and each sub-batch is one piece of jsonout.write's.
+# A matrix literal is at most 202 characters (eight 24-character reprs),
+# so a piece stays well inside one write (16 characters for each of
+# CHUNK_ROWS rows).  Larger pieces raise the emission peak: random search
+# at m = 17 (seed 3, peak RSS from os.wait4, 2-core Xeon) read about
+# 0.1 MB more at 256 rows a piece than at 64.
+SUB_BATCH_SHARE = 64
+
+
+def sub_batch_rows() -> int:
+    """The rows of one sub-batch of tokens: kernels.CHUNK_ROWS //
+    SUB_BATCH_SHARE, at least one."""
+    return max(1, kernels.CHUNK_ROWS // SUB_BATCH_SHARE)
+
 
 # A gate's kind: the index of its catalog name, or _LITERAL for a matrix
 # literal.
@@ -159,11 +168,11 @@ _LITERAL = len(CATALOG)
 
 def render_gates(us: np.ndarray):
     """The tokens that parse_gate accepts for a (n, 2, 2) stack, in order,
-    as one iterator over lists of at most kernels.CHUNK_ROWS //
-    SUB_BATCH_SHARE tokens.  Callers hand it a chunk at a time (see
-    mux.target_chunks), and a sub-batch's strings are made only when the
-    previous sub-batch is used up, so a chunk's tokens are never all alive
-    at once.
+    as an iterator over lists of at most sub_batch_rows() tokens, the unit
+    in which tokens travel to jsonout.write.  Callers hand it a chunk at a
+    time (see mux.target_chunks), and a sub-batch's strings are made only
+    when the previous sub-batch is used up, so a chunk's tokens are never
+    all alive at once.
 
     Catalog gates render as their names: one comparison of the stack per
     catalog gate, in catalog order, so the first match wins.  Everything
@@ -183,7 +192,7 @@ def render_gates(us: np.ndarray):
         kind[hit & (kind == _LITERAL)] = k
     distinct, where = _distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return itertools.chain.from_iterable(_sub_batches(kind, texts, where))
+    return _sub_batches(kind, texts, where)
 
 
 def _distinct(bits: np.ndarray):
@@ -207,11 +216,10 @@ def _distinct(bits: np.ndarray):
 
 
 def _sub_batches(kind: np.ndarray, texts: np.ndarray, where: np.ndarray):
-    """Lists of the tokens of each kernels.CHUNK_ROWS // SUB_BATCH_SHARE
-    rows: catalog names by their kind, and a sub-batch's literals, the
-    next of the stack's literals in order, joined from the texts of their
-    entries' patterns."""
-    rows = max(1, kernels.CHUNK_ROWS // SUB_BATCH_SHARE)
+    """Lists of the tokens of each sub_batch_rows() rows: catalog names by
+    their kind, and a sub-batch's literals, the next of the stack's
+    literals in order, joined from the texts of their entries' patterns."""
+    rows = sub_batch_rows()
     done = 0  # literals rendered so far; each has 8 entries in `where`
     for start in range(0, len(kind), rows):
         part = kind[start : start + rows]

@@ -1,27 +1,27 @@
 """The one streaming writer of every report and file.
 
 write(fh, pieces) is the one loop that calls a stream's write: it joins
-any iterable of strs into writes of at most kernels.CHUNK_ROWS pieces
-and at most a character bound derived from kernels.CHUNK_ROWS (see
-WRITE_CHARS_PER_ROW), a longer piece going alone, so no write is longer
-than that bound or its one piece, and a report or .qmux file of tens of
-MB is never held as one string.  The text and CSV reports hand it
-newline-ended lines or batches of rows (a classical ranking's, as many
-as fill one write: see rows_per_write), a long line (the optimize
-report's targets) a token at a time, and a .qmux file is handed over a
-token at a time.
+any iterable of strs into writes of at most a character bound derived
+from kernels.CHUNK_ROWS (see WRITE_CHARS_PER_ROW), a longer piece going
+alone, so no write is longer than that bound or its one piece, and a
+report or .qmux file of tens of MB is never held as one string.  The text
+and CSV reports hand it newline-ended lines or batches of rows (a
+classical ranking's, as many as fill one write: see rows_per_write), and
+gate tokens travel as batches, lists of at most gates.sub_batch_rows()
+tokens (see muxio.target_tokens), each joined into one piece: the
+optimize report's target line and a .qmux file a batch per piece.
 
 write_json(fh, value) writes exactly the text of json.dumps(value, indent=2)
-through write, one piece per dict key, iterator item or batch of table
+through write, one piece per dict key, batch of tokens or batch of table
 rows.  It writes dict keys itself at every level (keys are strs), an
-iterator (of strs) as the JSON list of its strs, taking each only when it
-reaches it, and a Table in pieces of as many rows as fill one write (at
-most kernels.CHUNK_ROWS), each piece one %-template repeated once per
-row; a Table may come as batches of columns, made only when the writer
-reaches them.  Any other value, lists included, is small and goes through
-json.dumps, re-indented to its depth (JSON text never holds a raw newline
-inside a string, so replacing every newline is safe).  The text of each
-item is that of json.dumps, so the batching changes no byte.
+iterator (of lists of strs) as the JSON list of their strs, taking each
+list only when it reaches it, and a Table, whose batches of columns are
+made only when the writer reaches them, in pieces of as many rows as fill
+one write (at most kernels.CHUNK_ROWS), each piece one %-template
+repeated once per row.  Any other value, lists included, is small and
+goes through json.dumps, re-indented to its depth (JSON text never holds
+a raw newline inside a string, so replacing every newline is safe).  The
+text of each item is that of json.dumps, so the batching changes no byte.
 """
 
 from __future__ import annotations
@@ -37,20 +37,17 @@ from . import kernels
 
 @dataclass(frozen=True)
 class Table:
-    """A JSON list of dicts that share `keys`, held by column: row i is
+    """A JSON list of dicts that share `keys`, made a batch of rows at a
+    time: each batch is a tuple of columns, and row i of a batch is
     {keys[k]: columns[k][i]}.  Each column is a list of strs, or of ints:
     a list of Python ints or a numpy integer array, which write_json turns
-    into Python ints a batch of rows at a time.
-
-    Given `batches` instead of columns, the rows are those of each batch in
-    turn, a batch being a tuple of such columns: a table made a chunk at a
+    into Python ints a batch of rows at a time.  A table made a chunk at a
     time (cost.CostReport's, or a classical ranking's, whose polarities are
-    named a batch at a time) is then written a chunk at a time, and
-    `batches` may be a one-shot iterator."""
+    named a batch at a time) is written a chunk at a time, and `batches`
+    may be a one-shot iterator."""
 
     keys: tuple
-    columns: tuple = ()
-    batches: object = None
+    batches: object
 
 
 # The character bound of one write is this many characters for each of
@@ -77,19 +74,18 @@ def rows_per_write(width: int) -> int:
 
 def write(fh, pieces) -> None:
     """Write the strs of `pieces` to fh, joined into writes of at most
-    kernels.CHUNK_ROWS pieces and at most kernels.CHUNK_ROWS *
-    WRITE_CHARS_PER_ROW characters each.  A piece longer than that bound
-    (a batch of table rows can be) is written alone, with no join and so
-    no copy: no write is longer than the bound or than its one piece.
-    With PYTHONUNBUFFERED or `python -u` every stdout write is a system
-    call.  Empty pieces are dropped, and no write's list of pieces outlives
-    its join."""
-    most, bound = kernels.CHUNK_ROWS, _write_bound()
+    kernels.CHUNK_ROWS * WRITE_CHARS_PER_ROW characters each.  A piece
+    longer than that bound (a batch of table rows can be) is written
+    alone, with no join and so no copy: no write is longer than the bound
+    or than its one piece.  With PYTHONUNBUFFERED or `python -u` every
+    stdout write is a system call.  Empty pieces are dropped, and no
+    write's list of pieces outlives its join."""
+    bound = _write_bound()
     batch, size = [], 0
     append = batch.append
     for piece in filter(None, pieces):
         size += len(piece)
-        if size > bound or len(batch) == most:  # flush before the piece
+        if size > bound:  # flush before the piece
             if batch:
                 fh.write("".join(batch))
                 batch.clear()
@@ -105,8 +101,8 @@ def write_json(fh, value) -> None:
 
 
 def _pieces(value, pad: str):
-    """The text of value at indent `pad`, one piece per key, item or batch
-    of table rows."""
+    """The text of value at indent `pad`, one piece per key, batch of
+    tokens or batch of table rows."""
     inner = pad + "  "
     if isinstance(value, Table):
         yield from _table(value, pad)
@@ -118,14 +114,11 @@ def _pieces(value, pad: str):
             sep = ",\n" + inner
         yield "\n" + pad + "}"
     elif isinstance(value, Iterator):
-        encoded = map(encode_basestring_ascii, value)
-        first = next(encoded, None)
-        if first is None:
-            yield "[]"
-            return
-        yield "[\n" + inner + first
-        yield from map((",\n" + inner).__add__, encoded)
-        yield "\n" + pad + "]"
+        sep, comma = "[\n" + inner, ",\n" + inner
+        for batch in filter(None, value):
+            yield sep + comma.join(map(encode_basestring_ascii, batch))
+            sep = comma
+        yield "\n" + pad + "]" if sep is comma else "[]"
     else:
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
@@ -139,7 +132,7 @@ def _table(table: Table, pad: str):
     inner, field = pad + "  ", pad + "    "
     names = [encode_basestring_ascii(key).replace("%", "%%") for key in table.keys]
     opened = False
-    for columns in (table.columns,) if table.batches is None else table.batches:
+    for columns in table.batches:
         if not len(columns[0]):
             continue
         texts = [isinstance(column[0], str) for column in columns]

@@ -249,8 +249,8 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
     """
     if std.form != STANDARD:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
+    check_polarity(polarity, std.controls, KQF)  # all of '012', before a form is picked
     form = form_for_polarity(polarity)
-    check_polarity(polarity, std.controls, form)
     out = cascade(working_targets(std), polarity, form)
     out.setflags(write=False)  # handed over: kept uncopied
     return Multiplexer(std.controls, out, form, polarity)

@@ -22,13 +22,13 @@ gate (one byte while there are at most 256 of them).  Neither loader
 builds the 2^m complex vector.
 
 Files are streamed the same way: both formats are written through jsonout
-a token at a time, from target_tokens, which renders a palette's distinct
-matrices once and indexes their tokens a chunk at a time, and a plain
-target array a chunk of mux.target_chunks at a time, its literal tokens a
-sub-batch of rows at a time, so no writer builds the complex vector or
-holds the file's text, and every write is bounded in characters (see
-jsonout.write).  dump_qmux and dump_qmux_json return
-the bytes save_qmux writes.
+a batch of tokens at a time, one piece per list of target_tokens, which
+renders a palette's distinct matrices once and indexes their tokens a
+sub-batch at a time, and a plain target array a chunk of
+mux.target_chunks at a time, its tokens a sub-batch of rows at a time, so
+no writer builds the complex vector or holds the file's text, and every
+write is bounded in characters (see jsonout.write).  dump_qmux and
+dump_qmux_json return the bytes save_qmux writes.
 """
 
 from __future__ import annotations
@@ -185,12 +185,13 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             if not sep:
                 raise ParseError(f"expected 'key: value', got {line.strip()!r}", source, lineno)
             if key == "controls":
-                try:
-                    controls = int(value)
-                except ValueError:
+                digits = value.strip()
+                try:  # ASCII digits only: int() also takes "0_1", "+1" and other scripts
+                    controls = int(digits) if digits.isascii() and digits.isdigit() else 0
+                except ValueError:  # past int()'s digit limit
                     controls = 0
                 if controls < 1:
-                    raise ParseError(f"bad control count {value.strip()!r}", source, lineno)
+                    raise ParseError(f"bad control count {digits!r}", source, lineno)
                 controls_line = lineno
             elif key == "form":
                 form = _parse_form(value, source, lineno)
@@ -260,34 +261,36 @@ def load_qmux(path) -> Multiplexer:
 
 
 def target_tokens(m: Multiplexer):
-    """The targets' gate tokens, one-shot, made kernels.CHUNK_ROWS gates at
-    a time, each chunk only when its first token is consumed, so nothing is
-    rendered by this call.  A palette's matrices are rendered once (see
-    gates.render_gates), with the first chunk, and each chunk indexes their
+    """The targets' gate tokens, one-shot, as lists of at most
+    gates.sub_batch_rows() tokens, the unit the writers take, each list
+    made only when the previous one is used up, so nothing is rendered by
+    this call.  A palette's matrices are rendered once (see
+    gates.render_gates), with the first list, and each list indexes their
     tokens; a plain target array (a transform's output) is rendered a chunk
-    of mux.target_chunks at a time, and each chunk's literal tokens are
-    made a sub-batch of gates.render_gates at a time, after its distinct
-    floats are repr'd once.  A token's text depends only on its matrix, so
-    both give the same tokens.  Only lists of tokens are chained, with no
-    generator per token, and a chunk's tokens are dropped before the next
-    chunk is made."""
+    of mux.target_chunks at a time, and each chunk's lists are sub-batches
+    of gates.render_gates, made after its distinct floats are repr'd once.
+    A token's text depends only on its matrix, so both give the same
+    tokens."""
     if m.palette.index is None:
-        return itertools.chain.from_iterable(map(gates.render_gates, target_chunks(m)))
-    return itertools.chain.from_iterable(_palette_tokens(m.palette))
+        return (batch for chunk in target_chunks(m) for batch in gates.render_gates(chunk))
+    return _palette_tokens(m.palette)
 
 
 def _palette_tokens(palette: Palette):
-    """Lists of the palette's gate tokens, kernels.CHUNK_ROWS gates each."""
-    tokens = np.array(list(gates.render_gates(palette.matrices)), dtype=object)
-    for start in range(0, len(palette.index), kernels.CHUNK_ROWS):
-        yield palette.per_gate(tokens, slice(start, start + kernels.CHUNK_ROWS)).tolist()
+    """Lists of the palette's gate tokens, gates.sub_batch_rows() gates each."""
+    tokens = np.array([t for batch in gates.render_gates(palette.matrices) for t in batch], object)
+    rows = gates.sub_batch_rows()
+    for start in range(0, len(palette.index), rows):
+        yield palette.per_gate(tokens, slice(start, start + rows)).tolist()
 
 
 def _write_qmux(fh, m: Multiplexer, as_json: bool) -> None:
     """Write m to fh as .qmux text, or as its JSON mirror (jsonout.write_json
-    of its fields and a newline), a token at a time.  The format has no
-    inverters, so line inverters are folded back into negative digits first
-    (the same realized semantics)."""
+    of its fields and a newline), one piece per list of target_tokens.  The
+    text form's separators cycle across the lists, each list pulling only
+    as many as it has tokens.  The format has no inverters, so line
+    inverters are folded back into negative digits first (the same realized
+    semantics)."""
     m = without_inverters(m)
     tokens = target_tokens(m)
     if as_json:
@@ -296,7 +299,8 @@ def _write_qmux(fh, m: Multiplexer, as_json: bool) -> None:
     else:
         head = f"controls: {m.controls}\nform: {m.describe()}\ntargets:"
         seps = itertools.cycle(["\n  "] + [" "] * (TOKENS_PER_LINE - 1))
-        jsonout.write(fh, itertools.chain([head], map(str.__add__, seps, tokens), ["\n"]))
+        pieces = ("".join([sep + token for token, sep in zip(batch, seps)]) for batch in tokens)
+        jsonout.write(fh, itertools.chain([head], pieces, ["\n"]))
 
 
 def dump_qmux(m: Multiplexer) -> str:

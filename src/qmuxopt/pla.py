@@ -40,9 +40,9 @@ class PlaFile:
 def _header_count(fields: list, least: int, source: str, line: int) -> int:
     """The count of a .i/.o/.p directive, an integer of at least `least`."""
     text = fields[1] if len(fields) > 1 else ""
-    try:
-        count = int(text)
-    except ValueError:
+    try:  # ASCII digits only: int() also takes "0_2", "+2" and other scripts
+        count = int(text) if text.isascii() and text.isdigit() else least - 1
+    except ValueError:  # past int()'s digit limit
         count = least - 1
     if count < least:
         raise MalformedHeader(

@@ -164,15 +164,15 @@ def _summary(
     worst are (cost, index) of the lowest and highest cost, each tie to
     the smallest index: the polarity read as a base-b numeral, so index
     order is lexicographic order."""
-    m, base = std.controls, len(FAMILY_DIGITS[cfg.family])
+    names = blocksearch.polarity_names([best[1], worst[1]], cfg.family, std.controls)
     return SearchReport(
         family=cfg.family,
         mode=mode,
-        controls=m,
+        controls=std.controls,
         original_cost=original,
-        best_polarity=np.base_repr(best[1], base).zfill(m),
+        best_polarity=names[0],
         best_cost=best[0],
-        worst_polarity=np.base_repr(worst[1], base).zfill(m),
+        worst_polarity=names[1],
         worst_cost=worst[0],
         average_cost=total / count,
         polarities_evaluated=count,

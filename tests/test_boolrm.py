@@ -21,7 +21,7 @@ PARITY3 = BoolFunc.from_string("01101001")   # a xor b xor c
 
 
 def all_polarities(n, family):
-    digits = boolrm.FAMILY_DIGITS[family]
+    digits = blocksearch.FAMILY_DIGITS[family]
     base = len(digits)
     total = base ** n
     for i in range(total):

@@ -176,6 +176,15 @@ def test_verify_transformed_polarity_mismatch_exits_2(capsys, case_file, tmp_pat
     assert "polarity" in err
 
 
+@pytest.mark.parametrize("polarity", ["13", "31", "x2"])
+def test_a_polarity_digit_outside_012_is_named_against_all_three(capsys, case_file, polarity):
+    """A bad digit is refused against every quantum digit, so the message
+    does not leave out the '2' that a polarity may hold."""
+    code, out, err = run(capsys, ["verify", case_file, polarity])
+    assert code == 2 and out == ""
+    assert err == f"error: kqf polarity {polarity!r} uses digits outside '012'\n"
+
+
 def test_verify_transformed_with_another_control_count_exits_2(capsys, case_file, tmp_path):
     # The polarity matches the transformed file, so only the counts differ.
     path = tmp_path / "three.qmux"

@@ -15,7 +15,8 @@ and bytes that are not UTF-8.  `classical` takes the same contract, with
 0 or 2 as its only codes at these sizes, on binary and hex minterm
 strings mutated a character at a time and on odd values of --top and
 --output-index.  The examples are derandomized and capped, so the test
-runs the same inputs every time.
+runs the same inputs every time.  A .qmux or .pla header count that int()
+reads but that is not ASCII digits exits 2 as well.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +238,24 @@ def test_a_source_name_with_a_newline_stays_on_the_one_error_line():
             code, err, caught, _ = _run(argv)
             assert code == 2 and not caught
             assert err.startswith(f"error: {source!r}") and err.count("\n") == 1, err
+
+
+# Counts int() reads as 1 or 2: an underscore, a sign, digits outside ASCII.
+@pytest.mark.parametrize("one, two", [("0_1", "0_2"), ("+1", "+2"), ("\u0661", "\u0662"),
+                                      ("\uff11", "\uff12")])
+def test_a_header_count_of_anything_but_ascii_digits_exits_2(one, two):
+    """A .qmux control count and a .pla .i count are ASCII decimal digits:
+    a count that int() reads but that is not such digits exits 2 with the
+    header's message, where it loaded as 1 control or 2 inputs."""
+    with tempfile.TemporaryDirectory() as work:
+        qmux, pla = os.path.join(work, "one.qmux"), os.path.join(work, "two.pla")
+        with open(qmux, "w", encoding="utf-8") as fh:
+            fh.write(f"controls: {one}\nform: standard\ntargets: I X\n")
+        with open(pla, "w", encoding="utf-8") as fh:
+            fh.write(f".i {two}\n.o 1\n01 1\n.e\n")
+        for argv, message in ((["cost", qmux], f"bad control count {one!r}"),
+                              (["classical", pla], f".i needs an integer count of at least 1, "
+                                                   f"got {two!r}")):
+            code, err, caught, parsed = _run(argv)
+            assert code == 2 and not caught and parsed == 0, err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, err

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,11 @@ import pytest
 
 from qmuxopt import gates, kernels, mux, randmux, reference, search
 from qmuxopt.errors import NonUnitary, UnknownGate
+
+
+def _flat(batches) -> list:
+    """The tokens of an iterator of token lists, in order."""
+    return list(itertools.chain.from_iterable(batches))
 
 
 def test_catalog_gates_are_unitary():
@@ -165,7 +171,7 @@ def test_render_gates_keeps_signed_zeros_apart():
     phase = np.exp(0.3j)
     plus = np.array([[complex(0.0, 0.0), phase], [phase, complex(0.0, 0.0)]])
     minus = np.array([[complex(-0.0, -0.0), phase], [phase, complex(-0.0, 0.0)]])
-    tokens = list(gates.render_gates(np.stack([plus, minus, plus])))
+    tokens = _flat(gates.render_gates(np.stack([plus, minus, plus])))
     assert tokens == _render_reference([plus, minus, plus])
     assert tokens[0].startswith("M(0.0,0.0,") and tokens[1].startswith("M(-0.0,-0.0,")
 
@@ -175,7 +181,7 @@ def test_render_gates_repeated_bit_patterns():
     pool = np.stack([reference.random_unitary(rng) for _ in range(5)])
     stack = pool[rng.integers(0, 5, size=64)]
     stack[::7] = gates.rx(0.3)  # entries shared across matrices and within one
-    assert list(gates.render_gates(stack)) == _render_reference(stack)
+    assert _flat(gates.render_gates(stack)) == _render_reference(stack)
 
 
 def test_render_gates_at_the_catalog_tolerance():
@@ -183,15 +189,15 @@ def test_render_gates_at_the_catalog_tolerance():
     outside = gates.X.copy()
     outside[0, 1] += 1.1 * gates.EPS
     stack = np.stack([inside, outside, gates.V - 0.9j * gates.EPS, gates.V + 1.1j * gates.EPS])
-    tokens = list(gates.render_gates(stack))
+    tokens = _flat(gates.render_gates(stack))
     assert tokens == _render_reference(stack)
     assert [t.startswith("M(") for t in tokens] == [False, True, False, True]
 
 
 def test_render_gates_all_catalog_and_empty():
     catalog = np.stack(list(gates.CATALOG.values()) * 3)
-    assert list(gates.render_gates(catalog)) == list(gates.CATALOG) * 3
-    assert list(gates.render_gates(np.empty((0, 2, 2), dtype=complex))) == []
+    assert _flat(gates.render_gates(catalog)) == list(gates.CATALOG) * 3
+    assert _flat(gates.render_gates(np.empty((0, 2, 2), dtype=complex))) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 40, 4096])
@@ -207,7 +213,7 @@ def test_render_gates_in_any_sub_batching_equal_the_per_gate_render(monkeypatch,
     made, real = [], gates._sub_batches
     monkeypatch.setattr(gates, "_sub_batches",
                         lambda *args: (made.append(batch) or batch for batch in real(*args)))
-    tokens = list(gates.render_gates(stack))
+    tokens = _flat(gates.render_gates(stack))
     assert tokens == _render_reference(stack)
     rows = max(1, chunk // gates.SUB_BATCH_SHARE)
     assert [len(batch) for batch in made] == [min(rows, 300 - s) for s in range(0, 300, rows)]

@@ -18,9 +18,8 @@ from qmuxopt.muxio import save_qmux, target_tokens
 def _plain(value):
     """value with every Table replaced by its list of row dicts."""
     if isinstance(value, Table):
-        batches = [value.columns] if value.batches is None else value.batches
         rows = []
-        for batch in batches:
+        for batch in value.batches:
             columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in batch]
             rows += [dict(zip(value.keys, row)) for row in zip(*columns)]
         return rows
@@ -37,19 +36,19 @@ def _written(value) -> str:
 
 BODIES = {
     "scalars": {"a": 1, "b": -2.5e-300, "c": None, "d": True, "e": "téxt\n\"q\"", "f": 0.1},
-    "empty containers": {"dict": {}, "list": [], "table": Table(("k",), ([],)), "nested": [[]]},
-    "one-row table": {"t": Table(("polarity", "cost"), (["0%d1"], [7]))},
-    "table": Table(("gate_index", "controls", "cost"), ([0, 5, 9], [1, 2, 10], [1, 5, 224])),
+    "empty containers": {"dict": {}, "list": [], "table": Table(("k",), [([],)]), "nested": [[]]},
+    "one-row table": {"t": Table(("polarity", "cost"), [(["0%d1"], [7])])},
+    "table": Table(("gate_index", "controls", "cost"), [([0, 5, 9], [1, 2, 10], [1, 5, 224])]),
     "array table": {
-        "empty": Table(("k",), (np.array([], dtype=np.int64),)),
+        "empty": Table(("k",), [(np.array([], dtype=np.int64),)]),
         "rows": Table(
             ("gate_index", "p", "cost"),
-            (np.arange(7, dtype=np.int64) * 5000, list("abcdefg"), np.full(7, 448)),
+            [(np.arange(7, dtype=np.int64) * 5000, list("abcdefg"), np.full(7, 448))],
         ),
     },
     "string lists": {"one": ["M(0.0,-0.0)"], "many": ["I", "X\\", "π", ""]},
     "mixed list": {"mixed": ["a", 1, {"b": [2.0, "c"]}], "numbers": [1, 2]},
-    "deep": {"a": {"b": {"c": {"d": ["x", "y"], "t": Table(("%s", "v"), (["p"], [3]))}}}},
+    "deep": {"a": {"b": {"c": {"d": ["x", "y"], "t": Table(("%s", "v"), [(["p"], [3])])}}}},
     "batched tables": {
         "none": Table(("k",), batches=[]),
         "empty": Table(("k", "v"), batches=[([], []), (np.array([], dtype=np.int64), [])]),
@@ -154,8 +153,8 @@ class _RecordingStream:
 
 
 def test_largest_write_is_bounded(monkeypatch, capsys, tmp_path):
-    """A report goes out in writes of at most kernels.CHUNK_ROWS items,
-    never as one string: the guard on the peak memory of large reports."""
+    """A report goes out in writes bounded by characters, never as one
+    string: the guard on the peak memory of large reports."""
     monkeypatch.setattr(time, "perf_counter", lambda: 0.0)  # timings differ run to run
     path = _rand_file(tmp_path, 8)  # 255 literals of about 150 bytes
     argv = ["optimize", str(path), "--format", "json"]
@@ -211,6 +210,27 @@ def test_every_write_is_bounded_by_characters(monkeypatch, tmp_path):
         assert max(writes) <= max(bound, max(pieces)), argv
 
 
+def test_gate_tokens_reach_write_a_list_a_piece(monkeypatch, tmp_path):
+    """The tokens of an m = 12 full-pool optimize report, JSON and text,
+    and of the .qmux file and JSON mirror that save_qmux writes (through
+    generate) reach jsonout.write one list of gates.sub_batch_rows()
+    tokens a piece: the 4,096 tokens take 4,096 / sub_batch_rows() pieces,
+    and the rest of each output at most 80 more (68 in the JSON report),
+    where a piece per token made more than 4,096."""
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    path = tmp_path / "full12.qmux"
+    save_qmux(randmux.generate(12, randmux.POOL_FULL, 3), path)
+    most = (1 << 12) // gates.sub_batch_rows() + 80
+    for argv in (
+        ["generate", "--controls", "12", "--seed", "3", "--out", tmp_path / "again.qmux"],
+        ["generate", "--controls", "12", "--seed", "3", "--out", tmp_path / "again.json"],
+        ["optimize", path, "--format", "json"],
+        ["optimize", path, "--format", "text"],
+    ):
+        pieces, _ = _pieces_and_writes(monkeypatch, argv)
+        assert len(pieces) <= most, (argv, len(pieces))
+
+
 class _Writes:
     def __init__(self):
         self.writes = []
@@ -228,9 +248,10 @@ def _token_stack(count):
 @pytest.mark.parametrize("chunks", [1, 2, 4096])
 @pytest.mark.parametrize("count", [0, 1, 37])
 def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
-    """A plain iterator of tokens, rendered kernels.CHUNK_ROWS at a time,
-    writes the bytes of json.dumps of its list, alone and inside a report,
-    with no write holding more than kernels.CHUNK_ROWS items."""
+    """An iterator of token lists, rendered kernels.CHUNK_ROWS at a time,
+    writes the bytes of json.dumps of its tokens' list, alone and inside a
+    report, with no write longer than the character bound or than its one
+    piece."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     stack = _token_stack(count)
 
@@ -239,31 +260,39 @@ def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
         return itertools.chain.from_iterable(map(gates.render_gates, pieces))
 
     plain = [reference.render_gate(u) for u in stack]
-    assert list(tokens()) == plain
+    assert [token for batch in tokens() for token in batch] == plain
+    pieces, real = [], jsonout.write
+    monkeypatch.setattr(
+        jsonout, "write", lambda fh, parts: real(fh, (pieces.append(p) or p for p in parts))
+    )
     report = {"search": {"best": "1"}, "best_targets": tokens(), "n": count}
     for body, want in ((tokens(), plain), (report, {**report, "best_targets": plain})):
         stream = _Writes()
+        pieces.clear()
         write_json(stream, body)
         assert "".join(stream.writes) == json.dumps(want, indent=2)
-        # Each item of a container after the first starts its own line.
-        assert max(text.count("\n") for text in stream.writes) <= chunks
+        bound = chunks * jsonout.WRITE_CHARS_PER_ROW
+        assert max(map(len, stream.writes)) <= max(bound, *map(len, pieces))
 
 
 @pytest.mark.parametrize("chunks", [1, 3, 4096])
-def test_write_joins_every_piece_in_writes_of_chunk_rows(monkeypatch, chunks):
-    """jsonout.write makes one write per kernels.CHUNK_ROWS non-empty
-    pieces, and a run of empty pieces does not end it early."""
+def test_write_joins_pieces_up_to_the_character_bound(monkeypatch, chunks):
+    """jsonout.write joins pieces while their characters fit the bound,
+    kernels.CHUNK_ROWS * WRITE_CHARS_PER_ROW, writes a longer piece alone,
+    and a run of empty pieces does not end a write early."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
-    pieces = ["a", "", "", "", "b", "cd", ""] * 3
+    pieces = ["a" * 5, "", "", "b" * 6, "c" * 20, "", "d" * 17, "e"] * 3
     stream = _Writes()
     jsonout.write(stream, iter(pieces))
     assert "".join(stream.writes) == "".join(pieces)
-    assert len(stream.writes) == -(-9 // chunks)
+    expected = {1: [11, 20, 17, 12, 20, 17, 12, 20, 17, 1], 3: [48, 32, 29, 38], 4096: [147]}
+    assert list(map(len, stream.writes)) == expected[chunks]
 
 
 def test_target_tokens_render_only_when_written(monkeypatch):
     """target_tokens renders nothing when called, and each chunk of
-    kernels.CHUNK_ROWS gates only when its first token is consumed."""
+    kernels.CHUNK_ROWS gates only when its first list of tokens is
+    consumed."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
     m = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
     made = []
@@ -272,7 +301,7 @@ def test_target_tokens_render_only_when_written(monkeypatch):
     tokens = target_tokens(m)
     assert made == []
     plain = [reference.render_gate(u) for u in m.targets]
-    assert next(tokens) == plain[0] and made == [3]
+    assert next(tokens) == plain[:1] and made == [3]
     assert _written({"t": tokens}) == json.dumps({"t": plain[1:]}, indent=2)
     assert made == [3, 3, 2]
 
@@ -290,5 +319,5 @@ def test_a_palette_is_rendered_once(monkeypatch, chunks):
     monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
     tokens = target_tokens(m)
     assert made == []
-    assert list(tokens) == plain
+    assert [token for batch in tokens for token in batch] == plain
     assert made == [len(m.palette.matrices)] == [4]

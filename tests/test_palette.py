@@ -2,6 +2,7 @@
 and a one-byte index per gate, and every report, search and check reads
 the same as for the same targets passed as a plain (2^m, 2, 2) array."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -16,6 +17,12 @@ from qmuxopt.mux import Multiplexer, Palette, used_palette
 from qmuxopt.muxio import parse_qmux, save_qmux
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
+
+
+def _flat(batches) -> list:
+    """The tokens of an iterator of token lists, in order."""
+    return list(itertools.chain.from_iterable(batches))
+
 
 H13 = "M(0.7071067811865,0,0.7071067811865,0,0.7071067811865,0,-0.7071067811865,0)"
 NEG_ZERO_X = "M(-0.0,0,1,0,1,0,-0.0,0)"
@@ -97,7 +104,7 @@ def test_tokens_of_one_matrix_share_a_palette_entry(tmp_path):
     # tokens unless the catalog match within EPS renders both as X.
     literal = muxio.load_qmux(paths["literal"])
     assert len(literal.palette.matrices) == 7
-    tokens = list(muxio.target_tokens(literal))
+    tokens = _flat(muxio.target_tokens(literal))
     assert tokens[0] == tokens[4] == "M(0.6,0.8,-0.0,0.0,0.0,0.0,0.6,-0.8)"
     assert tokens[3] == "M(0.6,0.8,0.0,0.0,0.0,0.0,0.6,-0.8)"
     assert tokens[1] == tokens[7] == "X"
@@ -105,7 +112,7 @@ def test_tokens_of_one_matrix_share_a_palette_entry(tmp_path):
 
 def test_palettes_of_the_generators_hold_only_the_gates_drawn():
     m = generate(1, POOL_FULL, seed=0)
-    assert len(m.palette.matrices) == len(set(muxio.target_tokens(m)))
+    assert len(m.palette.matrices) == len(set(_flat(muxio.target_tokens(m))))
     zero = to_multiplexer(BoolFunc(2, np.zeros(4, np.uint8)))
     assert len(zero.palette.matrices) == 1 and not zero.palette.index.any()
     palette = used_palette(np.stack([gates.X, gates.I, gates.H]), np.array([2, 2, 0, 2]))
@@ -217,8 +224,9 @@ def test_a_random_csv_run_on_an_interned_input_never_builds_the_complex_vector(t
 )
 def test_line_reports_are_the_same_bytes_in_any_batch_size(monkeypatch, capsys, tmp_path, argv):
     """Every piece of a text or CSV report, the optimize report's target
-    line a token at a time, goes through jsonout.write in batches of
-    kernels.CHUNK_ROWS; the bytes do not depend on the batch size."""
+    line a list of tokens at a time, goes through jsonout.write in writes
+    bounded by kernels.CHUNK_ROWS; the bytes do not depend on the batch
+    size."""
     monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
     path = tmp_path / "m6.qmux"
     save_qmux(generate(6, POOL_FULL, seed=2), path)
@@ -237,10 +245,10 @@ def test_line_reports_are_the_same_bytes_in_any_batch_size(monkeypatch, capsys, 
 
 
 def test_a_text_optimize_report_peaks_with_the_json_one(tmp_path):
-    """The text report streams its target line a token at a time, as the
-    JSON report streams its target list: their traced peaks (tracemalloc)
-    lie within 1 MiB, where joining the 2^m tokens into one line took 3 times
-    the JSON peak."""
+    """The text report streams its target line a list of tokens at a
+    time, as the JSON report streams its target list: their traced peaks
+    (tracemalloc) lie within 1 MiB, where joining the 2^m tokens into one
+    line took 3 times the JSON peak."""
 
     def argv(path, fmt):
         return ["optimize", str(path), "--mode", "random", "--samples", "1", "--seed", "3",

@@ -83,10 +83,9 @@ def test_the_ranking_is_a_read_only_view_named_a_batch_at_a_time():
 
 
 def test_polarities_are_named_from_their_lexicographic_indices():
-    ranking = rm_search(_function(3), boolrm.KRM)
     lexicographic = list(map("".join, itertools.product("012", repeat=3)))
-    assert ranking.polarities(np.arange(27)) == lexicographic
-    assert rm_search(_function(5), boolrm.FPRM).polarities(np.array([0, 1, 30, 31])) == [
+    assert blocksearch.polarity_names(np.arange(27), boolrm.KRM, 3) == lexicographic
+    assert blocksearch.polarity_names(np.array([0, 1, 30, 31]), boolrm.FPRM, 5) == [
         "00000", "00001", "11110", "11111"]
 
 
@@ -111,5 +110,5 @@ def test_block_costs_match_per_polarity_transforms(family, n, block, chunk_bytes
         patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
         patch.setattr(kernels, "CHUNK_ROWS", chunk_rows)
         costs = blocksearch.polarity_costs(func.minterms, family, np.arange(n + 1))
-    polarities = map("".join, itertools.product(boolrm.FAMILY_DIGITS[family], repeat=n))
+    polarities = map("".join, itertools.product(blocksearch.FAMILY_DIGITS[family], repeat=n))
     assert costs.tolist() == [literal_cost(rm_transform(func, p)) for p in polarities]

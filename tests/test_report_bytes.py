@@ -8,8 +8,12 @@ so the bytes do not depend on the run.  Each case runs at the default
 kernels.CHUNK_ROWS and at 3, which moves every batch boundary.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from qmuxopt import kernels, mux, randmux
@@ -148,7 +152,28 @@ def report_digests(capsys) -> dict:
     return out
 
 
+def _blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS dispatched on this host, as
+    its scipy_openblas_get_corename64_ names it, and OPENBLAS_CORETYPE if
+    it is set: the float products in optimize's literal tokens round as
+    that kernel rounds."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        library = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        corename = library.scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # no such library, or no such symbol
+        name = "unknown"
+    else:
+        corename.restype = ctypes.c_char_p
+        name = corename().decode()
+    forced = os.environ.get("OPENBLAS_CORETYPE")
+    return name if forced is None else f"{name} (OPENBLAS_CORETYPE={forced})"
+
+
 @pytest.mark.parametrize("chunks", [3, 4096])
 def test_reports_and_files_keep_their_pinned_bytes(monkeypatch, capsys, workdir, chunks):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
-    assert report_digests(capsys) == DIGESTS
+    assert report_digests(capsys) == DIGESTS, (
+        f"the digests were pinned under OpenBLAS's SkylakeX kernel; this run used "
+        f"{_blas_kernel()}"
+    )
