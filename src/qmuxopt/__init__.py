@@ -29,10 +29,6 @@ _EXPORTS = {
     "muxio": ("dump_qmux", "load_qmux", "parse_qmux", "save_qmux"),
     "pla": ("load_pla", "parse_pla", "to_bool_func", "to_multiplexer"),
     "randmux": ("POOL_FULL", "POOL_NVV", "GatePool", "generate"),
-    "reference": (
-        "BaseFunction", "butterfly_stage", "control_count", "known_cases",
-        "map_coefficient", "rm_transform_matrix", "triangular_solve",
-    ),
     "search": (
         "SearchConfig", "SearchReport", "exhaustive_search", "random_polarity_search",
         "run_search",

@@ -232,8 +232,8 @@ def polarity_names(index, family: str, n: int) -> list:
 
 def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
-    as int64: reference.control_count, or the literal count of
-    reference.map_coefficient.
+    as int64: control_count, or the literal count of map_coefficient, of
+    the test oracle (tests/oracle.py).
     One digit's vector is its (clear-bit, set-bit) shifts.
 
     Given `rows`, a slice of positions, only their counts: a position's

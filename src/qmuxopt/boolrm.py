@@ -9,7 +9,8 @@ KRM polarities use {0,1,2}.
 The transform is a cascade of GF(2) butterfly columns, one per variable.
 The columns commute, so the order is fixed (first variable first) purely
 for determinism.  Output position i of the transform pairs with the base
-function reference.map_coefficient(i, p); positions are never reordered.
+function map_coefficient(i, p) of the test oracle (tests/oracle.py);
+positions are never reordered.
 
 rm_transform and rm_inverse_transform run `blocksearch.cascade` on the
 family's GF(2) columns.  rm_search costs every polarity with

@@ -25,10 +25,6 @@ class FormMismatch(QmuxError):
     """Multiplexer is not in the form the operation requires."""
 
 
-class LengthNotPowerOfTwo(QmuxError):
-    """Gate vector length must be a power of two."""
-
-
 class ParseError(QmuxError):
     """Input text could not be parsed; carries source position.  A source
     name holding a character that is not printable is shown as its repr."""

@@ -61,16 +61,6 @@ def rz(theta: float) -> np.ndarray:
     )
 
 
-def inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse of a unitary: the conjugate transpose."""
-    return np.ascontiguousarray(u.conj().T)
-
-
-def approx_eq(u: np.ndarray, v: np.ndarray, tol: float = EPS) -> bool:
-    """Exact entrywise comparison within tol.  Not phase-insensitive."""
-    return bool(np.max(np.abs(u - v)) <= tol)
-
-
 def unitarity_residual(us: np.ndarray) -> float:
     """Largest entry of |u u^H - I| over a (n, 2, 2) stack, kernels.CHUNK_ROWS
     matrices at a time: nan when any entry anywhere is non-finite, so that

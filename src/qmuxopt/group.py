@@ -49,7 +49,8 @@ full-pool m = 12 FPQF CLI run 8.95k minor page faults against 6.36k.
 One BLAS call per row rounds a few products differently from one call
 per pair: the full pool's table residual read 9.878e-16 that way, and no
 decision or table differs (`tests/test_group.py` holds `intern` to
-`reference.product_table`, which builds the table row by row).
+`product_table` of the test oracle `tests/oracle.py`, which builds the
+table row by row).
 """
 
 from __future__ import annotations

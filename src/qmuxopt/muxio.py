@@ -11,7 +11,8 @@ JSON mirror uses the same field names:
     {"controls": 2, "form": "fpqf:11", "targets": ["I", "V", "V", "I"]}
 
 Both loaders take one path, in one order: the header (a control count of
-at least 1, and a form), the token count, the tokens, the Multiplexer.
+at least 1, and a form; each field named once, and no other key), the
+token count, the tokens, the Multiplexer.
 So in both formats a bad header or a wrong count is refused before any
 token is parsed.  The tokens are numbered a batch of at least
 kernels.CHUNK_ROWS at a time (the text loader never splits a line), so
@@ -55,6 +56,17 @@ TOKENS_PER_LINE = 8
 # is built: an integer of `controls` bits (1.25 GB near 10^10), whose
 # decimal text Python refuses past 4,300 digits.
 UNMATCHABLE_CONTROLS = sys.maxsize.bit_length()
+
+
+def _header_key(seen: set, key: str, source, line=None) -> str:
+    """The key, once it is known to name a field not named before in the
+    same header; both loaders refuse the others in these words."""
+    if key not in ("controls", "form", "targets"):
+        raise ParseError(f"unknown field {key!r}", source, line)
+    if key in seen:
+        raise ParseError(f"repeated field {key!r}", source, line)
+    seen.add(key)
+    return key
 
 
 def _parse_form(text: str, source, line):
@@ -164,8 +176,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
     then, by a rescan of the targets.
     """
     if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
+        try:  # every object's keys are checked as json.loads reads them
+            data = json.loads(text, object_pairs_hook=lambda pairs: _json_header(pairs, source))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", source, exc.lineno, exc.colno)
         except ValueError as exc:  # an int past Python's digit limit, such as a huge count
@@ -173,6 +185,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         return from_json_dict(data, source)
 
     controls = controls_line = form = targets_line = last_line = None
+    seen = set()
     builder = _PaletteBuilder()
     batch = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,9 +194,9 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             if not line.strip():
                 continue
             key, sep, value = line.partition(":")
-            key = key.strip().lower()
             if not sep:
                 raise ParseError(f"expected 'key: value', got {line.strip()!r}", source, lineno)
+            key = _header_key(seen, key.strip().lower(), source, lineno)
             if key == "controls":
                 digits = value.strip()
                 try:  # ASCII digits only: int() also takes "0_1", "+1" and other scripts
@@ -195,10 +208,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
                 controls_line = lineno
             elif key == "form":
                 form = _parse_form(value, source, lineno)
-            elif key == "targets":
-                targets_line, line = lineno, value  # its tokens follow the key
             else:
-                raise ParseError(f"unknown field {key!r}", source, lineno)
+                targets_line, line = lineno, value  # its tokens follow the key
             if targets_line is None:
                 continue
         tokens = line.split()
@@ -223,6 +234,13 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         return ParseError(str(exc), source, *place)
 
     return _multiplexer(builder, controls, form, source, refuse)
+
+
+def _json_header(pairs: list, source) -> dict:
+    """A JSON object of the mirror as a dict, its keys checked as the text
+    loader checks its header's."""
+    seen = set()
+    return {_header_key(seen, key, source): value for key, value in pairs}
 
 
 def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:

@@ -1,4 +1,5 @@
-"""Reference oracles: each form by its defining semantics, slowly.
+"""Test oracles: each form by its defining semantics, slowly, and the
+helpers the tests share.
 
 The program computes every form with butterfly cascades; each function
 here computes the same thing from first principles, for tests to compare:
@@ -11,10 +12,13 @@ control_count and map_coefficient's literal counts
 blocksearch.count_vector; render_gate, one matrix at a time,
 gates.render_gates; product_table, row by row and
 by nearest elements, the table step of group.intern; and the pinned
-optima of known_cases search.exhaustive_search.  random_unitary samples
-inputs for them.  No module of the program imports this one (the
-package's __init__ names its exports, imported on first use), and it never
-calls the kernels it checks.
+optima of known_cases search.exhaustive_search.  random_unitary and
+random_unitaries sample inputs for them.  per_pair runs one column a pair
+at a time on any vector (butterfly_stage runs it on a checked gate
+vector), and all_polarities, ivvx_case, slot_index and flat are helpers
+the test files share.  This module is not part of the package: it
+imports the package's public names, no module of the package imports it,
+and it never calls the kernels it checks.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
-from .blocksearch import FAMILY_DIGITS, KRM, check_polarity, digit_mask
-from .boolrm import BoolFunc, RMSpectrum, literal_cost, rm_transform
-from .errors import FormMismatch, LengthNotPowerOfTwo, SizeLimitExceeded
-from .mux import STANDARD, Multiplexer, activation_mask, form_for_polarity
-from .pla import to_multiplexer
+from qmuxopt import gates
+from qmuxopt.blocksearch import (
+    FAMILY_DIGITS, FPQF, KQF, KRM, SLOT_RULES, check_polarity, digit_mask,
+)
+from qmuxopt.boolrm import BoolFunc, RMSpectrum, literal_cost, rm_transform
+from qmuxopt.errors import FormMismatch, QmuxError, SizeLimitExceeded
+from qmuxopt.mux import STANDARD, Multiplexer, activation_mask, form_for_polarity
+from qmuxopt.pla import to_multiplexer
 
 # group.intern's key grid: distinct elements lie farther apart than this.
 _GRID = 2.0**-20
@@ -39,6 +45,36 @@ _STAGE_MATRICES = {
     "0": np.array([[1, 1], [0, 1]], dtype=np.uint8),
     "2": np.eye(2, dtype=np.uint8),
 }
+
+
+class LengthNotPowerOfTwo(QmuxError):
+    """Gate vector length must be a power of two."""
+
+
+def inverse(u: np.ndarray) -> np.ndarray:
+    """Inverse of a unitary: the conjugate transpose."""
+    return np.ascontiguousarray(u.conj().T)
+
+
+def approx_eq(u: np.ndarray, v: np.ndarray, tol: float = gates.EPS) -> bool:
+    """Exact entrywise comparison within tol.  Not phase-insensitive."""
+    return bool(np.max(np.abs(u - v)) <= tol)
+
+
+def all_polarities(n: int, digits: str):
+    """Every n-digit polarity over the digits, in lexicographic order (the
+    order of the digits, c_1 the most significant)."""
+    return map("".join, itertools.product(digits, repeat=n))
+
+
+def ivvx_case() -> Multiplexer:
+    """The 2-control I/V/V/X multiplexer of known_cases' "iv-v-x"."""
+    return Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+
+
+def flat(batches) -> list:
+    """The tokens of an iterator of token lists, in order."""
+    return list(itertools.chain.from_iterable(batches))
 
 
 def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
@@ -55,15 +91,33 @@ def butterfly_stage(gate_vector, kernel, bit: int) -> np.ndarray:
     num_bits = n.bit_length() - 1
     if not 0 <= bit < num_bits:
         raise ValueError(f"bit {bit} out of range for {n} gates")
-    out = arr.copy()
+    return per_pair(arr, kernel, bit)
+
+
+def per_pair(vec, pair, bit: int) -> np.ndarray:
+    """pair(a, b) -> (a', b') on every pair of entries whose indices differ
+    at `bit`, one pair at a time, into a copy of vec: one column, on
+    matrices, group IDs or bits."""
+    out = vec.copy()
     step = 1 << bit
-    for base in range(n):
-        if base & step:
-            continue
-        lo, hi = kernel(arr[base], arr[base + step])
-        out[base] = lo
-        out[base + step] = hi
+    for base in range(len(vec)):
+        if not base & step:
+            out[base], out[base + step] = pair(vec[base], vec[base + step])
     return out
+
+
+def slot_index(polarity: str, position: int, family: str) -> int:
+    """Position of a polarity's entry among the block search's slots, the
+    4^n QETV slots of a quantum family or the 3^n ETV slots of a classical
+    one: per variable the slot the digit keeps at the position's bit, the
+    first variable least significant."""
+    base = 4 if family in (FPQF, KQF) else 3
+    n = len(polarity)
+    index = 0
+    for k, digit in enumerate(polarity):
+        bit = (position >> (n - 1 - k)) & 1
+        index += SLOT_RULES[family][digit][bit][0] * base**k
+    return index
 
 
 def render_gate(u: np.ndarray) -> str:
@@ -71,7 +125,7 @@ def render_gate(u: np.ndarray) -> str:
     first catalog gate within EPS, or else a matrix literal at full float
     precision (repr keeps -0.0), so parse/render round-trips."""
     for name, mat in gates.CATALOG.items():
-        if gates.approx_eq(u, mat):
+        if approx_eq(u, mat):
             return name
     entries = zip(u.real.ravel().tolist(), u.imag.ravel().tolist())
     return "M(" + ",".join(f"{re!r},{im!r}" for re, im in entries) + ")"
@@ -86,6 +140,11 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     alpha, gamma, delta = rng.uniform(0.0, 2 * np.pi, size=3)
     beta = rng.uniform(0.0, np.pi)
     return np.exp(1j * delta) * (gates.rz(alpha) @ gates.ry(beta) @ gates.rz(gamma))
+
+
+def random_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, 2, 2) stack of random_unitary samples, in draw order."""
+    return np.stack([random_unitary(rng) for _ in range(count)])
 
 
 def product_table(elements: np.ndarray):
@@ -137,7 +196,7 @@ def triangular_solve(std: Multiplexer, polarity: str) -> Multiplexer:
         for j in sorted(active):
             if j != t:
                 tail = solved[j] @ tail
-        solved[t] = targets[state] @ gates.inverse(tail)
+        solved[t] = targets[state] @ inverse(tail)
     return Multiplexer(m, solved, form, polarity)
 
 
@@ -161,8 +220,8 @@ def rm_ranking(func: BoolFunc, family: str) -> list:
     cost) pairs sorted stably by cost: the rows of boolrm.rm_search's
     Ranking, from one boolrm.rm_transform per polarity (its cascade, which
     rm_transform_matrix checks) instead of the block search, in
-    itertools.product order instead of named from indices."""
-    polarities = map("".join, itertools.product(FAMILY_DIGITS[family], repeat=func.num_vars))
+    all_polarities order instead of named from indices."""
+    polarities = all_polarities(func.num_vars, FAMILY_DIGITS[family])
     costs = [(p, literal_cost(rm_transform(func, p))) for p in polarities]
     return sorted(costs, key=lambda item: item[1])
 
@@ -254,10 +313,9 @@ class KnownCase:
 
 def known_cases() -> list:
     """Hand-built multiplexers with known optima where pinned."""
-    ivvx_targets = np.stack([gates.I, gates.V, gates.V, gates.X])
     parity3 = BoolFunc.from_string("01101001")
     return [
-        KnownCase("iv-v-x", Multiplexer(2, ivvx_targets), "11"),
+        KnownCase("iv-v-x", ivvx_case(), "11"),
         KnownCase("all-identity-2", Multiplexer(2, np.stack([gates.I] * 4))),
         KnownCase("parity-3", to_multiplexer(parity3)),
     ]

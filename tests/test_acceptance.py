@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qmuxopt import boolrm, cli, gates, reference
+from qmuxopt import boolrm, cli, gates
 from qmuxopt.blocksearch import digit_mask
 from qmuxopt.boolrm import BoolFunc, rm_transform
 from qmuxopt.cost import gate_cost
@@ -23,8 +23,10 @@ from qmuxopt.mux import (
 )
 from qmuxopt.pla import load_pla, to_bool_func, to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
-from qmuxopt.reference import rm_transform_matrix
 from qmuxopt.search import SearchConfig, exhaustive_search, random_polarity_search
+
+import oracle
+from oracle import all_polarities, ivvx_case, rm_transform_matrix
 
 DATA = pathlib.Path(__file__).parent / "data"
 TOL = 1e-9
@@ -34,16 +36,6 @@ def report(number, ok, detail):
     line = f"ACCEPTANCE {number:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-def all_polarities(m, digits):
-    for i in range(len(digits) ** m):
-        out = []
-        v = i
-        for _ in range(m):
-            out.append(digits[v % len(digits)])
-            v //= len(digits)
-        yield "".join(reversed(out))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -99,10 +91,10 @@ def test_criterion_04_two_control_algebra():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        f0, f1, f2, f3 = (reference.random_unitary(rng) for _ in range(4))
+        f0, f1, f2, f3 = (oracle.random_unitary(rng) for _ in range(4))
         std = Multiplexer(2, np.stack([f0, f1, f2, f3]))
         g = forward_transform(std, "11").targets
-        inv = gates.inverse
+        inv = oracle.inverse
         expected = [f0, f1 @ inv(f0), f2 @ inv(f0), f3 @ inv(f1) @ f0 @ inv(f2)]
         for got, want in zip(g, expected):
             worst = max(worst, float(np.abs(got - want).max()))
@@ -110,7 +102,7 @@ def test_criterion_04_two_control_algebra():
 
 
 def test_criterion_05_end_to_end_known_case():
-    std = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+    std = ivvx_case()
     rep = exhaustive_search(std, SearchConfig(family="fpqf"))
     best = forward_transform(std, rep.best_polarity)
     tokens_ok = np.abs(
@@ -136,9 +128,7 @@ def test_criterion_06_semantic_equivalence_suite():
     worst = 0.0
     for m in (1, 2, 3, 4):
         for _ in range(25):
-            std = Multiplexer(
-                m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
-            )
+            std = Multiplexer(m, oracle.random_unitaries(rng, 1 << m))
             for polarity in all_polarities(m, "012"):
                 fw = forward_transform(std, polarity)
                 dev = max_semantic_deviation(std, fw)

@@ -1,28 +1,25 @@
-import itertools
 
 import numpy as np
 import pytest
 
-from qmuxopt import blocksearch, cost, group, kernels, reference
+from qmuxopt import blocksearch, cost, group, kernels
 from qmuxopt.blocksearch import FPQF, FPRM, KQF, KRM, check_polarity, check_size, count_vector
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
 from qmuxopt.gates import EPS
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
-from qmuxopt.reference import control_count, map_coefficient
 
-
-def polarities(family, n):
-    return ("".join(p) for p in itertools.product(blocksearch.FAMILY_DIGITS[family], repeat=n))
+import oracle
+from oracle import all_polarities, control_count, map_coefficient, per_pair
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_count_vector_matches_the_scalar_counts(n):
     for family in (FPQF, KQF):
-        for polarity in polarities(family, n):
+        for polarity in all_polarities(n, blocksearch.FAMILY_DIGITS[family]):
             expected = [control_count(i, polarity) for i in range(1 << n)]
             assert count_vector(polarity, family).tolist() == expected, polarity
     for family in (FPRM, KRM):
-        for polarity in polarities(family, n):
+        for polarity in all_polarities(n, blocksearch.FAMILY_DIGITS[family]):
             expected = [map_coefficient(i, polarity).literal_count for i in range(1 << n)]
             assert count_vector(polarity, family).tolist() == expected, polarity
 
@@ -111,17 +108,6 @@ def id_pairs(g, inverse):
     }
 
 
-def per_pair(vec, pair, bit):
-    """pair(a, b) -> (a', b') on every pair differing at `bit`, one pair at
-    a time, into a copy of a 1-D vec."""
-    want = vec.copy()
-    step = 1 << bit
-    for base in range(len(vec)):
-        if not base & step:
-            want[base], want[base + step] = pair(vec[base], vec[base + step])
-    return want
-
-
 def reference_cascade(vec, polarity, column, inverse):
     """column(vec, digit, bit) -> a new vector, one variable at a time: c_1
     first, or c_n first for the inverse cascade."""
@@ -135,7 +121,7 @@ def cascade_cases(m, inverse):
     """(family, read-only vector, group, reference column) for matrices,
     group IDs and bits."""
     rng = np.random.default_rng(70 + m)
-    matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+    matrices = oracle.random_unitaries(rng, 1 << m)
     gate_group, ids = group.intern(generate(m, POOL_FULL, seed=71).targets, 1 << m)
     bits = rng.integers(0, 2, size=1 << m).astype(np.uint8)
     for vec in (matrices, ids, bits):
@@ -143,7 +129,7 @@ def cascade_cases(m, inverse):
     pairs = id_pairs(gate_group, inverse)
     return [
         (KQF, matrices, None,
-         lambda v, d, bit: reference.butterfly_stage(v, MATRIX_PAIRS[inverse][d], bit)),
+         lambda v, d, bit: oracle.butterfly_stage(v, MATRIX_PAIRS[inverse][d], bit)),
         (KQF, ids, gate_group, lambda v, d, bit: per_pair(v, pairs[d], bit)),
         (KRM, bits, None, lambda v, d, bit: per_pair(v, BIT_PAIRS[d], bit)),
     ]
@@ -152,7 +138,7 @@ def cascade_cases(m, inverse):
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_cascade_equals_a_chain_of_reference_columns(monkeypatch, inverse, chunk):
-    """On matrices (against reference.butterfly_stage), group IDs and bits
+    """On matrices (against oracle.butterfly_stage), group IDs and bits
     (per-pair lookups and XORs), in pieces of 1, 3 or 4,096 pairs: bit for
     bit, in the copy each cascade is given."""
     m = 5
@@ -173,7 +159,7 @@ def test_cascade_in_place_equals_a_chain_of_fresh_columns(monkeypatch, inverse):
     in pieces of CHUNK_ROWS, on matrices and on IDs."""
     m = 5
     rng = np.random.default_rng(60)
-    matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+    matrices = oracle.random_unitaries(rng, 1 << m)
     gate_group, ids = group.intern(generate(m, POOL_FULL, seed=61).targets, 1 << m)
     codes = (blocksearch.INVERSE_CODES if inverse else blocksearch.FORWARD_CODES)[KQF]
     order = range(m - 1, -1, -1) if inverse else range(m)
@@ -205,7 +191,7 @@ def test_the_inverse_cascade_undoes_the_forward_one(family):
     if family in (FPRM, KRM):
         vectors = [(rng.integers(0, 2, size=1 << m).astype(np.uint8), None)]
     else:
-        matrices = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+        matrices = oracle.random_unitaries(rng, 1 << m)
         gate_group, ids = group.intern(generate(m, POOL_FULL, seed=81).targets, 1 << m)
         vectors = [(matrices, None), (ids, gate_group)]
     digits = list(blocksearch.FAMILY_DIGITS[family])
@@ -261,7 +247,7 @@ def per_polarity_costs(vector, family, cost_table, gate_group):
     count vector and leaf cost."""
     n = len(vector).bit_length() - 1
     out = []
-    for polarity in polarities(family, n):
+    for polarity in all_polarities(n, blocksearch.FAMILY_DIGITS[family]):
         entries = blocksearch.cascade(vector.copy(), polarity, family, gate_group)
         counts = count_vector(polarity, family)
         if family in (FPRM, KRM):

@@ -13,24 +13,19 @@ from qmuxopt.boolrm import (
     rm_transform,
 )
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
-from qmuxopt.reference import evaluate_spectrum, map_coefficient, rm_ranking, rm_transform_matrix
+
+from oracle import (
+    all_polarities,
+    evaluate_spectrum,
+    map_coefficient,
+    rm_ranking,
+    rm_transform_matrix,
+    slot_index,
+)
 
 XOR2 = BoolFunc.from_string("0110")          # a xor b
 OR_XOR = BoolFunc.from_string("01101111")    # a + (b xor c)
 PARITY3 = BoolFunc.from_string("01101001")   # a xor b xor c
-
-
-def all_polarities(n, family):
-    digits = blocksearch.FAMILY_DIGITS[family]
-    base = len(digits)
-    total = base ** n
-    for i in range(total):
-        out = []
-        v = i
-        for _ in range(n):
-            out.append(digits[v % base])
-            v //= base
-        yield "".join(reversed(out))
 
 
 def solve_spectrum_by_elimination(func, polarity):
@@ -159,7 +154,7 @@ def test_butterfly_equals_matrix_path(n):
     rng = np.random.default_rng(100 + n)
     funcs = [BoolFunc(n, rng.integers(0, 2, size=1 << n).astype(np.uint8))
              for _ in range(100)]
-    for polarity in all_polarities(n, boolrm.KRM):
+    for polarity in all_polarities(n, blocksearch.FAMILY_DIGITS[boolrm.KRM]):
         matrix = rm_transform_matrix(polarity)
         for func in funcs:
             via_matrix = (matrix @ func.minterms) % 2
@@ -236,7 +231,7 @@ def test_mixed_family_contains_fixed_family():
 
 def test_search_matches_per_polarity_costs():
     ranked = dict(rm_search(OR_XOR, boolrm.KRM))
-    for polarity in all_polarities(3, boolrm.KRM):
+    for polarity in all_polarities(3, blocksearch.FAMILY_DIGITS[boolrm.KRM]):
         assert ranked[polarity] == literal_cost(rm_transform(OR_XOR, polarity))
 
 
@@ -293,18 +288,6 @@ def test_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, family,
     assert list(rm_search(func, family)) == expected
 
 
-def _etv_slot_index(polarity, position):
-    """Position of a polarity's coefficient among the 3^n ETV slots: per
-    variable the slot the digit keeps at the position's bit, the first
-    variable least significant."""
-    n = len(polarity)
-    index = 0
-    for k, digit in enumerate(polarity):
-        bit = (position >> (n - 1 - k)) & 1
-        index += blocksearch.SLOT_RULES[boolrm.KRM][digit][bit][0] * 3**k
-    return index
-
-
 def test_search_and_transforms_leave_the_minterms_alone():
     # n = 12 > BLOCK_VARS[FPRM]: the search runs DFS columns above its blocks.
     vec = np.random.default_rng(17).integers(0, 2, size=1 << 12).astype(np.uint8)
@@ -326,7 +309,7 @@ def test_etv_slots_equal_the_transform_bit_for_bit():
     rng = np.random.default_rng(521)
     for _ in range(20):
         polarity = "".join(rng.choice(list("012"), size=n))
-        picked = slots[[_etv_slot_index(polarity, i) for i in range(1 << n)]]
+        picked = slots[[slot_index(polarity, i, boolrm.KRM) for i in range(1 << n)]]
         assert picked.tobytes() == rm_transform(func, polarity).coefficients.tobytes(), polarity
 
 

@@ -1,10 +1,12 @@
 """Import boundaries inside the package.
 
 No module imports or reads another module's private (`_name`) names: each
-rule lives behind the public names of its home.  The reference oracles in
-`reference` stay out of the program: no module imports them (the
-package's `__init__` names them, imported on first use), and they never
-run through the `kernels` they check.  `kernels` imports no module of the package, and `blocksearch` is the only
+rule lives behind the public names of its home.  The test oracle
+`tests/oracle.py` is not part of the package: no module of the package
+imports anything from `tests/`, and the oracle never runs through the
+`kernels` it checks.  The oracle keeps the package's rules below as well,
+so it reads no private name and runs no column.  `kernels` imports no
+module of the package, and `blocksearch` is the only
 other module that reads a column code or runs a column: it alone turns a
 family and a polarity digit into columns.  `mux` alone expands a
 multiplexer's palette into the 2^m complex vector: everywhere else the
@@ -18,8 +20,7 @@ file, is written by its streaming writer.
 What a run loads is checked too, in fresh interpreters: importing the
 package loads none of its modules (its names are imported on first use),
 `qmuxopt.cli` loads only the modules every subcommand uses, and each
-subcommand loads its own, never the other side's (quantum or classical)
-nor `reference`.
+subcommand loads its own, never the other side's (quantum or classical).
 """
 
 import ast
@@ -35,6 +36,12 @@ import qmuxopt
 
 PACKAGE = Path(qmuxopt.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+ORACLE = Path(__file__).with_name("oracle.py")
+# The package's modules and the oracle, which keeps their rules.
+CHECKED = SOURCES + [ORACLE]
+# The names a module under tests/ is imported by: `tests` itself when the
+# repository root is on the path, a module's own name when tests/ is.
+TEST_MODULES = {"tests"} | {p.stem for p in ORACLE.parent.glob("*.py")}
 
 
 def _private(name: str) -> bool:
@@ -72,7 +79,7 @@ def test_the_check_sees_both_kinds_of_reach():
     assert private_reads(ast.parse(source)) == [(2, "_a"), (4, "_c"), (5, "_e")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_module_reaches_into_another_modules_private_names(path):
     assert private_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
 
@@ -101,33 +108,50 @@ def package_imports(tree: ast.Module) -> set:
 
 def test_the_import_check_sees_every_form():
     for source in (
-        "from . import gates, reference\n",
-        "from .reference import known_cases\n",
-        "from qmuxopt import reference\n",
-        "from qmuxopt.reference import known_cases\n",
-        "import qmuxopt.reference\n",
+        "from . import gates, kernels\n",
+        "from .kernels import IDENTITY\n",
+        "from qmuxopt import kernels\n",
+        "from qmuxopt.kernels import IDENTITY\n",
+        "import qmuxopt.kernels\n",
     ):
-        assert "reference" in package_imports(ast.parse(source)), source
+        assert "kernels" in package_imports(ast.parse(source)), source
     assert package_imports(ast.parse("import numpy\nfrom .mux import EPS\n")) == {"mux"}
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
-)
-def test_no_module_but_the_package_init_imports_reference(path):
-    assert "reference" not in package_imports(ast.parse(path.read_text(encoding="utf-8")))
+def imports_of_tests(tree: ast.Module) -> set:
+    """Top-level names of `tests` and the modules under it that the tree
+    imports, in any form."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names} & TEST_MODULES
 
 
-def test_reference_does_not_import_kernels():
-    source = (PACKAGE / "reference.py").read_text(encoding="utf-8")
-    assert "kernels" not in package_imports(ast.parse(source))
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_src_module_imports_from_tests(path):
+    assert imports_of_tests(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_the_oracle_does_not_import_kernels():
+    assert "kernels" not in package_imports(ast.parse(ORACLE.read_text(encoding="utf-8")))
 
 
 def test_each_check_fails_when_the_stray_import_is_put_back():
     mux = (PACKAGE / "mux.py").read_text(encoding="utf-8")
-    assert "reference" in package_imports(ast.parse(mux + "from . import reference\n"))
-    ref = (PACKAGE / "reference.py").read_text(encoding="utf-8")
-    assert "kernels" in package_imports(ast.parse(ref + "from .kernels import IDENTITY\n"))
+    for stray, found in (
+        ("import oracle\n", {"oracle"}),
+        ("from oracle import known_cases\n", {"oracle"}),
+        ("from tests import oracle\n", {"tests"}),
+        ("from tests.oracle import known_cases\n", {"tests"}),
+        ("import numpy, tests.oracle as oracle\n", {"tests"}),
+    ):
+        assert imports_of_tests(ast.parse(mux + stray)) == found, stray
+    oracle = ORACLE.read_text(encoding="utf-8")
+    stray = "from qmuxopt.kernels import IDENTITY\n"
+    assert "kernels" in package_imports(ast.parse(oracle + stray))
 
 
 def test_kernels_imports_no_module_of_the_package():
@@ -159,7 +183,7 @@ def column_reads(tree: ast.Module) -> list:
 
 @pytest.mark.parametrize(
     "path",
-    [p for p in SOURCES if p.name not in ("kernels.py", "blocksearch.py")],
+    [p for p in CHECKED if p.name not in ("kernels.py", "blocksearch.py")],
     ids=lambda p: p.name,
 )
 def test_only_blocksearch_reads_column_codes_or_runs_columns(path):
@@ -215,7 +239,7 @@ def palette_gathers(tree: ast.Module) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "mux.py"], ids=lambda p: p.name
+    "path", [p for p in CHECKED if p.name != "mux.py"], ids=lambda p: p.name
 )
 def test_only_mux_expands_a_palette_into_the_complex_vector(path):
     assert palette_gathers(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -257,7 +281,7 @@ def stream_writes(tree: ast.Module) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "jsonout.py"], ids=lambda p: p.name
+    "path", [p for p in CHECKED if p.name != "jsonout.py"], ids=lambda p: p.name
 )
 def test_only_jsonout_calls_a_streams_write(path):
     assert stream_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -301,7 +325,7 @@ def json_dumps_calls(tree: ast.Module) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "jsonout.py"], ids=lambda p: p.name
+    "path", [p for p in CHECKED if p.name != "jsonout.py"], ids=lambda p: p.name
 )
 def test_only_jsonout_calls_json_dumps(path):
     assert json_dumps_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -331,15 +355,13 @@ EXPORTS = {
     "muxio": ["dump_qmux", "load_qmux", "parse_qmux", "save_qmux"],
     "pla": ["load_pla", "parse_pla", "to_bool_func", "to_multiplexer"],
     "randmux": ["POOL_FULL", "POOL_NVV", "GatePool", "generate"],
-    "reference": ["BaseFunction", "butterfly_stage", "control_count", "known_cases",
-                  "map_coefficient", "rm_transform_matrix", "triangular_solve"],
     "search": ["SearchConfig", "SearchReport", "exhaustive_search", "random_polarity_search",
                "run_search"],
 }
 # Loaded by `import qmuxopt.cli`: gates comes with blocksearch (EPS).
 SHARED = {"blocksearch", "cli", "errors", "gates", "jsonout", "kernels"}
-CLASSICAL_ONLY = {"boolrm", "pla", "reference"}
-QUANTUM_ONLY = {"search", "group", "mux", "muxio", "cost", "randmux", "reference"}
+CLASSICAL_ONLY = {"boolrm", "pla"}
+QUANTUM_ONLY = {"search", "group", "mux", "muxio", "cost", "randmux"}
 
 
 @pytest.mark.parametrize(

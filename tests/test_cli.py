@@ -9,17 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmuxopt import gates, pla, randmux, reference
+from qmuxopt import gates, pla, randmux
 from qmuxopt import mux as mux_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import dump_qmux, load_qmux, save_qmux
 from qmuxopt.randmux import POOL_FULL, generate
 
+import oracle
+from oracle import ivvx_case
+
 
 @pytest.fixture
 def case_file(tmp_path):
-    m = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+    m = ivvx_case()
     path = tmp_path / "case.qmux"
     path.write_text(dump_qmux(m))
     return path
@@ -237,7 +240,7 @@ def test_generate_control_count_limits_exit_codes(capsys, tmp_path, controls, co
 
 def test_optimize_then_verify_best_always_passes(capsys, tmp_path):
     rng = np.random.default_rng(160)
-    targets = np.stack([reference.random_unitary(rng) for _ in range(8)])
+    targets = oracle.random_unitaries(rng, 8)
     path = tmp_path / "r.qmux"
     save_qmux(Multiplexer(3, targets), path)
     code, out, _ = run(capsys, ["optimize", path, "--format", "json"])

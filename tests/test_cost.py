@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qmuxopt import gates, kernels, reference
+from qmuxopt import gates, kernels
 from qmuxopt import mux as mux_mod
 from qmuxopt.cost import (
     GATE_COST_TABLE,
@@ -19,7 +19,9 @@ from qmuxopt.mux import (
     forward_transform,
     negative_control_realization,
 )
-from qmuxopt.reference import control_count
+
+import oracle
+from oracle import control_count, ivvx_case
 
 
 def test_gate_cost_table_values():
@@ -68,7 +70,7 @@ def test_control_count_vector_matches_scalar():
 
 
 def test_standard_multiplexer_cost():
-    std = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+    std = ivvx_case()
     report = multiplexer_cost(std)
     assert report.total == 15  # three 2-control gates at 5 each
     assert report.skipped_identities == 1
@@ -97,7 +99,7 @@ def test_standard_cost_is_count_times_gate_cost():
     rng = np.random.default_rng(110)
     for m in (1, 2, 3, 4):
         targets = np.stack(
-            [gates.I if rng.random() < 0.3 else reference.random_unitary(rng)
+            [gates.I if rng.random() < 0.3 else oracle.random_unitary(rng)
              for _ in range(1 << m)]
         )
         std = Multiplexer(m, targets)
@@ -124,9 +126,7 @@ def test_numerically_exact_identity_is_skipped():
 
 def test_cost_invariant_under_inverter_realization():
     rng = np.random.default_rng(111)
-    std = Multiplexer(
-        3, np.stack([reference.random_unitary(rng) for _ in range(8)])
-    )
+    std = Multiplexer(3, oracle.random_unitaries(rng, 8))
     for polarity in ("010", "001", "020"):
         g = forward_transform(std, polarity)
         realized = negative_control_realization(g)
@@ -134,7 +134,7 @@ def test_cost_invariant_under_inverter_realization():
 
 
 def test_report_serializes_to_json_and_table():
-    std = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+    std = ivvx_case()
     report = multiplexer_cost(std)
     buffer = io.StringIO()
     write_json(buffer, report.to_json_dict())
@@ -165,7 +165,7 @@ def test_elided_table_keeps_the_first_and_last_rows():
 
 def _oracle_rows(m: Multiplexer) -> list:
     """(gate, controls, cost) of every gate that is not the identity within
-    EPS, one gate at a time by reference.control_count."""
+    EPS, one gate at a time by oracle.control_count."""
     rows = []
     for i, target in enumerate(m.targets):
         if np.abs(target - np.eye(2)).max() > gates.EPS:

@@ -14,9 +14,13 @@ non-finite angles, broken matrix literals, duplicate keys, stray braces
 and bytes that are not UTF-8.  `classical` takes the same contract, with
 0 or 2 as its only codes at these sizes, on binary and hex minterm
 strings mutated a character at a time and on odd values of --top and
---output-index.  The examples are derandomized and capped, so the test
-runs the same inputs every time.  A .qmux or .pla header count that int()
-reads but that is not ASCII digits exits 2 as well.
+--output-index; and with 0, 2 or 3 on the PLA files of tests/data mutated
+token by token in their headers, directives, cubes and output columns,
+where parse_pla's two warnings (a .p count other than the terms read, an
+ignored directive) are documented outcomes, not failures.  The examples
+are derandomized and capped, so the test runs the same inputs every time.
+A .qmux or .pla header count that int() reads but that is not ASCII
+digits exits 2 as well.
 """
 
 import contextlib
@@ -25,6 +29,7 @@ import os
 import re
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,8 +42,10 @@ from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import dump_qmux, dump_qmux_json
 
+from oracle import ivvx_case
+
 _BASES = [
-    Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X])),
+    ivvx_case(),
     Multiplexer(3, np.stack([gates.H, gates.rx(0.3), gates.Y, gates.I,
                              gates.ry(-1.1), gates.X, gates.VD, gates.rx(0.3)])),
 ]
@@ -69,8 +76,8 @@ _PIECE = re.compile(rb"\s+|\S+")
 
 # The loaders' header, control-count and token-count messages.
 _BEFORE_TOKENS = re.compile(
-    r"bad JSON|expected 'key: value'|bad control count|bad form|unknown field|missing '"
-    r"|controls need 2\^|expected \d+ gate tokens"
+    r"bad JSON|expected 'key: value'|bad control count|bad form|unknown field|repeated field"
+    r"|missing '|controls need 2\^|expected \d+ gate tokens"
 )
 
 mutation = st.tuples(
@@ -221,6 +228,52 @@ def test_every_classical_input_keeps_the_exit_code_contract(base, mutations, top
             elif not err.startswith("usage:"):
                 assert err.startswith("error: ") and err.count("\n") == 1, err
                 assert err.endswith("\n"), err
+
+
+PLA_FILES = [p.read_bytes() for p in sorted((Path(__file__).parent / "data").glob("*.pla"))]
+PLA_TOKENS = [
+    # directives, known, ignored and ending, and whole header lines
+    b".i", b".o", b".p", b".e", b".end", b".type", b".ilb", b".phase", b".mv",
+    b"\n.i 3\n", b"\n.o 2\n", b"\n.p 0\n", b"\n.kiss\n", b"\n.e\n",
+    # counts: zero, negative, past the size limit or int()'s digit limit,
+    # underscored, and digits outside ASCII
+    b"0", b"1", b"2", b"3", b"-1", b"17", b"99", b"9" * 5000, b"1_0", "\u0662".encode(),
+    # cube and output columns: too short, too wide, bad characters
+    b"-", b"~", b"01", b"1-0", b"0-1-1", b"000011", b"x", b"01x", b"1~", b"2",
+    b"\n0-1 1\n", b"\n11 0~\n",
+    # comments, and bytes that are not UTF-8
+    b"#", b"\xff", b"\xc3\x28",
+]
+# What parse_pla warns of and reads on: a .p count other than the terms
+# read, and a directive it ignores.
+PLA_WARNINGS = re.compile(r"\.p says \d+ terms but \d+ were read|ignoring directive ")
+
+pla_mutation = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from(PLA_TOKENS),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(base=st.sampled_from(PLA_FILES), mutations=st.lists(pla_mutation, max_size=3))
+@example(b".i 17\n.o 1\n.e\n", [])  # past the size limit: exit 3
+def test_every_mutated_pla_keeps_the_exit_code_contract(base, mutations):
+    """classical on a mutated PLA file exits 0, 2 or 3, a failure with one
+    error line; its only warnings are the two parse_pla documents."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.pla")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(base, mutations))
+        code, err, caught, _ = _run(["classical", path])
+    assert code in (0, 2, 3)
+    messages = [str(w.message) for w in caught]
+    assert all(map(PLA_WARNINGS.search, messages)), messages
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_a_source_name_with_a_newline_stays_on_the_one_error_line():

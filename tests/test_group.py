@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qmuxopt import blocksearch, gates, group, mux, reference
+from qmuxopt import blocksearch, gates, group, mux
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate, resolve_pool
+
+import oracle
 
 def _interned(targets):
     result = group.intern(targets, len(targets))
@@ -68,7 +70,7 @@ def test_phase_times_identity_is_not_id_zero():
     "targets",
     [
         generate(6, resolve_pool("custom:X,RX(0.3)"), seed=4).targets,
-        np.stack([reference.random_unitary(np.random.default_rng(5)) for _ in range(16)]),
+        np.stack([oracle.random_unitary(np.random.default_rng(5)) for _ in range(16)]),
         np.stack([gates.rz(2 * np.pi * k / 300) for k in range(300)]),
         np.stack([gates.rz(2 * np.pi / 257)] * 4),
     ],
@@ -109,7 +111,6 @@ def test_complex_cascade_stays_within_margin_of_the_exact_elements():
     assert worst <= 1e-11
     away = np.abs(gate_group.elements[1:] - np.eye(2)).reshape(-1, 4).max(axis=1)
     assert away.min() > 0.7
-
 
 
 # H written with 13 and 14 digits: H'^2 = c I with 1 - c = 1.3e-13 and
@@ -173,14 +174,14 @@ INTERN_CORPUS = (
 
 def test_intern_matches_the_row_by_row_reference(monkeypatch):
     """The table built by row blocks gives the decision and the tables of
-    reference.product_table, which builds it one row at a time by nearest
+    oracle.product_table, which builds it one row at a time by nearest
     elements instead of keys."""
     tables = {}
 
     def by_rows(elements):
         key = elements.tobytes()
         if key not in tables:
-            tables[key] = reference.product_table(elements)
+            tables[key] = oracle.product_table(elements)
         return tables[key]
 
     accepted = 0
@@ -206,5 +207,5 @@ def test_table_declines_an_element_with_a_near_neighbour():
     # Two elements 1e-9 apart share a key; both table builders refuse them.
     elements = np.stack([gates.I, gates.X, gates.X * (1 + 1e-9)])
     assert group._table(elements) is None
-    assert reference.product_table(elements) is None
+    assert oracle.product_table(elements) is None
     assert group._table(elements[:2]) is not None

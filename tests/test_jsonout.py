@@ -8,11 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from qmuxopt import gates, jsonout, kernels, randmux, reference
+from qmuxopt import gates, jsonout, kernels, randmux
 from qmuxopt.cli import main
 from qmuxopt.jsonout import Table, write_json
 from qmuxopt.mux import Multiplexer
 from qmuxopt.muxio import save_qmux, target_tokens
+
+import oracle
 
 
 def _plain(value):
@@ -97,7 +99,7 @@ def test_a_table_of_one_shot_batches_is_read_as_it_is_written(monkeypatch, chunk
 
 def _rand_file(tmp_path, m):
     rng = np.random.default_rng(m)
-    targets = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+    targets = oracle.random_unitaries(rng, 1 << m)
     targets[1] = gates.I
     path = tmp_path / f"rand{m}.qmux"
     save_qmux(Multiplexer(m, targets), path)
@@ -241,7 +243,7 @@ class _Writes:
 
 def _token_stack(count):
     rng = np.random.default_rng(70 + count)
-    pool = [gates.X, gates.H, gates.rx(0.3), -gates.rz(0.2), reference.random_unitary(rng)]
+    pool = [gates.X, gates.H, gates.rx(0.3), -gates.rz(0.2), oracle.random_unitary(rng)]
     return np.array([pool[i % len(pool)] for i in range(count)]).reshape(count, 2, 2)
 
 
@@ -259,7 +261,7 @@ def test_streamed_tokens_equal_json_dumps(monkeypatch, chunks, count):
         pieces = (stack[start : start + chunks] for start in range(0, count, chunks))
         return itertools.chain.from_iterable(map(gates.render_gates, pieces))
 
-    plain = [reference.render_gate(u) for u in stack]
+    plain = [oracle.render_gate(u) for u in stack]
     assert [token for batch in tokens() for token in batch] == plain
     pieces, real = [], jsonout.write
     monkeypatch.setattr(
@@ -300,7 +302,7 @@ def test_target_tokens_render_only_when_written(monkeypatch):
     monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
     tokens = target_tokens(m)
     assert made == []
-    plain = [reference.render_gate(u) for u in m.targets]
+    plain = [oracle.render_gate(u) for u in m.targets]
     assert next(tokens) == plain[:1] and made == [3]
     assert _written({"t": tokens}) == json.dumps({"t": plain[1:]}, indent=2)
     assert made == [3, 3, 2]
@@ -313,7 +315,7 @@ def test_a_palette_is_rendered_once(monkeypatch, chunks):
     every gate."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     m = randmux.generate(6, randmux.resolve_pool("custom:X,RX(0.3),H,I"), seed=5)
-    plain = [reference.render_gate(u) for u in m.targets]
+    plain = [oracle.render_gate(u) for u in m.targets]
     made = []
     real = gates.render_gates
     monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))

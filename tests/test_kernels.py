@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, kernels, mux, reference
+from qmuxopt import gates, group, kernels, mux
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, generate
+
+import oracle
 
 GATE_KERNELS = [
     kernels.FORWARD_POS,
@@ -11,10 +13,6 @@ GATE_KERNELS = [
     kernels.INVERSE_NEG,
     kernels.IDENTITY,
 ]
-
-
-def _random_gate_vector(rng, n):
-    return np.stack([reference.random_unitary(rng) for _ in range(n)])
 
 
 # Per-pair references: the same products on one 2x2 pair at a time.
@@ -42,20 +40,9 @@ ID_PAIR_KERNELS = {
 }
 
 
-def _per_pair(vec, pair_kernel, bit):
-    """pair_kernel(a, b) -> (a', b') on every pair differing at `bit`, one
-    pair at a time, into a copy of a 1-D vec."""
-    want = vec.copy()
-    step = 1 << bit
-    for base in range(len(vec)):
-        if not base & step:
-            want[base], want[base + step] = pair_kernel(vec[base], vec[base + step])
-    return want
-
-
 def _gate_vectors(m):
     rng = np.random.default_rng(20 + m)
-    return _random_gate_vector(rng, 1 << m), generate(m, POOL_FULL, seed=m).targets
+    return oracle.random_unitaries(rng, 1 << m), generate(m, POOL_FULL, seed=m).targets
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -64,7 +51,7 @@ def test_gate_stage_matches_per_pair_reference(kernel, m):
     # Bit-exact, not within a tolerance: reports print the full float.
     for vec in _gate_vectors(m):
         for bit in range(m):
-            want = reference.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
+            want = oracle.butterfly_stage(vec, PAIR_KERNELS[kernel], bit)
             got = kernels.gate_stage(vec.copy(), kernel, bit)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
@@ -102,7 +89,7 @@ def test_identity_mask_on_id_vectors():
 def test_gf2_stage_matches_per_pair_reference(kernel, n):
     vec = np.random.default_rng(40 + n).integers(0, 2, size=1 << n).astype(np.uint8)
     for bit in range(n):
-        want = _per_pair(vec, GF2_PAIR_KERNELS[kernel], bit)
+        want = oracle.per_pair(vec, GF2_PAIR_KERNELS[kernel], bit)
         got = kernels.gf2_stage(vec.copy(), kernel, bit)
         assert got.dtype == vec.dtype
         assert np.array_equal(got, want)
@@ -110,7 +97,7 @@ def test_gf2_stage_matches_per_pair_reference(kernel, n):
 
 def test_unknown_kernel_codes_rejected():
     with pytest.raises(ValueError):
-        kernels.gate_stage(_random_gate_vector(np.random.default_rng(0), 4), 9, 0)
+        kernels.gate_stage(oracle.random_unitaries(np.random.default_rng(0), 4), 9, 0)
     with pytest.raises(ValueError):
         kernels.gf2_stage(np.zeros(4, dtype=np.uint8), 9, 0)
     gate_group, ids = group.intern(np.stack([gates.I, gates.X] * 2), 4)
@@ -128,7 +115,7 @@ def test_gf2_kernels_are_self_inverse():
 
 def test_forward_and_inverse_kernels_cancel():
     rng = np.random.default_rng(42)
-    vec = _random_gate_vector(rng, 8)
+    vec = oracle.random_unitaries(rng, 8)
     for fwd, inv in [
         (kernels.FORWARD_POS, kernels.INVERSE_POS),
         (kernels.FORWARD_NEG, kernels.INVERSE_NEG),
@@ -148,18 +135,18 @@ def _column_cases(m, kernel):
     vector kind the kernel code takes."""
     if kernel in (kernels.GF2_POS, kernels.GF2_NEG):
         bits = np.random.default_rng(47).integers(0, 2, size=1 << m).astype(np.uint8)
-        return [(bits, None, lambda bit: _per_pair(bits, GF2_PAIR_KERNELS[kernel], bit))]
-    matrices = _random_gate_vector(np.random.default_rng(43), 1 << m)
+        return [(bits, None, lambda bit: oracle.per_pair(bits, GF2_PAIR_KERNELS[kernel], bit))]
+    matrices = oracle.random_unitaries(np.random.default_rng(43), 1 << m)
     clifford = generate(m, POOL_FULL, seed=44).targets
     gate_group, ids = group.intern(clifford, len(clifford))
     pair = PAIR_KERNELS[kernel]
     return [
-        (matrices, None, lambda bit: reference.butterfly_stage(matrices, pair, bit)),
-        (clifford, None, lambda bit: reference.butterfly_stage(clifford, pair, bit)),
+        (matrices, None, lambda bit: oracle.butterfly_stage(matrices, pair, bit)),
+        (clifford, None, lambda bit: oracle.butterfly_stage(clifford, pair, bit)),
         (
             ids,
             gate_group,
-            lambda bit: _per_pair(
+            lambda bit: oracle.per_pair(
                 ids, lambda a, b: ID_PAIR_KERNELS[kernel](gate_group, a, b), bit
             ),
         ),
@@ -192,7 +179,7 @@ def test_column_refuses_a_vector_it_cannot_write_in_place(kernel):
     if kernel in (kernels.GF2_POS, kernels.GF2_NEG):
         vec = np.random.default_rng(48).integers(0, 2, size=32).astype(np.uint8)
     else:
-        vec = _random_gate_vector(np.random.default_rng(48), 32)
+        vec = oracle.random_unitaries(np.random.default_rng(48), 32)
     read_only = vec.copy()
     read_only.setflags(write=False)
     strided = vec.copy()[::2]

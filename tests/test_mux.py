@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from qmuxopt import gates, kernels, reference
+from qmuxopt import gates, kernels
 from qmuxopt.blocksearch import cascade
-from qmuxopt.errors import (
-    FormMismatch,
-    LengthNotPowerOfTwo,
-    PolarityLengthMismatch,
-    SizeLimitExceeded,
-)
+from qmuxopt.errors import FormMismatch, PolarityLengthMismatch, SizeLimitExceeded
 from qmuxopt.mux import (
     FPQF,
     KQF,
@@ -22,28 +17,22 @@ from qmuxopt.mux import (
     semantics,
     transform_stages,
 )
-from qmuxopt.reference import butterfly_stage, triangular_solve
 
-INV = gates.inverse
+import oracle
+from oracle import (
+    LengthNotPowerOfTwo,
+    all_polarities,
+    butterfly_stage,
+    ivvx_case,
+    triangular_solve,
+)
+
+INV = oracle.inverse
 
 
 def random_mux(rng, m, form=STANDARD, polarity=None):
-    targets = np.stack([reference.random_unitary(rng) for _ in range(1 << m)])
+    targets = oracle.random_unitaries(rng, 1 << m)
     return Multiplexer(m, targets, form, polarity)
-
-
-def all_polarities(m, digits):
-    for i in range(len(digits) ** m):
-        out = []
-        v = i
-        for _ in range(m):
-            out.append(digits[v % len(digits)])
-            v //= len(digits)
-        yield "".join(reversed(out))
-
-
-def ivvx_case():
-    return Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
 
 
 # --- construction ---
@@ -169,7 +158,7 @@ def test_max_semantic_deviation_needs_equal_control_counts():
 
 def test_butterfly_stage_with_callable_kernel():
     rng = np.random.default_rng(53)
-    vec = np.stack([reference.random_unitary(rng) for _ in range(4)])
+    vec = oracle.random_unitaries(rng, 4)
     out = butterfly_stage(vec, lambda a, b: (b, a @ b), 0)
     assert np.abs(out[0] - vec[1]).max() <= 1e-12
     assert np.abs(out[1] - vec[0] @ vec[1]).max() <= 1e-12
@@ -179,13 +168,13 @@ def test_butterfly_stage_with_callable_kernel():
 
 def test_butterfly_stage_identity_kernel():
     rng = np.random.default_rng(54)
-    vec = np.stack([reference.random_unitary(rng) for _ in range(8)])
+    vec = oracle.random_unitaries(rng, 8)
     assert np.array_equal(kernels.gate_stage(vec.copy(), kernels.IDENTITY, 1), vec)
 
 
 def test_butterfly_stage_inverse_pos_at_bit_one():
     rng = np.random.default_rng(55)
-    a, b, c, d = (reference.random_unitary(rng) for _ in range(4))
+    a, b, c, d = (oracle.random_unitary(rng) for _ in range(4))
     out = kernels.gate_stage(np.stack([a, b, c, d]), kernels.INVERSE_POS, 1)
     assert np.abs(out[0] - a).max() <= 1e-12
     assert np.abs(out[1] - b).max() <= 1e-12
@@ -260,7 +249,7 @@ def test_forward_polarity_length_checked():
 
 def test_inverse_single_variable_base_cases():
     rng = np.random.default_rng(58)
-    g0, g1 = reference.random_unitary(rng), reference.random_unitary(rng)
+    g0, g1 = oracle.random_unitary(rng), oracle.random_unitary(rng)
     pos = Multiplexer(1, np.stack([g0, g1]), FPQF, "1")
     back = inverse_transform(pos)
     assert np.abs(back.targets[0] - g0).max() <= 1e-12

@@ -1,11 +1,10 @@
-import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmuxopt import gates, kernels, reference
+from qmuxopt import gates, kernels
 from qmuxopt.cli import main
 from qmuxopt.errors import ParseError
 from qmuxopt.mux import (
@@ -28,14 +27,8 @@ from qmuxopt.muxio import (
 )
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
 
-
-def _flat(batches) -> list:
-    """The tokens of an iterator of token lists, in order."""
-    return list(itertools.chain.from_iterable(batches))
-
-
-def ivvx_case():
-    return Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+import oracle
+from oracle import flat, ivvx_case
 
 
 @pytest.fixture
@@ -66,7 +59,7 @@ def test_parse_accepts_comments_and_wrapped_targets():
     m = parse_qmux(text)
     assert m.form == FPQF
     assert m.polarity == "11"
-    assert _flat(target_tokens(m)) == ["I", "V", "V", "I"]
+    assert flat(target_tokens(m)) == ["I", "V", "V", "I"]
 
 
 def test_parse_kqf_form():
@@ -89,7 +82,7 @@ def test_dump_is_deterministic():
 
 def test_polarized_round_trip_with_matrix_literals():
     rng = np.random.default_rng(150)
-    std = Multiplexer(2, np.stack([reference.random_unitary(rng) for _ in range(4)]))
+    std = Multiplexer(2, oracle.random_unitaries(rng, 4))
     g = forward_transform(std, "10")
     again = parse_qmux(dump_qmux(g))
     assert again.form == FPQF
@@ -183,7 +176,7 @@ def test_each_distinct_token_is_parsed_once(parsed):
     for text in (dump_qmux(m), dump_qmux_json(m)):
         parsed.clear()
         assert np.array_equal(parse_qmux(text).targets, m.targets)
-        assert sorted(parsed) == sorted(set(_flat(target_tokens(m))))
+        assert sorted(parsed) == sorted(set(flat(target_tokens(m))))
 
 
 def test_token_count_error_names_the_last_token_line():
@@ -205,6 +198,18 @@ def test_token_count_error_names_the_last_token_line():
         ("controls: 1\nform: diagonal\ntargets: I I\n", "bad form"),
         ("controls: 1\nform: standard\ntargets: I I I\n", "expected 2 gate tokens"),
         ("controls: 1\nshape: round\ntargets: I I\n", "unknown field"),
+        ("controls: 2\nform: standard\ncontrols: 1\ntargets: I X\n",
+         "<qmux>:3: repeated field 'controls'"),
+        ("controls: 1\nform: standard\nform: kqf:1\ntargets: I X\n",
+         "<qmux>:3: repeated field 'form'"),
+        (
+            '{"controls": 1, "form": "standard", "targets": ["I", "X"], "contorls": 5}',
+            "<qmux>: unknown field 'contorls'",
+        ),
+        (
+            '{"controls": 2, "form": "standard", "controls": 1, "targets": ["I", "X"]}',
+            "<qmux>: repeated field 'controls'",
+        ),
         ("controls 1\nform: standard\ntargets: I I\n", "expected 'key: value'"),
         ('{"controls": 1, "form": "standard"}', "bad JSON multiplexer"),
         (
@@ -255,11 +260,11 @@ def test_target_tokens_match_per_gate_render():
         np.array([[-0.0, 1], [1, -0.0]], dtype=complex),  # X with -0.0
         gates.rx(1.1),
         gates.ry(-0.7),
-        *(reference.random_unitary(rng) for _ in range(18)),
+        *(oracle.random_unitary(rng) for _ in range(18)),
     ]
     m = Multiplexer(5, np.stack(targets))
-    tokens = _flat(target_tokens(m))
-    assert tokens == [reference.render_gate(u) for u in m.targets]
+    tokens = flat(target_tokens(m))
+    assert tokens == [oracle.render_gate(u) for u in m.targets]
     assert tokens[:9] == list(gates.CATALOG) + ["X", "VD"]
     assert tokens[9].startswith("M(") and "-0.0" in tokens[10]
 
@@ -279,9 +284,9 @@ def test_target_tokens_in_any_chunking_equal_the_per_gate_render(monkeypatch, ch
         [literal] * 5 + [gates.H, gates.X] + [signed, -signed] * 3 + near + [gates.I]
         + [literal] * 16
     )
-    plain = [reference.render_gate(u) for u in stack]
+    plain = [oracle.render_gate(u) for u in stack]
     for targets in (stack, used_palette(stack, np.arange(32))):
-        tokens = _flat(target_tokens(Multiplexer(5, targets)))
+        tokens = flat(target_tokens(Multiplexer(5, targets)))
         assert tokens == plain
         assert tokens[5:7] == ["H", "X"] and tokens[15] == "I"
         assert tokens[13] == "X" and tokens[14].startswith("M(")
@@ -439,7 +444,7 @@ def test_generated_files_do_not_depend_on_the_chunk_size(monkeypatch, capsys, tm
     kernels.CHUNK_ROWS: eight tokens to a targets line, and the JSON
     mirror as json.dumps(..., indent=2) and a newline."""
     m = generate(6, resolve_pool(pool), seed=3)
-    tokens = [reference.render_gate(u) for u in m.targets]
+    tokens = [oracle.render_gate(u) for u in m.targets]
     lines = ["  " + " ".join(tokens[i : i + 8]) + "\n" for i in range(0, 64, 8)]
     want = {
         ".qmux": "controls: 6\nform: standard\ntargets:\n" + "".join(lines),

@@ -2,7 +2,6 @@
 and a one-byte index per gate, and every report, search and check reads
 the same as for the same targets passed as a plain (2^m, 2, 2) array."""
 
-import itertools
 import time
 import tracemalloc
 
@@ -18,10 +17,7 @@ from qmuxopt.muxio import parse_qmux, save_qmux
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
 
-
-def _flat(batches) -> list:
-    """The tokens of an iterator of token lists, in order."""
-    return list(itertools.chain.from_iterable(batches))
+from oracle import flat
 
 
 H13 = "M(0.7071067811865,0,0.7071067811865,0,0.7071067811865,0,-0.7071067811865,0)"
@@ -104,7 +100,7 @@ def test_tokens_of_one_matrix_share_a_palette_entry(tmp_path):
     # tokens unless the catalog match within EPS renders both as X.
     literal = muxio.load_qmux(paths["literal"])
     assert len(literal.palette.matrices) == 7
-    tokens = _flat(muxio.target_tokens(literal))
+    tokens = flat(muxio.target_tokens(literal))
     assert tokens[0] == tokens[4] == "M(0.6,0.8,-0.0,0.0,0.0,0.0,0.6,-0.8)"
     assert tokens[3] == "M(0.6,0.8,0.0,0.0,0.0,0.0,0.6,-0.8)"
     assert tokens[1] == tokens[7] == "X"
@@ -112,7 +108,7 @@ def test_tokens_of_one_matrix_share_a_palette_entry(tmp_path):
 
 def test_palettes_of_the_generators_hold_only_the_gates_drawn():
     m = generate(1, POOL_FULL, seed=0)
-    assert len(m.palette.matrices) == len(set(_flat(muxio.target_tokens(m))))
+    assert len(m.palette.matrices) == len(set(flat(muxio.target_tokens(m))))
     zero = to_multiplexer(BoolFunc(2, np.zeros(4, np.uint8)))
     assert len(zero.palette.matrices) == 1 and not zero.palette.index.any()
     palette = used_palette(np.stack([gates.X, gates.I, gates.H]), np.array([2, 2, 0, 2]))

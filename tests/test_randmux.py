@@ -10,8 +10,9 @@ from qmuxopt.randmux import (
     generate,
     resolve_pool,
 )
-from qmuxopt.reference import known_cases
 from qmuxopt.search import SearchConfig, exhaustive_search
+
+from oracle import known_cases
 
 
 def test_builtin_pool_contents():

@@ -1,11 +1,10 @@
 """The classical ranking: boolrm.rm_search's Ranking, a view over its cost
-and order arrays, against the per-polarity oracle reference.rm_ranking,
+and order arrays, against the per-polarity oracle rm_ranking (tests/oracle.py),
 through the CLI's three report formats at several batch sizes; and the
 block search's costs against one transform per polarity, with its block
 and chunk sizes drawn at random."""
 
 import functools
-import itertools
 import json
 
 import numpy as np
@@ -16,7 +15,8 @@ from hypothesis import strategies as st
 from qmuxopt import blocksearch, boolrm, kernels
 from qmuxopt.boolrm import BoolFunc, literal_cost, rm_search, rm_transform
 from qmuxopt.cli import main
-from qmuxopt.reference import rm_ranking
+
+from oracle import all_polarities, rm_ranking
 
 FAMILIES = (boolrm.FPRM, boolrm.KRM)
 
@@ -83,7 +83,7 @@ def test_the_ranking_is_a_read_only_view_named_a_batch_at_a_time():
 
 
 def test_polarities_are_named_from_their_lexicographic_indices():
-    lexicographic = list(map("".join, itertools.product("012", repeat=3)))
+    lexicographic = list(all_polarities(3, "012"))
     assert blocksearch.polarity_names(np.arange(27), boolrm.KRM, 3) == lexicographic
     assert blocksearch.polarity_names(np.array([0, 1, 30, 31]), boolrm.FPRM, 5) == [
         "00000", "00001", "11110", "11111"]
@@ -110,5 +110,5 @@ def test_block_costs_match_per_polarity_transforms(family, n, block, chunk_bytes
         patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
         patch.setattr(kernels, "CHUNK_ROWS", chunk_rows)
         costs = blocksearch.polarity_costs(func.minterms, family, np.arange(n + 1))
-    polarities = map("".join, itertools.product(blocksearch.FAMILY_DIGITS[family], repeat=n))
+    polarities = all_polarities(n, blocksearch.FAMILY_DIGITS[family])
     assert costs.tolist() == [literal_cost(rm_transform(func, p)) for p in polarities]

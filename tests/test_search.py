@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, cost, gates, group, kernels, mux, randmux, reference, search
+from qmuxopt import blocksearch, cost, gates, group, kernels, mux, randmux, search
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cost import multiplexer_cost
 from qmuxopt.errors import FormMismatch, SizeLimitExceeded
 from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, POOL_NVV, GatePool, generate, resolve_pool
-from qmuxopt.reference import triangular_solve
 from qmuxopt.search import (
     SearchConfig,
     exhaustive_search,
@@ -20,19 +19,8 @@ from qmuxopt.search import (
     run_search,
 )
 
-
-def ivvx_case():
-    return Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
-
-
-def all_polarities(m, digits):
-    for i in range(len(digits) ** m):
-        out = []
-        v = i
-        for _ in range(m):
-            out.append(digits[v % len(digits)])
-            v //= len(digits)
-        yield "".join(reversed(out))
+import oracle
+from oracle import all_polarities, ivvx_case, slot_index, triangular_solve
 
 
 def brute_force_report(std, digits):
@@ -71,7 +59,7 @@ def test_all_identity_targets_cost_nothing_everywhere():
 @pytest.mark.parametrize("family,digits", [("fpqf", "01"), ("kqf", "012")])
 def test_exhaustive_matches_naive_loop(m, family, digits):
     rng = np.random.default_rng(120 + m)
-    std = Multiplexer(m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)]))
+    std = Multiplexer(m, oracle.random_unitaries(rng, 1 << m))
     report = exhaustive_search(std, SearchConfig(family=family))
     best, worst, average, _ = brute_force_report(std, digits)
     assert (report.best_polarity, report.best_cost) == best
@@ -81,7 +69,7 @@ def test_exhaustive_matches_naive_loop(m, family, digits):
 
 def test_polarity_cost_stream_matches_direct_transforms():
     rng = np.random.default_rng(124)
-    std = Multiplexer(3, np.stack([reference.random_unitary(rng) for _ in range(8)]))
+    std = Multiplexer(3, oracle.random_unitaries(rng, 8))
     streamed = search.polarity_costs(std, "kqf").tolist()
     for polarity, value in zip(all_polarities(3, "012"), streamed, strict=True):
         assert value == multiplexer_cost(forward_transform(std, polarity)).total
@@ -89,7 +77,7 @@ def test_polarity_cost_stream_matches_direct_transforms():
 
 def test_kqf_restricted_to_fixed_digits_reproduces_fpqf():
     rng = np.random.default_rng(125)
-    std = Multiplexer(3, np.stack([reference.random_unitary(rng) for _ in range(8)]))
+    std = Multiplexer(3, oracle.random_unitaries(rng, 8))
     kqf_costs = zip(all_polarities(3, "012"), search.polarity_costs(std, "kqf").tolist())
     fpqf_costs = search.polarity_costs(std, "fpqf").tolist()
     assert [c for p, c in kqf_costs if "2" not in p] == fpqf_costs
@@ -207,11 +195,6 @@ def test_original_cost_equals_the_standard_form_cost_report(pool, m):
         assert exhaustive_search(std, SearchConfig(family="fpqf")).original_cost == expected
 
 
-def _random_multiplexer(m, seed):
-    rng = np.random.default_rng(seed)
-    return Multiplexer(m, np.stack([reference.random_unitary(rng) for _ in range(1 << m)]))
-
-
 # Inputs whose targets close into a small group, so the search walks IDs.
 GROUP_CASES = {
     "full": lambda m: generate(m, POOL_FULL, seed=200 + m),
@@ -229,7 +212,9 @@ GROUP_CASES = {
 # Inputs that do not close into at most 256 elements: the complex path runs.
 FALLBACK_CASES = {
     "rx-pool": lambda m: generate(m, resolve_pool("custom:X,RX(0.3)"), seed=250 + m),
-    "random-unitaries": lambda m: _random_multiplexer(m, seed=260 + m),
+    "random-unitaries": lambda m: Multiplexer(
+        m, oracle.random_unitaries(np.random.default_rng(260 + m), 1 << m)
+    ),
     "over-256-distinct": lambda m: Multiplexer(
         m, np.stack([gates.rz(0.01 * k) for k in range(1 << m)])
     ),
@@ -268,7 +253,6 @@ def test_random_search_group_path_matches_complex_path(monkeypatch, case, family
     cfg = SearchConfig(family=family, mode="random", samples=24, seed=7)
     report = random_polarity_search(std, cfg)
     assert report == _complex_reference(monkeypatch, random_polarity_search, std, cfg)
-
 
 
 # H written with 13 and 14 digits: each FPQF column squares the residual
@@ -451,18 +435,6 @@ def test_block_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     assert peak < 4 << 20
 
 
-def _slot_index(polarity, gate):
-    """Position of a polarity's gate among the 4^m QETV slots: per variable
-    the slot the digit keeps at the gate's bit, the first variable least
-    significant."""
-    m = len(polarity)
-    index = 0
-    for k, digit in enumerate(polarity):
-        bit = (gate >> (m - 1 - k)) & 1
-        index += blocksearch.SLOT_RULES[mux.KQF][digit][bit][0] * 4**k
-    return index
-
-
 @pytest.mark.parametrize("case", ["random-unitaries", "rx-pool", "full"])
 def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
     m = 6
@@ -479,7 +451,7 @@ def test_qetv_slots_equal_the_forward_cascade_bit_for_bit(case):
         for _ in range(20):
             polarity = "".join(rng.choice(list("012"), size=m))
             expected = blocksearch.cascade(vector.copy(), polarity, mux.KQF, group_arg)
-            picked = slots[[_slot_index(polarity, i) for i in range(1 << m)]]
+            picked = slots[[slot_index(polarity, i, mux.KQF) for i in range(1 << m)]]
             assert picked.tobytes() == expected.tobytes(), polarity
 
 
@@ -498,7 +470,7 @@ def test_qetv_stage_on_ids_matches_matrices():
 # Targets for the property test: Clifford gates, a rotation and Haar-random
 # unitaries, so identities, shared products and the complex path all occur.
 _PROPERTY_GATES = [gates.I, gates.X, gates.H, gates.V, gates.rx(0.3)] + [
-    reference.random_unitary(np.random.default_rng(310 + k)) for k in range(3)
+    oracle.random_unitary(np.random.default_rng(310 + k)) for k in range(3)
 ]
 
 
@@ -544,7 +516,7 @@ def test_random_ties_take_the_lexicographically_smallest_sampled_polarity():
 def test_random_search_memory_does_not_grow_with_the_samples():
     """Random search keeps running aggregates, not a list per sample: after
     a warm-up, 4,000 samples peak less than 32 KiB above 200."""
-    std = Multiplexer(2, np.stack([gates.I, gates.V, gates.V, gates.X]))
+    std = ivvx_case()
 
     def peak(samples):
         cfg = SearchConfig(family="kqf", mode="random", samples=samples, seed=9)
