@@ -126,7 +126,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import PolarityLengthMismatch, SizeLimitExceeded
+from .errors import PolarityLengthMismatch, QmuxError, SizeLimitExceeded
 from .gates import EPS
 
 FPQF = "fpqf"
@@ -198,13 +198,13 @@ def check_polarity(polarity: str, n: int, family: str) -> None:
         )
     allowed = FAMILY_DIGITS[family]
     if set(polarity) - set(allowed):
-        raise ValueError(f"{family} polarity {polarity!r} uses digits outside {allowed!r}")
+        raise QmuxError(f"{family} polarity {polarity!r} uses digits outside {allowed!r}")
 
 
 def check_size(family: str, n: int) -> None:
     """Raise unless an exhaustive search of the family takes n variables."""
     if family not in LIMITS:
-        raise ValueError(f"unknown family {family!r}")
+        raise QmuxError(f"unknown family {family!r}")
     if n > LIMITS[family]:
         raise SizeLimitExceeded(
             f"exhaustive {family} search is limited to {LIMITS[family]} variables, got {n}"

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import blocksearch, kernels
 from .blocksearch import FPRM, KRM, cascade, check_polarity, count_vector
+from .errors import ParseError, QmuxError
 from .kernels import read_only
 
 
@@ -50,15 +51,15 @@ class BoolFunc:
 
     def __post_init__(self):
         if self.num_vars < 1:
-            raise ValueError("need at least one variable")
+            raise QmuxError("need at least one variable")
         vec = read_only(self.minterms, np.uint8)
         if vec.shape != (1 << self.num_vars,):
-            raise ValueError(
+            raise QmuxError(
                 f"minterm vector must have length {1 << self.num_vars}, "
                 f"got shape {vec.shape}"
             )
         if np.any(vec > 1):
-            raise ValueError("minterm values must be 0 or 1")
+            raise QmuxError("minterm values must be 0 or 1")
         object.__setattr__(self, "minterms", vec)
 
     @classmethod
@@ -66,23 +67,20 @@ class BoolFunc:
         """Build from a binary or 0x-prefixed hex minterm string.
 
         The string lists minterm values m_0 .. m_{2^n - 1}; a hex string of
-        k digits expands to 4k bits.
+        k digits expands to 4k bits.  A string that is neither is refused
+        as a ParseError whose source is the string as given.
         """
-        text = text.strip()
-        if text.lower().startswith("0x"):
-            digits = text[2:]
+        bits = text.strip()
+        if bits.lower().startswith("0x"):
+            digits = bits[2:]
             if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
-                raise ValueError(f"bad hex minterm string {text!r}")
+                raise ParseError(f"bad hex minterm string {bits!r}", text)
             bits = "".join(f"{int(c, 16):04b}" for c in digits)
-        else:
-            if not text or set(text) - {"0", "1"}:
-                raise ValueError(f"bad binary minterm string {text!r}")
-            bits = text
+        elif not bits or set(bits) - {"0", "1"}:
+            raise ParseError(f"bad binary minterm string {bits!r}", text)
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n or len(bits) < 2:
-            raise ValueError(
-                f"minterm string length {len(bits)} is not a power of two >= 2"
-            )
+            raise ParseError(f"minterm string length {len(bits)} is not a power of two >= 2", text)
         vec = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         vec.setflags(write=False)  # handed over: kept uncopied
         return cls(n, vec)

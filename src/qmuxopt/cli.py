@@ -2,7 +2,10 @@
 
 Subcommands: optimize, verify, classical, generate, cost.  Formats: text
 (default), json, csv.  Exit codes: 0 ok, 1 verification failure, 2 parse
-or usage error, 3 size limit exceeded.
+or usage error, 3 size limit exceeded, 4 internal fault.  The exception's
+type decides (see errors): a refusal of input is a QmuxError and prints
+one `error:` line, and any other exception is a fault of the program,
+whose traceback goes to stderr.  A warning prints as one `warning:` line.
 
 Every report embeds a manifest (tool version, command, inputs, config,
 seed, wall time) so runs can be reproduced.
@@ -21,6 +24,7 @@ import itertools
 import os
 import sys
 import time
+import warnings
 
 from . import __version__, blocksearch, jsonout
 from .errors import ParseError, QmuxError, SizeLimitExceeded
@@ -137,7 +141,7 @@ def _report(args, started: float, inputs, config: dict, text, json_body, csv, se
         "wall_time_s": time.perf_counter() - started,
     }
     if args.out:
-        stream = open(args.out, "w", encoding="utf-8")
+        stream = jsonout.open_file(args.out, "w")
     else:
         stream = contextlib.nullcontext(sys.stdout)
     with stream as fh:
@@ -254,17 +258,21 @@ def _cmd_verify(args) -> int:
 
 def _load_classical_input(text: str, output_index: int, family: str):
     """(function, path or None); a PLA's size limit is checked before its
-    2^n minterm vector is built."""
+    2^n minterm vector is built, and the output index, against a PLA's
+    outputs or a minterm string's one, before either function is built."""
     from . import boolrm
 
+    cover = None
     if os.path.exists(text) or text.lower().endswith(".pla"):
         from . import pla
 
         cover = pla.load_pla(text)
         blocksearch.check_size(family, cover.num_inputs)
+    outputs = 1 if cover is None else cover.num_outputs
+    if not 0 <= output_index < outputs:
+        raise ParseError(f"output index {output_index} out of range 0..{outputs - 1}", text)
+    if cover is not None:
         return pla.to_bool_func(cover, output_index), text
-    if output_index != 0:
-        raise ParseError(f"output index {output_index} out of range 0..0 (one output)", text)
     return boolrm.BoolFunc.from_string(text), None
 
 
@@ -273,10 +281,7 @@ def _cmd_classical(args) -> int:
 
     started = time.perf_counter()
     family = _CLASSICAL_FAMILIES[args.family]
-    try:
-        func, path = _load_classical_input(args.input, args.output_index, family)
-    except ValueError as exc:
-        raise ParseError(str(exc), args.input)
+    func, path = _load_classical_input(args.input, args.output_index, family)
     ranked = boolrm.rm_search(func, family)
     if args.top is not None:
         ranked = ranked[: args.top]
@@ -368,14 +373,23 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown = warnings.formatwarning  # restored below: main may run inside a longer process
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return _DISPATCH[args.command](args)
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QmuxError, OSError, ValueError) as exc:
+    except (QmuxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault of the program, not of its input
+        import traceback
+
+        traceback.print_exc()
+        return 4
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

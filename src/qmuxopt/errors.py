@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A QmuxError is a refusal of input: a file, a flag value or an argument
+that the program declines, naming what is wrong with it.  The raising site
+picks the type, and no other code relabels it: cli.main turns a
+SizeLimitExceeded into exit 3 and any other QmuxError into exit 2.  A
+bare exception (a ValueError, a TypeError, ...) is a fault of the program
+itself, never of its input, and exits 4 with its traceback.  QmuxError
+subclasses ValueError, so a library caller that catches ValueError still
+catches every refusal.
+"""
 
 
-class QmuxError(Exception):
-    """Base class for all qmuxopt errors."""
+class QmuxError(ValueError):
+    """Base class for all qmuxopt refusals of input."""
 
 
 class UnknownGate(QmuxError):

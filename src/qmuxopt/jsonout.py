@@ -1,4 +1,5 @@
-"""The one streaming writer of every report and file.
+"""The one streaming writer of every report and file, and the one place
+that opens a file.
 
 write(fh, pieces) is the one loop that calls a stream's write: it joins
 any iterable of strs into writes of at most a character bound derived
@@ -22,6 +23,10 @@ repeated once per row.  Any other value, lists included, is small and
 goes through json.dumps, re-indented to its depth (JSON text never holds
 a raw newline inside a string, so replacing every newline is safe).  The
 text of each item is that of json.dumps, so the batching changes no byte.
+
+open_file(path, mode) opens every file the program reads or writes, in
+UTF-8, and read_file(path) reads one whole; a path or a file's bytes that
+they cannot take is refused as a ParseError naming the path.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import kernels
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,26 @@ def write(fh, pieces) -> None:
         append(piece)
     if batch:
         fh.write("".join(batch))
+
+
+def open_file(path, mode: str = "r"):
+    """The file at path, opened in mode in UTF-8.  A path holding a NUL
+    byte, which open refuses with a bare ValueError, is refused as a
+    ParseError naming it."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # embedded null byte
+        raise ParseError(str(exc), str(path))
+
+
+def read_file(path) -> str:
+    """The text of the file at path (see open_file); bytes that are not
+    UTF-8 are refused as a ParseError naming it."""
+    with open_file(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc), str(path))
 
 
 def write_json(fh, value) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates, kernels
 from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
-from .errors import FormMismatch
+from .errors import FormMismatch, QmuxError
 from .kernels import read_only
 
 STANDARD = "standard"
@@ -93,9 +93,9 @@ class Multiplexer:
     def __init__(self, controls, targets, form=STANDARD, polarity=None, inverted_lines=()):
         # bool is an int subclass, but True is no control count.
         if isinstance(controls, bool) or not isinstance(controls, int):
-            raise ValueError(f"controls {controls!r} is not an int")
+            raise QmuxError(f"controls {controls!r} is not an int")
         if controls < 1:
-            raise ValueError("a multiplexer needs at least one control variable")
+            raise QmuxError("a multiplexer needs at least one control variable")
         palette = targets if isinstance(targets, Palette) else Palette(targets)
         matrices = read_only(palette.matrices, complex)
         index = None if palette.index is None else read_only(palette.index)
@@ -104,38 +104,38 @@ class Multiplexer:
             shape = matrices.shape
         else:
             if matrices.ndim != 3 or matrices.shape[1:] != (2, 2):
-                raise ValueError(f"palette matrices must be (k, 2, 2), got {matrices.shape}")
+                raise QmuxError(f"palette matrices must be (k, 2, 2), got {matrices.shape}")
             if index.ndim != 1 or index.dtype.kind != "u":
-                raise ValueError("a palette index is a vector of unsigned ints")
+                raise QmuxError("a palette index is a vector of unsigned ints")
             shape = (len(index), 2, 2)
         if shape != expected:
-            raise ValueError(f"targets must have shape {expected}, got {shape}")
+            raise QmuxError(f"targets must have shape {expected}, got {shape}")
         if index is not None and (top := int(index.max())) >= len(matrices):
-            raise ValueError(f"palette index {top} out of range 0..{len(matrices) - 1}")
+            raise QmuxError(f"palette index {top} out of range 0..{len(matrices) - 1}")
         worst = gates.unitarity_residual(matrices)
         if math.isnan(worst):
-            raise ValueError("targets contain non-finite entries")
+            raise QmuxError("targets contain non-finite entries")
         if worst > EPS:
-            raise ValueError(f"targets are not unitary (worst deviation {worst:.3e})")
+            raise QmuxError(f"targets are not unitary (worst deviation {worst:.3e})")
 
         if form == STANDARD:
             if polarity is not None:
-                raise ValueError("standard form carries no polarity")
+                raise QmuxError("standard form carries no polarity")
         elif form in (FPQF, KQF):
             if polarity is None:
-                raise ValueError(f"{form} form requires a polarity")
+                raise QmuxError(f"{form} form requires a polarity")
             check_polarity(polarity, controls, form)
         else:
-            raise ValueError(f"unknown form {form!r}")
+            raise QmuxError(f"unknown form {form!r}")
 
         lines = tuple(sorted(set(inverted_lines)))
         if lines and form == STANDARD:
-            raise ValueError("standard form has no polarized lines to invert")
+            raise QmuxError("standard form has no polarized lines to invert")
         for k in lines:
             if not 1 <= k <= controls:
-                raise ValueError(f"inverted line {k} out of range 1..{controls}")
+                raise QmuxError(f"inverted line {k} out of range 1..{controls}")
             if polarity[k - 1] == "2":
-                raise ValueError(f"line {k} is mixed polarity and cannot carry an inverter")
+                raise QmuxError(f"line {k} is mixed polarity and cannot carry an inverter")
         for name, value in (
             ("controls", controls),
             ("palette", Palette(matrices, index)),

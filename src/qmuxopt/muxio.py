@@ -147,11 +147,11 @@ def _multiplexer(builder, controls: int, form: tuple, source, refuse) -> Multipl
     """The Multiplexer of a loader's checked header (controls, and form and
     polarity) and token count, and its numbered tokens, parsed now (see
     _PaletteBuilder.palette, which raises refuse(i, exc) for a bad token);
-    what Multiplexer refuses becomes a ParseError."""
+    what Multiplexer refuses becomes a ParseError naming the source."""
     palette = builder.palette(refuse)
     try:
         return Multiplexer(controls, palette, *form)
-    except (ValueError, QmuxError) as exc:
+    except QmuxError as exc:
         raise ParseError(str(exc), source)
 
 
@@ -180,6 +180,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             data = json.loads(text, object_pairs_hook=lambda pairs: _json_header(pairs, source))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", source, exc.lineno, exc.colno)
+        except QmuxError:  # the header hook's ParseError passes unchanged
+            raise
         except ValueError as exc:  # an int past Python's digit limit, such as a huge count
             raise ParseError(f"bad JSON: {exc}", source)
         return from_json_dict(data, source)
@@ -270,12 +272,7 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
 
 
 def load_qmux(path) -> Multiplexer:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(exc), str(path))
-    return parse_qmux(text, source=str(path))
+    return parse_qmux(jsonout.read_file(path), source=str(path))
 
 
 def target_tokens(m: Multiplexer):
@@ -337,6 +334,5 @@ def dump_qmux_json(m: Multiplexer) -> str:
 
 def save_qmux(m: Multiplexer, path) -> None:
     """Write m to path, as its JSON mirror if the path ends in .json."""
-    path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_qmux(fh, m, path.endswith(".json"))
+    with jsonout.open_file(path, "w") as fh:
+        _write_qmux(fh, m, str(path).endswith(".json"))

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gates
+from . import gates, jsonout
 from .boolrm import BoolFunc
-from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader
+from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader, QmuxError
 from .mux import Multiplexer, used_palette
 
 _CUBE_CHARS = set("01-")
@@ -122,8 +122,7 @@ def parse_pla(text: str, source: str = "<pla>") -> PlaFile:
 
 
 def load_pla(path) -> PlaFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pla(fh.read(), source=str(path))
+    return parse_pla(jsonout.read_file(path), source=str(path))
 
 
 def cube_minterms(cube: str) -> np.ndarray:
@@ -144,9 +143,7 @@ def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
     as 0 (don't-care outputs are outside the optimization's scope).
     """
     if not 0 <= output_index < pla.num_outputs:
-        raise ValueError(
-            f"output index {output_index} out of range 0..{pla.num_outputs - 1}"
-        )
+        raise QmuxError(f"output index {output_index} out of range 0..{pla.num_outputs - 1}")
     vec = np.zeros(1 << pla.num_inputs, dtype=np.uint8)
     for term in pla.terms:
         if term.outputs[output_index] == "1":

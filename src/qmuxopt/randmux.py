@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .errors import SizeLimitExceeded, UnknownGate
+from .errors import QmuxError, SizeLimitExceeded, UnknownGate
 from .mux import Multiplexer, used_palette
 
 MAX_CONTROLS = 20
@@ -26,7 +26,7 @@ class GatePool:
 
     def __post_init__(self):
         if not self.gate_tokens:
-            raise ValueError("gate pool cannot be empty")
+            raise QmuxError("gate pool cannot be empty")
         for token in self.gate_tokens:
             gates.parse_gate(token)  # fail fast on typos
 
@@ -55,10 +55,10 @@ def resolve_pool(label: str) -> GatePool:
 
 def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
     """Standard-form multiplexer with 2^controls targets drawn from pool,
-    held as the palette of the pool gates drawn.  Raises ValueError for
+    held as the palette of the pool gates drawn.  Raises QmuxError for
     fewer than 1 control and SizeLimitExceeded for more than MAX_CONTROLS."""
     if controls < 1:
-        raise ValueError(f"controls must be in 1..{MAX_CONTROLS}, got {controls}")
+        raise QmuxError(f"controls must be in 1..{MAX_CONTROLS}, got {controls}")
     if controls > MAX_CONTROLS:
         raise SizeLimitExceeded(
             f"generate is limited to {MAX_CONTROLS} controls, got {controls}"

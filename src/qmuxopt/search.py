@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blocksearch, cost, group, kernels, mux, randmux
 from .blocksearch import FAMILY_DIGITS
-from .errors import FormMismatch, SizeLimitExceeded
+from .errors import FormMismatch, QmuxError, SizeLimitExceeded
 
 
 @dataclass
@@ -42,11 +42,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.family not in (mux.FPQF, mux.KQF):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise QmuxError(f"unknown family {self.family!r}")
         if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise QmuxError(f"unknown mode {self.mode!r}")
         if self.samples < 1:
-            raise ValueError("samples must be positive")
+            raise QmuxError("samples must be positive")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from qmuxopt.boolrm import (
     rm_search,
     rm_transform,
 )
-from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
+from qmuxopt.errors import ParseError, PolarityLengthMismatch, SizeLimitExceeded
 
 from oracle import (
     all_polarities,
@@ -372,3 +372,14 @@ def test_handed_over_vectors_are_kept_without_a_copy():
                       (spectrum.coefficients, RMSpectrum("10", spectrum.coefficients).coefficients),
                       (again.minterms, BoolFunc(2, again.minterms).minterms)):
         assert kept is vec
+
+
+@pytest.mark.parametrize("text, message", [
+    (" 0x6G ", " 0x6G : bad hex minterm string '0x6G'"),
+    ("012", "012: bad binary minterm string '012'"),
+    ("011", "011: minterm string length 3 is not a power of two >= 2"),
+])
+def test_a_bad_minterm_string_is_a_parse_error_naming_the_string_as_given(text, message):
+    with pytest.raises(ParseError) as info:
+        BoolFunc.from_string(text)
+    assert str(info.value) == message

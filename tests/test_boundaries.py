@@ -15,7 +15,12 @@ the identity), so the vector cannot come back unseen.  `jsonout` alone
 calls a stream's write: every report and file goes through its one
 batching loop, so no report can be joined into one string again; and
 `jsonout` alone calls json.dumps, so every JSON document, report or
-file, is written by its streaming writer.
+file, is written by its streaming writer; and `jsonout` alone opens a
+file, so every path and every file's bytes are refused the same way.  No
+except clause catches a bare ValueError (or anything broader) save the
+listed wraps of the standard library's parsers and cli.main's exit-4
+handler: a refusal is a QmuxError where the input is checked, and a
+bare exception is a fault that nothing relabels as bad input.
 
 What a run loads is checked too, in fresh interpreters: importing the
 package loads none of its modules (its names are imported on first use),
@@ -343,6 +348,124 @@ def test_the_json_dumps_rule_fails_when_a_stray_dumps_is_put_back():
         "json.loads(text)\n"
     )
     assert json_dumps_calls(ast.parse(muxio + stray)) == [end + 1, end + 3]
+
+
+# The except clauses of the package that may name ValueError or Exception,
+# as (module, enclosing function, exception, the parsers its try calls):
+# the wraps of the standard library's parsers, which refuse bad text with
+# a bare ValueError, the one file helper's open, which refuses a NUL byte
+# in a path with one, and cli.main's exit-4 handler.  Every other refusal
+# is a QmuxError raised where the input is checked.
+BROAD_HANDLERS = [
+    ("cli.py", "main", "Exception", ()),
+    ("gates.py", "parse_gate", "ValueError", ("float",)),
+    ("gates.py", "parse_gate", "ValueError", ("float",)),
+    ("jsonout.py", "open_file", "ValueError", ("open",)),
+    ("muxio.py", "parse_qmux", "ValueError", ("int",)),
+    ("muxio.py", "parse_qmux", "ValueError", ("loads",)),
+    ("pla.py", "_header_count", "ValueError", ("int",)),
+]
+PARSERS = {"float", "int", "loads", "open"}
+BROAD = {"ValueError", "Exception", "BaseException"}
+
+
+def broad_handlers(tree: ast.Module, module: str) -> list:
+    """(module, function, exception, parsers) of each except clause in the
+    tree that names ValueError, Exception or BaseException (a bare except
+    counts as BaseException), `function` the innermost one around it and
+    `parsers` the names in PARSERS that its try body calls."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Try):
+            calls = {
+                getattr(call.func, "attr", getattr(call.func, "id", None))
+                for stmt in node.body for call in ast.walk(stmt) if isinstance(call, ast.Call)
+            }
+            for handler in node.handlers:
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                for kind in kinds:
+                    name = "BaseException" if kind is None else getattr(kind, "id", None)
+                    if name in BROAD:
+                        found.append((module, function, name, tuple(sorted(calls & PARSERS))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_listed_handlers_catch_a_bare_value_error(path):
+    """No module relabels a ValueError (or anything broader) as the
+    input's fault, save the wraps in BROAD_HANDLERS."""
+    found = broad_handlers(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == [h for h in BROAD_HANDLERS if h[0] == path.name]
+
+
+def test_the_handler_rule_fails_when_a_relabel_is_put_back():
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    handler = "except (QmuxError, OSError) as exc:"
+    assert cli.count(handler) == 1
+    back = cli.replace(handler, "except (QmuxError, OSError, ValueError) as exc:")
+    assert ("cli.py", "main", "ValueError", ()) in broad_handlers(ast.parse(back), "cli.py")
+    stray = (
+        "def _load(text):\n"
+        "    try:\n"
+        "        return int(text), load(text)\n"
+        "    except ValueError as exc:\n"
+        "        raise ParseError(str(exc), text)\n"
+        "    except:\n"
+        "        raise\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        try:\n"
+        "            g()\n"
+        "        except (KeyError, Exception):\n"
+        "            pass\n"
+    )
+    assert broad_handlers(ast.parse(cli + stray), "cli.py") == [
+        ("cli.py", "_load", "BaseException", ("int",)),
+        ("cli.py", "_load", "ValueError", ("int",)),
+        ("cli.py", "f", "Exception", ()),
+        ("cli.py", "main", "Exception", ()),
+    ]
+
+
+def open_calls(tree: ast.Module) -> list:
+    """Line of each call of the builtin open, or of an open method."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "open":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "jsonout.py"], ids=lambda p: p.name
+)
+def test_only_jsonout_opens_a_file(path):
+    """Every file is opened by jsonout.open_file, so each file the program
+    reads or writes refuses a bad path or bad bytes the same way."""
+    assert open_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_open_rule_fails_when_a_stray_open_is_put_back():
+    jsonout = (PACKAGE / "jsonout.py").read_text(encoding="utf-8")
+    assert open_calls(ast.parse(jsonout)) != []  # the home of the helper
+    pla = (PACKAGE / "pla.py").read_text(encoding="utf-8")
+    end = len(pla.splitlines())
+    stray = (
+        'fh = open(path, "r", encoding="utf-8")\n'
+        "jsonout.open_file(path)\n"
+        "with io.open(path) as fh:\n"
+        "    pass\n"
+    )
+    assert open_calls(ast.parse(pla + stray)) == [end + 1, end + 3]
 
 
 # The names the package exports, by home module.

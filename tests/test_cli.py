@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmuxopt import gates, pla, randmux
+from qmuxopt import gates, kernels, pla, randmux
 from qmuxopt import mux as mux_mod
 from qmuxopt.cli import main
 from qmuxopt.mux import Multiplexer, forward_transform
@@ -407,6 +407,73 @@ def test_cost_of_polarized_file(capsys, case_file, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["cost", "/nonexistent/zzz.qmux"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, at", [
+    (["classical", "{x}.pla"], 1),
+    (["cost", "{x}.qmux"], 1),
+    (["verify", "{case}", "11", "--transformed", "{x}.qmux"], 4),
+    (["cost", "{case}", "--out", "{x}.txt"], 3),
+    (["optimize", "{case}", "--out", "{x}.txt"], 3),
+    (["generate", "--controls", "2", "--out", "{x}.qmux"], 4),
+])
+def test_a_path_with_a_nul_byte_exits_2_naming_it(capsys, case_file, tmp_path, argv, at):
+    """open refuses a path that holds a NUL byte with a bare ValueError;
+    the one file helper refuses it as a ParseError naming the path, for
+    the files read and the files written."""
+    argv = [a.format(case=case_file, x=tmp_path / "a\x00b") for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[at]!r}: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == [case_file]
+
+
+def test_pla_warnings_print_as_one_line_each(tmp_path):
+    """parse_pla's two warnings, an ignored directive and a .p count other
+    than the terms read, print as one `warning:` line each, and the run
+    still exits 0."""
+    (tmp_path / "w.pla").write_text(".i 2\n.o 1\n.p 5\n.foo\n01 1\n.e\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-m", "qmuxopt.cli", "classical", "w.pla"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: w.pla:4: ignoring directive '.foo'\n"
+        "warning: w.pla: .p says 5 terms but 1 were read\n"
+    )
+
+
+def _fault(exc):
+    """A stand-in for one of the program's functions that fails with a
+    bare exc, as a bug in it would."""
+
+    def fault(*args, **kwargs):
+        raise exc("injected fault")
+
+    return fault
+
+
+@pytest.mark.parametrize("exc", [ValueError, TypeError])
+def test_a_fault_in_a_butterfly_column_exits_4_with_its_traceback(capsys, case_file,
+                                                                  monkeypatch, exc):
+    """A bare exception from the program's own code is a fault, not bad
+    input: exit 4 and its traceback, never the usage error's 2."""
+    monkeypatch.setattr(kernels, "gate_stage", _fault(exc))
+    code, out, err = run(capsys, ["optimize", case_file, "--mode", "random"])
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{exc.__name__}: injected fault\n")
+    assert not any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_a_fault_in_verify_exits_4_not_the_verification_failure(capsys, case_file, monkeypatch):
+    monkeypatch.setattr(mux_mod, "max_semantic_deviation", _fault(TypeError))
+    code, out, err = run(capsys, ["verify", case_file, "11"])
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("TypeError: injected fault\n")
 
 
 def _refuse(*args, **kwargs):

@@ -3,7 +3,9 @@
 Every run of cost, optimize or verify on any input file ends with exit
 code 0 (ok), 1 (verification failure), 2 (parse or usage error) or 3 (size
 limit).  A failure writes exactly one `error:` line to stderr, or
-argparse's usage error, and never a traceback or a warning.  A file
+argparse's usage error, and never a traceback or a warning.  Exit 4, an
+internal fault with its traceback on stderr, is the program's own failure
+and never the answer to any input, so no property here accepts it.  A file
 refused for its header, its control count or its token count is refused
 before any of its gate tokens is parsed.
 
@@ -11,7 +13,13 @@ The inputs are valid .qmux files and JSON mirrors, mutated by inserting,
 deleting or replacing whitespace-separated tokens with tokens known to
 have broken loaders before: huge, negative and bool control counts,
 non-finite angles, broken matrix literals, duplicate keys, stray braces
-and bytes that are not UTF-8.  `classical` takes the same contract, with
+and bytes that are not UTF-8; and JSON mirrors whose fields each take a
+value of every JSON type (null, bool, number, string, list, object),
+objects nested inside the targets included.  The flags of optimize,
+verify and generate take the same contract: sample counts, seeds, control
+counts, pools and polarities in and out of range, and --out and
+--transformed paths that are a directory, lack a parent or hold a NUL
+byte.  `classical` takes the same contract, with
 0 or 2 as its only codes at these sizes, on binary and hex minterm
 strings mutated a character at a time and on odd values of --top and
 --output-index; and with 0, 2 or 3 on the PLA files of tests/data mutated
@@ -25,6 +33,7 @@ digits exits 2 as well.
 
 import contextlib
 import io
+import json
 import os
 import re
 import tempfile
@@ -37,10 +46,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import gates
+from qmuxopt import blocksearch, boolrm, cost, gates, kernels, mux, pla, randmux, search
 from qmuxopt.cli import main
+from qmuxopt.errors import QmuxError
 from qmuxopt.mux import Multiplexer, forward_transform
-from qmuxopt.muxio import dump_qmux, dump_qmux_json
+from qmuxopt.muxio import dump_qmux, dump_qmux_json, save_qmux
 
 from oracle import ivvx_case
 
@@ -146,6 +156,106 @@ def test_every_mutated_input_keeps_the_exit_code_contract(base, mutations, polar
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
                 if _BEFORE_TOKENS.search(err):
                     assert parsed == 0, err
+
+
+def _check_contract(argv, code, err, caught, parsed):
+    """The assertions of the .qmux property, for one run: a documented
+    code, no warning and no traceback, and a failure's one `error:` line
+    or argparse's usage; a file refused before its tokens parsed none."""
+    assert code in (0, 1, 2, 3), argv
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    if code in (0, 1):
+        assert err == ""
+    elif err.startswith("usage:"):
+        assert code == 2
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        if _BEFORE_TOKENS.search(err):
+            assert parsed == 0, err
+
+
+# A value of each JSON type for a field of the mirror, objects and lists
+# holding the others, and objects keyed by the mirror's own field names.
+JSON_KEYS = st.sampled_from(["controls", "form", "targets", "x", ""])
+JSON_SCALARS = st.none() | st.booleans() | st.floats() | st.integers(-3, 3) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+TOKENS = st.sampled_from(["I", "X", "V", "VD", "RX(0.3)", "QQ"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    controls=st.sampled_from([1, 2]) | JSON_VALUES,
+    form=st.sampled_from(["standard", "kqf:12", "fpqf:1"]) | JSON_VALUES,
+    targets=st.lists(TOKENS | st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=2), max_size=5)
+    | JSON_VALUES,
+)
+def test_every_wrong_typed_json_field_keeps_the_exit_code_contract(controls, form, targets):
+    """Each field of the JSON mirror takes its own strategy of wrong types,
+    with a valid value among them so the others are tried alone."""
+    text = json.dumps({"controls": controls, "form": form, "targets": targets})
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["cost", path], ["optimize", path], ["verify", path, "12"]):
+            _check_contract(argv, *_run(argv))
+
+
+# Where --out or --transformed points, under the run's directory (a
+# leading "@" stands for it): a file to make, the directory itself, a file
+# under a missing directory, a path holding a NUL byte; the base case's
+# transformed file at "12", and the base case itself (standard form).
+PLACES = ["@out.txt", "@.", "@missing/out.txt", "@a\x00b", "@t12.qmux", "@case.qmux"]
+FLAG_RUNS = st.one_of(
+    st.tuples(
+        st.just(["optimize", "@case.qmux"]),
+        st.tuples(st.just("--samples"), st.sampled_from(["-1", "0", "1", "3"])),
+        st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-1", "1" + "0" * 30])),
+        st.tuples(st.just("--family"), st.sampled_from(["fpqf", "kqf", "fprm"])),
+        st.tuples(st.just("--mode"), st.sampled_from(["exhaustive", "random"])),
+        st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv"])),
+        st.none() | st.tuples(st.just("--out"), st.sampled_from(PLACES[:4])),
+    ),
+    st.tuples(
+        st.just(["verify", "@case.qmux"]),
+        st.tuples(st.sampled_from(["", "1", "12", "112", "13", "x2", "1\x00", "\u0661\u0662"])),
+        st.none() | st.tuples(st.just("--transformed"), st.sampled_from(PLACES[1:])),
+        st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv"])),
+        st.none() | st.tuples(st.just("--out"), st.sampled_from(PLACES[:4])),
+    ),
+    st.tuples(
+        st.just(["generate"]),
+        st.tuples(st.just("--controls"),
+                  st.sampled_from(["-1", "0", "21", "1" + "0" * 30, "1", "2", "5", "8"])),
+        st.none() | st.tuples(st.just("--pool"), st.sampled_from(
+            ["full", "nvv", "custom:X,H", "custom:", "custom:,", "custom:RX(inf)", "bogus"])),
+        st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-1", "1" + "0" * 30])),
+        st.tuples(st.just("--out"), st.sampled_from(PLACES[:4])),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=FLAG_RUNS)
+# A NUL byte in --out: open's bare ValueError once leaked from the writers.
+@example((["generate"], ("--controls", "2"), None, ("--seed", "0"), ("--out", "@a\x00b")))
+@example((["optimize", "@case.qmux"], ("--samples", "1"), ("--seed", "0"), ("--family", "kqf"),
+          ("--mode", "random"), ("--format", "csv"), ("--out", "@a\x00b")))
+def test_every_flag_value_keeps_the_exit_code_contract(run):
+    """optimize, verify and generate on the base case, each flag drawn
+    from values in and out of range, and each path from PLACES."""
+    with tempfile.TemporaryDirectory() as work:
+        with open(os.path.join(work, "case.qmux"), "w", encoding="utf-8") as fh:
+            fh.write(dump_qmux(_BASES[0]))
+        save_qmux(_BASES[2], os.path.join(work, "t12.qmux"))
+        argv = [os.path.join(work, a[1:]) if a.startswith("@") else a
+                for part in filter(None, run) for a in part]
+        _check_contract(argv, *_run(argv))
 
 
 def test_a_json_count_past_the_int_digit_limit_exits_2_naming_the_file():
@@ -312,3 +422,64 @@ def test_a_header_count_of_anything_but_ascii_digits_exits_2(one, two):
             code, err, caught, parsed = _run(argv)
             assert code == 2 and not caught and parsed == 0, err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+_PAIR = np.stack([gates.I, gates.X])
+_FROZEN = np.zeros(4, np.uint8)
+_FROZEN.setflags(write=False)
+
+# A refusal of each validator that CLI input reaches.
+REFUSALS = [
+    pytest.param(lambda: blocksearch.check_polarity("13", 2, "kqf"), id="check_polarity digits"),
+    pytest.param(lambda: blocksearch.check_size("nope", 3), id="check_size family"),
+    pytest.param(lambda: Multiplexer(True, _PAIR), id="Multiplexer bool controls"),
+    pytest.param(lambda: Multiplexer(0, _PAIR), id="Multiplexer zero controls"),
+    pytest.param(lambda: Multiplexer(2, _PAIR), id="Multiplexer shape"),
+    pytest.param(lambda: Multiplexer(1, np.stack([gates.I, 2 * gates.X])),
+                 id="Multiplexer unitarity"),
+    pytest.param(lambda: Multiplexer(1, _PAIR, "standard", "1"),
+                 id="Multiplexer standard polarity"),
+    pytest.param(lambda: Multiplexer(1, _PAIR, "diagonal", "1"), id="Multiplexer form"),
+    pytest.param(lambda: Multiplexer(1, _PAIR, "fpqf", "1", (2,)), id="Multiplexer inverted line"),
+    pytest.param(lambda: boolrm.BoolFunc(0, np.zeros(1, np.uint8)), id="BoolFunc variables"),
+    pytest.param(lambda: boolrm.BoolFunc(1, np.array([0, 2], np.uint8)), id="BoolFunc values"),
+    pytest.param(lambda: boolrm.BoolFunc.from_string("0x6G"), id="BoolFunc.from_string"),
+    pytest.param(lambda: randmux.GatePool("custom", ()), id="GatePool empty"),
+    pytest.param(lambda: randmux.generate(0, randmux.POOL_FULL, 0), id="generate controls"),
+    pytest.param(lambda: search.SearchConfig(samples=0), id="SearchConfig samples"),
+    pytest.param(lambda: search.SearchConfig(family="fprm"), id="SearchConfig family"),
+    pytest.param(lambda: search.SearchConfig(mode="greedy"), id="SearchConfig mode"),
+    pytest.param(lambda: pla.to_bool_func(pla.parse_pla(".i 1\n.o 1\n.e\n"), 1),
+                 id="to_bool_func output"),
+]
+# A failure of each check of the program's own state, which no input reaches.
+FAULTS = [
+    pytest.param(lambda: kernels.gate_stage(_FROZEN, kernels.FORWARD_POS, 0),
+                 id="gate_stage layout"),
+    pytest.param(lambda: kernels.gate_stage(np.zeros((2, 2, 2), complex), 99, 0),
+                 id="gate_stage code"),
+    pytest.param(lambda: blocksearch.cascade(np.zeros(8, np.uint8), "11", "krm"),
+                 id="cascade length"),
+    pytest.param(lambda: mux.activation_mask(_BASES[0], 4), id="activation_mask state"),
+    pytest.param(lambda: mux.transform_stages(np.zeros((4, 2, 2), complex), "11", "sideways"),
+                 id="transform_stages direction"),
+    pytest.param(lambda: cost.gate_cost(-1), id="gate_cost count"),
+]
+
+
+@pytest.mark.parametrize("call", REFUSALS)
+def test_every_validator_cli_input_reaches_refuses_with_a_qmux_error(call):
+    """A refusal is a QmuxError, which cli.main answers with exit 2 or 3,
+    and still a ValueError for library callers."""
+    with pytest.raises(QmuxError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("call", FAULTS)
+def test_a_check_of_the_programs_own_state_stays_a_bare_value_error(call):
+    """When one of these checks fires it is a fault, which cli.main
+    answers with exit 4 and the traceback."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError

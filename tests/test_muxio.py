@@ -242,6 +242,21 @@ def test_a_json_count_past_the_int_digit_limit_names_the_file():
     assert "4300" in str(info.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"controls": 1, "form": "standard", "targets": ["I", "X"], "x": 5}',
+     "m.json: unknown field 'x'"),
+    ('{"controls": 1, "form": "standard", "targets": [{"form": 1}, "X"], "form": 2}',
+     "m.json: repeated field 'form'"),
+])
+def test_a_header_refusal_from_inside_json_loads_is_not_rewrapped(text, message):
+    """The header hook refuses a key while json.loads reads it; its
+    ParseError is a ValueError too, and passes json.loads's handlers as it
+    is, not wrapped in a second `bad JSON:` prefix."""
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, "m.json")
+    assert str(info.value) == message
+
+
 def test_parse_rejects_non_unitary_literal():
     text = "controls: 1\nform: standard\ntargets: I M(1,0,0,0,0,0,2,0)\n"
     with pytest.raises(ParseError) as info:

@@ -215,3 +215,15 @@ def test_cube_minterms_match_a_scalar_reference():
             if all(c == "-" or int(c) == (idx >> (n - 1 - k)) & 1 for k, c in enumerate(cube))
         ]
         assert sorted(cube_minterms(cube).tolist()) == expected
+
+
+def test_a_pla_file_that_is_not_utf8_is_refused_naming_it(tmp_path):
+    """load_pla reads through the same file helper as the .qmux loader, so
+    bytes that are not UTF-8 are a ParseError naming the path."""
+    path = tmp_path / "bad.pla"
+    path.write_bytes(b".i 2\n.o 1\n\xff1 1\n.e\n")
+    with pytest.raises(ParseError) as info:
+        load_pla(path)
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    )
