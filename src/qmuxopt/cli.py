@@ -45,7 +45,7 @@ _CLASSICAL_FAMILIES = {
 
 def _non_negative(text: str) -> int:
     """argparse type for counts and seeds: a negative count would slice from
-    the end, and numpy's generator refuses a negative seed."""
+    the end, and a seed is a non-negative int (see search.SearchConfig)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
     return int(text)

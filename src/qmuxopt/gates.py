@@ -165,8 +165,10 @@ def render_gates(us: np.ndarray):
     all alive at once.
 
     Catalog gates render as their names: one comparison of the stack per
-    catalog gate, in catalog order, so the first match wins.  Everything
-    else becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
+    catalog gate, in catalog order, so the first match wins: every entry's
+    complex difference within EPS in modulus, taken only on the rows whose
+    real and imaginary differences are each within EPS.  Everything else
+    becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
     deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one sort
@@ -177,9 +179,16 @@ def render_gates(us: np.ndarray):
     """
     n = len(us)
     kind = np.full(n, _LITERAL, dtype=np.uint8)
+    floats = np.ascontiguousarray(us).view(np.float64).reshape(n, 8)
     for k, mat in enumerate(CATALOG.values()):
-        hit = np.abs(us - mat).reshape(n, 4).max(axis=1) <= EPS
-        kind[hit & (kind == _LITERAL)] = k
+        # A modulus within EPS needs its real and imaginary parts within
+        # EPS: the rows left are narrowed a float column at a time, and
+        # the modulus is taken only on the rows that pass all eight.
+        rows = np.flatnonzero(kind == _LITERAL)
+        for column, value in enumerate(mat.view(np.float64).reshape(8)):
+            rows = rows[np.abs(floats[rows, column] - value) <= EPS]
+        hit = np.abs(us[rows] - mat).reshape(len(rows), 4).max(axis=1) <= EPS
+        kind[rows[hit]] = k
     distinct, where = _distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return _sub_batches(kind, texts, where)

@@ -11,8 +11,9 @@ JSON mirror uses the same field names:
     {"controls": 2, "form": "fpqf:11", "targets": ["I", "V", "V", "I"]}
 
 Both loaders take one path, in one order: the header (a control count of
-at least 1, and a form; each field named once, and no other key), the
-token count, the tokens, the Multiplexer.
+at least 1, and a form whose polarity, if any, has one digit of its
+family per control; each field named once, and no other key), the token
+count, the tokens, the Multiplexer.
 So in both formats a bad header or a wrong count is refused before any
 token is parsed.  The tokens are numbered a batch of at least
 kernels.CHUNK_ROWS at a time (the text loader never splits a line), so
@@ -43,6 +44,7 @@ import sys
 import numpy as np
 
 from . import gates, jsonout, kernels
+from .blocksearch import check_polarity
 from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
 from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, target_chunks, without_inverters
 
@@ -143,6 +145,18 @@ def _check_count(controls: int, count: int, source, controls_line=None, last_lin
         raise ParseError(f"expected {1 << controls} gate tokens, got {count}", source, last_line)
 
 
+def _check_form(controls: int, form: tuple, source, line=None):
+    """Refuse a polarity whose length is not the control count or whose
+    digits are not its family's, at the form's line (JSON has no lines),
+    before any token is parsed."""
+    kind, digits = form
+    if digits is not None:
+        try:
+            check_polarity(digits, controls, kind)
+        except QmuxError as exc:
+            raise ParseError(str(exc), source, line)
+
+
 def _multiplexer(builder, controls: int, form: tuple, source, refuse) -> Multiplexer:
     """The Multiplexer of a loader's checked header (controls, and form and
     polarity) and token count, and its numbered tokens, parsed now (see
@@ -186,7 +200,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             raise ParseError(f"bad JSON: {exc}", source)
         return from_json_dict(data, source)
 
-    controls = controls_line = form = targets_line = last_line = None
+    controls = controls_line = form = form_line = targets_line = last_line = None
     seen = set()
     builder = _PaletteBuilder()
     batch = []
@@ -209,7 +223,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
                     raise ParseError(f"bad control count {digits!r}", source, lineno)
                 controls_line = lineno
             elif key == "form":
-                form = _parse_form(value, source, lineno)
+                form, form_line = _parse_form(value, source, lineno), lineno
             else:
                 targets_line, line = lineno, value  # its tokens follow the key
             if targets_line is None:
@@ -229,6 +243,7 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
         raise ParseError("missing 'form:' line", source)
     if targets_line is None:
         raise ParseError("missing 'targets:' line", source)
+    _check_form(controls, form, source, form_line)
     _check_count(controls, builder.count, source, controls_line, last_line)
 
     def refuse(i, exc):
@@ -260,6 +275,7 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError("bad JSON multiplexer: targets is not a list of strings", source)
     form = _parse_form(form_text, source, None)
+    _check_form(controls, form, source)
     _check_count(controls, len(tokens), source)
     builder = _PaletteBuilder()
     for start in range(0, len(tokens), kernels.CHUNK_ROWS):

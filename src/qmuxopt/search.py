@@ -47,6 +47,10 @@ class SearchConfig:
             raise QmuxError(f"unknown mode {self.mode!r}")
         if self.samples < 1:
             raise QmuxError("samples must be positive")
+        # Exact type: bool is an int subclass.  The seed alone names the
+        # stream of polarities (randmux.Pcg64), so a run can be repeated.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise QmuxError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass
@@ -195,9 +199,12 @@ def exhaustive_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
 def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchReport:
     """Evaluate cfg.samples polarities drawn uniformly (with replacement).
 
-    Deterministic for a fixed seed: draws come from numpy's default
-    generator (PCG64) seeded with cfg.seed.  Only running aggregates of the
-    samples are kept, so memory does not grow with cfg.samples.
+    Deterministic for a fixed seed: each sample's m digits are
+    randmux.Pcg64(cfg.seed).integers(base, m) in turn, the stream of
+    np.random.default_rng(cfg.seed) that randmux.generate draws from, made
+    in pure Python so that no search loads numpy.random.  Only running
+    aggregates of the samples are kept, so memory does not grow with
+    cfg.samples.
     """
     _require_standard(std)
     if std.controls > randmux.MAX_CONTROLS:
@@ -206,7 +213,7 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
         )
     m = std.controls
     base = len(FAMILY_DIGITS[cfg.family])
-    rng = np.random.default_rng(cfg.seed)
+    rng = randmux.Pcg64(cfg.seed)
     start = time.perf_counter()
     gate_group, roots = _roots(std)
     original = _original_cost(roots(), std)
@@ -218,7 +225,7 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     best = worst = None
     total = 0
     for _ in range(cfg.samples):
-        polarity = "".join(str(d) for d in rng.integers(0, base, size=m))
+        polarity = "".join(map(str, rng.integers(base, m)))
         mask = blocksearch.digit_mask(polarity, "2")
         if mask not in counts:
             counts.clear()  # the old vector is freed before the new one is built

@@ -25,7 +25,8 @@ bare exception is a fault that nothing relabels as bad input.
 What a run loads is checked too, in fresh interpreters: importing the
 package loads none of its modules (its names are imported on first use),
 `qmuxopt.cli` loads only the modules every subcommand uses, and each
-subcommand loads its own, never the other side's (quantum or classical).
+subcommand loads its own, never the other side's (quantum or classical),
+and random search loads neither numpy.random nor the OpenSSL it brings.
 """
 
 import ast
@@ -505,19 +506,22 @@ def test_an_unknown_name_is_an_attribute_error():
         qmuxopt.nothing_here  # noqa: B018
 
 
-def _loaded(script, cwd) -> set:
-    """The package's modules loaded once the script has run in a fresh
+def _modules(script, cwd) -> set:
+    """The names in sys.modules once the script has run in a fresh
     interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script += (
-        "\nimport sys\n"
-        "print(*sorted(n.split('.')[1] for n in sys.modules if n.startswith('qmuxopt.')))\n"
-    )
+    script += "\nimport sys\nprint(*sorted(sys.modules))\n"
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
+
+
+def _loaded(script, cwd) -> set:
+    """The package's modules loaded once the script has run in a fresh
+    interpreter."""
+    return {n.split(".")[1] for n in _modules(script, cwd) if n.startswith("qmuxopt.")}
 
 
 def _cli_run(*argv) -> str:
@@ -542,6 +546,26 @@ def test_optimize_loads_no_classical_module(tmp_path, mode):
     )
     assert "search" in loaded and "group" in loaded
     assert loaded & CLASSICAL_ONLY == set()
+
+
+# What numpy's Generator imports: numpy.random's bit generators import
+# secrets, whose hmac loads OpenSSL through _hashlib.
+RNG_MODULES = {"numpy.random", "_hashlib"}
+
+
+def test_random_search_loads_neither_numpy_random_nor_openssl(tmp_path):
+    """Random search draws from randmux.Pcg64, so it loads neither; generate
+    draws with numpy's Generator, which shows that the check sees them."""
+    made = _modules(_cli_run("generate", "--controls", "5", "--out", "m.qmux"), tmp_path)
+    assert made >= RNG_MODULES
+    for family in ("fpqf", "kqf"):
+        loaded = _modules(
+            _cli_run("optimize", "m.qmux", "--family", family, "--mode", "random",
+                     "--samples", "3", "--seed", "7", "--out", "r.txt"),
+            tmp_path,
+        )
+        assert "qmuxopt.search" in loaded
+        assert loaded & RNG_MODULES == set(), family
 
 
 def test_a_minterm_string_classical_loads_no_quantum_module(tmp_path):

@@ -84,10 +84,13 @@ MUTATION_TOKENS = [
 
 _PIECE = re.compile(rb"\s+|\S+")
 
-# The loaders' header, control-count and token-count messages.
+# The loaders' header, control-count and token-count messages, and their
+# refusal of a form's polarity (prefixed by the file, unlike verify's
+# refusal of its polarity argument, which comes after the file is loaded).
 _BEFORE_TOKENS = re.compile(
     r"bad JSON|expected 'key: value'|bad control count|bad form|unknown field|repeated field"
     r"|missing '|controls need 2\^|expected \d+ gate tokens"
+    r"|\.qmux(?::\d+)?: (?:fpqf |kqf )?polarity '"
 )
 
 mutation = st.tuples(
@@ -449,6 +452,9 @@ REFUSALS = [
     pytest.param(lambda: search.SearchConfig(samples=0), id="SearchConfig samples"),
     pytest.param(lambda: search.SearchConfig(family="fprm"), id="SearchConfig family"),
     pytest.param(lambda: search.SearchConfig(mode="greedy"), id="SearchConfig mode"),
+    pytest.param(lambda: search.SearchConfig(seed=-1), id="SearchConfig negative seed"),
+    pytest.param(lambda: search.SearchConfig(seed=None), id="SearchConfig seed None"),
+    pytest.param(lambda: search.SearchConfig(seed=True), id="SearchConfig bool seed"),
     pytest.param(lambda: pla.to_bool_func(pla.parse_pla(".i 1\n.o 1\n.e\n"), 1),
                  id="to_bool_func output"),
 ]

@@ -191,6 +191,21 @@ def test_render_gates_at_the_catalog_tolerance():
     assert [t.startswith("M(") for t in tokens] == [False, True, False, True]
 
 
+def test_render_gates_takes_the_modulus_past_the_per_part_pre_test():
+    """Real and imaginary differences each within EPS pass the pre-test,
+    but a modulus past EPS still makes a literal; a strided stack is
+    classified as its copy is."""
+    corner = gates.H.copy()
+    corner[1, 1] += 0.8 * gates.EPS * (1 + 1j)  # parts 0.8 EPS, modulus 1.13 EPS
+    edge = gates.H.copy()
+    edge[1, 1] += 0.7 * gates.EPS * (1 + 1j)  # modulus 0.99 EPS
+    stack = np.stack([corner, edge, gates.Z, gates.X.T])[::-1]
+    tokens = flat(gates.render_gates(stack))
+    assert tokens == _render_reference(stack)
+    assert tokens[0] == "X" and tokens[1] == "Z" and tokens[2] == "H"
+    assert tokens[3].startswith("M(")
+
+
 def test_render_gates_all_catalog_and_empty():
     catalog = np.stack(list(gates.CATALOG.values()) * 3)
     assert flat(gates.render_gates(catalog)) == list(gates.CATALOG) * 3

@@ -388,6 +388,30 @@ def test_a_wrong_count_text_file_is_refused_before_its_tokens_parse(monkeypatch,
     assert parsed == []
 
 
+@pytest.mark.parametrize(
+    "form,message",
+    [
+        ("kqf:12", "polarity '12' has 2 digits, expected 1"),
+        ("fpqf:2", "fpqf polarity '2' uses digits outside '01'"),
+        ("kqf:3", "kqf polarity '3' uses digits outside '012'"),
+    ],
+)
+def test_a_form_that_disagrees_with_the_controls_is_refused_before_its_tokens_parse(
+    parsed, form, message
+):
+    """Both loaders check the form's polarity against the control count
+    with the header, the text loader at the form's line."""
+    text = f"controls: 1\nform: {form}\ntargets: {ROTATIONS[0]} {ROTATIONS[1]}\n"
+    with pytest.raises(ParseError) as info:
+        parse_qmux(text, source="form.qmux")
+    assert str(info.value) == f"form.qmux:2: {message}"
+    mirror = json.dumps({"controls": 1, "form": form, "targets": ROTATIONS[:2]})
+    with pytest.raises(ParseError) as info:
+        parse_qmux(mirror, source="form.json")
+    assert str(info.value) == f"form.json: {message}"
+    assert parsed == []
+
+
 @pytest.mark.parametrize("controls", [0, -3])
 def test_a_json_mirror_under_one_control_is_refused_before_its_tokens_parse(parsed, controls):
     """As in the text loader, a control count under 1 is refused with the
