@@ -27,7 +27,7 @@ import time
 import warnings
 
 from . import __version__, blocksearch, jsonout
-from .errors import ParseError, QmuxError, SizeLimitExceeded
+from .errors import ParseError, QmuxError, SizeLimitExceeded, parse_count
 
 VERIFY_TOLERANCE = 1e-9
 # verify computes each of the 2^m input states' operator from the active
@@ -44,11 +44,22 @@ _CLASSICAL_FAMILIES = {
 
 
 def _non_negative(text: str) -> int:
-    """argparse type for counts and seeds: a negative count would slice from
+    """argparse type for --seed and --top: ASCII digits only, as every count
+    of the input (errors.parse_count).  A negative count would slice from
     the end, and a seed is a non-negative int (see search.SearchConfig)."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
-    return int(text)
+    return _integer(text, signed=False)
+
+
+def _integer(text: str, signed: bool = True) -> int:
+    """argparse type for --samples, --controls and --output-index: ASCII
+    digits after an optional '-', so a negative value reaches the check
+    that names it."""
+    value = parse_count(text, signed)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"want {'an' if signed else 'a non-negative'} integer, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("input", help=".qmux file (standard form)")
     p_opt.add_argument("--family", choices=("fpqf", "kqf"), default="fpqf")
     p_opt.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p_opt.add_argument("--samples", type=int, default=1, help="random-mode draw count")
+    p_opt.add_argument("--samples", type=_integer, default=1, help="random-mode draw count")
     p_opt.add_argument("--seed", type=_non_negative, default=0, help="random-mode seed")
     add_format(p_opt)
 
@@ -98,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", choices=sorted(_CLASSICAL_FAMILIES), default="fprm",
         help="fprm/fpqf: fixed polarities; krm/kqf: mixed allowed",
     )
-    p_cls.add_argument("--output-index", type=int, default=0)
+    p_cls.add_argument("--output-index", type=_integer, default=0)
     p_cls.add_argument(
         "--top", type=_non_negative, help="only print the cheapest N polarities"
     )
     add_format(p_cls)
 
     p_gen = sub.add_parser("generate", help="write a seeded random .qmux multiplexer")
-    p_gen.add_argument("--controls", type=int, required=True)
+    p_gen.add_argument("--controls", type=_integer, required=True)
     p_gen.add_argument(
         "--pool", default="full", help="full, nvv, or custom:<comma-separated tokens>"
     )

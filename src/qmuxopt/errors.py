@@ -8,7 +8,30 @@ bare exception (a ValueError, a TypeError, ...) is a fault of the program
 itself, never of its input, and exits 4 with its traceback.  QmuxError
 subclasses ValueError, so a library caller that catches ValueError still
 catches every refusal.
+
+Two rules every count of the input shares live here too: `parse_count`
+reads a count from text (a header, a PLA directive, a flag), and `is_int`
+checks one handed over as a value (a JSON field, a library argument).
 """
+
+
+def parse_count(text: str, signed: bool = False):
+    """The integer `text` spells in ASCII digits, after a leading '-' when
+    `signed`; None for any other text.  int() also reads '1_0', '+1', ' 1'
+    and other scripts' digits, which no count of the input accepts."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit
+        return None
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool: bool is an int subclass, but
+    True is no count, and a float is not one even when it is whole."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class QmuxError(ValueError):

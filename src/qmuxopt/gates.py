@@ -3,6 +3,8 @@
 Gates are plain (2, 2) complex128 numpy arrays.  Equality is exact and
 entrywise: a global phase on a controlled gate becomes a physical relative
 phase in the circuit, so two gates differing by a phase are distinct here.
+The unitarity residual's product u u^H is kernels.times_inverse, and the
+catalog match is kernels.rows_within.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def unitarity_residual(us: np.ndarray) -> float:
         if not np.isfinite(part.view(float)).all():
             return math.nan
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = float(np.abs(part @ part.conj().transpose(0, 2, 1) - I).max())
+            residual = float(np.abs(kernels.times_inverse(part, part) - I).max())
         worst = max(worst, math.inf if math.isnan(residual) else residual)
     return worst
 
@@ -164,10 +166,9 @@ def render_gates(us: np.ndarray):
     when the previous sub-batch is used up, so a chunk's tokens are never
     all alive at once.
 
-    Catalog gates render as their names: one comparison of the stack per
-    catalog gate, in catalog order, so the first match wins: every entry's
-    complex difference within EPS in modulus, taken only on the rows whose
-    real and imaginary differences are each within EPS.  Everything else
+    Catalog gates render as their names: the rows kernels.rows_within
+    finds within EPS of each catalog gate.  The catalog gates lie far more
+    than 2 EPS apart, so no row is within EPS of two.  Everything else
     becomes a matrix literal M(a_re,a_im,...,d_re,d_im), row-major, at
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
@@ -177,18 +178,9 @@ def render_gates(us: np.ndarray):
     on its own matrix, so the bytes depend neither on the chunking nor on
     the sub-batching.
     """
-    n = len(us)
-    kind = np.full(n, _LITERAL, dtype=np.uint8)
-    floats = np.ascontiguousarray(us).view(np.float64).reshape(n, 8)
+    kind = np.full(len(us), _LITERAL, dtype=np.uint8)
     for k, mat in enumerate(CATALOG.values()):
-        # A modulus within EPS needs its real and imaginary parts within
-        # EPS: the rows left are narrowed a float column at a time, and
-        # the modulus is taken only on the rows that pass all eight.
-        rows = np.flatnonzero(kind == _LITERAL)
-        for column, value in enumerate(mat.view(np.float64).reshape(8)):
-            rows = rows[np.abs(floats[rows, column] - value) <= EPS]
-        hit = np.abs(us[rows] - mat).reshape(len(rows), 4).max(axis=1) <= EPS
-        kind[rows[hit]] = k
+        kind[kernels.rows_within(us, mat, EPS)] = k
     distinct, where = _distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return _sub_batches(kind, texts, where)

@@ -40,17 +40,18 @@ EPS / 2 = 5e-10; m = 19 would be 6.3e-10), where the measured drift
 
 The table `mul` is built by row blocks: each row is one (2, 2) @ (2, 2G)
 product of its element with all elements side by side, and each block
-takes one key, lookup, residual and near-neighbour pass.  A block holds
+takes one key, lookup, residual and near-neighbour pass.  Every product
+here, of the closure and of the table, is kernels.times.  A block holds
 kernels.CHUNK_ROWS // (4 G) rows, so each temporary holds about
 kernels.CHUNK_ROWS complex entries (64 KB), under glibc's default 128 KB
 mmap threshold: freeing blocks of kernels.CHUNK_ROWS matrices (256 KB)
 raised that threshold, and the allocator's later choices cost a
 full-pool m = 12 FPQF CLI run 8.95k minor page faults against 6.36k.
-One BLAS call per row rounds a few products differently from one call
-per pair: the full pool's table residual read 9.878e-16 that way, and no
-decision or table differs (`tests/test_group.py` holds `intern` to
-`product_table` of the test oracle `tests/oracle.py`, which builds the
-table row by row).
+One kernels.times call per row rounds a few products differently from
+one call per pair: the full pool's table residual read 9.878e-16 that
+way, and no decision or table differs (`tests/test_group.py` holds
+`intern` to `product_table` of the test oracle `tests/oracle.py`, which
+builds the table row by row).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _closure(generators: np.ndarray):
     elements = [frontier]
     seen = set(_keys(frontier).tolist())
     while len(frontier):
-        products = np.matmul(frontier[:, None], generators[None]).reshape(-1, 2, 2)
+        products = kernels.times(frontier[:, None], generators[None]).reshape(-1, 2, 2)
         keys = _keys(products).tolist()
         fresh = []
         for i, key in enumerate(keys):
@@ -182,7 +183,7 @@ def _table(elements: np.ndarray):
         distance = np.abs(block[:, None] - elements).reshape(len(block), g, 4).max(axis=2)
         if np.any(np.count_nonzero(distance < 1 / _KEY_SCALE, axis=1) != 1):
             return None
-        products = np.matmul(block, side).reshape(len(block), 2, g, 2).transpose(0, 2, 1, 3)
+        products = kernels.times(block, side).reshape(len(block), 2, g, 2).transpose(0, 2, 1, 3)
         products = np.ascontiguousarray(products).reshape(-1, 2, 2)
         row_ids = _lookup(element_keys, order, _keys(products))
         if row_ids is None:

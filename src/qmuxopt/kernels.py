@@ -1,4 +1,12 @@
-"""Hot numeric kernels: butterfly columns and per-polarity cost sums.
+"""Hot numeric kernels: butterfly columns and per-polarity cost sums, and
+the only home of 2x2 matrix arithmetic.
+
+Every complex 2x2 product of the package is `times` or `times_inverse`,
+and every test of whether a matrix is within EPS of a known one is
+`rows_within`.  The butterflies and identity tests here, group's closure
+and tables, gates' unitarity residual and catalog match, and mux's
+realized operators all call them, so a change of arithmetic is a change
+to these three functions.
 
 One butterfly column pairs the indices that differ at `bit`; the pair is
 (a, b) with a at the clear-bit index.  `gate_stage` runs every column, of
@@ -14,14 +22,15 @@ either algebra, from one code table:
 
 The quantum codes take a (2^n, 2, 2) vector of unitaries or, given the
 `group.GateGroup` they index, a (2^n,) uint8 vector of element IDs, where
-each product is a lookup in the group's tables (mul[i, j] is the ID of
-element i times element j; the flat mulinv[(i << 8) | j] that of element
-i times the inverse of element j, one lookup on a uint16 index):
+each product is a lookup in the group's tables (the flat mulinv[(i << 8) |
+j] is the ID of element i times the inverse of element j, one lookup on a
+uint16 index; inv[j] is the ID of the inverse of element j, whose own
+inverse is j again):
 
   FORWARD_POS   (a, b) -> (a, mulinv[b << 8 | a])
   FORWARD_NEG   (a, b) -> (b, mulinv[a << 8 | b])
-  INVERSE_POS   (a, b) -> (a, mul[b, a])
-  INVERSE_NEG   (a, b) -> (mul[b, a], a)
+  INVERSE_POS   (a, b) -> (a, mulinv[b << 8 | inv[a]])
+  INVERSE_NEG   (a, b) -> (mulinv[b << 8 | inv[a]], a)
 
 ID 0 is the identity, so an ID vector's identity test is `ids == 0`.  The
 GF(2) codes take a (2^n,) uint8 vector of bits, with XOR as the product.
@@ -90,26 +99,27 @@ def _halves(arr: np.ndarray, bit: int):
     return v[:, 0], v[:, 1]
 
 
-def _times(x, y, out, group) -> None:
-    """out = x @ y, on matrices or, given their group, on IDs."""
+def times(x, y, out=None, group=None) -> np.ndarray:
+    """x @ y, on matrices or, given their group, on IDs, where it is x times
+    the inverse of inv[y].  Written into `out` when one is given; returns
+    it."""
     if group is None:
-        np.matmul(x, y, out=out)
-    else:
-        out[...] = group.mul[x, y]
+        return np.matmul(x, y, out=out)
+    return times_inverse(x, group.inv[y], out, group)
 
 
-def _times_inverse(x, y, out, group) -> None:
-    """out = x @ y^-1, on matrices or, given their group, on IDs."""
+def times_inverse(x, y, out=None, group=None) -> np.ndarray:
+    """x @ y^-1, on matrices or, given their group, on IDs.  Written into
+    `out` when one is given; returns it."""
     if group is None:
-        np.matmul(x, y.conj().swapaxes(-1, -2), out=out)
-    else:
-        index = x.astype(np.uint16)
-        index <<= 8
-        index |= y
-        # "clip" never clips here (a uint16 index never passes the 65,536-entry
-        # mulinv, and every ID is below len(inv)); it lets take write straight
-        # into `out`, where "raise" stages it in a copy.
-        np.take(group.mulinv, index, out=out, mode="clip")
+        return np.matmul(x, y.conj().swapaxes(-1, -2), out=out)
+    index = x.astype(np.uint16)
+    index <<= 8
+    index |= y
+    # "clip" never clips here (a uint16 index never passes the 65,536-entry
+    # mulinv, and every ID is below len(inv)); it lets take write straight
+    # into `out`, where "raise" stages it in a copy.
+    return np.take(group.mulinv, index, out=out, mode="clip")
 
 
 def _xor(x, y, out, group) -> None:
@@ -121,10 +131,10 @@ def _xor(x, y, out, group) -> None:
 # half a, 1 the set-bit half b), the output half it lands in, and the input
 # half left in the other output half.
 _COLUMNS = {
-    FORWARD_POS: (_times_inverse, (1, 0), 1, 0),
-    FORWARD_NEG: (_times_inverse, (0, 1), 1, 1),
-    INVERSE_POS: (_times, (1, 0), 1, 0),
-    INVERSE_NEG: (_times, (1, 0), 0, 0),
+    FORWARD_POS: (times_inverse, (1, 0), 1, 0),
+    FORWARD_NEG: (times_inverse, (0, 1), 1, 1),
+    INVERSE_POS: (times, (1, 0), 1, 0),
+    INVERSE_NEG: (times, (1, 0), 0, 0),
     GF2_POS: (_xor, (1, 0), 1, 0),
     GF2_NEG: (_xor, (0, 1), 0, 1),
 }
@@ -182,11 +192,11 @@ def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     """
     a, b = pairs[:, 0], pairs[:, 1]
     out[:, :2] = pairs
-    _times_inverse(b, a, out[:, 2], group)
+    times_inverse(b, a, out[:, 2], group)
     if group is None:
-        _times_inverse(a, b, out[:, 3], group)
+        times_inverse(a, b, out[:, 3], group)
     else:
-        np.take(group.inv, out[:, 2], out=out[:, 3], mode="clip")  # see _times_inverse
+        np.take(group.inv, out[:, 2], out=out[:, 3], mode="clip")  # see times_inverse
 
 
 def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
@@ -197,21 +207,39 @@ def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     np.bitwise_xor(pairs[:, 0], pairs[:, 1], out=out[:, 2])
 
 
+def rows_within(stack: np.ndarray, matrix: np.ndarray, eps: float) -> np.ndarray:
+    """Positions, in order, of the matrices of a (n, 2, 2) stack whose
+    every entry lies within eps of matrix's in complex modulus: the
+    package's one within-EPS test.  A row with a NaN or inf entry is never
+    within.
+
+    A modulus within eps needs its real and imaginary parts within eps, so
+    each entry narrows the rows by its real part, then its imaginary part,
+    and takes the modulus only on the rows left: the same rows as the
+    modulus alone.  Each temporary holds one entry per row.
+    """
+    rows = np.arange(len(stack))
+    for (r, c), v in np.ndenumerate(matrix):
+        rows = rows[np.abs(stack.real[rows, r, c] - v.real) <= eps]
+        rows = rows[np.abs(stack.imag[rows, r, c] - v.imag) <= eps]
+        rows = rows[np.abs(stack[rows, r, c] - v) <= eps]
+    return rows
+
+
 def identity_mask(gates: np.ndarray, eps: float, out=None) -> np.ndarray:
     """True for each entry that is its algebra's identity: a (n, 2, 2) gate
-    equal to the 2x2 identity within eps in every entry, tested CHUNK_ROWS
-    gates at a time; in a 1-D uint8 vector, a group ID equal to ID 0 or a
-    GF(2) bit equal to 0, both exactly.  Written into `out`, a bool vector
-    of one entry per gate, when one is given.
+    that rows_within finds within eps of the 2x2 identity, tested
+    CHUNK_ROWS gates at a time; in a 1-D uint8 vector, a group ID equal to
+    ID 0 or a GF(2) bit equal to 0, both exactly.  Written into `out`, a
+    bool vector of one entry per gate, when one is given.
     """
     if out is None:
         out = np.empty(len(gates), dtype=bool)
     if gates.ndim == 1:
         return np.equal(gates, 0, out=out)
+    out[...] = False
     for start in range(0, len(gates), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        deviation = np.abs(gates[rows] - np.eye(2)).reshape(-1, 4).max(axis=1)
-        np.less_equal(deviation, eps, out=out[rows])
+        out[start + rows_within(gates[start : start + CHUNK_ROWS], np.eye(2), eps)] = True
     return out
 
 

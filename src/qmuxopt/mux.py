@@ -10,7 +10,9 @@ Standard form activates exactly the target whose index equals the input
 state.  In a polarized form with digits p (per variable: '1' positive,
 '0' negative, '2' mixed), gate i is controlled by variable c_k when the
 k-th bit of i is 1 (fixed digits) or always (mixed digits); a negative
-digit reads its control line through an inverter.
+digit reads its control line through an inverter.  Every product here,
+of the realized operators and (through blocksearch.cascade) of the
+transforms, is kernels.times or kernels.times_inverse.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import gates, kernels
 from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
-from .errors import FormMismatch, QmuxError
+from .errors import FormMismatch, QmuxError, is_int
 from .kernels import read_only
 
 STANDARD = "standard"
@@ -91,8 +93,7 @@ class Multiplexer:
     inverted_lines: tuple = ()
 
     def __init__(self, controls, targets, form=STANDARD, polarity=None, inverted_lines=()):
-        # bool is an int subclass, but True is no control count.
-        if isinstance(controls, bool) or not isinstance(controls, int):
+        if not is_int(controls):
             raise QmuxError(f"controls {controls!r} is not an int")
         if controls < 1:
             raise QmuxError("a multiplexer needs at least one control variable")
@@ -210,7 +211,7 @@ def semantics(mux: Multiplexer, input_state: int) -> np.ndarray:
     active = np.flatnonzero(activation_mask(mux, input_state))
     out = np.eye(2, dtype=complex)
     for target in mux.palette.per_gate(mux.palette.matrices, active):
-        out = target @ out
+        out = kernels.times(target, out)
     return out
 
 

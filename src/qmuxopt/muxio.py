@@ -45,7 +45,7 @@ import numpy as np
 
 from . import gates, jsonout, kernels
 from .blocksearch import check_polarity
-from .errors import NonUnitary, ParseError, QmuxError, UnknownGate
+from .errors import NonUnitary, ParseError, QmuxError, UnknownGate, is_int, parse_count
 from .mux import FPQF, KQF, STANDARD, Multiplexer, Palette, target_chunks, without_inverters
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -215,11 +215,8 @@ def parse_qmux(text: str, source: str = "<qmux>") -> Multiplexer:
             key = _header_key(seen, key.strip().lower(), source, lineno)
             if key == "controls":
                 digits = value.strip()
-                try:  # ASCII digits only: int() also takes "0_1", "+1" and other scripts
-                    controls = int(digits) if digits.isascii() and digits.isdigit() else 0
-                except ValueError:  # past int()'s digit limit
-                    controls = 0
-                if controls < 1:
+                controls = parse_count(digits)
+                if controls is None or controls < 1:
                     raise ParseError(f"bad control count {digits!r}", source, lineno)
                 controls_line = lineno
             elif key == "form":
@@ -267,8 +264,8 @@ def from_json_dict(data: dict, source: str = "<qmux-json>") -> Multiplexer:
         tokens = data["targets"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad JSON multiplexer: {exc}", source)
-    # Exact types: bool is an int subclass, and a string is not a token list.
-    if isinstance(controls, bool) or not isinstance(controls, int):
+    # Exact types: a string is not a token list either.
+    if not is_int(controls):
         raise ParseError(f"bad JSON multiplexer: controls {controls!r} is not an int", source)
     if controls < 1:
         raise ParseError(f"bad control count {str(controls)!r}", source)

@@ -16,6 +16,7 @@ import numpy as np
 from . import gates, jsonout
 from .boolrm import BoolFunc
 from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader, QmuxError
+from .errors import parse_count
 from .mux import Multiplexer, used_palette
 
 _CUBE_CHARS = set("01-")
@@ -40,11 +41,8 @@ class PlaFile:
 def _header_count(fields: list, least: int, source: str, line: int) -> int:
     """The count of a .i/.o/.p directive, an integer of at least `least`."""
     text = fields[1] if len(fields) > 1 else ""
-    try:  # ASCII digits only: int() also takes "0_2", "+2" and other scripts
-        count = int(text) if text.isascii() and text.isdigit() else least - 1
-    except ValueError:  # past int()'s digit limit
-        count = least - 1
-    if count < least:
+    count = parse_count(text)
+    if count is None or count < least:
         raise MalformedHeader(
             f"{fields[0]} needs an integer count of at least {least}, got {text!r}",
             source,

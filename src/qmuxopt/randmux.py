@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .errors import QmuxError, SizeLimitExceeded, UnknownGate
+from .errors import QmuxError, SizeLimitExceeded, UnknownGate, is_int
 from .mux import Multiplexer, used_palette
 
 MAX_CONTROLS = 20
@@ -161,7 +161,12 @@ def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
     held as the palette of the pool gates drawn: gate i is pool gate
     Pcg64(seed).integers(len(pool.gate_tokens), 2^controls)[i], drawn
     here by numpy's vectorized generator.  Raises QmuxError for fewer than
-    1 control and SizeLimitExceeded for more than MAX_CONTROLS."""
+    1 control, a count or seed that is not an int, or a negative seed, and
+    SizeLimitExceeded for more than MAX_CONTROLS."""
+    if not is_int(controls):
+        raise QmuxError(f"controls {controls!r} is not an int")
+    if not is_int(seed) or seed < 0:
+        raise QmuxError(f"seed must be a non-negative int, got {seed!r}")
     if controls < 1:
         raise QmuxError(f"controls must be in 1..{MAX_CONTROLS}, got {controls}")
     if controls > MAX_CONTROLS:

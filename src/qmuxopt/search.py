@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blocksearch, cost, group, kernels, mux, randmux
 from .blocksearch import FAMILY_DIGITS
-from .errors import FormMismatch, QmuxError, SizeLimitExceeded
+from .errors import FormMismatch, QmuxError, SizeLimitExceeded, is_int
 
 
 @dataclass
@@ -45,11 +45,13 @@ class SearchConfig:
             raise QmuxError(f"unknown family {self.family!r}")
         if self.mode not in ("exhaustive", "random"):
             raise QmuxError(f"unknown mode {self.mode!r}")
+        if not is_int(self.samples):
+            raise QmuxError(f"samples {self.samples!r} is not an int")
         if self.samples < 1:
             raise QmuxError("samples must be positive")
-        # Exact type: bool is an int subclass.  The seed alone names the
-        # stream of polarities (randmux.Pcg64), so a run can be repeated.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        # The seed alone names the stream of polarities (randmux.Pcg64), so
+        # a run can be repeated.
+        if not is_int(self.seed) or self.seed < 0:
             raise QmuxError(f"seed must be a non-negative int, got {self.seed!r}")
 
 

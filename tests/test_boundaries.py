@@ -8,7 +8,10 @@ imports anything from `tests/`, and the oracle never runs through the
 so it reads no private name and runs no column.  `kernels` imports no
 module of the package, and `blocksearch` is the only
 other module that reads a column code or runs a column: it alone turns a
-family and a polarity digit into columns.  `mux` alone expands a
+family and a polarity digit into columns.  `kernels` alone multiplies
+complex matrices (`@`, matmul, dot, einsum and linalg appear nowhere
+else, save two listed products that are not complex) and alone tests
+whether a matrix lies within EPS of another.  `mux` alone expands a
 multiplexer's palette into the 2^m complex vector: everywhere else the
 palette's matrices are only read whole (to intern them, to test them for
 the identity), so the vector cannot come back unseen.  `jsonout` alone
@@ -215,6 +218,111 @@ def test_each_kernels_rule_fails_when_a_stray_read_is_put_back():
     ]
 
 
+# The names of numpy's matrix products and linear algebra.
+PRODUCT_NAMES = {"matmul", "dot", "vdot", "tensordot", "einsum", "linalg"}
+# The products outside kernels, as (module, function, what): the integer
+# cost_table product of the block search's leaves and group's Frobenius
+# norm of float differences.  No complex 2x2 product is among them.
+PRODUCT_SITES = [
+    ("blocksearch.py", "polarity_costs.leaf", "matmul"),
+    ("group.py", "_gap", "einsum"),
+]
+
+
+def matrix_products(tree: ast.Module, module: str) -> list:
+    """(module, function, what) of each `@` (`what` "@") and each use of a
+    name in PRODUCT_NAMES (as an attribute, a name or an import) in the
+    tree, `function` the dotted path of the functions around it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if function is None else f"{function}.{node.name}"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((module, function, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCT_NAMES:
+            found.append((module, function, node.attr))
+        elif isinstance(node, ast.Name) and node.id in PRODUCT_NAMES:
+            found.append((module, function, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            names = {part for name in modules for part in name.split(".")}
+            found.extend((module, function, name) for name in sorted(names & PRODUCT_NAMES))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found, key=str)  # `function` is None outside every function
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name
+)
+def test_only_kernels_multiplies_matrices(path):
+    """kernels.times and times_inverse are the package's only complex 2x2
+    products: everywhere else, only the PRODUCT_SITES multiply."""
+    found = matrix_products(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == [site for site in PRODUCT_SITES if site[0] == path.name]
+
+
+def test_the_product_rule_fails_when_a_stray_product_is_put_back():
+    kernels = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert ("kernels.py", "times", "matmul") in matrix_products(ast.parse(kernels), "kernels.py")
+    mux = (PACKAGE / "mux.py").read_text(encoding="utf-8")
+    stray = "def f(a, b):\n    a @= b\n    return a @ b\n"
+    assert matrix_products(ast.parse(mux + stray), "mux.py") == [
+        ("mux.py", "f", "@"), ("mux.py", "f", "@"),
+    ]
+    group = (PACKAGE / "group.py").read_text(encoding="utf-8")
+    stray = (
+        "products = np.matmul(block, side)\n"
+        "from numpy.linalg import norm\n"
+        "from numpy import dot as product\n"
+    )
+    assert matrix_products(ast.parse(group + stray), "group.py") == [
+        ("group.py", "_gap", "einsum"),
+        ("group.py", None, "dot"),
+        ("group.py", None, "linalg"),
+        ("group.py", None, "matmul"),
+    ]
+
+
+def eps_tests(tree: ast.Module) -> list:
+    """Line of each comparison that sets a value taken by abs against EPS
+    (a name or attribute EPS or eps): the shape of a test whether a matrix
+    lies within EPS of another.  A residual already reduced to a number
+    (`dev <= EPS`) is not one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            parts = [node.left, *node.comparators]
+            names = {getattr(n, "id", getattr(n, "attr", None)) for p in parts for n in ast.walk(p)}
+            if names & {"EPS", "eps"} and "abs" in names:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name
+)
+def test_only_kernels_tests_a_matrix_against_eps(path):
+    """kernels.rows_within is the package's one within-EPS test."""
+    assert eps_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_eps_rule_fails_when_a_stray_test_is_put_back():
+    kernels = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert eps_tests(ast.parse(kernels)) != []  # the home of the test
+    gates = (PACKAGE / "gates.py").read_text(encoding="utf-8")
+    end = len(gates.splitlines())
+    stray = (
+        "hit = np.abs(us[rows] - mat).reshape(len(rows), 4).max(axis=1) <= EPS\n"
+        "if not dev <= EPS:\n"
+        "    near = gates.EPS >= abs(a - b).max()\n"
+    )
+    assert eps_tests(ast.parse(gates + stray)) == [end + 1, end + 3]
+
+
 def palette_gathers(tree: ast.Module) -> list:
     """(line, how) of each place the tree spreads a palette's matrices to
     the gates: a subscript of them, or a per_gate or take call given them.
@@ -359,12 +467,11 @@ def test_the_json_dumps_rule_fails_when_a_stray_dumps_is_put_back():
 # is a QmuxError raised where the input is checked.
 BROAD_HANDLERS = [
     ("cli.py", "main", "Exception", ()),
+    ("errors.py", "parse_count", "ValueError", ("int",)),
     ("gates.py", "parse_gate", "ValueError", ("float",)),
     ("gates.py", "parse_gate", "ValueError", ("float",)),
     ("jsonout.py", "open_file", "ValueError", ("open",)),
-    ("muxio.py", "parse_qmux", "ValueError", ("int",)),
     ("muxio.py", "parse_qmux", "ValueError", ("loads",)),
-    ("pla.py", "_header_count", "ValueError", ("int",)),
 ]
 PARSERS = {"float", "int", "loads", "open"}
 BROAD = {"ValueError", "Exception", "BaseException"}

@@ -281,6 +281,52 @@ def test_classical_minterm_string_rejects_an_output_index_past_0(capsys, index):
     assert out == ""
 
 
+# Every flag that takes a count, as (argv before the value, argv after it).
+COUNT_FLAGS = {
+    "--samples": (["optimize", "@case", "--mode", "random", "--samples"], []),
+    "optimize --seed": (["optimize", "@case", "--mode", "random", "--seed"], []),
+    "--output-index": (["classical", "0x6F", "--output-index"], []),
+    "--top": (["classical", "0x6F", "--top"], []),
+    "--controls": (["generate", "--controls"], ["--out", "@out"]),
+    "generate --seed": (["generate", "--controls", "2", "--seed"], ["--out", "@out"]),
+}
+
+
+def _count_argv(flag, value, case_file, out):
+    before, after = COUNT_FLAGS[flag]
+    places = {"@case": str(case_file), "@out": str(out)}
+    return [places.get(a, a) for a in before] + [value] + [places.get(a, a) for a in after]
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", " 1", "1 ", "1 0", "", "\uff11", "\u0663", "\u00b2"])
+@pytest.mark.parametrize("flag", list(COUNT_FLAGS))
+def test_a_count_flag_takes_ascii_digits_only(capsys, case_file, tmp_path, flag, value):
+    """Every count flag reads ASCII digits, as the .qmux and PLA headers do:
+    an underscore, a sign, a space or another script's digit exits 2 naming
+    the flag, where int() read 1_0 as 10 and a full-width 1 as 1."""
+    out = tmp_path / "g.qmux"
+    with pytest.raises(SystemExit) as exc:
+        main(_count_argv(flag, value, case_file, out))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag.split()[-1]}: want " in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        ("--samples", "error: samples must be positive\n"),
+        ("--output-index", "error: 0x6F: output index -1 out of range 0..0\n"),
+        ("--controls", "error: controls must be in 1..20, got -1\n"),
+    ],
+)
+def test_a_negative_count_reaches_the_check_that_names_it(capsys, case_file, tmp_path, flag,
+                                                          message):
+    code, out, err = run(capsys, _count_argv(flag, "-1", case_file, tmp_path / "g.qmux"))
+    assert (code, out, err) == (2, "", message)
+
+
 def test_classical_top_limits_rows(capsys):
     code, out, _ = run(capsys, ["classical", "01101111", "--top", "3",
                                 "--format", "csv"])

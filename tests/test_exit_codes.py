@@ -46,7 +46,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, boolrm, cost, gates, kernels, mux, pla, randmux, search
+from qmuxopt import blocksearch, boolrm, cost, errors, gates, kernels, mux, pla, randmux, search
 from qmuxopt.cli import main
 from qmuxopt.errors import QmuxError
 from qmuxopt.mux import Multiplexer, forward_transform
@@ -427,6 +427,22 @@ def test_a_header_count_of_anything_but_ascii_digits_exits_2(one, two):
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "text,signed,want",
+    [
+        ("0", False, 0), ("007", False, 7), ("-3", True, -3), ("-0", True, 0),
+        ("-3", False, None), ("--3", True, None), ("-", True, None), ("", False, None),
+        ("1_0", False, None), ("+1", True, None), (" 1", False, None), ("1\n", False, None),
+        ("\uff11", False, None), ("-\u0663", True, None), ("\u00b2", False, None),
+        ("9" * 5000, False, None),  # past int()'s digit limit
+    ],
+)
+def test_parse_count_reads_ascii_digits_only(text, signed, want):
+    """The one rule of the counts in input text: the headers, the PLA
+    directives and the count flags all read a count through it."""
+    assert errors.parse_count(text, signed) == want
+
+
 _PAIR = np.stack([gates.I, gates.X])
 _FROZEN = np.zeros(4, np.uint8)
 _FROZEN.setflags(write=False)
@@ -449,7 +465,14 @@ REFUSALS = [
     pytest.param(lambda: boolrm.BoolFunc.from_string("0x6G"), id="BoolFunc.from_string"),
     pytest.param(lambda: randmux.GatePool("custom", ()), id="GatePool empty"),
     pytest.param(lambda: randmux.generate(0, randmux.POOL_FULL, 0), id="generate controls"),
+    pytest.param(lambda: randmux.generate(2.0, randmux.POOL_FULL, 0), id="generate float controls"),
+    pytest.param(lambda: randmux.generate(True, randmux.POOL_FULL, 0), id="generate bool controls"),
+    pytest.param(lambda: randmux.generate(2, randmux.POOL_FULL, True), id="generate bool seed"),
+    pytest.param(lambda: randmux.generate(2, randmux.POOL_FULL, -1), id="generate negative seed"),
+    pytest.param(lambda: randmux.generate(2, randmux.POOL_FULL, 1.5), id="generate float seed"),
     pytest.param(lambda: search.SearchConfig(samples=0), id="SearchConfig samples"),
+    pytest.param(lambda: search.SearchConfig(samples=2.5), id="SearchConfig float samples"),
+    pytest.param(lambda: search.SearchConfig(samples=True), id="SearchConfig bool samples"),
     pytest.param(lambda: search.SearchConfig(family="fprm"), id="SearchConfig family"),
     pytest.param(lambda: search.SearchConfig(mode="greedy"), id="SearchConfig mode"),
     pytest.param(lambda: search.SearchConfig(seed=-1), id="SearchConfig negative seed"),

@@ -206,6 +206,16 @@ def test_render_gates_takes_the_modulus_past_the_per_part_pre_test():
     assert tokens[3].startswith("M(")
 
 
+def test_no_matrix_is_within_eps_of_two_catalog_gates():
+    """render_gates names a row by whichever catalog gate it is within EPS
+    of, in no particular order: that needs every two catalog gates more
+    than 2 EPS apart in some entry."""
+    mats = list(gates.CATALOG.values())
+    for i, a in enumerate(mats):
+        for b in mats[i + 1 :]:
+            assert np.abs(a - b).max() > 2 * gates.EPS
+
+
 def test_render_gates_all_catalog_and_empty():
     catalog = np.stack(list(gates.CATALOG.values()) * 3)
     assert flat(gates.render_gates(catalog)) == list(gates.CATALOG) * 3

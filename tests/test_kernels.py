@@ -212,3 +212,99 @@ def test_identity_mask_writes_into_a_given_vector():
         out = np.ones(len(entries), dtype=bool)
         assert kernels.identity_mask(entries, gates.EPS, out=out) is out
         assert np.array_equal(out, want)
+
+
+def _plain_within(stack, matrix):
+    """The plain rule rows_within must keep: each row's largest complex
+    difference from `matrix`, in modulus, at most EPS."""
+    return np.abs(stack - matrix).reshape(len(stack), 4).max(axis=1) <= gates.EPS
+
+
+def _edge_cases(matrix):
+    """Matrices at the edge of EPS from `matrix`: each float part moved by
+    exactly +-EPS, by the floats next to it and by 2 EPS, or set to NaN or
+    +-inf; each entry moved in both parts at once, each part within EPS and
+    the modulus on either side of it; and every zero part made -0.0."""
+    eps = gates.EPS
+    out = [np.array(matrix, dtype=complex)]
+    moves = (eps, -eps, np.nextafter(eps, 0), np.nextafter(eps, 1), 2 * eps)
+    for part in range(8):
+        for move in (*moves, np.nan, np.inf, -np.inf):
+            m = out[0].copy()
+            m.view(np.float64).reshape(8)[part] += move
+            out.append(m)
+    for entry in range(4):
+        for re, im in ((0.7, 0.7), (0.71, 0.71), (0.8, 0.8), (0.6, 0.8), (1.0, 1.0), (-0.9, 0.5)):
+            m = out[0].copy()
+            m.reshape(4)[entry] += complex(re, im) * eps
+            out.append(m)
+    signed = out[0].copy()
+    floats = signed.view(np.float64)
+    floats[floats == 0] = -0.0
+    out.append(signed)
+    out.append(out[0] + complex(np.inf, np.nan))
+    return out
+
+
+def _within_eps_stack():
+    """The edge cases of I and of every catalog gate, with full-pool targets
+    and Haar-random unitaries."""
+    cases = [m for mat in gates.CATALOG.values() for m in _edge_cases(mat)]
+    rng = np.random.default_rng(48)
+    return np.concatenate([
+        np.stack(cases), generate(5, POOL_FULL, seed=48).targets, oracle.random_unitaries(rng, 40),
+    ])
+
+
+def _strided(stack):
+    """The same matrices as every other row of a larger stack."""
+    big = np.empty((2 * len(stack), 2, 2), dtype=complex)
+    big[::2] = stack
+    big[1::2] = gates.I
+    return big[::2]
+
+
+def test_the_within_eps_cases_reach_both_sides_of_the_rule():
+    stack = _within_eps_stack()
+    for mat in gates.CATALOG.values():
+        plain = _plain_within(stack, mat)
+        parts = np.abs((stack - mat).view(np.float64)).reshape(len(stack), 8).max(axis=1)
+        assert 20 < plain.sum() < len(stack) - 20
+        assert np.any(~plain & (parts <= gates.EPS))  # parts within, modulus not
+        # A part exactly EPS away, where the gate has a zero part (V's are
+        # all +-0.5, and 0.5 + EPS - 0.5 is not EPS in floats).
+        assert np.any(plain & (parts == gates.EPS)) == (mat.view(np.float64) == 0).any()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+def test_rows_within_is_the_plain_rule(layout):
+    """rows_within, which narrows by float part before the modulus, keeps
+    exactly the rows the plain modulus rule keeps, for I and every catalog
+    gate, on NaN, inf, -0.0 and edge-of-EPS entries, in any layout."""
+    stack = _within_eps_stack()
+    stack = {
+        "contiguous": stack,
+        "strided": _strided(stack),
+        "transposed": stack.transpose(0, 2, 1),
+    }[layout]
+    for mat in [np.eye(2), *gates.CATALOG.values()]:
+        got = kernels.rows_within(stack, mat, gates.EPS)
+        assert np.array_equal(got, np.flatnonzero(_plain_within(stack, mat)))
+
+
+@pytest.mark.parametrize("chunk", [3, None])
+def test_identity_mask_and_render_keep_the_plain_rule(monkeypatch, chunk):
+    """identity_mask and render_gates, at CHUNK_ROWS 3 and at the default,
+    decide as the plain rule: a gate is the identity, or renders as a
+    catalog name, exactly when it is within EPS of that gate."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    stack = _within_eps_stack()
+    for vec in (stack, _strided(stack)):
+        assert np.array_equal(kernels.identity_mask(vec, gates.EPS), _plain_within(vec, gates.I))
+        want = np.full(len(vec), "literal", dtype=object)
+        for name, mat in gates.CATALOG.items():
+            want[_plain_within(vec, mat)] = name
+        tokens = np.array(oracle.flat(gates.render_gates(vec)), dtype=object)
+        literal = np.char.startswith(tokens.astype(str), "M(")
+        assert np.array_equal(np.where(literal, "literal", tokens), want)
