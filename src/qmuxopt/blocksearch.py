@@ -26,6 +26,11 @@ cascade(vector, polarity, family, group=None, inverse=False) runs one
 polarity's full cascade, every column in place on the vector it is given
 (see kernels.gate_stage; callers that keep their vector pass a copy),
 c_1's first, or, inverse, c_n's first.
+staged_forward(matrices, index, polarity, family) runs the forward
+cascade of a palette (see mux.Palette) in two stages: the columns above
+a chunk of 2^chunk_digits(n) entries on the palette's distinct matrices,
+each distinct operand pair multiplied once, and the chunk's own columns,
+the polarity's tail, left to cascade on each chunk where it is read.
 polarity_costs(vector, family, cost_table, group=None) and
 expand(rows, family, spare, group=None, left=0) take the family
 alone and pick its columns from it.  The quantum families run
@@ -230,6 +235,13 @@ def polarity_names(index, family: str, n: int) -> list:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
+def chunk_digits(n: int) -> int:
+    """How many bottom digits of an n-digit polarity index one chunk: those
+    of the largest power of two at most kernels.CHUNK_ROWS, and at most n.
+    Their columns pair entries of one chunk only."""
+    return min(n, kernels.CHUNK_ROWS.bit_length() - 1)
+
+
 def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
     as int64: control_count, or the literal count of map_coefficient, of
@@ -243,7 +255,7 @@ def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.nd
     and 2^(n - 12) entries at the default) and no 2^n vector is built."""
     if rows is not None:
         n = len(polarity)
-        low_digits = min(n, kernels.CHUNK_ROWS.bit_length() - 1)
+        low_digits = chunk_digits(n)
         high = count_vector(polarity[: n - low_digits], family)
         low = count_vector(polarity[n - low_digits :], family)
         positions = np.arange(*rows.indices(1 << n))
@@ -285,6 +297,164 @@ def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=
     for k in reversed(range(n)) if inverse else range(n):
         stage(vector, codes[polarity[k]], n - 1 - k, group)
     return vector
+
+
+# Per forward quantum code, as a palette column reads it: the index halves
+# (0 the clear-bit half a, 1 the set-bit half b) of the operands x, y of
+# its product x y^-1, which lands in the set-bit half, and the input half
+# that the clear-bit half keeps; the same columns as kernels.gate_stage's.
+_PALETTE_COLUMNS = {kernels.FORWARD_POS: ((1, 0), 0), kernels.FORWARD_NEG: ((0, 1), 1)}
+
+
+def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> tuple:
+    """(matrices, index, tail): the forward cascade of the gate vector
+    matrices[index] (matrices itself when index is None) under a quantum
+    polarity, staged.  The columns at bits >= chunk_digits(n) have run, on
+    the palette; the returned palette may hold matrices no gate uses.  The
+    tail is the polarity's last chunk_digits(n) digits, whose columns pair
+    the gates of one chunk only: cascade(gates, tail, family) on each chunk
+    of 2^len(tail) gates, in order, finishes the cascade.  With no column
+    to run above the chunk the input arrays come back as they are.
+
+    A palette column takes each distinct pair of operand positions once and
+    multiplies it once, by kernels.times_inverse: the same product on the
+    same operands as kernels.gate_stage's, so the gates are the same bytes.
+    Products that are bit-equal, to each other or to an earlier matrix,
+    share one palette position (see _Rows).  Every pass goes
+    kernels.CHUNK_ROWS pairs at a time; what grows with the work is the
+    palette and its two sorted tables, of hashes and of the column's
+    operand pairs.
+    """
+    n = len(polarity)
+    top = n - chunk_digits(n)
+    codes = [FORWARD_CODES[family][digit] for digit in polarity[:top]]
+    tail = polarity[top:]
+    if all(code == kernels.IDENTITY for code in codes):
+        return matrices, index, tail
+    if index is None:
+        index = np.arange(len(matrices))
+    rows = _Rows(matrices)
+    # Every product may add a matrix: the working index holds the most.
+    work = index.astype(np.min_scalar_type(len(matrices) + len(codes) * (len(index) // 2)))
+    for k, code in enumerate(codes):
+        if code != kernels.IDENTITY:
+            _palette_column(rows, work, code, n - 1 - k)
+    return rows.buffer[: rows.size], work, tail
+
+
+def _palette_column(rows, index: np.ndarray, code: int, bit: int) -> None:
+    """Run the forward column `code` at `bit` in place on `index`, the
+    positions of the gates' matrices among `rows` (see staged_forward)."""
+    (x, y), kept = _PALETTE_COLUMNS[code]
+    width = rows.size  # the operands are the matrices before this column
+    halves = index.reshape(-1, 2, 1 << bit)
+    pair_keys = np.empty(0, dtype=np.uint64)  # sorted operand pairs, x * width + y
+    pair_rows = np.empty(0, dtype=index.dtype)  # the position of each pair's product
+    for r in range(len(halves)):
+        for start in range(0, 1 << bit, kernels.CHUNK_ROWS):
+            part = halves[r, :, start : start + kernels.CHUNK_ROWS]
+            keys, where = kernels.distinct(part[x].astype(np.uint64) * width + part[y])
+            at, known = _search(pair_keys, keys)
+            positions = np.empty(len(keys), dtype=index.dtype)
+            positions[known] = pair_rows[at[known]]
+            todo = keys[~known]
+            operands = rows.buffer[todo // width], rows.buffer[todo % width]
+            positions[~known] = rows.add(kernels.times_inverse(*operands))
+            pair_keys = np.insert(pair_keys, at[~known], todo)
+            pair_rows = np.insert(pair_rows, at[~known], positions[~known])
+            if kept:
+                part[0] = part[1]
+            part[1] = positions[where]
+
+
+def _search(table: np.ndarray, keys: np.ndarray) -> tuple:
+    """(at, found): where each of the sorted keys goes in the sorted table,
+    and whether it is there."""
+    at = np.searchsorted(table, keys)
+    found = at < len(table)
+    found[found] = table[at[found]] == keys[found]
+    return at, found
+
+
+def _words(stack: np.ndarray) -> np.ndarray:
+    """A (p, 2, 2) complex stack as its (p, 8) 64-bit words."""
+    return stack.reshape(len(stack), 4).view(np.uint64)
+
+
+def _row_hashes(stack: np.ndarray) -> np.ndarray:
+    """One uint64 hash per matrix of a (p, 2, 2) complex stack, of its bits
+    exactly: its eight 64-bit words folded in turn, each by an xor and
+    splitmix64's finalizer.  Equal bytes give equal hashes; the converse
+    is not assumed (see _Rows)."""
+    hashes = np.zeros(len(stack), dtype=np.uint64)
+    for word in _words(stack).T:
+        hashes ^= word
+        hashes ^= hashes >> np.uint64(30)
+        hashes *= np.uint64(0xBF58476D1CE4E5B9)
+        hashes ^= hashes >> np.uint64(27)
+        hashes *= np.uint64(0x94D049BB133111EB)
+        hashes ^= hashes >> np.uint64(31)
+    return hashes
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the (p, 2, 2) complex stack a has exactly the
+    64 bytes of b's."""
+    return (_words(a) == _words(b)).all(axis=1)
+
+
+class _Rows:
+    """A palette that grows by products: its matrices in order of arrival,
+    in a buffer that doubles when full, and a sorted table of their hashes
+    and positions.  A product takes the position of a matrix with its exact
+    64 bytes, found through its hash, and is appended otherwise, so two
+    different matrices never share a position; equal hashes of different
+    bytes only cost a duplicate."""
+
+    def __init__(self, matrices: np.ndarray):
+        self.buffer = np.array(matrices, dtype=complex)
+        self.size = len(matrices)
+        hashes = np.concatenate(
+            [
+                _row_hashes(self.buffer[s : s + kernels.CHUNK_ROWS])
+                for s in range(0, self.size, kernels.CHUNK_ROWS)
+            ]
+        )
+        self.positions = np.argsort(hashes)
+        self.keys = hashes[self.positions]
+
+    def add(self, products: np.ndarray) -> np.ndarray:
+        """The positions of a (p, 2, 2) stack of products, appending those
+        that no matrix of the same bytes holds yet."""
+        keys, where = kernels.distinct(_row_hashes(products))
+        pick = np.empty(len(keys), dtype=np.intp)
+        pick[where] = np.arange(len(products))
+        chosen = products[pick]  # one product for each hash
+        at, hit = _search(self.keys, keys)
+        positions = self.positions[np.minimum(at, len(self.keys) - 1)]
+        same = hit.copy()
+        same[hit] = _same_bytes(self.buffer[positions[hit]], chosen[hit])
+        positions[~same] = self._append(chosen[~same])
+        self.keys = np.insert(self.keys, at[~hit], keys[~hit])
+        self.positions = np.insert(self.positions, at[~hit], positions[~hit])
+        out = positions[where]
+        # A product whose bytes differ from its hash's chosen one gets a
+        # position of its own.
+        odd = ~_same_bytes(products, chosen[where])
+        out[odd] = self._append(products[odd])
+        return out
+
+    def _append(self, matrices: np.ndarray) -> np.ndarray:
+        """Append the matrices and return their positions."""
+        end = self.size + len(matrices)
+        if end > len(self.buffer):
+            grown = np.empty((max(end, 2 * len(self.buffer)), 2, 2), dtype=complex)
+            grown[: self.size] = self.buffer[: self.size]
+            self.buffer = grown
+        self.buffer[self.size : end] = matrices
+        positions = np.arange(self.size, end)
+        self.size = end
+        return positions
 
 
 def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:

@@ -9,23 +9,28 @@ free, since a controlled phase is physical.  Line inverters on negative
 controls are free.
 
 multiplexer_cost's CostReport is a streamed view of its multiplexer: it
-holds one identity decision per palette matrix, its total and its
-skipped identities, and no per-gate array.  Its rows are made
-kernels.CHUNK_ROWS gates at a time, each chunk's counts from
-blocksearch.count_vector's rows form, whenever the JSON, CSV or text
-report asks for them; so pricing a 2^m-gate multiplexer builds no 2^m
-array, and every report path reads the rows the same way.
+holds its identity decisions, its total and its skipped identities, and
+no per-gate array of counts or costs.  A palette's decisions are one per
+palette matrix; a staged palette's (a forward transform's, see
+mux.Palette) are one bool per gate, taken from the chunks of
+mux.target_chunks, by a pass of its own or by the pass that renders
+them (streamed_cost).  Its rows are made kernels.CHUNK_ROWS gates at a
+time, each chunk's counts from blocksearch.count_vector's rows form,
+whenever the JSON, CSV or text report asks for them; so pricing a
+2^m-gate multiplexer builds no 2^m array of counts, and every report
+path reads the rows the same way.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocksearch, jsonout, kernels
-from .mux import EPS, KQF, Multiplexer
+from .mux import EPS, KQF, Multiplexer, target_chunks
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
 
@@ -55,23 +60,25 @@ def cost_table_vector(max_controls: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CostReport:
     """Cost of every gate of a multiplexer that is not the identity, in gate
-    order, as a streamed view of the multiplexer: the report holds one
-    identity decision per palette matrix (`live`, True for a matrix that
-    costs) and its total and skipped identities, and no per-gate array.
-    Its (gate index, controls, cost) rows are made kernels.CHUNK_ROWS gates
-    at a time, each chunk's counts by blocksearch.count_vector's rows form,
+    order, as a streamed view of the multiplexer: the report holds its
+    identity decisions (`live`, True for a matrix or gate that costs: one
+    per palette matrix, or one per gate when `by_gate`) and its total and
+    skipped identities, and no per-gate array of counts or costs.  Its
+    (gate index, controls, cost) rows are made kernels.CHUNK_ROWS gates at
+    a time, each chunk's counts by blocksearch.count_vector's rows form,
     whenever a writer asks for them (see batches and rows)."""
 
     mux: Multiplexer
     live: np.ndarray
     total: int
     skipped_identities: int
+    by_gate: bool = False
 
     def batches(self, reverse=False):
         """The costed gates among each kernels.CHUNK_ROWS gates, as int64
         arrays (gate index, controls, cost), chunks in gate order, or from
         the last chunk back."""
-        return _batches(self.mux, self.live, reverse)
+        return _batches(self.mux, self.live, self.by_gate, reverse)
 
     def rows(self, reverse=False):
         """(gate index, controls, cost) rows as Python ints, in gate order,
@@ -108,26 +115,67 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _batches(mux: Multiplexer, live: np.ndarray, reverse: bool):
-    """CostReport.batches of the multiplexer, whose palette matrices cost
-    where `live` is True."""
+def _batches(mux: Multiplexer, live: np.ndarray, by_gate: bool, reverse: bool):
+    """CostReport.batches of the multiplexer, whose palette matrices, or
+    gates when by_gate, cost where `live` is True."""
     table = cost_table_vector(mux.controls)
     starts = range(0, mux.num_targets, kernels.CHUNK_ROWS)
     for start in reversed(starts) if reverse else starts:
         rows = slice(start, start + kernels.CHUNK_ROWS)
-        alive = mux.palette.per_gate(live, rows)
+        alive = live[rows] if by_gate else mux.palette.per_gate(live, rows)
         controls = blocksearch.count_vector(mux.digits, KQF, rows)[alive]
         yield np.flatnonzero(alive) + start, controls, table[controls]
 
 
-def multiplexer_cost(mux: Multiplexer) -> CostReport:
+def multiplexer_cost(mux: Multiplexer, live: np.ndarray | None = None) -> CostReport:
     """Cost report for a multiplexer in its current form (standard form is
     the all-mixed polarity).  Identity targets are skipped; the identity
-    test runs once per palette matrix, and the total and the count of
-    skipped identities come from one pass over the report's batches."""
-    live = ~kernels.identity_mask(mux.palette.matrices, EPS)
+    test runs once per palette matrix, or, on a staged palette, once per
+    gate in one pass over mux.target_chunks, unless `live` brings the
+    decisions of a pass already made (see streamed_cost).  The total and
+    the count of skipped identities come from one pass over the report's
+    batches."""
+    by_gate = live is not None or bool(mux.palette.tail)
+    if live is None:
+        if by_gate:
+            live = np.empty(mux.num_targets, dtype=bool)
+            collections.deque(_recorded(mux, live), maxlen=0)
+        else:
+            live = ~kernels.identity_mask(mux.palette.matrices, EPS)
     total = costed = 0
-    for gate_index, _, costs in _batches(mux, live, reverse=False):
+    for gate_index, _, costs in _batches(mux, live, by_gate, reverse=False):
         total += int(costs.sum())
         costed += len(gate_index)
-    return CostReport(mux, live, total, mux.num_targets - costed)
+    return CostReport(mux, live, total, mux.num_targets - costed, by_gate)
+
+
+def _recorded(mux: Multiplexer, live: np.ndarray):
+    """The chunks of mux.target_chunks, each chunk's identity decisions
+    written into `live` (True where a gate costs) before it is yielded."""
+    start = 0
+    for chunk in target_chunks(mux):
+        decisions = live[start : start + len(chunk)]
+        np.logical_not(kernels.identity_mask(chunk, EPS, out=decisions), out=decisions)
+        start += len(chunk)
+        yield chunk
+
+
+def streamed_cost(mux: Multiplexer) -> tuple:
+    """(chunks, report): the chunks of mux.target_chunks, each recording
+    its identity decisions as it passes, and a function that returns the
+    multiplexer's CostReport from those decisions once the chunks are used
+    up, so a report that renders the targets and prices them runs each
+    chunk's tail once."""
+    live = np.empty(mux.num_targets, dtype=bool)
+    passed = []
+
+    def chunks():
+        yield from _recorded(mux, live)
+        passed.append(True)
+
+    def report() -> CostReport:
+        if not passed:
+            raise RuntimeError("the cost report was asked for before its chunks were used up")
+        return multiplexer_cost(mux, live)
+
+    return chunks(), report

@@ -70,7 +70,7 @@ def unitarity_residual(us: np.ndarray) -> float:
     worst = 0.0
     for start in range(0, len(us), kernels.CHUNK_ROWS):
         part = us[start : start + kernels.CHUNK_ROWS]
-        if not np.isfinite(part.view(float)).all():
+        if not np.isfinite(part).all():
             return math.nan
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.abs(kernels.times_inverse(part, part) - I).max())
@@ -173,37 +173,17 @@ def render_gates(us: np.ndarray):
     full float precision (repr keeps -0.0), so parse and render round-trip.
     The literals' entries, viewed as interleaved (re, im) float64, are
     deduplicated by bit pattern (so -0.0 and 0.0 stay apart) with one sort
-    of the stack's patterns (see _distinct), and each distinct pattern is
-    repr'd once, before the first sub-batch.  A token's text depends only
+    of the stack's patterns (kernels.distinct), and each distinct pattern
+    is repr'd once, before the first sub-batch.  A token's text depends only
     on its own matrix, so the bytes depend neither on the chunking nor on
     the sub-batching.
     """
     kind = np.full(len(us), _LITERAL, dtype=np.uint8)
     for k, mat in enumerate(CATALOG.values()):
         kind[kernels.rows_within(us, mat, EPS)] = k
-    distinct, where = _distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
+    distinct, where = kernels.distinct(us[kind == _LITERAL].view(np.uint64).reshape(-1))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return _sub_batches(kind, texts, where)
-
-
-def _distinct(bits: np.ndarray):
-    """(distinct, where): the sorted distinct values of a 1-D array and the
-    index of each value among them, as np.unique(bits,
-    return_inverse=True) gives them, with `where` in the narrowest unsigned
-    type that holds it.  For a chunk's 32,768 patterns np.unique's own
-    working arrays peak at 1.4 MB under tracemalloc, this at 0.6 MB."""
-    perm = np.argsort(bits)
-    ordered = bits[perm]
-    new = np.empty(len(ordered), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    del ordered
-    numbers = np.cumsum(new, dtype=np.min_scalar_type(len(bits)))
-    numbers -= 1
-    where = np.empty_like(numbers)
-    where[perm] = numbers
-    return distinct, where
 
 
 def _sub_batches(kind: np.ndarray, texts: np.ndarray, where: np.ndarray):

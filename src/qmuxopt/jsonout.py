@@ -19,7 +19,11 @@ iterator (of lists of strs) as the JSON list of their strs, taking each
 list only when it reaches it, and a Table, whose batches of columns are
 made only when the writer reaches them, in pieces of as many rows as fill
 one write (at most kernels.CHUNK_ROWS), each piece one %-template
-repeated once per row.  Any other value, lists included, is small and
+repeated once per row.  A zero-argument callable is written as the value
+it returns, called when the writer reaches it: a value that depends on a
+stream written before it (optimize's cost report, priced from the
+decisions its target chunks recorded as they were rendered) is made
+after that stream.  Any other value, lists included, is small and
 goes through json.dumps, re-indented to its depth (JSON text never holds
 a raw newline inside a string, so replacing every newline is safe).  The
 text of each item is that of json.dumps, so the batching changes no byte.
@@ -122,7 +126,8 @@ def read_file(path) -> str:
 
 
 def write_json(fh, value) -> None:
-    """Write json.dumps(value, indent=2) to fh, each Table as its rows."""
+    """Write json.dumps(value, indent=2) to fh, each Table as its rows and
+    each callable as its value."""
     write(fh, _pieces(value, ""))
 
 
@@ -139,6 +144,8 @@ def _pieces(value, pad: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
+    elif callable(value):
+        yield from _pieces(value(), pad)
     elif isinstance(value, Iterator):
         sep, comma = "[\n" + inner, ",\n" + inner
         for batch in filter(None, value):

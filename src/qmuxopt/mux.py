@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, kernels
-from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask
+from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask, staged_forward
 from .errors import FormMismatch, QmuxError, is_int
 from .kernels import read_only
 
@@ -39,15 +39,32 @@ class Palette:
 
     index is None when matrices already holds one matrix per gate, as it
     does for a plain (2^m, 2, 2) target array.  The loaders, randmux and pla
-    build palettes; forward and inverse transforms return plain arrays.
+    build palettes of distinct matrices.
+
+    A forward transform's palette is staged: `tail` holds the polarity
+    digits whose columns have still to run, those of the bottom
+    len(tail) index bits, which pair the gates of one chunk of
+    2^len(tail) only (see blocksearch.staged_forward).  Its gates are
+    matrices[index[i]] only after each chunk's tail columns, so they are
+    read through mux.target_chunks, and per_gate refuses to spread values
+    over them.  With an empty tail the palette holds the gates themselves.
     """
 
     matrices: np.ndarray  # (k, 2, 2) complex
     index: np.ndarray | None = None  # (2^m,) unsigned ints below k
+    tail: str = ""
 
     def per_gate(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
         """values, one per palette matrix, for the gates `rows` (a slice or
-        an integer array of gate positions): values[index[rows]]."""
+        an integer array of gate positions): values[index[rows]].  On a
+        staged palette this is a fault of the caller: its gates are not
+        its matrices until the tail has run."""
+        if self.tail:
+            raise RuntimeError("a staged palette's gates are read through mux.target_chunks")
+        return self._spread(values, rows)
+
+    def _spread(self, values: np.ndarray, rows) -> np.ndarray:
+        """values[index[rows]], staged or not."""
         if self.index is None:
             return values[rows]
         return values[self.index[rows]]
@@ -76,10 +93,14 @@ class Multiplexer:
     `palette` is how every consumer reads the targets: the unitarity
     check, group.intern and the identity tests run on palette.matrices
     alone, and palette.per_gate spreads their per-matrix results to the
-    gates.  Only this module expands a palette into the 2^m complex vector:
-    `targets` builds it (read-only) on each read, the transforms build a
-    fresh one as their cascade's working copy, and target_chunks gives it
-    to the writers a chunk at a time.
+    gates.  A forward transform's output holds a staged palette (see
+    Palette) and only a polarized form may: its gates come a chunk at a
+    time from target_chunks, which runs each chunk's tail columns and
+    checks the chunk unitary, and the writers, the cost report and the
+    unitarity check all read them there.  Only this module expands a
+    palette into the 2^m complex vector: working_targets builds it for
+    `targets`, the inverse transform and the semantics (once per call of
+    max_semantic_deviation).
 
     inverted_lines lists 1-based control lines that carry a leading
     inverter (produced by negative_control_realization); only a
@@ -113,15 +134,16 @@ class Multiplexer:
             raise QmuxError(f"targets must have shape {expected}, got {shape}")
         if index is not None and (top := int(index.max())) >= len(matrices):
             raise QmuxError(f"palette index {top} out of range 0..{len(matrices) - 1}")
-        worst = gates.unitarity_residual(matrices)
-        if math.isnan(worst):
-            raise QmuxError("targets contain non-finite entries")
-        if worst > EPS:
-            raise QmuxError(f"targets are not unitary (worst deviation {worst:.3e})")
+        _check_unitary(matrices)
+        tail = palette.tail
+        if len(tail) > controls or set(tail) - set("012"):
+            raise QmuxError(f"a staged tail is at most {controls} digits of '012', got {tail!r}")
 
         if form == STANDARD:
             if polarity is not None:
                 raise QmuxError("standard form carries no polarity")
+            if tail:
+                raise QmuxError("standard form holds its targets, not a staged palette")
         elif form in (FPQF, KQF):
             if polarity is None:
                 raise QmuxError(f"{form} form requires a polarity")
@@ -139,7 +161,7 @@ class Multiplexer:
                 raise QmuxError(f"line {k} is mixed polarity and cannot carry an inverter")
         for name, value in (
             ("controls", controls),
-            ("palette", Palette(matrices, index)),
+            ("palette", Palette(matrices, index, tail)),
             ("form", form),
             ("polarity", polarity),
             ("inverted_lines", lines),
@@ -149,8 +171,8 @@ class Multiplexer:
     @property
     def targets(self) -> np.ndarray:
         """The (2^controls, 2, 2) complex targets, read-only: a palette is
-        expanded into a new array on every read."""
-        out = self.palette.per_gate(self.palette.matrices)
+        expanded into a new array on every read (see working_targets)."""
+        out = working_targets(self)
         out.setflags(write=False)
         return out
 
@@ -169,18 +191,51 @@ class Multiplexer:
         return f"{self.form}:{self.polarity}"
 
 
+def _check_unitary(stack: np.ndarray) -> None:
+    """Refuse a (n, 2, 2) stack of targets with a non-finite entry or a
+    matrix more than EPS from unitary."""
+    worst = gates.unitarity_residual(stack)
+    if math.isnan(worst):
+        raise QmuxError("targets contain non-finite entries")
+    if worst > EPS:
+        raise QmuxError(f"targets are not unitary (worst deviation {worst:.3e})")
+
+
 def working_targets(mux: Multiplexer) -> np.ndarray:
     """A new writable (2^m, 2, 2) array of the targets, for a cascade to run
-    in place on: the palette's expansion, or a copy of a plain array."""
-    return np.require(mux.palette.per_gate(mux.palette.matrices), requirements="CW")
+    in place on: the palette's expansion, or a copy of a plain array; a
+    staged palette's chunks of target_chunks, in order."""
+    palette = mux.palette
+    if not palette.tail:
+        return np.require(palette.per_gate(palette.matrices), requirements="CW")
+    out = np.empty((mux.num_targets, 2, 2), dtype=complex)
+    start = 0
+    for chunk in target_chunks(mux):
+        out[start : start + len(chunk)] = chunk
+        start += len(chunk)
+    return out
 
 
 def target_chunks(mux: Multiplexer):
-    """The targets kernels.CHUNK_ROWS gates at a time, as (n, 2, 2) arrays:
-    views of a plain array, or gathers from the palette, so the whole
-    complex vector is never built."""
-    for start in range(0, mux.num_targets, kernels.CHUNK_ROWS):
-        yield mux.palette.per_gate(mux.palette.matrices, slice(start, start + kernels.CHUNK_ROWS))
+    """The targets a chunk at a time, as (n, 2, 2) arrays, so the whole
+    complex vector is never built: kernels.CHUNK_ROWS gates at a time,
+    views of a plain array or gathers from the palette; on a staged
+    palette 2^len(tail) gates at a time, each chunk gathered, its tail
+    columns run in place by blocksearch.cascade and the chunk checked
+    unitary within EPS (a QmuxError otherwise), so each call runs the
+    tail once more."""
+    palette = mux.palette
+    if not palette.tail:
+        for start in range(0, mux.num_targets, kernels.CHUNK_ROWS):
+            yield palette.per_gate(palette.matrices, slice(start, start + kernels.CHUNK_ROWS))
+        return
+    size = 1 << len(palette.tail)
+    for start in range(0, mux.num_targets, size):
+        chunk = np.require(palette._spread(palette.matrices, slice(start, start + size)),
+                           requirements="CW")
+        cascade(chunk, palette.tail, KQF)
+        _check_unitary(chunk)
+        yield chunk
 
 
 def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
@@ -206,23 +261,33 @@ def semantics(mux: Multiplexer, input_state: int) -> np.ndarray:
     """Operator realized on the target qubit for one input state.
 
     Ordered product of the active targets, highest index leftmost; the
-    identity when nothing fires.
+    identity when nothing fires.  A staged palette's targets are built
+    whole for the call (see working_targets).
     """
     active = np.flatnonzero(activation_mask(mux, input_state))
+    if mux.palette.tail:
+        return _realized(working_targets(mux)[active])
+    return _realized(mux.palette.per_gate(mux.palette.matrices, active))
+
+
+def _realized(active: np.ndarray) -> np.ndarray:
+    """The product of a stack of active targets, the last leftmost."""
     out = np.eye(2, dtype=complex)
-    for target in mux.palette.per_gate(mux.palette.matrices, active):
+    for target in active:
         out = kernels.times(target, out)
     return out
 
 
 def max_semantic_deviation(a: Multiplexer, b: Multiplexer) -> float:
-    """Largest entrywise gap between the two realized operators, over all inputs."""
+    """Largest entrywise gap between the two realized operators, over all
+    inputs; each multiplexer's targets are built once for the call."""
     if a.controls != b.controls:
         raise FormMismatch("multiplexers have different control counts")
+    targets = working_targets(a), working_targets(b)
     worst = 0.0
     for state in range(1 << a.controls):
-        dev = float(np.abs(semantics(a, state) - semantics(b, state)).max())
-        worst = max(worst, dev)
+        ops = [_realized(t[activation_mask(m, state)]) for t, m in zip(targets, (a, b))]
+        worst = max(worst, float(np.abs(ops[0] - ops[1]).max()))
     return worst
 
 
@@ -243,7 +308,11 @@ def form_for_polarity(polarity: str) -> str:
 
 
 def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
-    """Convert a standard-form multiplexer to the polarized form.
+    """Convert a standard-form multiplexer to the polarized form, staged:
+    blocksearch.staged_forward runs the columns above the chunk on the
+    palette, and the result holds the palette the gates use, with the
+    polarity's tail digits (see Palette), so no 2^m complex vector is
+    built.  Each chunk's tail runs where target_chunks reads it.
 
     The all-mixed polarity returns the same target list: standard form is
     the all-mixed point of the family.
@@ -252,9 +321,14 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
     check_polarity(polarity, std.controls, KQF)  # all of '012', before a form is picked
     form = form_for_polarity(polarity)
-    out = cascade(working_targets(std), polarity, form)
-    out.setflags(write=False)  # handed over: kept uncopied
-    return Multiplexer(std.controls, out, form, polarity)
+    matrices, index, tail = staged_forward(
+        std.palette.matrices, std.palette.index, polarity, form
+    )
+    if matrices is not std.palette.matrices:
+        staged = used_palette(matrices, index)
+        matrices, index = staged.matrices, staged.index
+        matrices.setflags(write=False)  # handed over: kept uncopied
+    return Multiplexer(std.controls, Palette(matrices, index, tail), form, polarity)
 
 
 def inverse_transform(polarized: Multiplexer) -> Multiplexer:

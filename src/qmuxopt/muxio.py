@@ -26,10 +26,11 @@ builds the 2^m complex vector.
 Files are streamed the same way: both formats are written through jsonout
 a batch of tokens at a time, one piece per list of target_tokens, which
 renders a palette's distinct matrices once and indexes their tokens a
-sub-batch at a time, and a plain target array a chunk of
-mux.target_chunks at a time, its tokens a sub-batch of rows at a time, so
-no writer builds the complex vector or holds the file's text, and every
-write is bounded in characters (see jsonout.write).  dump_qmux and
+sub-batch at a time, and a plain target array or a transform's staged
+palette a chunk of mux.target_chunks at a time, its tokens a sub-batch of
+rows at a time, so no writer builds the complex vector or holds the
+file's text, and every write is bounded in characters (see
+jsonout.write).  dump_qmux and
 dump_qmux_json return the bytes save_qmux writes.
 """
 
@@ -288,20 +289,23 @@ def load_qmux(path) -> Multiplexer:
     return parse_qmux(jsonout.read_file(path), source=str(path))
 
 
-def target_tokens(m: Multiplexer):
+def target_tokens(m: Multiplexer, chunks=None):
     """The targets' gate tokens, one-shot, as lists of at most
     gates.sub_batch_rows() tokens, the unit the writers take, each list
     made only when the previous one is used up, so nothing is rendered by
     this call.  A palette's matrices are rendered once (see
     gates.render_gates), with the first list, and each list indexes their
-    tokens; a plain target array (a transform's output) is rendered a chunk
-    of mux.target_chunks at a time, and each chunk's lists are sub-batches
-    of gates.render_gates, made after its distinct floats are repr'd once.
+    tokens; a plain target array or a staged palette (a transform's
+    output) is rendered a chunk of mux.target_chunks at a time, or of
+    `chunks`, that stream as a caller already reads it (see
+    cost.streamed_cost), and each chunk's lists are sub-batches of
+    gates.render_gates, made after its distinct floats are repr'd once.
     A token's text depends only on its matrix, so both give the same
     tokens."""
-    if m.palette.index is None:
-        return (batch for chunk in target_chunks(m) for batch in gates.render_gates(chunk))
-    return _palette_tokens(m.palette)
+    if chunks is None and m.palette.index is not None and not m.palette.tail:
+        return _palette_tokens(m.palette)
+    chunks = target_chunks(m) if chunks is None else chunks
+    return (batch for chunk in chunks for batch in gates.render_gates(chunk))
 
 
 def _palette_tokens(palette: Palette):

@@ -129,18 +129,25 @@ def _roots(std: mux.Multiplexer) -> tuple:
     return gate_group, std.palette.per_gate(ids).copy
 
 
-def _cost(targets: np.ndarray, counts: np.ndarray, controls: int) -> int:
+def _cost(targets: np.ndarray, polarity: str, family: str, controls: int) -> int:
     """Cost of a polarized target vector (gates or IDs) by blocksearch's one
-    rule, given its polarity's count_vector; the standard form is the
-    all-'2' KQF polarity.  The identity test is exact on IDs and within EPS
-    on complex targets, the same decision (see group)."""
+    rule, priced kernels.CHUNK_ROWS gates at a time, each chunk's counts
+    from blocksearch.count_vector's rows form, so no 2^m vector of counts
+    or costs is built; the standard form is the all-'2' KQF polarity.  The
+    identity test is exact on IDs and within EPS on complex targets, the
+    same decision (see group)."""
     table = cost.cost_table_vector(controls)
-    return kernels.mux_cost(targets, counts, table, mux.EPS)[0]
+    total = 0
+    for start in range(0, len(targets), kernels.CHUNK_ROWS):
+        rows = slice(start, start + kernels.CHUNK_ROWS)
+        counts = blocksearch.count_vector(polarity, family, rows)
+        total += kernels.mux_cost(targets[rows], counts, table, mux.EPS)[0]
+    return total
 
 
 def _original_cost(targets: np.ndarray, std: mux.Multiplexer) -> int:
     """Cost of the standard form's targets (gates or IDs)."""
-    return _cost(targets, blocksearch.count_vector(std.digits, mux.KQF), std.controls)
+    return _cost(targets, std.digits, mux.KQF, std.controls)
 
 
 def _exhaustive(std: mux.Multiplexer, family: str) -> tuple:
@@ -219,21 +226,14 @@ def random_polarity_search(std: mux.Multiplexer, cfg: SearchConfig) -> SearchRep
     start = time.perf_counter()
     gate_group, roots = _roots(std)
     original = _original_cost(roots(), std)
-    # A polarity's counts depend only on where its '2' digits are: one
-    # vector serves every FPQF sample, and KQF keeps the last mask's.
-    counts = {}
     # The (cost, index) samples of the lowest cost and of the highest,
     # each tie to the smallest index.
     best = worst = None
     total = 0
     for _ in range(cfg.samples):
         polarity = "".join(map(str, rng.integers(base, m)))
-        mask = blocksearch.digit_mask(polarity, "2")
-        if mask not in counts:
-            counts.clear()  # the old vector is freed before the new one is built
-            counts[mask] = blocksearch.count_vector(polarity, cfg.family)
         targets = blocksearch.cascade(roots(), polarity, cfg.family, gate_group)
-        sample = (_cost(targets, counts[mask], m), int(polarity, base))
+        sample = (_cost(targets, polarity, cfg.family, m), int(polarity, base))
         del targets  # freed before the next sample's root is made
         best = min(best or sample, sample)
         worst = min(worst or sample, sample, key=lambda s: (-s[0], s[1]))

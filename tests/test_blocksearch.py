@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qmuxopt import blocksearch, cost, group, kernels
+from qmuxopt import blocksearch, cost, group, kernels, mux
 from qmuxopt.blocksearch import FPQF, FPRM, KQF, KRM, check_polarity, check_size, count_vector
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
 from qmuxopt.gates import EPS
@@ -285,3 +285,85 @@ def test_polarity_costs_match_per_polarity_cascades(monkeypatch, family):
                     costs = blocksearch.polarity_costs(vector, family, table, gate_group)
                 assert costs.dtype == np.int64
                 assert costs.tolist() == expected, (block, chunk_bytes)
+
+
+def staged_cases(m):
+    """(name, standard form) on three pools, one of them no group, and a
+    plain target array of the last, with no palette index."""
+    rng = np.random.default_rng(90 + m)
+    for label in ("full", "nvv", "custom:X,H,RZ(0.7)"):
+        yield label, generate(m, resolve_pool(label), seed=int(rng.integers(1 << 16)))
+    yield "plain", mux.Multiplexer(m, mux.working_targets(generate(m, POOL_FULL, seed=m)))
+
+
+def staged_polarities(m, top):
+    """FPQF polarities (all-'0', all-'1' and a random one) and KQF ones with
+    '2' digits among the `top` digits whose columns run on the palette."""
+    rng = np.random.default_rng(m)
+    fpqf = "".join(rng.choice(list("01"), m))
+    kqf = "".join(rng.choice(list("012"), m))
+    mixed_top = "2" + "".join(rng.choice(list("02"), top - 1)) + kqf[top:]
+    return ["0" * m, "1" * m, fpqf, kqf, mixed_top, "2" * m]
+
+
+@pytest.mark.parametrize("chunk, sizes", [(3, (4, 7)), (16, (5, 8)), (4096, (13, 14, 15))])
+def test_the_staged_forward_transform_equals_the_plain_cascade(monkeypatch, chunk, sizes):
+    """mux.forward_transform runs the columns above the chunk on the palette
+    and each chunk's tail where target_chunks reads it: its targets are the
+    bytes of blocksearch.cascade on the whole vector, for both families, on
+    group and non-group pools, whatever the chunk size."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+    for m in sizes:
+        top = m - blocksearch.chunk_digits(m)
+        assert top >= 1
+        for name, std in staged_cases(m):
+            for polarity in staged_polarities(m, top):
+                form = mux.form_for_polarity(polarity)
+                staged = mux.forward_transform(std, polarity)
+                assert staged.palette.tail == polarity[top:]
+                plain = blocksearch.cascade(mux.working_targets(std), polarity, form)
+                assert staged.targets.tobytes() == plain.tobytes(), (m, name, polarity)
+
+
+def test_a_hash_collision_never_merges_two_matrices(monkeypatch):
+    """With every product hashing alike, the palette merges only products
+    of the same 64 bytes: the gates stay the plain cascade's bytes."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    monkeypatch.setattr(
+        blocksearch, "_row_hashes", lambda stack: np.zeros(len(stack), dtype=np.uint64)
+    )
+    for name, std in staged_cases(8):
+        for polarity in staged_polarities(8, 4):
+            staged = mux.forward_transform(std, polarity)
+            plain = blocksearch.cascade(mux.working_targets(std), polarity, "kqf")
+            assert staged.targets.tobytes() == plain.tobytes(), (name, polarity)
+
+
+def test_each_distinct_operand_pair_is_multiplied_once(monkeypatch):
+    """A palette column multiplies each distinct pair of operands once, at
+    most kernels.CHUNK_ROWS pairs a call, and products of the same bytes
+    share one palette matrix."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    std = generate(10, POOL_FULL, seed=12)
+    columns = []
+
+    def column(*args):
+        columns.append([])
+        return real_column(*args)
+
+    def times_inverse(x, y, out=None, group=None):
+        assert len(x) <= 16
+        columns[-1].extend(zip(map(bytes, x), map(bytes, y)))
+        return real_times_inverse(x, y, out, group)
+
+    real_column, real_times_inverse = blocksearch._palette_column, kernels.times_inverse
+    monkeypatch.setattr(blocksearch, "_palette_column", column)
+    monkeypatch.setattr(kernels, "times_inverse", times_inverse)
+    matrices, index, tail = blocksearch.staged_forward(
+        std.palette.matrices, std.palette.index, "1010011101", "fpqf"
+    )
+    assert tail == "1101" and len(columns) == 6
+    assert all(len(set(pairs)) == len(pairs) > 0 for pairs in columns)
+    assert sum(map(len, columns)) < 6 * (1 << 9)  # the plain cascade multiplies 6 x 2^9
+    rows = matrices.reshape(len(matrices), -1).view("V64").ravel()
+    assert len(np.unique(rows)) == len(rows)

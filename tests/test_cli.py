@@ -131,6 +131,55 @@ def test_a_random_report_holds_a_few_target_vectors_at_most(tmp_path):
     assert peak < 8 * (1 << m) * 64
 
 
+def test_a_random_report_never_builds_the_target_vector(tmp_path):
+    """In process, a random-mode JSON report at m = 16 peaks (tracemalloc)
+    under one 2^m x 64 B target vector: the search runs on IDs and the best
+    form is a staged palette, whose chunks are finished, priced and
+    rendered one at a time."""
+    m = 16
+    path = tmp_path / "m16.qmux"
+    save_qmux(generate(m, POOL_FULL, seed=3), path)
+    argv = ["optimize", str(path), "--mode", "random", "--samples", "2", "--seed", "3",
+            "--format", "json", "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << m) * 64
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_the_best_forms_chunks_are_cascaded_once(monkeypatch, tmp_path, fmt):
+    """After the search, each chunk of the best form runs its tail columns
+    once: the report renders and prices it in one pass, so the butterfly
+    columns see 2^m gates for each tail digit and no more."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    m = 7
+    path = tmp_path / "m7.qmux"
+    save_qmux(generate(m, POOL_FULL, seed=5), path)
+    after_search = []
+
+    def forward_transform(*args):
+        after_search.append(0)
+        return real_transform(*args)
+
+    def gate_stage(vec, *rest):
+        if after_search:
+            after_search.append(len(vec))
+        return real_stage(vec, *rest)
+
+    real_transform, real_stage = mux_mod.forward_transform, kernels.gate_stage
+    monkeypatch.setattr(mux_mod, "forward_transform", forward_transform)
+    monkeypatch.setattr(kernels, "gate_stage", gate_stage)
+    argv = ["optimize", str(path), "--family", "kqf", "--mode", "random", "--samples", "3",
+            "--format", fmt, "--out", str(tmp_path / "report")]
+    assert main(argv) == 0
+    low = 4  # the digits of a 16-gate chunk
+    assert sum(after_search) == low << m
+
+
 def test_optimize_size_limit_exits_3(capsys, tmp_path):
     big = Multiplexer(10, np.tile(gates.X, (1024, 1, 1)))
     path = tmp_path / "big.qmux"

@@ -21,6 +21,16 @@ def test_non_finite_entries_are_not_unitary():
     assert np.isnan(gates.unitarity_residual(np.array([[[np.nan, 0], [0, 1]]], dtype=complex)))
 
 
+def test_unitarity_residual_takes_a_stack_whose_last_axis_is_strided():
+    """The finiteness test reads the complex entries themselves, so a
+    transposed stack is checked like its copy."""
+    stack = np.stack([gates.H, gates.X]).transpose(0, 2, 1)
+    assert not stack[0].flags.c_contiguous
+    assert gates.unitarity_residual(stack) == gates.unitarity_residual(stack.copy())
+    bad = np.stack([gates.H, np.full((2, 2), np.nan)]).transpose(0, 2, 1)
+    assert np.isnan(gates.unitarity_residual(bad))
+
+
 def test_unitarity_residual_is_the_worst_entry_of_u_u_dagger_minus_i():
     us = np.stack([gates.X, 1.5 * gates.X, gates.H])
     assert gates.unitarity_residual(us) == 1.25

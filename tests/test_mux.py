@@ -108,10 +108,18 @@ def test_the_callers_targets_stay_writable():
     assert np.array_equal(m.targets, np.stack([gates.I, gates.X]))
 
 
-def test_a_transform_hands_its_targets_over_without_a_copy():
-    g = forward_transform(ivvx_case(), "11")
-    assert g.palette.index is None and not g.palette.matrices.flags.writeable
-    assert Multiplexer(2, g.palette.matrices, FPQF, "11").palette.matrices is g.palette.matrices
+def test_a_transform_hands_its_targets_over_without_a_copy(monkeypatch):
+    """With no column above the chunk the staged palette is the input's
+    own; with one, its new arrays are handed over read-only, uncopied."""
+    std = ivvx_case()
+    g = forward_transform(std, "11")
+    assert g.palette.matrices is std.palette.matrices and g.palette.tail == "11"
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 2)
+    g = forward_transform(std, "11")
+    assert g.palette.tail == "1" and g.palette.matrices is not std.palette.matrices
+    assert not (g.palette.matrices.flags.writeable or g.palette.index.flags.writeable)
+    again = Multiplexer(2, g.palette, FPQF, "11").palette
+    assert again.matrices is g.palette.matrices and again.index is g.palette.index
 
 
 # --- semantics ---

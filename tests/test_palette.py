@@ -12,7 +12,7 @@ from qmuxopt import gates, group, kernels, muxio
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cli import main
 from qmuxopt.errors import ParseError
-from qmuxopt.mux import Multiplexer, Palette, used_palette
+from qmuxopt.mux import Multiplexer, Palette, forward_transform, target_chunks, used_palette
 from qmuxopt.muxio import parse_qmux, save_qmux
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
@@ -126,6 +126,28 @@ def test_a_palette_is_checked_like_the_targets_it_stands_for():
         Multiplexer(2, Palette(np.stack([gates.I]), index))
     with pytest.raises(ValueError, match="unsigned"):
         Multiplexer(2, Palette(np.stack([gates.I, gates.X]), index.astype(float)))
+
+
+def test_a_staged_palette_is_read_only_through_its_chunks(monkeypatch):
+    """A forward transform's palette holds the gates before its tail
+    columns: spreading per-matrix values over it is a fault, standard form
+    refuses it, and its chunks are checked unitary after the tail runs."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 4)
+    std = generate(4, POOL_FULL, seed=1)
+    staged = forward_transform(std, "1020").palette
+    assert staged.tail == "20"
+    with pytest.raises(RuntimeError, match="target_chunks"):
+        staged.per_gate(np.arange(len(staged.matrices)))
+    with pytest.raises(ValueError, match="staged palette"):
+        Multiplexer(4, staged)
+    with pytest.raises(ValueError, match="staged tail"):
+        Multiplexer(4, Palette(staged.matrices, staged.index, "13"), "kqf", "1020")
+    # 0.45e-9 from unitary, a product of two is 1.8e-9 from it: the
+    # palette passes the check and the chunk after its tail does not.
+    near = Palette((1 + 0.45e-9) * gates.X[None], np.zeros(2, np.uint8), "1")
+    m = Multiplexer(1, near, "fpqf", "1")
+    with pytest.raises(ValueError, match="not unitary"):
+        list(target_chunks(m))
 
 
 @pytest.mark.parametrize("m,accepted", [(11, True), (12, False)])

@@ -5,7 +5,8 @@ writers batched, so they hold the program to the exact bytes it wrote
 then.  Each case runs with time.perf_counter pinned (the manifest's wall
 time and the search's elapsed time read it) and with relative input paths,
 so the bytes do not depend on the run.  Each case runs at the default
-kernels.CHUNK_ROWS and at 3, which moves every batch boundary.
+kernels.CHUNK_ROWS, at 3, which moves every batch boundary, and at 16,
+where a transform of m = 5 to 7 runs columns on both sides of the chunk.
 """
 
 import ctypes
@@ -170,7 +171,7 @@ def _blas_kernel() -> str:
     return name if forced is None else f"{name} (OPENBLAS_CORETYPE={forced})"
 
 
-@pytest.mark.parametrize("chunks", [3, 4096])
+@pytest.mark.parametrize("chunks", [3, 16, 4096])
 def test_reports_and_files_keep_their_pinned_bytes(monkeypatch, capsys, workdir, chunks):
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
     assert report_digests(capsys) == DIGESTS, (

@@ -548,37 +548,31 @@ def test_all_identity_multiplexer_reports_no_reduction(mode):
 
 
 @pytest.mark.parametrize("family, m, samples", [("fpqf", 6, 20), ("kqf", 2, 30), ("kqf", 5, 12)])
-def test_random_search_builds_a_count_vector_per_mask_change(monkeypatch, family, m, samples):
-    """A polarity's counts depend only on its '2' digits: an FPQF search
-    builds one count vector for all its samples, a KQF search one more
-    each time the mask of its '2' digits changes, and each sample is still
-    priced by one kernels.mux_cost call."""
+def test_random_search_prices_each_sample_a_chunk_at_a_time(monkeypatch, family, m, samples):
+    """Each sample, and the original form, is priced by one kernels.mux_cost
+    call per kernels.CHUNK_ROWS gates, each given that chunk's counts from
+    blocksearch.count_vector's rows form (which builds its two small
+    vectors without rows), and the report is the one priced whole."""
     std = generate(m, POOL_FULL, seed=7)
     cfg = SearchConfig(family=family, mode="random", samples=samples, seed=3)
     want = random_polarity_search(std, cfg)
-    calls = {"count_vector": 0, "mux_cost": 0}
-    polarities = []
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
+    sizes, rows_given = [], []
 
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def count_vector(polarity, fam, rows=None):
+        rows_given.append(rows)
+        return real_count_vector(polarity, fam, rows)
 
-    def cascade(vector, polarity, *rest):
-        polarities.append(polarity)
-        return real_cascade(vector, polarity, *rest)
+    def mux_cost(targets, *rest):
+        sizes.append(len(targets))
+        return real_mux_cost(targets, *rest)
 
-    real_cascade = blocksearch.cascade
-    monkeypatch.setattr(blocksearch, "cascade", cascade)
-    monkeypatch.setattr(
-        blocksearch, "count_vector", counted("count_vector", blocksearch.count_vector)
-    )
-    monkeypatch.setattr(kernels, "mux_cost", counted("mux_cost", kernels.mux_cost))
+    real_count_vector, real_mux_cost = blocksearch.count_vector, kernels.mux_cost
+    monkeypatch.setattr(blocksearch, "count_vector", count_vector)
+    monkeypatch.setattr(kernels, "mux_cost", mux_cost)
     assert random_polarity_search(std, cfg) == want
-    masks = [blocksearch.digit_mask(p, "2") for p in polarities]
-    changes = sum(a != b for a, b in zip(masks, masks[1:]))
-    assert len(polarities) == samples
-    assert calls == {"count_vector": 2 + changes, "mux_cost": samples + 1}
-    if family == "fpqf":
-        assert changes == 0
+    chunks = [min(3, (1 << m) - s) for s in range(0, 1 << m, 3)]
+    assert sizes == chunks * (samples + 1)
+    assert [r for r in rows_given if r is not None] == [
+        slice(s, s + 3) for s in range(0, 1 << m, 3)
+    ] * (samples + 1)
