@@ -19,8 +19,8 @@ most significant index bit) first.  One table per fact, keyed by family:
   BLOCK_VARS     how many bottom variables each DFS node expands to slots
   LIMITS         the most variables an exhaustive search takes
 
-check_polarity, check_size, count_vector and polarity_names read them for
-every caller.
+check_polarity, check_size, count_vector, count_rows and polarity_names
+read them for every caller.
 
 cascade(vector, polarity, family, group=None, inverse=False) runs one
 polarity's full cascade, every column in place on the vector it is given
@@ -28,9 +28,11 @@ polarity's full cascade, every column in place on the vector it is given
 c_1's first, or, inverse, c_n's first.
 staged_forward(matrices, index, polarity, family) runs the forward
 cascade of a palette (see mux.Palette) in two stages: the columns above
-a chunk of 2^chunk_digits(n) entries on the palette's distinct matrices,
-each distinct operand pair multiplied once, and the chunk's own columns,
-the polarity's tail, left to cascade on each chunk where it is read.
+a chunk of 2^chunk_digits(n) entries, each a kernels.gate_stage call on
+the gates' palette positions with the palette as its label algebra, each
+distinct operand pair multiplied once a transform, and the chunk's own
+columns, the polarity's tail, left to cascade on each chunk where it is
+read.
 polarity_costs(vector, family, cost_table, group=None) and
 expand(rows, family, spare, group=None, left=0) take the family
 alone and pick its columns from it.  The quantum families run
@@ -40,10 +42,12 @@ kernels.gf2_stage and kernels.etv_stage.
 The benchmark's tracer (perfbench/tracer.py) replaces kernels.gate_stage
 and kernels.gf2_stage by timing wrappers after the program is imported,
 reads a column's vector and code from its first two arguments, and counts
-GF(2) columns under gf2_stage's name.  So each call of cascade, expand or
-polarity_costs reads the column functions off kernels (never out of a
-table built at import), GF(2) columns go through the name gf2_stage, and
-every column is called positionally as (vector, code, bit, group).
+GF(2) columns under gf2_stage's name.  So each call of cascade,
+staged_forward, expand or polarity_costs reads the column functions off
+kernels (never out of a table built at import), GF(2) columns go through
+the name gf2_stage, and every column is called positionally as (vector,
+code, bit, group).  A staged forward column counts as a gate-stage
+column over its 2^n palette positions.
 
 A column maps each pair (x, y), x at the clear-bit index, to two outputs,
 each one of a few values the pair can produce, its slots:
@@ -242,29 +246,36 @@ def chunk_digits(n: int) -> int:
     return min(n, kernels.CHUNK_ROWS.bit_length() - 1)
 
 
-def count_vector(polarity: str, family: str, rows: slice | None = None) -> np.ndarray:
+def count_vector(polarity: str, family: str) -> np.ndarray:
     """Count (controls, or literals) at every position under the polarity,
     as int64: control_count, or the literal count of map_coefficient, of
     the test oracle (tests/oracle.py).
-    One digit's vector is its (clear-bit, set-bit) shifts.
-
-    Given `rows`, a slice of positions, only their counts: a position's
-    count is its top digits' count plus its bottom digits' count, read off
-    one vector each.  The bottom digits are as many as index a
-    kernels.CHUNK_ROWS chunk, at most n, so both vectors stay small (2^12
-    and 2^(n - 12) entries at the default) and no 2^n vector is built."""
-    if rows is not None:
-        n = len(polarity)
-        low_digits = chunk_digits(n)
-        high = count_vector(polarity[: n - low_digits], family)
-        low = count_vector(polarity[n - low_digits :], family)
-        positions = np.arange(*rows.indices(1 << n))
-        return high[positions >> low_digits] + low[positions & (len(low) - 1)]
+    One digit's vector is its (clear-bit, set-bit) shifts."""
     rules = SLOT_RULES[family]
     counts = np.zeros(1, dtype=np.int64)
     for digit in polarity:
         shifts = np.array([shift for _, shift in rules[digit]])
         counts = (counts[:, None] + shifts).reshape(-1)
+    return counts
+
+
+def count_rows(polarity: str, family: str):
+    """count_vector a slice of positions at a time: a function that takes a
+    slice and returns the counts there, for one pass over the positions.
+    A position's count is its top digits' count plus its bottom digits'
+    count, read off one vector each, built here once.  The bottom digits
+    are as many as index a kernels.CHUNK_ROWS chunk, at most n, so both
+    vectors stay small (2^12 and 2^(n - 12) entries at the default) and no
+    2^n vector is built."""
+    n = len(polarity)
+    low_digits = chunk_digits(n)
+    high = count_vector(polarity[: n - low_digits], family)
+    low = count_vector(polarity[n - low_digits :], family)
+
+    def counts(rows: slice) -> np.ndarray:
+        positions = np.arange(*rows.indices(1 << n))
+        return high[positions >> low_digits] + low[positions & (len(low) - 1)]
+
     return counts
 
 
@@ -299,13 +310,6 @@ def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=
     return vector
 
 
-# Per forward quantum code, as a palette column reads it: the index halves
-# (0 the clear-bit half a, 1 the set-bit half b) of the operands x, y of
-# its product x y^-1, which lands in the set-bit half, and the input half
-# that the clear-bit half keeps; the same columns as kernels.gate_stage's.
-_PALETTE_COLUMNS = {kernels.FORWARD_POS: ((1, 0), 0), kernels.FORWARD_NEG: ((0, 1), 1)}
-
-
 def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> tuple:
     """(matrices, index, tail): the forward cascade of the gate vector
     matrices[index] (matrices itself when index is None) under a quantum
@@ -316,14 +320,15 @@ def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> t
     of 2^len(tail) gates, in order, finishes the cascade.  With no column
     to run above the chunk the input arrays come back as they are.
 
-    A palette column takes each distinct pair of operand positions once and
-    multiplies it once, by kernels.times_inverse: the same product on the
-    same operands as kernels.gate_stage's, so the gates are the same bytes.
-    Products that are bit-equal, to each other or to an earlier matrix,
-    share one palette position (see _Rows).  Every pass goes
+    Each head digit's column is kernels.gate_stage on the gates' palette
+    positions, with the palette (_Rows) as its group: a product of two
+    positions is the position of the product of their matrices, the same
+    kernels.times_inverse on the same operands as on the gate vector, so
+    the gates are the same bytes.  Each distinct operand pair is multiplied
+    once a transform, over all its columns.  Every column goes
     kernels.CHUNK_ROWS pairs at a time; what grows with the work is the
-    palette and its two sorted tables, of hashes and of the column's
-    operand pairs.
+    palette and its two sorted tables, of its matrices and of the operand
+    pairs multiplied.
     """
     n = len(polarity)
     top = n - chunk_digits(n)
@@ -333,116 +338,78 @@ def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> t
         return matrices, index, tail
     if index is None:
         index = np.arange(len(matrices))
-    rows = _Rows(matrices)
+    palette = _Rows(matrices)
     # Every product may add a matrix: the working index holds the most.
     work = index.astype(np.min_scalar_type(len(matrices) + len(codes) * (len(index) // 2)))
     for k, code in enumerate(codes):
-        if code != kernels.IDENTITY:
-            _palette_column(rows, work, code, n - 1 - k)
-    return rows.buffer[: rows.size], work, tail
+        kernels.gate_stage(work, code, n - 1 - k, palette)
+    return palette.buffer[: palette.size], work, tail
 
 
-def _palette_column(rows, index: np.ndarray, code: int, bit: int) -> None:
-    """Run the forward column `code` at `bit` in place on `index`, the
-    positions of the gates' matrices among `rows` (see staged_forward)."""
-    (x, y), kept = _PALETTE_COLUMNS[code]
-    width = rows.size  # the operands are the matrices before this column
-    halves = index.reshape(-1, 2, 1 << bit)
-    pair_keys = np.empty(0, dtype=np.uint64)  # sorted operand pairs, x * width + y
-    pair_rows = np.empty(0, dtype=index.dtype)  # the position of each pair's product
-    for r in range(len(halves)):
-        for start in range(0, 1 << bit, kernels.CHUNK_ROWS):
-            part = halves[r, :, start : start + kernels.CHUNK_ROWS]
-            keys, where = kernels.distinct(part[x].astype(np.uint64) * width + part[y])
-            at, known = _search(pair_keys, keys)
-            positions = np.empty(len(keys), dtype=index.dtype)
-            positions[known] = pair_rows[at[known]]
-            todo = keys[~known]
-            operands = rows.buffer[todo // width], rows.buffer[todo % width]
-            positions[~known] = rows.add(kernels.times_inverse(*operands))
-            pair_keys = np.insert(pair_keys, at[~known], todo)
-            pair_rows = np.insert(pair_rows, at[~known], positions[~known])
-            if kept:
-                part[0] = part[1]
-            part[1] = positions[where]
-
-
-def _search(table: np.ndarray, keys: np.ndarray) -> tuple:
-    """(at, found): where each of the sorted keys goes in the sorted table,
-    and whether it is there."""
-    at = np.searchsorted(table, keys)
+def _search(table: np.ndarray, keys: np.ndarray, sorter=None) -> tuple:
+    """(at, found): where each of the sorted keys goes in the table, sorted
+    itself or in the order of `sorter`, and whether it is there."""
+    at = np.searchsorted(table, keys, sorter=sorter)
     found = at < len(table)
-    found[found] = table[at[found]] == keys[found]
+    rows = at[found] if sorter is None else sorter[at[found]]
+    found[found] = table[rows] == keys[found]
     return at, found
 
 
-def _words(stack: np.ndarray) -> np.ndarray:
-    """A (p, 2, 2) complex stack as its (p, 8) 64-bit words."""
-    return stack.reshape(len(stack), 4).view(np.uint64)
-
-
-def _row_hashes(stack: np.ndarray) -> np.ndarray:
-    """One uint64 hash per matrix of a (p, 2, 2) complex stack, of its bits
-    exactly: its eight 64-bit words folded in turn, each by an xor and
-    splitmix64's finalizer.  Equal bytes give equal hashes; the converse
-    is not assumed (see _Rows)."""
-    hashes = np.zeros(len(stack), dtype=np.uint64)
-    for word in _words(stack).T:
-        hashes ^= word
-        hashes ^= hashes >> np.uint64(30)
-        hashes *= np.uint64(0xBF58476D1CE4E5B9)
-        hashes ^= hashes >> np.uint64(27)
-        hashes *= np.uint64(0x94D049BB133111EB)
-        hashes ^= hashes >> np.uint64(31)
-    return hashes
-
-
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the (p, 2, 2) complex stack a has exactly the
-    64 bytes of b's."""
-    return (_words(a) == _words(b)).all(axis=1)
+def _bytes(stack: np.ndarray) -> np.ndarray:
+    """A C-contiguous (p, 2, 2) complex stack as p keys of its exact 64
+    bytes each: equal keys are equal bytes."""
+    return stack.reshape(len(stack), 4).view("V64").reshape(-1)
 
 
 class _Rows:
-    """A palette that grows by products: its matrices in order of arrival,
-    in a buffer that doubles when full, and a sorted table of their hashes
-    and positions.  A product takes the position of a matrix with its exact
-    64 bytes, found through its hash, and is appended otherwise, so two
-    different matrices never share a position; equal hashes of different
-    bytes only cost a duplicate."""
+    """A palette that grows by products, as the label algebra a staged
+    forward column runs on: kernels.gate_stage given it as `group` computes
+    on positions of its matrices (see times_inverse).
+
+    Its matrices stay in order of arrival, in a buffer that doubles when
+    full, with a table of their positions sorted by their exact 64 bytes.
+    A product takes the position of a matrix with its bytes and is appended
+    otherwise, so two different matrices never share a position.  A second
+    sorted table, of the operand pairs already multiplied and their
+    products' positions, spans the whole transform."""
 
     def __init__(self, matrices: np.ndarray):
         self.buffer = np.array(matrices, dtype=complex)
         self.size = len(matrices)
-        hashes = np.concatenate(
-            [
-                _row_hashes(self.buffer[s : s + kernels.CHUNK_ROWS])
-                for s in range(0, self.size, kernels.CHUNK_ROWS)
-            ]
-        )
-        self.positions = np.argsort(hashes)
-        self.keys = hashes[self.positions]
+        self.order = np.argsort(_bytes(self.buffer))
+        self.pairs = np.empty(0, dtype=np.uint64)  # sorted operand pairs, x << 32 | y
+        self.products = np.empty(0, dtype=np.intp)  # the position of each pair's product
+
+    def times_inverse(self, x, y, out) -> np.ndarray:
+        """The positions of buffer[x] @ buffer[y]^-1 for the operand
+        positions x and y, written into `out`, which is returned:
+        kernels.times_inverse given this palette.  Each distinct pair is
+        multiplied once a transform, by kernels.times_inverse on its
+        matrices."""
+        keys, where = kernels.distinct((x.astype(np.uint64).ravel() << 32) | y.ravel())
+        at, known = _search(self.pairs, keys)
+        positions = np.empty(len(keys), dtype=np.intp)
+        positions[known] = self.products[at[known]]
+        todo = keys[~known]
+        # The operand gathers are freed before add runs.
+        made = kernels.times_inverse(self.buffer[todo >> 32], self.buffer[todo & 0xFFFFFFFF])
+        positions[~known] = self.add(made)
+        self.pairs = np.insert(self.pairs, at[~known], todo)
+        self.products = np.insert(self.products, at[~known], positions[~known])
+        out[...] = positions[where].reshape(out.shape)
+        return out
 
     def add(self, products: np.ndarray) -> np.ndarray:
         """The positions of a (p, 2, 2) stack of products, appending those
         that no matrix of the same bytes holds yet."""
-        keys, where = kernels.distinct(_row_hashes(products))
-        pick = np.empty(len(keys), dtype=np.intp)
-        pick[where] = np.arange(len(products))
-        chosen = products[pick]  # one product for each hash
-        at, hit = _search(self.keys, keys)
-        positions = self.positions[np.minimum(at, len(self.keys) - 1)]
-        same = hit.copy()
-        same[hit] = _same_bytes(self.buffer[positions[hit]], chosen[hit])
-        positions[~same] = self._append(chosen[~same])
-        self.keys = np.insert(self.keys, at[~hit], keys[~hit])
-        self.positions = np.insert(self.positions, at[~hit], positions[~hit])
-        out = positions[where]
-        # A product whose bytes differ from its hash's chosen one gets a
-        # position of its own.
-        odd = ~_same_bytes(products, chosen[where])
-        out[odd] = self._append(products[odd])
-        return out
+        keys, where = kernels.distinct(_bytes(products))
+        at, hit = _search(_bytes(self.buffer[: self.size]), keys, self.order)
+        positions = np.empty(len(keys), dtype=np.intp)
+        positions[hit] = self.order[at[hit]]
+        positions[~hit] = self._append(keys[~hit].view(complex).reshape(-1, 2, 2))
+        self.order = np.insert(self.order, at[~hit], positions[~hit])
+        return positions[where]
 
     def _append(self, matrices: np.ndarray) -> np.ndarray:
         """Append the matrices and return their positions."""

@@ -15,7 +15,7 @@ palette matrix; a staged palette's (a forward transform's, see
 mux.Palette) are one bool per gate, taken from the chunks of
 mux.target_chunks, by a pass of its own or by the pass that renders
 them (streamed_cost).  Its rows are made kernels.CHUNK_ROWS gates at a
-time, each chunk's counts from blocksearch.count_vector's rows form,
+time, each chunk's counts from one blocksearch.count_rows of the pass,
 whenever the JSON, CSV or text report asks for them; so pricing a
 2^m-gate multiplexer builds no 2^m array of counts, and every report
 path reads the rows the same way.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocksearch, jsonout, kernels
+from .errors import QmuxError
 from .mux import EPS, KQF, Multiplexer, target_chunks
 
 GATE_COST_TABLE = (1, 1, 5, 13, 29, 52, 84, 116, 154, 192)
@@ -41,7 +42,7 @@ TABLE_MAX_ROWS = 64
 def gate_cost(num_controls: int) -> int:
     """Cost of one gate with the given number of controls."""
     if num_controls < 0:
-        raise ValueError("control count cannot be negative")
+        raise QmuxError(f"control count cannot be negative, got {num_controls}")
     if num_controls < len(GATE_COST_TABLE):
         return GATE_COST_TABLE[num_controls]
     return 32 * num_controls - 96
@@ -65,8 +66,8 @@ class CostReport:
     per palette matrix, or one per gate when `by_gate`) and its total and
     skipped identities, and no per-gate array of counts or costs.  Its
     (gate index, controls, cost) rows are made kernels.CHUNK_ROWS gates at
-    a time, each chunk's counts by blocksearch.count_vector's rows form,
-    whenever a writer asks for them (see batches and rows)."""
+    a time, each chunk's counts from one blocksearch.count_rows of the
+    pass, whenever a writer asks for them (see batches and rows)."""
 
     mux: Multiplexer
     live: np.ndarray
@@ -119,11 +120,12 @@ def _batches(mux: Multiplexer, live: np.ndarray, by_gate: bool, reverse: bool):
     """CostReport.batches of the multiplexer, whose palette matrices, or
     gates when by_gate, cost where `live` is True."""
     table = cost_table_vector(mux.controls)
+    counts = blocksearch.count_rows(mux.digits, KQF)
     starts = range(0, mux.num_targets, kernels.CHUNK_ROWS)
     for start in reversed(starts) if reverse else starts:
         rows = slice(start, start + kernels.CHUNK_ROWS)
         alive = live[rows] if by_gate else mux.palette.per_gate(live, rows)
-        controls = blocksearch.count_vector(mux.digits, KQF, rows)[alive]
+        controls = counts(rows)[alive]
         yield np.flatnonzero(alive) + start, controls, table[controls]
 
 

@@ -87,13 +87,27 @@ class GateGroup:
     elements[i] @ elements[j] and inv[i] the ID of elements[i]^-1.
     mulinv[(i << 8) | j] is the ID of elements[i] @ elements[j]^-1, so one
     flat lookup on a uint16 index serves a butterfly's product with an
-    inverse; entries past G are 0.
+    inverse; entries past G are 0.  The group is a label algebra of
+    kernels: given it as `group`, the kernels run on IDs, each product
+    x y^-1 a call of times_inverse.
     """
 
     elements: np.ndarray  # (G, 2, 2) complex
     mul: np.ndarray  # (G, G) uint8
     inv: np.ndarray  # (G,) uint8
     mulinv: np.ndarray  # (MAX_ELEMENTS^2,) uint8
+
+    def times_inverse(self, x, y, out=None) -> np.ndarray:
+        """The IDs of elements[x] @ elements[y]^-1, one mulinv lookup per
+        pair: kernels.times_inverse given this group.  Written into `out`
+        when one is given; returns it."""
+        index = x.astype(np.uint16)
+        index <<= 8
+        index |= y
+        # "clip" never clips here (a uint16 index never passes the 65,536-entry
+        # mulinv, and every ID is below len(inv)); it lets take write straight
+        # into `out`, where "raise" stages it in a copy.
+        return np.take(self.mulinv, index, out=out, mode="clip")
 
 
 def _keys(mats: np.ndarray) -> np.ndarray:

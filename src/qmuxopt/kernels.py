@@ -20,12 +20,13 @@ either algebra, from one code table:
   GF2_NEG       (a, b) -> (a ^ b, b)
   IDENTITY      (a, b) -> (a, b)        (GF2_MIXED is IDENTITY)
 
-The quantum codes take a (2^n, 2, 2) vector of unitaries or, given the
-`group.GateGroup` they index, a (2^n,) uint8 vector of element IDs, where
-each product is a lookup in the group's tables (the flat mulinv[(i << 8) |
-j] is the ID of element i times the inverse of element j, one lookup on a
-uint16 index; inv[j] is the ID of the inverse of element j, whose own
-inverse is j again):
+The quantum codes take a (2^n, 2, 2) vector of unitaries or, given a
+label algebra as `group`, a 1-D vector of its labels, where each product
+x y^-1 is group.times_inverse(x, y, out).  A `group.GateGroup` labels its
+elements by uint8 IDs, and its product is a lookup in its tables (the
+flat mulinv[(i << 8) | j] is the ID of element i times the inverse of
+element j, one lookup on a uint16 index; inv[j] is the ID of the inverse
+of element j, whose own inverse is j again):
 
   FORWARD_POS   (a, b) -> (a, mulinv[b << 8 | a])
   FORWARD_NEG   (a, b) -> (b, mulinv[a << 8 | b])
@@ -33,7 +34,11 @@ inverse is j again):
   INVERSE_NEG   (a, b) -> (mulinv[b << 8 | inv[a]], a)
 
 ID 0 is the identity, so an ID vector's identity test is `ids == 0`.  The
-GF(2) codes take a (2^n,) uint8 vector of bits, with XOR as the product.
+staged forward cascade's palette (blocksearch.staged_forward) labels
+matrices by their palette positions, and its product multiplies the
+matrices with times_inverse and returns the product's position; it runs
+the forward codes only.  The GF(2) codes take a (2^n,) uint8 vector of
+bits, with XOR as the product.
 
 A column runs in place: it overwrites the vector it is given and returns
 it.  A caller that still needs the input passes a copy.
@@ -51,17 +56,18 @@ values its columns produce:
 
   etv_stage  (x, y) -> (x, y, x ^ y)
 
-Both take (pairs, out, group=None).  Which code a polarity digit runs,
-and in which order, is blocksearch's to decide, not this module's.
+Both take (pairs, out, group=None), where `group` is a GateGroup.  Which
+code a polarity digit runs, and in which order, is blocksearch's to
+decide, not this module's.
 
 `CHUNK_ROWS` is the program's one per-gate batch size: kernel passes,
 loader batches, render chunks, report rows and the pieces of one write
 all take at most that many at a time, and it sets the character bound of
 one write (see jsonout.write).
 `distinct` is the package's one deduplication, a sort of a 1-D array:
-gates.render_gates runs it on a chunk's float patterns, and
-blocksearch.staged_forward on each piece's operand pairs and product
-hashes.
+gates.render_gates runs it on a chunk's float patterns, and the staged
+forward cascade's palette on each piece's operand pairs and on its
+products' exact 64 bytes, as void keys.
 `read_only` is how the immutable values (`mux.Multiplexer`,
 `boolrm.BoolFunc`, `boolrm.RMSpectrum`) take an array: they copy it
 unless it is handed over.
@@ -113,17 +119,12 @@ def times(x, y, out=None, group=None) -> np.ndarray:
 
 
 def times_inverse(x, y, out=None, group=None) -> np.ndarray:
-    """x @ y^-1, on matrices or, given their group, on IDs.  Written into
-    `out` when one is given; returns it."""
+    """x @ y^-1, on matrices or, given their label algebra, on its labels:
+    group.times_inverse(x, y, out).  Written into `out` when one is given;
+    returns it."""
     if group is None:
         return np.matmul(x, y.conj().swapaxes(-1, -2), out=out)
-    index = x.astype(np.uint16)
-    index <<= 8
-    index |= y
-    # "clip" never clips here (a uint16 index never passes the 65,536-entry
-    # mulinv, and every ID is below len(inv)); it lets take write straight
-    # into `out`, where "raise" stages it in a copy.
-    return np.take(group.mulinv, index, out=out, mode="clip")
+    return group.times_inverse(x, y, out)
 
 
 def _xor(x, y, out, group) -> None:
@@ -160,7 +161,7 @@ def _pieces(rows: int, run: int):
 
 def gate_stage(vec: np.ndarray, kernel: int, bit: int, group=None) -> np.ndarray:
     """Run one butterfly column in place on `vec` and return it: a
-    (2^n, 2, 2) gate vector, a (2^n,) uint8 ID vector of `group`, or a
+    (2^n, 2, 2) gate vector, a (2^n,) vector of labels of `group`, or a
     (2^n,) uint8 bit vector for the GF(2) codes.
 
     `vec` must be writable and C-contiguous, so that the pair halves are
@@ -200,7 +201,7 @@ def qetv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
     if group is None:
         times_inverse(a, b, out[:, 3], group)
     else:
-        np.take(group.inv, out[:, 2], out=out[:, 3], mode="clip")  # see times_inverse
+        np.take(group.inv, out[:, 2], out=out[:, 3], mode="clip")  # see GateGroup.times_inverse
 
 
 def etv_stage(pairs: np.ndarray, out: np.ndarray, group=None) -> None:
@@ -261,18 +262,19 @@ def mux_cost(gates, counts, cost_table, eps):
 
 
 def distinct(values: np.ndarray):
-    """(distinct, where): the sorted distinct values of a 1-D array and the
-    index of each value among them, as np.unique(values,
-    return_inverse=True) gives them, with `where` in the narrowest unsigned
-    type that holds it: the package's one deduplication.  Its temporaries
-    are the size of its input, so callers hand it a chunk at a time.  For
-    a chunk's 32,768 float patterns np.unique's own working arrays peak at
-    1.4 MB under tracemalloc, this at 0.6 MB."""
+    """(distinct, where): the sorted distinct values of a 1-D array, of
+    numbers or of void keys compared by their bytes, and the index of each
+    value among them, as np.unique(values, return_inverse=True) gives
+    them, with `where` in the narrowest unsigned type that holds it: the
+    package's one deduplication.  Its temporaries are the size of its
+    input, so callers hand it a chunk at a time.  For a chunk's 32,768
+    float patterns np.unique's own working arrays peak at 1.4 MB under
+    tracemalloc, this at 0.6 MB."""
     perm = np.argsort(values)
     ordered = values[perm]
     new = np.empty(len(ordered), dtype=bool)
     new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[1:] = ordered[1:] != ordered[:-1]  # np.not_equal has no loop for void keys
     found = ordered[new]
     del ordered
     numbers = np.cumsum(new, dtype=np.min_scalar_type(len(values)))

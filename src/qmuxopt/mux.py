@@ -249,7 +249,7 @@ def activation_mask(mux: Multiplexer, input_state: int) -> np.ndarray:
     """
     m = mux.controls
     if not 0 <= input_state < (1 << m):
-        raise ValueError(f"input state {input_state} out of range for {m} controls")
+        raise QmuxError(f"input state {input_state} out of range for {m} controls")
     state = input_state ^ sum(1 << (m - k) for k in mux.inverted_lines)
     allowed = state ^ digit_mask(mux.digits, "0")
     required = state & digit_mask(mux.digits, "2")

@@ -132,16 +132,16 @@ def _roots(std: mux.Multiplexer) -> tuple:
 def _cost(targets: np.ndarray, polarity: str, family: str, controls: int) -> int:
     """Cost of a polarized target vector (gates or IDs) by blocksearch's one
     rule, priced kernels.CHUNK_ROWS gates at a time, each chunk's counts
-    from blocksearch.count_vector's rows form, so no 2^m vector of counts
+    from one blocksearch.count_rows of the pass, so no 2^m vector of counts
     or costs is built; the standard form is the all-'2' KQF polarity.  The
     identity test is exact on IDs and within EPS on complex targets, the
     same decision (see group)."""
     table = cost.cost_table_vector(controls)
+    counts = blocksearch.count_rows(polarity, family)
     total = 0
     for start in range(0, len(targets), kernels.CHUNK_ROWS):
         rows = slice(start, start + kernels.CHUNK_ROWS)
-        counts = blocksearch.count_vector(polarity, family, rows)
-        total += kernels.mux_cost(targets[rows], counts, table, mux.EPS)[0]
+        total += kernels.mux_cost(targets[rows], counts(rows), table, mux.EPS)[0]
     return total
 
 

@@ -1,8 +1,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, cost, group, kernels, mux
+from qmuxopt import blocksearch, cost, gates, group, kernels, mux
 from qmuxopt.blocksearch import FPQF, FPRM, KQF, KRM, check_polarity, check_size, count_vector
 from qmuxopt.errors import PolarityLengthMismatch, SizeLimitExceeded
 from qmuxopt.gates import EPS
@@ -26,7 +28,7 @@ def test_count_vector_matches_the_scalar_counts(n):
 
 @pytest.mark.parametrize("chunks", [1, 3, 4096])
 def test_count_vector_rows_are_slices_of_the_full_vector(monkeypatch, chunks):
-    """The rows form splits the polarity at the bits of a kernels.CHUNK_ROWS
+    """count_rows splits the polarity at the bits of a kernels.CHUNK_ROWS
     chunk and reads two small vectors; any slice of positions gives the
     full vector's counts there."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunks)
@@ -35,10 +37,11 @@ def test_count_vector_rows_are_slices_of_the_full_vector(monkeypatch, chunks):
         for n in (1, 2, 5, 13):
             polarity = "".join(rng.choice(list(blocksearch.FAMILY_DIGITS[family]), n))
             full = count_vector(polarity, family)
+            counts = blocksearch.count_rows(polarity, family)
             for start in {0, 1, 2, (1 << n) // 3, (1 << n) - 1}:
                 for stop in {start + 1, start + 3, start + 4096, 1 << n}:
                     rows = slice(start, stop)
-                    got = count_vector(polarity, family, rows)
+                    got = counts(rows)
                     assert got.dtype == np.int64
                     assert got.tolist() == full[rows].tolist(), (polarity, rows)
 
@@ -325,13 +328,78 @@ def test_the_staged_forward_transform_equals_the_plain_cascade(monkeypatch, chun
                 assert staged.targets.tobytes() == plain.tobytes(), (m, name, polarity)
 
 
-def test_a_hash_collision_never_merges_two_matrices(monkeypatch):
-    """With every product hashing alike, the palette merges only products
-    of the same 64 bytes: the gates stay the plain cascade's bytes."""
+# X with a -0.0 entry: the bytes of X but for one zero's sign.
+NEGATIVE_ZERO_X = "M(-0.0,0,1,0,1,0,0,0)"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    chunk=st.integers(1, 64),
+    m=st.integers(1, 9),
+    family=st.sampled_from([FPQF, KQF]),
+    label=st.sampled_from(
+        ["full", f"custom:X,{NEGATIVE_ZERO_X},RZ(0.7)", f"custom:H,RX(0.3),{NEGATIVE_ZERO_X}"]
+    ),
+    data=st.data(),
+)
+def test_the_staged_transform_is_the_plain_cascade_byte_for_byte(
+    monkeypatch, chunk, m, family, label, data
+):
+    """Whatever the chunk (1 puts every column on the palette and empties
+    the tail), the family and the pool, including a -0.0 literal and a
+    rotation that generates no group, the staged transform's targets are
+    the bytes of blocksearch.cascade on the whole vector."""
+    polarity = data.draw(st.text(blocksearch.FAMILY_DIGITS[family], min_size=m, max_size=m))
+    seed = data.draw(st.integers(0, 1 << 16))
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "CHUNK_ROWS", chunk)
+        std = generate(m, resolve_pool(label), seed)
+        staged = mux.forward_transform(std, polarity)
+        assert len(staged.palette.tail) == blocksearch.chunk_digits(m)
+        plain = blocksearch.cascade(mux.working_targets(std), polarity, family)
+        assert staged.targets.tobytes() == plain.tobytes()
+
+
+def test_the_head_columns_are_gate_stage_calls_on_the_palette(monkeypatch):
+    """staged_forward runs each head digit's column, and no tail digit's, as
+    kernels.gate_stage on the gates' palette positions with the palette as
+    its group, read off kernels at call time."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
-    monkeypatch.setattr(
-        blocksearch, "_row_hashes", lambda stack: np.zeros(len(stack), dtype=np.uint64)
-    )
+    std = generate(8, POOL_FULL, seed=4)
+    calls = []
+
+    def gate_stage(vec, code, bit, group=None):
+        calls.append((vec.ndim, code, bit, type(group)))
+        return real_stage(vec, code, bit, group)
+
+    real_stage = kernels.gate_stage
+    monkeypatch.setattr(kernels, "gate_stage", gate_stage)
+    blocksearch.staged_forward(std.palette.matrices, std.palette.index, "0210" + "1111", KQF)
+    codes = [kernels.FORWARD_NEG, kernels.IDENTITY, kernels.FORWARD_POS, kernels.FORWARD_NEG]
+    palette = blocksearch._Rows
+    assert calls == [(1, code, 7 - k, palette) for k, code in enumerate(codes)]
+
+
+def test_a_hash_collision_never_merges_two_matrices(monkeypatch):
+    """The palette's keys are its matrices' exact 64 bytes, so no collision
+    of keys can merge two matrices: _Rows.add gives products of the same
+    bytes one position and products that differ in a zero's sign or in one
+    ulp positions of their own, and the staged gates stay the plain
+    cascade's bytes."""
+    x_negative_zero = gates.X.copy()
+    x_negative_zero[0, 0] = -0.0
+    x_ulp = gates.X.copy()
+    x_ulp[0, 1] = np.nextafter(1.0, 2.0)
+    rows = blocksearch._Rows(np.stack([gates.I, gates.X]))
+    products = np.stack([x_negative_zero, x_ulp, gates.H, x_negative_zero, gates.X, gates.H])
+    positions = rows.add(products)
+    assert positions.tolist() == rows.add(products).tolist()
+    assert positions[0] == positions[3] and positions[2] == positions[5] and positions[4] == 1
+    assert sorted({*positions.tolist(), 0}) == [0, 1, 2, 3, 4] and rows.size == 5
+    assert rows.buffer[positions].tobytes() == products.tobytes()
+
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
     for name, std in staged_cases(8):
         for polarity in staged_polarities(8, 4):
             staged = mux.forward_transform(std, polarity)
@@ -340,30 +408,33 @@ def test_a_hash_collision_never_merges_two_matrices(monkeypatch):
 
 
 def test_each_distinct_operand_pair_is_multiplied_once(monkeypatch):
-    """A palette column multiplies each distinct pair of operands once, at
-    most kernels.CHUNK_ROWS pairs a call, and products of the same bytes
-    share one palette matrix."""
+    """The palette's times_inverse sees every pair of every head column, at
+    most kernels.CHUNK_ROWS pairs a call; it multiplies each distinct pair
+    of operands once a transform, over all its columns, and products of
+    the same bytes share one palette matrix."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
     std = generate(10, POOL_FULL, seed=12)
-    columns = []
+    pairs_seen, products = [], []
 
-    def column(*args):
-        columns.append([])
-        return real_column(*args)
+    def palette_times_inverse(self, x, y, out):
+        assert x.size <= 16
+        pairs_seen.append(x.size)
+        return real_palette_times_inverse(self, x, y, out)
 
     def times_inverse(x, y, out=None, group=None):
-        assert len(x) <= 16
-        columns[-1].extend(zip(map(bytes, x), map(bytes, y)))
+        assert group is None and len(x) <= 16
+        products.extend(zip(map(bytes, x), map(bytes, y)))
         return real_times_inverse(x, y, out, group)
 
-    real_column, real_times_inverse = blocksearch._palette_column, kernels.times_inverse
-    monkeypatch.setattr(blocksearch, "_palette_column", column)
+    real_palette_times_inverse = blocksearch._Rows.times_inverse
+    real_times_inverse = kernels.times_inverse
+    monkeypatch.setattr(blocksearch._Rows, "times_inverse", palette_times_inverse)
     monkeypatch.setattr(kernels, "times_inverse", times_inverse)
     matrices, index, tail = blocksearch.staged_forward(
         std.palette.matrices, std.palette.index, "1010011101", "fpqf"
     )
-    assert tail == "1101" and len(columns) == 6
-    assert all(len(set(pairs)) == len(pairs) > 0 for pairs in columns)
-    assert sum(map(len, columns)) < 6 * (1 << 9)  # the plain cascade multiplies 6 x 2^9
+    assert tail == "1101" and sum(pairs_seen) == 6 * (1 << 9)
+    assert len(set(products)) == len(products) > 0
+    assert len(products) < 6 * (1 << 9)  # the plain cascade multiplies 6 x 2^9
     rows = matrices.reshape(len(matrices), -1).view("V64").ravel()
     assert len(np.unique(rows)) == len(rows)

@@ -447,7 +447,7 @@ _PAIR = np.stack([gates.I, gates.X])
 _FROZEN = np.zeros(4, np.uint8)
 _FROZEN.setflags(write=False)
 
-# A refusal of each validator that CLI input reaches.
+# A refusal of each validator that CLI input or a library argument reaches.
 REFUSALS = [
     pytest.param(lambda: blocksearch.check_polarity("13", 2, "kqf"), id="check_polarity digits"),
     pytest.param(lambda: blocksearch.check_size("nope", 3), id="check_size family"),
@@ -480,6 +480,8 @@ REFUSALS = [
     pytest.param(lambda: search.SearchConfig(seed=True), id="SearchConfig bool seed"),
     pytest.param(lambda: pla.to_bool_func(pla.parse_pla(".i 1\n.o 1\n.e\n"), 1),
                  id="to_bool_func output"),
+    pytest.param(lambda: mux.semantics(_BASES[0], 4), id="semantics state"),
+    pytest.param(lambda: cost.gate_cost(-1), id="gate_cost count"),
 ]
 # A failure of each check of the program's own state, which no input reaches.
 FAULTS = [
@@ -489,10 +491,8 @@ FAULTS = [
                  id="gate_stage code"),
     pytest.param(lambda: blocksearch.cascade(np.zeros(8, np.uint8), "11", "krm"),
                  id="cascade length"),
-    pytest.param(lambda: mux.activation_mask(_BASES[0], 4), id="activation_mask state"),
     pytest.param(lambda: mux.transform_stages(np.zeros((4, 2, 2), complex), "11", "sideways"),
                  id="transform_stages direction"),
-    pytest.param(lambda: cost.gate_cost(-1), id="gate_cost count"),
 ]
 
 

@@ -551,28 +551,35 @@ def test_all_identity_multiplexer_reports_no_reduction(mode):
 def test_random_search_prices_each_sample_a_chunk_at_a_time(monkeypatch, family, m, samples):
     """Each sample, and the original form, is priced by one kernels.mux_cost
     call per kernels.CHUNK_ROWS gates, each given that chunk's counts from
-    blocksearch.count_vector's rows form (which builds its two small
-    vectors without rows), and the report is the one priced whole."""
+    one blocksearch.count_rows of its pass (whose two small vectors are
+    built once a pass), and the report is the one priced whole."""
     std = generate(m, POOL_FULL, seed=7)
     cfg = SearchConfig(family=family, mode="random", samples=samples, seed=3)
     want = random_polarity_search(std, cfg)
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
-    sizes, rows_given = [], []
+    sizes, passes, rows_given = [], [], []
 
-    def count_vector(polarity, fam, rows=None):
-        rows_given.append(rows)
-        return real_count_vector(polarity, fam, rows)
+    def count_rows(polarity, fam):
+        passes.append(polarity)
+        counts = real_count_rows(polarity, fam)
+
+        def chunk_counts(rows):
+            rows_given.append(rows)
+            got = counts(rows)
+            assert got.tolist() == blocksearch.count_vector(polarity, fam)[rows].tolist()
+            return got
+
+        return chunk_counts
 
     def mux_cost(targets, *rest):
         sizes.append(len(targets))
         return real_mux_cost(targets, *rest)
 
-    real_count_vector, real_mux_cost = blocksearch.count_vector, kernels.mux_cost
-    monkeypatch.setattr(blocksearch, "count_vector", count_vector)
+    real_count_rows, real_mux_cost = blocksearch.count_rows, kernels.mux_cost
+    monkeypatch.setattr(blocksearch, "count_rows", count_rows)
     monkeypatch.setattr(kernels, "mux_cost", mux_cost)
     assert random_polarity_search(std, cfg) == want
     chunks = [min(3, (1 << m) - s) for s in range(0, 1 << m, 3)]
     assert sizes == chunks * (samples + 1)
-    assert [r for r in rows_given if r is not None] == [
-        slice(s, s + 3) for s in range(0, 1 << m, 3)
-    ] * (samples + 1)
+    assert len(passes) == samples + 1
+    assert rows_given == [slice(s, s + 3) for s in range(0, 1 << m, 3)] * (samples + 1)
