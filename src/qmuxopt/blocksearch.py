@@ -90,14 +90,16 @@ once would take 16.8 MB of complex matrices; a classical block is at most
 2^6 x 3^10 bytes (3.8 MB) within LIMITS.  With b = 0 the block is the
 plain leaf, one histogram over the node's 2^n entries.
 
-CHUNK_BYTES bounds the block in bytes as well.  A node expands and
-histograms its rows a chunk at a time, each chunk at most CHUNK_BYTES of
-slots (a row takes width^b times the bytes of one entry, so IDs, bits and
-matrices each get their own row count) and at least one row, and adds up
-the chunks' histograms: the histogram is a sum over rows, so this is
-exact.  An FPQF node at m = 14 holds 256 rows of 4^6 slots, 1 MB of IDs
-or 64 MB of complex matrices, where a 256 KB chunk takes 64 rows of IDs,
-one row of matrices or 4 classical rows of 3^10 bits.
+kernels.CHUNK_ROWS bounds the block in bytes as well.  A node expands
+and histograms its rows a chunk at a time, each chunk at most as many
+bytes of slots as CHUNK_ROWS complex 2x2 matrices take (64 bytes each,
+256 KB at the default; a row takes width^b times the bytes of one entry,
+so IDs, bits and matrices each get their own row count) and at least one
+row, and adds up the chunks' histograms: the histogram is a sum over
+rows, so this is exact.  An FPQF node at m = 14 holds 256 rows of 4^6
+slots, 1 MB of IDs or 64 MB of complex matrices, where a 256 KB chunk
+takes 64 rows of IDs, one row of matrices or 4 classical rows of 3^10
+bits.
 
 A search allocates its vector- and slot-sized working memory once,
 sized from the chunk's row count, and every node writes into it: one
@@ -184,19 +186,6 @@ LIMITS = {FPQF: 14, KQF: 9, FPRM: 16, KRM: 10}
 #   3.8 MB at n = 16.  b = 8 ran 1.9x slower at n = 14; b = 11 and 12 ran
 #   1.8x and 2.3x faster at n = 16 but peaked 7 MB and 15 MB higher.
 BLOCK_VARS = {FPQF: 6, KQF: 6, FPRM: 10, KRM: 10}
-
-# The most slot bytes a node expands at once (see the module docstring).
-# Complex FPQF at m = 12 on custom:X,I,RX(0.3) peaked at 2.3 MB traced,
-# 43.6 MB unchunked, in about the same time.  With the search's buffers
-# allocated once, the chunk size no longer sets the page faults: measured
-# on a 2-core Xeon, one search in a fresh process, 256 KB against 8 MB
-# chunks, FPQF at m = 14 on the full pool took 0.81 s and 0.81 s with
-# 0.3k and 0.9k minor faults (a buffer a node took 1.60 and 1.89 s, with
-# 226k and 284k faults); FPRM at n = 16 0.69 and 0.59 s with 5.2k and
-# 6.7k faults, mostly rm_search's own (81k and 218k before); complex FPQF
-# at m = 10 on custom:X,I,RX(0.3) 0.48 and 0.42 s with 0.3k and 0.9k
-# (37k and 24k before).
-CHUNK_BYTES = 256 << 10
 
 
 def check_polarity(polarity: str, n: int, family: str) -> None:
@@ -312,13 +301,14 @@ def cascade(vector: np.ndarray, polarity: str, family: str, group=None, inverse=
 
 def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> tuple:
     """(matrices, index, tail): the forward cascade of the gate vector
-    matrices[index] (matrices itself when index is None) under a quantum
+    matrices[index], a normal palette (see mux.Palette), under a quantum
     polarity, staged.  The columns at bits >= chunk_digits(n) have run, on
-    the palette; the returned palette may hold matrices no gate uses.  The
-    tail is the polarity's last chunk_digits(n) digits, whose columns pair
-    the gates of one chunk only: cascade(gates, tail, family) on each chunk
-    of 2^len(tail) gates, in order, finishes the cascade.  With no column
-    to run above the chunk the input arrays come back as they are.
+    the palette; the returned one may hold matrices no gate uses, which
+    mux.Multiplexer drops.  The tail is the polarity's last
+    chunk_digits(n) digits, whose columns pair the gates of one chunk only:
+    cascade(gates, tail, family) on each chunk of 2^len(tail) gates, in
+    order, finishes the cascade.  With no column to run above the chunk
+    the input arrays come back as they are.
 
     Each head digit's column is kernels.gate_stage on the gates' palette
     positions, with the palette (_Rows) as its group: a product of two
@@ -336,8 +326,6 @@ def staged_forward(matrices: np.ndarray, index, polarity: str, family: str) -> t
     tail = polarity[top:]
     if all(code == kernels.IDENTITY for code in codes):
         return matrices, index, tail
-    if index is None:
-        index = np.arange(len(matrices))
     palette = _Rows(matrices)
     # Every product may add a matrix: the working index holds the most.
     work = index.astype(np.min_scalar_type(len(matrices) + len(codes) * (len(index) // 2)))
@@ -356,19 +344,14 @@ def _search(table: np.ndarray, keys: np.ndarray, sorter=None) -> tuple:
     return at, found
 
 
-def _bytes(stack: np.ndarray) -> np.ndarray:
-    """A C-contiguous (p, 2, 2) complex stack as p keys of its exact 64
-    bytes each: equal keys are equal bytes."""
-    return stack.reshape(len(stack), 4).view("V64").reshape(-1)
-
-
 class _Rows:
     """A palette that grows by products, as the label algebra a staged
     forward column runs on: kernels.gate_stage given it as `group` computes
     on positions of its matrices (see times_inverse).
 
-    Its matrices stay in order of arrival, in a buffer that doubles when
-    full, with a table of their positions sorted by their exact 64 bytes.
+    It starts from a palette's distinct matrices.  Its matrices stay in
+    order of arrival, in a buffer that doubles when full, with a table of
+    their positions sorted by their exact 64 bytes (kernels.byte_keys).
     A product takes the position of a matrix with its bytes and is appended
     otherwise, so two different matrices never share a position.  A second
     sorted table, of the operand pairs already multiplied and their
@@ -377,7 +360,7 @@ class _Rows:
     def __init__(self, matrices: np.ndarray):
         self.buffer = np.array(matrices, dtype=complex)
         self.size = len(matrices)
-        self.order = np.argsort(_bytes(self.buffer))
+        self.order = np.argsort(kernels.byte_keys(self.buffer))
         self.pairs = np.empty(0, dtype=np.uint64)  # sorted operand pairs, x << 32 | y
         self.products = np.empty(0, dtype=np.intp)  # the position of each pair's product
 
@@ -403,8 +386,8 @@ class _Rows:
     def add(self, products: np.ndarray) -> np.ndarray:
         """The positions of a (p, 2, 2) stack of products, appending those
         that no matrix of the same bytes holds yet."""
-        keys, where = kernels.distinct(_bytes(products))
-        at, hit = _search(_bytes(self.buffer[: self.size]), keys, self.order)
+        keys, where = kernels.distinct(kernels.byte_keys(products))
+        at, hit = _search(kernels.byte_keys(self.buffer[: self.size]), keys, self.order)
         positions = np.empty(len(keys), dtype=np.intp)
         positions[hit] = self.order[at[hit]]
         positions[~hit] = self._append(keys[~hit].view(complex).reshape(-1, 2, 2))
@@ -548,8 +531,15 @@ def polarity_costs(vector: np.ndarray, family: str, cost_table: np.ndarray, grou
     # 2-core Xeon, mostly page faults of the reduction's per-step arrays.
     dtype = np.min_scalar_type(1 << n)
     costs = np.empty(base**n, dtype=np.int64)
-    # Rows a node expands at once: CHUNK_BYTES of slots, and at least one.
-    chunk = max(1, CHUNK_BYTES // (width**block * (vector.nbytes // len(vector))))
+    # Rows a node expands at once: the bytes of kernels.CHUNK_ROWS complex
+    # 2x2 matrices (64 each) of slots, and at least one row.  At the
+    # default 256 KB, complex FPQF at m = 12 on custom:X,I,RX(0.3) peaked
+    # at 2.3 MB traced, 43.6 MB unchunked, in about the same time; against
+    # 8 MB chunks (2-core Xeon, fresh process) FPQF at m = 14 on the full
+    # pool took 0.81 s both, FPRM at n = 16 0.69 against 0.59 s, complex
+    # FPQF at m = 10 0.48 against 0.42 s, with a third of the page faults.
+    row_bytes = width**block * (vector.nbytes // len(vector))
+    chunk = max(1, kernels.CHUNK_ROWS * 64 // row_bytes)
     # On exact entries (IDs and bits, 1-D vectors) the last variable's
     # slots are compared, not expanded.
     left = 1 if vector.ndim == 1 and block else 0

@@ -65,12 +65,14 @@ loader batches, render chunks, report rows and the pieces of one write
 all take at most that many at a time, and it sets the character bound of
 one write (see jsonout.write).
 `distinct` is the package's one deduplication, a sort of a 1-D array:
-gates.render_gates runs it on a chunk's float patterns, and the staged
-forward cascade's palette on each piece's operand pairs and on its
-products' exact 64 bytes, as void keys.
-`read_only` is how the immutable values (`mux.Multiplexer`,
-`boolrm.BoolFunc`, `boolrm.RMSpectrum`) take an array: they copy it
-unless it is handed over.
+gates.render_gates runs it on a chunk's float patterns, mux.Multiplexer
+on its palette's matrices, and the staged forward cascade's palette on
+each piece's operand pairs and on its products.  Matrices go in as
+`byte_keys`, void keys of their exact 64 bytes: the one place a matrix
+is read as its bytes.
+`read_only` is how the immutable values `boolrm.BoolFunc` and
+`boolrm.RMSpectrum` take an array: they copy it unless it is handed
+over.
 
 Operands stay unitary throughout, so matrix inverses are conjugate
 transposes.
@@ -282,6 +284,13 @@ def distinct(values: np.ndarray):
     where = np.empty_like(numbers)
     where[perm] = numbers
     return found, where
+
+
+def byte_keys(stack: np.ndarray) -> np.ndarray:
+    """A C-contiguous (p, 2, 2) complex stack as p void keys of its exact 64
+    bytes each, a view: equal keys are equal bytes, and sorted keys are
+    the matrices in byte order."""
+    return stack.reshape(len(stack), 4).view("V64").reshape(-1)
 
 
 def read_only(values, dtype=None) -> np.ndarray:

@@ -13,6 +13,10 @@ k-th bit of i is 1 (fixed digits) or always (mixed digits); a negative
 digit reads its control line through an inverter.  Every product here,
 of the realized operators and (through blocksearch.cascade) of the
 transforms, is kernels.times or kernels.times_inverse.
+
+Every Multiplexer holds its targets as a normal palette (see Palette),
+made from whatever its caller passes, so no reader of the targets
+branches on where they came from.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from . import gates, kernels
 from .blocksearch import FPQF, KQF, cascade, check_polarity, digit_mask, staged_forward
 from .errors import FormMismatch, QmuxError, is_int
-from .kernels import read_only
 
 STANDARD = "standard"
 
@@ -34,12 +37,15 @@ EPS = gates.EPS
 
 @dataclass(frozen=True, eq=False)
 class Palette:
-    """A gate vector held as its distinct matrices and, per gate, the
-    position of its matrix: gate i is matrices[index[i]].
+    """A gate vector held as matrices and, per gate, the position of its
+    matrix in an unsigned index: gate i is matrices[index[i]].
 
-    index is None when matrices already holds one matrix per gate, as it
-    does for a plain (2^m, 2, 2) target array.  The loaders, randmux and pla
-    build palettes of distinct matrices.
+    A plain (2^m, 2, 2) target array is the palette indexed by arange(2^m).
+    A Multiplexer's palette is normal: every matrix is used, no two have
+    the same bytes, they lie in byte order (see kernels.byte_keys), and the
+    index is in the narrowest unsigned type that holds it.  So a token, a
+    cost or an identity decision, which depend only on a matrix's bytes,
+    is made once per distinct target.
 
     A forward transform's palette is staged: `tail` holds the polarity
     digits whose columns have still to run, those of the bottom
@@ -51,7 +57,7 @@ class Palette:
     """
 
     matrices: np.ndarray  # (k, 2, 2) complex
-    index: np.ndarray | None = None  # (2^m,) unsigned ints below k
+    index: np.ndarray  # (2^m,) unsigned ints below k
     tail: str = ""
 
     def per_gate(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -61,24 +67,22 @@ class Palette:
         its matrices until the tail has run."""
         if self.tail:
             raise RuntimeError("a staged palette's gates are read through mux.target_chunks")
-        return self._spread(values, rows)
-
-    def _spread(self, values: np.ndarray, rows) -> np.ndarray:
-        """values[index[rows]], staged or not."""
-        if self.index is None:
-            return values[rows]
         return values[self.index[rows]]
 
 
-def used_palette(matrices: np.ndarray, choices: np.ndarray) -> Palette:
-    """Palette of the matrices that `choices`, one position in `matrices`
-    per gate, picks: unused matrices are left out, the rest keep their
-    order, and the index is renumbered to them."""
-    used = np.bincount(choices, minlength=len(matrices)) > 0
-    renumber = np.cumsum(used) - 1
-    index = renumber.astype(np.min_scalar_type(renumber[-1]))[choices]
+def _normal(matrices: np.ndarray, index: np.ndarray) -> tuple:
+    """(matrices, index) of a palette made normal (see Palette),
+    both new read-only arrays: the used matrices, those of equal bytes
+    merged, in byte order, and the index renumbered to them."""
+    used = np.zeros(len(matrices), dtype=bool)
+    used[index] = True
+    keys, where = kernels.distinct(kernels.byte_keys(matrices[used]))
+    renumber = np.empty(len(matrices), dtype=np.min_scalar_type(len(keys) - 1))
+    renumber[used] = where
+    matrices, index = keys.view(complex).reshape(-1, 2, 2), renumber[index]
+    matrices.setflags(write=False)
     index.setflags(write=False)
-    return Palette(matrices[used], index)
+    return matrices, index
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -86,21 +90,20 @@ class Multiplexer:
     """Immutable multiplexer value.
 
     Multiplexer(controls, targets, form, polarity, inverted_lines) takes
-    the targets as a (2^controls, 2, 2) complex array or as a Palette; every
-    palette matrix must be unitary within EPS.  An input of a few distinct
-    gates is held as its palette and an index of one byte per gate (while
-    the palette has at most 256 matrices), and
-    `palette` is how every consumer reads the targets: the unitarity
-    check, group.intern and the identity tests run on palette.matrices
-    alone, and palette.per_gate spreads their per-matrix results to the
-    gates.  A forward transform's output holds a staged palette (see
-    Palette) and only a polarized form may: its gates come a chunk at a
-    time from target_chunks, which runs each chunk's tail columns and
-    checks the chunk unitary, and the writers, the cost report and the
-    unitarity check all read them there.  Only this module expands a
-    palette into the 2^m complex vector: working_targets builds it for
-    `targets`, the inverse transform and the semantics (once per call of
-    max_semantic_deviation).
+    the targets as a Palette or as a (2^controls, 2, 2) complex array, read
+    as the palette whose index is arange(2^controls).  It is the one place
+    a palette is made normal (see Palette), always into new arrays, and
+    then every matrix must be unitary within EPS.  `palette` is how every
+    consumer reads the targets: the unitarity check, group.intern and the
+    identity tests run on palette.matrices alone, and palette.per_gate
+    spreads their per-matrix results to the gates.  A forward transform's
+    output holds a staged palette (see Palette) and only a polarized form
+    may: its gates come a chunk at a time from target_chunks, which runs
+    each chunk's tail columns and checks the chunk unitary, and the
+    writers, the cost report and the unitarity check all read them there.
+    Only this module expands a palette into the 2^m complex vector:
+    working_targets builds it for `targets`, the inverse transform and the
+    semantics (once per call of max_semantic_deviation).
 
     inverted_lines lists 1-based control lines that carry a leading
     inverter (produced by negative_control_realization); only a
@@ -118,24 +121,23 @@ class Multiplexer:
             raise QmuxError(f"controls {controls!r} is not an int")
         if controls < 1:
             raise QmuxError("a multiplexer needs at least one control variable")
-        palette = targets if isinstance(targets, Palette) else Palette(targets)
-        matrices = read_only(palette.matrices, complex)
-        index = None if palette.index is None else read_only(palette.index)
-        expected = (1 << controls, 2, 2)
-        if index is None:
-            shape = matrices.shape
-        else:
-            if matrices.ndim != 3 or matrices.shape[1:] != (2, 2):
-                raise QmuxError(f"palette matrices must be (k, 2, 2), got {matrices.shape}")
-            if index.ndim != 1 or index.dtype.kind != "u":
-                raise QmuxError("a palette index is a vector of unsigned ints")
-            shape = (len(index), 2, 2)
+        if not isinstance(targets, Palette):
+            targets = np.asarray(targets, dtype=complex)
+            targets = Palette(targets, np.arange(targets.size // 4, dtype=np.uint64))
+        matrices = np.asarray(targets.matrices, dtype=complex)
+        index = np.asarray(targets.index)
+        if matrices.ndim != 3 or matrices.shape[1:] != (2, 2):
+            raise QmuxError(f"target matrices must be (k, 2, 2), got {matrices.shape}")
+        if index.ndim != 1 or index.dtype.kind != "u":
+            raise QmuxError("a palette index is a vector of unsigned ints")
+        expected, shape = (1 << controls, 2, 2), (len(index), 2, 2)
         if shape != expected:
             raise QmuxError(f"targets must have shape {expected}, got {shape}")
-        if index is not None and (top := int(index.max())) >= len(matrices):
+        if (top := int(index.max())) >= len(matrices):
             raise QmuxError(f"palette index {top} out of range 0..{len(matrices) - 1}")
+        matrices, index = _normal(matrices, index)
         _check_unitary(matrices)
-        tail = palette.tail
+        tail = targets.tail
         if len(tail) > controls or set(tail) - set("012"):
             raise QmuxError(f"a staged tail is at most {controls} digits of '012', got {tail!r}")
 
@@ -203,11 +205,11 @@ def _check_unitary(stack: np.ndarray) -> None:
 
 def working_targets(mux: Multiplexer) -> np.ndarray:
     """A new writable (2^m, 2, 2) array of the targets, for a cascade to run
-    in place on: the palette's expansion, or a copy of a plain array; a
-    staged palette's chunks of target_chunks, in order."""
+    in place on: the palette's expansion, or a staged palette's chunks of
+    target_chunks, in order."""
     palette = mux.palette
     if not palette.tail:
-        return np.require(palette.per_gate(palette.matrices), requirements="CW")
+        return palette.per_gate(palette.matrices)
     out = np.empty((mux.num_targets, 2, 2), dtype=complex)
     start = 0
     for chunk in target_chunks(mux):
@@ -217,24 +219,19 @@ def working_targets(mux: Multiplexer) -> np.ndarray:
 
 
 def target_chunks(mux: Multiplexer):
-    """The targets a chunk at a time, as (n, 2, 2) arrays, so the whole
-    complex vector is never built: kernels.CHUNK_ROWS gates at a time,
-    views of a plain array or gathers from the palette; on a staged
-    palette 2^len(tail) gates at a time, each chunk gathered, its tail
-    columns run in place by blocksearch.cascade and the chunk checked
-    unitary within EPS (a QmuxError otherwise), so each call runs the
-    tail once more."""
+    """The targets a chunk at a time, as new (n, 2, 2) arrays gathered from
+    the palette, so the whole complex vector is never built:
+    kernels.CHUNK_ROWS gates at a time, or on a staged palette
+    2^len(tail), each chunk's tail columns run in place by
+    blocksearch.cascade and the chunk checked unitary within EPS (a
+    QmuxError otherwise), so each call runs the tail once more."""
     palette = mux.palette
-    if not palette.tail:
-        for start in range(0, mux.num_targets, kernels.CHUNK_ROWS):
-            yield palette.per_gate(palette.matrices, slice(start, start + kernels.CHUNK_ROWS))
-        return
-    size = 1 << len(palette.tail)
+    size = 1 << len(palette.tail) if palette.tail else kernels.CHUNK_ROWS
     for start in range(0, mux.num_targets, size):
-        chunk = np.require(palette._spread(palette.matrices, slice(start, start + size)),
-                           requirements="CW")
-        cascade(chunk, palette.tail, KQF)
-        _check_unitary(chunk)
+        chunk = palette.matrices[palette.index[start : start + size]]
+        if palette.tail:
+            cascade(chunk, palette.tail, KQF)
+            _check_unitary(chunk)
         yield chunk
 
 
@@ -321,14 +318,8 @@ def forward_transform(std: Multiplexer, polarity: str) -> Multiplexer:
         raise FormMismatch(f"forward transform needs standard form, got {std.form}")
     check_polarity(polarity, std.controls, KQF)  # all of '012', before a form is picked
     form = form_for_polarity(polarity)
-    matrices, index, tail = staged_forward(
-        std.palette.matrices, std.palette.index, polarity, form
-    )
-    if matrices is not std.palette.matrices:
-        staged = used_palette(matrices, index)
-        matrices, index = staged.matrices, staged.index
-        matrices.setflags(write=False)  # handed over: kept uncopied
-    return Multiplexer(std.controls, Palette(matrices, index, tail), form, polarity)
+    staged = Palette(*staged_forward(std.palette.matrices, std.palette.index, polarity, form))
+    return Multiplexer(std.controls, staged, form, polarity)
 
 
 def inverse_transform(polarized: Multiplexer) -> Multiplexer:
@@ -337,7 +328,6 @@ def inverse_transform(polarized: Multiplexer) -> Multiplexer:
         raise FormMismatch("inverse transform needs a polarized multiplexer")
     plain = without_inverters(polarized)
     out = cascade(working_targets(plain), plain.polarity, plain.form, inverse=True)
-    out.setflags(write=False)  # handed over: kept uncopied
     return Multiplexer(plain.controls, out, STANDARD)
 
 

@@ -18,19 +18,20 @@ So in both formats a bad header or a wrong count is refused before any
 token is parsed.  The tokens are numbered a batch of at least
 kernels.CHUNK_ROWS at a time (the text loader never splits a line), so
 only one batch is ever held as strs; once the count is right each
-distinct token is parsed once, and the multiplexer comes back as a
-palette: the distinct matrices of its tokens and one index entry per
-gate (one byte while there are at most 256 of them).  Neither loader
-builds the 2^m complex vector.
+distinct token is parsed once, and the loader hands Multiplexer a
+palette of each distinct token's matrix and the tokens' numbers as its
+index, which Multiplexer makes normal (see mux.Palette): tokens of equal
+matrices, such as NOT and X, share one matrix, and the index takes one
+byte a gate while there are at most 256 of them.  Neither loader builds
+the 2^m complex vector.
 
 Files are streamed the same way: both formats are written through jsonout
 a batch of tokens at a time, one piece per list of target_tokens, which
 renders a palette's distinct matrices once and indexes their tokens a
-sub-batch at a time, and a plain target array or a transform's staged
-palette a chunk of mux.target_chunks at a time, its tokens a sub-batch of
-rows at a time, so no writer builds the complex vector or holds the
-file's text, and every write is bounded in characters (see
-jsonout.write).  dump_qmux and
+sub-batch at a time, and a transform's staged palette a chunk of
+mux.target_chunks at a time, its tokens a sub-batch of rows at a time,
+so no writer builds the complex vector or holds the file's text, and
+every write is bounded in characters (see jsonout.write).  dump_qmux and
 dump_qmux_json return the bytes save_qmux writes.
 """
 
@@ -87,7 +88,8 @@ def _parse_form(text: str, source, line):
 
 
 class _PaletteBuilder:
-    """The palette and index of a stream of gate tokens, a batch at a time.
+    """The palette of a stream of gate tokens, a batch at a time: one
+    matrix per distinct token and the tokens' numbers as its index.
 
     add only numbers the tokens, in first-occurrence order, so a loader can
     refuse a wrong count before any token is parsed.  Only the batch being
@@ -112,25 +114,20 @@ class _PaletteBuilder:
         self.count += len(tokens)
 
     def palette(self, refuse) -> Palette:
-        """The palette of every token added, its index handed over read-only.
+        """The palette of every token added.
 
-        Each distinct token is parsed once, in number order, and tokens
-        whose matrices are equal (NOT and X) share one palette matrix.  The
+        Each distinct token is parsed once, in number order; tokens whose
+        matrices are equal (NOT and X) merge in Multiplexer.  The
         lowest-numbered token that does not parse is the first bad token in
         stream order: refuse(i, exc), i the stream position of its first
         occurrence, is raised."""
-        by_bytes = {}  # matrix bytes -> palette position, in palette order
-        positions = []
+        matrices = []
         for number, token in enumerate(self.numbers):
             try:
-                matrix = gates.parse_gate(token)
+                matrices.append(gates.parse_gate(token))
             except (UnknownGate, NonUnitary) as exc:
                 raise refuse(int(np.argmax(np.concatenate(self.parts) == number)), exc)
-            positions.append(by_bytes.setdefault(matrix.tobytes(), len(by_bytes)))
-        remap = np.array(positions, dtype=np.min_scalar_type(max(len(by_bytes) - 1, 0)))
-        index = remap[np.concatenate(self.parts)]
-        index.setflags(write=False)
-        return Palette(np.frombuffer(b"".join(by_bytes), complex).reshape(-1, 2, 2).copy(), index)
+        return Palette(np.stack(matrices), np.concatenate(self.parts))
 
 
 def _check_count(controls: int, count: int, source, controls_line=None, last_line=None):
@@ -295,14 +292,14 @@ def target_tokens(m: Multiplexer, chunks=None):
     made only when the previous one is used up, so nothing is rendered by
     this call.  A palette's matrices are rendered once (see
     gates.render_gates), with the first list, and each list indexes their
-    tokens; a plain target array or a staged palette (a transform's
-    output) is rendered a chunk of mux.target_chunks at a time, or of
+    tokens; a staged palette (a transform's output) is rendered a chunk
+    of mux.target_chunks at a time, or of
     `chunks`, that stream as a caller already reads it (see
     cost.streamed_cost), and each chunk's lists are sub-batches of
     gates.render_gates, made after its distinct floats are repr'd once.
     A token's text depends only on its matrix, so both give the same
     tokens."""
-    if chunks is None and m.palette.index is not None and not m.palette.tail:
+    if chunks is None and not m.palette.tail:
         return _palette_tokens(m.palette)
     chunks = target_chunks(m) if chunks is None else chunks
     return (batch for chunk in chunks for batch in gates.render_gates(chunk))

@@ -17,7 +17,7 @@ from . import gates, jsonout
 from .boolrm import BoolFunc
 from .errors import InconsistentWidth, MalformedCube, MalformedHeader, MissingHeader, QmuxError
 from .errors import parse_count
-from .mux import Multiplexer, used_palette
+from .mux import Multiplexer, Palette
 
 _CUBE_CHARS = set("01-")
 _OUTPUT_CHARS = set("01~-")
@@ -151,6 +151,7 @@ def to_bool_func(pla: PlaFile, output_index: int = 0) -> BoolFunc:
 
 
 def to_multiplexer(func: BoolFunc) -> Multiplexer:
-    """Standard-form multiplexer realizing func: X where 1, I where 0, held
-    as the palette of those two gates and the minterms as its index."""
-    return Multiplexer(func.num_vars, used_palette(np.stack([gates.I, gates.X]), func.minterms))
+    """Standard-form multiplexer realizing func: X where 1, I where 0, given
+    Multiplexer as the palette of those two gates and the minterms as its
+    index."""
+    return Multiplexer(func.num_vars, Palette(np.stack([gates.I, gates.X]), func.minterms))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates
 from .errors import QmuxError, SizeLimitExceeded, UnknownGate, is_int
-from .mux import Multiplexer, used_palette
+from .mux import Multiplexer, Palette
 
 MAX_CONTROLS = 20
 
@@ -158,7 +158,8 @@ def resolve_pool(label: str) -> GatePool:
 
 def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
     """Standard-form multiplexer with 2^controls targets drawn from pool,
-    held as the palette of the pool gates drawn: gate i is pool gate
+    given Multiplexer as the palette of the pool's gates and the draws as
+    its index, so it holds the distinct gates drawn: gate i is pool gate
     Pcg64(seed).integers(len(pool.gate_tokens), 2^controls)[i], drawn
     here by numpy's vectorized generator.  Raises QmuxError for fewer than
     1 control, a count or seed that is not an int, or a negative seed, and
@@ -174,6 +175,6 @@ def generate(controls: int, pool: GatePool, seed: int) -> Multiplexer:
             f"generate is limited to {MAX_CONTROLS} controls, got {controls}"
         )
     rng = np.random.default_rng(seed)
-    choices = rng.integers(0, len(pool.gate_tokens), size=1 << controls)
-    return Multiplexer(controls, used_palette(pool.matrices(), choices))
+    choices = rng.integers(0, len(pool.gate_tokens), size=1 << controls, dtype=np.uint64)
+    return Multiplexer(controls, Palette(pool.matrices(), choices))
 

@@ -273,6 +273,15 @@ def polarity_cost_cases(family):
     return [(matrices, None, table), (ids, gate_group, table)]
 
 
+def one_row_chunk_rows(vector: np.ndarray, family: str, block: int) -> int:
+    """The largest kernels.CHUNK_ROWS at which polarity_costs expands a
+    block's rows one a chunk, whose budget is CHUNK_ROWS x 64 bytes of
+    slots: one row's bytes / 64, at least 1.  A row under 64 bytes (IDs
+    and bits in blocks of 2 variables or fewer) still shares its chunk."""
+    width = 3 if family in (FPRM, KRM) else 4
+    return max(1, width**block * (vector.nbytes // len(vector)) // 64)
+
+
 @pytest.mark.parametrize("family", [FPQF, KQF, FPRM, KRM])
 def test_polarity_costs_match_per_polarity_cascades(monkeypatch, family):
     """Block sizes 0 (a leaf per polarity), 1 and 2 (a DFS above small
@@ -281,13 +290,13 @@ def test_polarity_costs_match_per_polarity_cascades(monkeypatch, family):
     for vector, gate_group, table in polarity_cost_cases(family):
         expected = per_polarity_costs(vector, family, table, gate_group)
         for block in (0, 1, 2, blocksearch.BLOCK_VARS[family]):
-            for chunk_bytes in (blocksearch.CHUNK_BYTES, 1):
+            for rows in (kernels.CHUNK_ROWS, one_row_chunk_rows(vector, family, block)):
                 with monkeypatch.context() as patch:
                     patch.setitem(blocksearch.BLOCK_VARS, family, block)
-                    patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
+                    patch.setattr(kernels, "CHUNK_ROWS", rows)
                     costs = blocksearch.polarity_costs(vector, family, table, gate_group)
                 assert costs.dtype == np.int64
-                assert costs.tolist() == expected, (block, chunk_bytes)
+                assert costs.tolist() == expected, (block, rows)
 
 
 def staged_cases(m):
@@ -436,5 +445,5 @@ def test_each_distinct_operand_pair_is_multiplied_once(monkeypatch):
     assert tail == "1101" and sum(pairs_seen) == 6 * (1 << 9)
     assert len(set(products)) == len(products) > 0
     assert len(products) < 6 * (1 << 9)  # the plain cascade multiplies 6 x 2^9
-    rows = matrices.reshape(len(matrices), -1).view("V64").ravel()
+    rows = kernels.byte_keys(matrices)
     assert len(np.unique(rows)) == len(rows)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmuxopt import blocksearch, boolrm
+from qmuxopt import blocksearch, boolrm, kernels
 from qmuxopt.boolrm import (
     BoolFunc,
     RMSpectrum,
@@ -284,7 +284,8 @@ def test_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, family,
     # KRM block otherwise holds all n <= 10 variables in one row.
     monkeypatch.setitem(blocksearch.BLOCK_VARS, family, n - 2)
     expected = list(rm_search(func, family))
-    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
+    # A row takes 3^(n - 2) bytes of bits, the chunk budget kernels.CHUNK_ROWS x 64.
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 3 ** (n - 2) // 64)
     assert list(rm_search(func, family)) == expected
 
 

@@ -380,6 +380,46 @@ def test_the_palette_rule_fails_when_a_stray_expansion_is_put_back():
     ]
 
 
+def void_views(tree: ast.Module) -> list:
+    """Line of each `view` call given a void dtype, a str such as "V64" or
+    a numpy `void`: the shape of reading matrices as byte keys."""
+
+    def is_void(part):
+        text = getattr(part, "value", None)
+        name = getattr(part, "attr", getattr(part, "id", None))
+        return (isinstance(text, str) and text.lstrip("|").startswith("V")) or name == "void"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view":
+            given = [*node.args, *(k.value for k in node.keywords)]
+            if any(is_void(part) for arg in given for part in ast.walk(arg)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name
+)
+def test_only_kernels_views_matrices_as_byte_keys(path):
+    """kernels.byte_keys is the one place a matrix is read as its bytes."""
+    assert void_views(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_byte_key_rule_fails_when_a_stray_view_is_put_back():
+    kernels = (PACKAGE / "kernels.py").read_text(encoding="utf-8")
+    assert void_views(ast.parse(kernels)) != []  # the home of the keys
+    source = (PACKAGE / "mux.py").read_text(encoding="utf-8")
+    end = len(source.splitlines())
+    stray = (
+        "keys = stack.reshape(len(stack), 4).view(\"V64\").reshape(-1)\n"
+        "floats = stack.view(float)\n"
+        "keys = flat.view(dtype=\"|V16\")\n"
+        "keys = flat.view(np.dtype((np.void, 64)))\n"
+    )
+    assert void_views(ast.parse(source + stray)) == [end + 1, end + 3, end + 4]
+
+
 def stream_writes(tree: ast.Module) -> list:
     """Line of each call of a `write` or `writelines` method, except the
     module function jsonout.write."""

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qmuxopt import gates, kernels
-from qmuxopt import mux as mux_mod
 from qmuxopt.cost import (
     GATE_COST_TABLE,
     control_count_vector,
@@ -16,6 +15,7 @@ from qmuxopt.jsonout import write_json
 from qmuxopt.mux import (
     FPQF,
     Multiplexer,
+    Palette,
     forward_transform,
     negative_control_realization,
 )
@@ -204,7 +204,7 @@ def _streamed_cases(m: int, form: str):
         "mixed": rng.integers(0, 5, n),
     }
     for name, choices in layouts.items():
-        palette = mux_mod.used_palette(_POOL, choices)
+        palette = Palette(_POOL, choices.astype(np.uint8))
         args = (form, polarity) if polarity else ()
         yield name, Multiplexer(m, palette, *args)
         yield name + "-plain", Multiplexer(m, _POOL[choices], *args)
@@ -241,9 +241,10 @@ def test_streamed_report_matches_a_per_gate_oracle(monkeypatch, chunks, form):
 
 def test_the_report_holds_no_per_gate_array():
     """A palette's report keeps one identity decision per palette matrix,
-    and only the multiplexer besides."""
-    std = mux_mod.used_palette(_POOL, np.arange(1 << 12) % 5)
+    and only the multiplexer besides.  _POOL's X VD VD has I's exact bytes,
+    so the palette holds 4 matrices, in byte order X, I, RX(0.4), H."""
+    std = Palette(_POOL, (np.arange(1 << 12) % 5).astype(np.uint8))
     report = multiplexer_cost(Multiplexer(12, std))
-    assert report.live.tolist() == [False, False, True, True, True]
+    assert report.live.tolist() == [True, False, True, True]
     arrays = [v for v in vars(report).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) == 5
+    assert sum(a.nbytes for a in arrays) == 4

@@ -11,7 +11,7 @@ import pytest
 from qmuxopt import gates, jsonout, kernels, randmux
 from qmuxopt.cli import main
 from qmuxopt.jsonout import Table, write_json
-from qmuxopt.mux import Multiplexer
+from qmuxopt.mux import Multiplexer, forward_transform
 from qmuxopt.muxio import save_qmux, target_tokens
 
 import oracle
@@ -292,20 +292,23 @@ def test_write_joins_pieces_up_to_the_character_bound(monkeypatch, chunks):
 
 
 def test_target_tokens_render_only_when_written(monkeypatch):
-    """target_tokens renders nothing when called, and each chunk of
-    kernels.CHUNK_ROWS gates only when its first list of tokens is
-    consumed."""
+    """target_tokens renders nothing when called, and each chunk of a
+    staged palette (a transform's output, here 2 gates a chunk: the
+    largest power of two within kernels.CHUNK_ROWS) only when its first
+    list of tokens is consumed."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", 3)
-    m = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
+    std = Multiplexer(3, np.stack([gates.rx(0.1 * k) for k in range(8)]))
+    m = forward_transform(std, "101")
+    assert m.palette.tail == "1"
     made = []
     real = gates.render_gates
     monkeypatch.setattr(gates, "render_gates", lambda us: made.append(len(us)) or real(us))
     tokens = target_tokens(m)
     assert made == []
     plain = [oracle.render_gate(u) for u in m.targets]
-    assert next(tokens) == plain[:1] and made == [3]
+    assert next(tokens) == plain[:1] and made == [2]
     assert _written({"t": tokens}) == json.dumps({"t": plain[1:]}, indent=2)
-    assert made == [3, 3, 2]
+    assert made == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("chunks", [1, 3, 4096])

@@ -108,18 +108,21 @@ def test_the_callers_targets_stay_writable():
     assert np.array_equal(m.targets, np.stack([gates.I, gates.X]))
 
 
-def test_a_transform_hands_its_targets_over_without_a_copy(monkeypatch):
-    """With no column above the chunk the staged palette is the input's
-    own; with one, its new arrays are handed over read-only, uncopied."""
+def test_a_transforms_palette_is_read_only():
+    """With no column above the chunk the staged palette holds the input's
+    matrices; with one, the products.  Either way Multiplexer keeps new
+    read-only arrays, and so does a multiplexer built from a palette."""
     std = ivvx_case()
-    g = forward_transform(std, "11")
-    assert g.palette.matrices is std.palette.matrices and g.palette.tail == "11"
-    monkeypatch.setattr(kernels, "CHUNK_ROWS", 2)
-    g = forward_transform(std, "11")
-    assert g.palette.tail == "1" and g.palette.matrices is not std.palette.matrices
-    assert not (g.palette.matrices.flags.writeable or g.palette.index.flags.writeable)
-    again = Multiplexer(2, g.palette, FPQF, "11").palette
-    assert again.matrices is g.palette.matrices and again.index is g.palette.index
+    for rows, tail in ((4096, "11"), (2, "1")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "CHUNK_ROWS", rows)
+            g = forward_transform(std, "11")
+        assert g.palette.tail == tail
+        assert not (g.palette.matrices.flags.writeable or g.palette.index.flags.writeable)
+        again = Multiplexer(2, g.palette, FPQF, "11").palette
+        assert not (again.matrices.flags.writeable or again.index.flags.writeable)
+        assert again.matrices.tobytes() == g.palette.matrices.tobytes()
+        assert again.index.tobytes() == g.palette.index.tobytes()
 
 
 # --- semantics ---

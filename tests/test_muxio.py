@@ -11,10 +11,10 @@ from qmuxopt.mux import (
     FPQF,
     KQF,
     Multiplexer,
+    Palette,
     forward_transform,
     max_semantic_deviation,
     negative_control_realization,
-    used_palette,
 )
 from qmuxopt.muxio import (
     UNMATCHABLE_CONTROLS,
@@ -300,7 +300,7 @@ def test_target_tokens_in_any_chunking_equal_the_per_gate_render(monkeypatch, ch
         + [literal] * 16
     )
     plain = [oracle.render_gate(u) for u in stack]
-    for targets in (stack, used_palette(stack, np.arange(32))):
+    for targets in (stack, Palette(stack, np.arange(32, dtype=np.uint8))):
         tokens = flat(target_tokens(Multiplexer(5, targets)))
         assert tokens == plain
         assert tokens[5:7] == ["H", "X"] and tokens[15] == "I"
@@ -438,9 +438,10 @@ def test_batches_keep_the_first_bad_token_and_share_equal_matrices(monkeypatch, 
         return parse_qmux(f"controls: 3\nform: standard\ntargets:{lines}\n", "f")
 
     # NOT opens the first batch and X comes in a later one: one matrix.
+    # The palette is in byte order: X, V, I.
     m = load(["NOT", "I", "V", "I", "V", "I", "X", "NOT"])
-    assert np.array_equal(m.palette.matrices, np.stack([gates.X, gates.I, gates.V]))
-    assert m.palette.index.tolist() == [0, 1, 2, 1, 2, 1, 0, 0]
+    assert np.array_equal(m.palette.matrices, np.stack([gates.X, gates.V, gates.I]))
+    assert m.palette.index.tolist() == [0, 2, 1, 2, 1, 2, 0, 0]
     # BAD, target 5 on line 6, is the first bad token; it neither opens a
     # batch nor sorts first (AAA does), and it comes again after AAA.
     with pytest.raises(ParseError) as info:

@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmuxopt import gates, group, kernels, muxio
+from qmuxopt import blocksearch, gates, group, kernels, muxio
 from qmuxopt.boolrm import BoolFunc
 from qmuxopt.cli import main
 from qmuxopt.errors import ParseError
-from qmuxopt.mux import Multiplexer, Palette, forward_transform, target_chunks, used_palette
+from qmuxopt.mux import Multiplexer, Palette, forward_transform, target_chunks
 from qmuxopt.muxio import parse_qmux, save_qmux
 from qmuxopt.pla import to_multiplexer
 from qmuxopt.randmux import POOL_FULL, generate, resolve_pool
@@ -95,7 +95,9 @@ def test_tokens_of_one_matrix_share_a_palette_entry(tmp_path):
     m = muxio.load_qmux(paths["not-x"])
     assert len(m.palette.matrices) == 3  # NOT, X and x are one matrix
     assert m.palette.index.dtype == np.uint8
-    assert m.palette.index.tolist() == [0, 0, 1, 0, 2, 0, 0, 1]
+    # In byte order: X, V, I.
+    assert np.array_equal(m.palette.matrices, np.stack([gates.X, gates.V, gates.I]))
+    assert m.palette.index.tolist() == [0, 0, 2, 0, 1, 0, 0, 2]
     # -0.0 and 0.0 are different bytes: two palette matrices, and two
     # tokens unless the catalog match within EPS renders both as X.
     literal = muxio.load_qmux(paths["literal"])
@@ -111,9 +113,50 @@ def test_palettes_of_the_generators_hold_only_the_gates_drawn():
     assert len(m.palette.matrices) == len(set(flat(muxio.target_tokens(m))))
     zero = to_multiplexer(BoolFunc(2, np.zeros(4, np.uint8)))
     assert len(zero.palette.matrices) == 1 and not zero.palette.index.any()
-    palette = used_palette(np.stack([gates.X, gates.I, gates.H]), np.array([2, 2, 0, 2]))
+    palette = Multiplexer(
+        2, Palette(np.stack([gates.X, gates.I, gates.H]), np.array([2, 2, 0, 2], np.uint8))
+    ).palette
     assert np.array_equal(palette.matrices, np.stack([gates.X, gates.H]))
     assert palette.index.tolist() == [1, 1, 0, 1]
+
+
+def test_a_pools_equal_gates_share_one_palette_matrix():
+    """X and NOT are one matrix, so a pool that names both draws them into
+    one palette entry."""
+    m = generate(4, resolve_pool("custom:X,NOT,I"), 0)
+    drawn = set(flat(muxio.target_tokens(m)))
+    assert drawn == {"X", "I"}
+    assert len(m.palette.matrices) == 2
+    assert np.array_equal(m.palette.matrices, np.stack([gates.X, gates.I]))
+
+
+def test_a_plain_array_is_held_as_the_palette_of_its_distinct_matrices(monkeypatch, tmp_path):
+    """A plain target array with repeats holds the same palette as the
+    file of the same targets, loaded, and a transform's palette (_Rows)
+    starts from only its distinct matrices."""
+    m = 8
+    std = generate(m, POOL_FULL, seed=4)
+    save_qmux(std, tmp_path / "m8.qmux")
+    loaded = muxio.load_qmux(tmp_path / "m8.qmux").palette
+    plain = Multiplexer(m, std.targets)
+    assert len(loaded.matrices) < 1 << m
+    for palette in (plain.palette, std.palette):
+        assert palette.matrices.tobytes() == loaded.matrices.tobytes()
+        assert palette.index.dtype == loaded.index.dtype == np.uint8
+        assert palette.index.tobytes() == loaded.index.tobytes()
+    starts = []
+    real = blocksearch._Rows.__init__
+
+    def init(self, matrices):
+        starts.append(matrices.tobytes())
+        real(self, matrices)
+
+    monkeypatch.setattr(blocksearch._Rows, "__init__", init)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 16)
+    staged = forward_transform(plain, "10" * (m // 2))
+    assert starts == [loaded.matrices.tobytes()]
+    expected = blocksearch.cascade(std.targets.copy(), "10" * (m // 2), "fpqf")
+    assert staged.targets.tobytes() == expected.tobytes()
 
 
 def test_a_palette_is_checked_like_the_targets_it_stands_for():
@@ -153,7 +196,7 @@ def test_a_staged_palette_is_read_only_through_its_chunks(monkeypatch):
 @pytest.mark.parametrize("m,accepted", [(11, True), (12, False)])
 def test_intern_on_the_palette_declines_exactly_where_the_gate_vector_does(m, accepted):
     h = gates.parse_gate(H13)
-    std = Multiplexer(m, used_palette(np.stack([h, gates.I]), np.arange(1 << m) % 2))
+    std = Multiplexer(m, Palette(np.stack([h, gates.I]), np.arange(1 << m, dtype=np.uint16) % 2))
     on_palette = group.intern(std.palette.matrices, std.num_targets)
     on_targets = group.intern(std.targets, std.num_targets)
     assert (on_palette is not None) == (on_targets is not None) == accepted

@@ -94,20 +94,19 @@ def test_polarities_are_named_from_their_lexicographic_indices():
     family=st.sampled_from(FAMILIES),
     n=st.integers(1, 7),
     block=st.integers(0, 8),
-    chunk_bytes=st.sampled_from([1, 5, 64, 3**6, 256 << 10]),
     chunk_rows=st.sampled_from([1, 2, 3, 7, 4096]),
     data=st.data(),
 )
-def test_block_costs_match_per_polarity_transforms(family, n, block, chunk_bytes, chunk_rows,
-                                                   data):
+def test_block_costs_match_per_polarity_transforms(family, n, block, chunk_rows, data):
     """blocksearch.polarity_costs, at any block and chunk size, equals the
     literal cost of each polarity's own rm_transform, in lexicographic
-    polarity order."""
+    polarity order.  A chunk of slots is kernels.CHUNK_ROWS x 64 bytes, so
+    CHUNK_ROWS 1 to 7 puts one row of 3^6 bits or more in each chunk and
+    several smaller rows."""
     bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
     func = BoolFunc(n, np.array(bits, dtype=np.uint8))
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(blocksearch.BLOCK_VARS, family, block)
-        patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
         patch.setattr(kernels, "CHUNK_ROWS", chunk_rows)
         costs = blocksearch.polarity_costs(func.minterms, family, np.arange(n + 1))
     polarities = all_polarities(n, blocksearch.FAMILY_DIGITS[family])

@@ -331,7 +331,10 @@ def test_block_search_is_the_same_when_every_row_is_its_own_chunk(monkeypatch, p
     std = generate(8, resolve_pool(pool), seed=320)
     assert (group.intern(std.targets, std.num_targets) is None) == (pool != "full")
     expected = search.polarity_costs(std, family)
-    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1)
+    # A 4^6-slot row takes 4 KB of IDs or 256 KB of matrices; the chunk
+    # budget is kernels.CHUNK_ROWS x 64 bytes.
+    row_bytes = 4**6 * (1 if pool == "full" else 64)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", row_bytes // 64)
     assert np.array_equal(search.polarity_costs(std, family), expected)
 
 
@@ -346,15 +349,21 @@ def test_compared_last_level_on_ids_matches_per_polarity_reference(monkeypatch, 
     pools = {"full": POOL_FULL, "h13": GatePool("custom", (H13, "I"))}
     # KQF at m = 6 keeps block 0 with one-row chunks (46,656 of them) short.
     std = generate(7 if family == "fpqf" else 6, pools[pool], seed=324)
-    assert group.intern(std.targets, std.num_targets) is not None
+    gate_group, ids = group.intern(std.targets, std.num_targets)
+    table = cost.cost_table_vector(std.controls)
     expected = per_polarity_reference(std, family)
+    assert search.polarity_costs(std, family).tolist() == expected
     for block in range(7):
-        for chunk_bytes in (blocksearch.CHUNK_BYTES, 1):
+        # A row of IDs takes 4^block bytes against a chunk budget of
+        # kernels.CHUNK_ROWS x 64; below 64 bytes rows share a chunk.  The
+        # IDs are interned once, at the default CHUNK_ROWS: intern's own
+        # passes go CHUNK_ROWS at a time too, and one row at a time is slow.
+        for rows in (kernels.CHUNK_ROWS, max(1, 4**block // 64)):
             with monkeypatch.context() as patch:
                 patch.setitem(blocksearch.BLOCK_VARS, family, block)
-                patch.setattr(blocksearch, "CHUNK_BYTES", chunk_bytes)
-                costs = search.polarity_costs(std, family).tolist()
-            assert costs == expected, (block, chunk_bytes)
+                patch.setattr(kernels, "CHUNK_ROWS", rows)
+                costs = blocksearch.polarity_costs(ids, family, table, gate_group).tolist()
+            assert costs == expected, (block, rows)
 
 
 @pytest.mark.parametrize("entries", ["ids", "matrices", "bits"])
@@ -425,7 +434,7 @@ def test_block_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     # holds 16 of them at m = 10, 4 MB unchunked.
     std = generate(10, resolve_pool("custom:X,I,RX(0.3)"), seed=322)
     assert group.intern(std.targets, std.num_targets) is None
-    monkeypatch.setattr(blocksearch, "CHUNK_BYTES", 1 << 20)
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", 1 << 14)  # 1 MB chunks of slots
     tracemalloc.start()
     try:
         search.polarity_costs(std, "fpqf")
